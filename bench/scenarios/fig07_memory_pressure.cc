@@ -23,7 +23,6 @@
 //    rather than goodput), while kColdSubtree eviction recovers ~5%
 //    throughput in the BP/swap arm where eviction churn is heaviest.
 
-#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -70,20 +69,14 @@ struct MemoryCase {
   PushMode mode;
   int32_t block_size;
   PreemptPolicy policy;
-  // ISSUE 5 ablations: preemption-aware selective pushing (per-preemption
-  // load penalty in the least-loaded scans) and per-step decode admission
-  // (commit the output reserve one block at a time).
-  double preemption_penalty = 0.0;
-  bool per_step_admission = false;
   // ISSUE 8 saturation matrix: a shrunken per-replica KV with an
   // under-sized output reserve and longer thoughts, sized (by sweeping) so
   // every replica holds at the admission wall for the whole measurement
   // window — sustained watermark rejections and preemptions — while compute
   // stays subsaturated. The policy cross then ablates the cache eviction
-  // policy and per-step batch composition on top.
+  // policy on top.
   bool saturate = false;
   EvictionPolicy eviction = EvictionPolicy::kLruLeaf;
-  bool decode_first = false;
 };
 
 MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
@@ -112,27 +105,7 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   // Keep one typical request's worth of blocks free as decode headroom.
   rconfig.kv_watermark_blocks =
       (512 + rconfig.output_reserve_tokens) / mc.block_size;
-  rconfig.per_step_decode_admission = mc.per_step_admission;
   rconfig.cache_eviction_policy = mc.eviction;
-  // All cells keep the raw-pending probe. The admission-blocked probe mode
-  // (ReplicaConfig::probe_admission_blocked_pending, ISSUE 8) was measured
-  // here and REJECTED for these cells: hiding step-boundary waiters makes
-  // SP-P collapse into BP exactly (byte-identical sims) in every regime
-  // where selective pushing wins — the raw pending count's sensitivity to
-  // mid-step queueing IS the load signal behind the committed SP-P/BP gap.
-  rconfig.probe_admission_blocked_pending = false;
-  if (mc.decode_first) {
-    // Decode-priority composition: decodes claim a halved shared step
-    // budget first and prefill chunks shrink to the remainder, throttling
-    // new-work ramp in favor of draining resident decodes (which is what
-    // frees pages). The decode batch stays uncapped: capping it under
-    // pressure was measured to *delay* the completions that donate free
-    // blocks back and lose 3-7% throughput.
-    rconfig.composition.policy = BatchCompositionPolicy::kDecodeFirst;
-    rconfig.composition.step_token_budget = 512;
-    rconfig.composition.max_decode_batch = 0;
-    rconfig.composition.pressure_free_blocks = 0;
-  }
   std::vector<std::unique_ptr<Replica>> replicas;
   for (int i = 0; i < kReplicas; ++i) {
     replicas.push_back(std::make_unique<Replica>(&sim, i, 0, rconfig));
@@ -148,7 +121,6 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
     // binds for the selective cells).
     config.engine.min_free_block_fraction = 0.01;
   }
-  config.engine.preemption_penalty = mc.preemption_penalty;
   SglRouterLb lb(&sim, &net, 0, 0, config);
   for (auto& replica : replicas) {
     lb.AttachReplica(replica.get());
@@ -215,18 +187,11 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   row.Dim("block_size", std::to_string(mc.block_size));
   row.Dim("preempt",
           mc.policy == PreemptPolicy::kSwap ? "swap" : "recompute");
-  if (mc.preemption_penalty > 0) {
-    row.Dim("preemption_penalty", std::to_string(mc.preemption_penalty));
-  }
-  if (mc.per_step_admission) {
-    row.Dim("per_step_admission", "on");
-  }
   if (mc.saturate) {
     row.Dim("saturation", "on");
     row.Dim("eviction", mc.eviction == EvictionPolicy::kColdSubtree
                             ? "coldsubtree"
                             : "lruleaf");
-    row.Dim("composition", mc.decode_first ? "decode_first" : "default");
   }
   Distribution ttft = metrics.TtftSeconds();
   Distribution e2e = metrics.E2eSeconds();
@@ -279,8 +244,8 @@ Scenario MakeFig07MemoryPressureScenario() {
       "The fig09 workload on the paged memory subsystem: block sizes 16/32, "
       "admission watermark, recompute vs swap preemption, and free-block-"
       "aware routing for the SP-P cells. One cell per (policy, block size, "
-      "preemption) combination, plus a 16-cell saturation cross (ISSUE 8) "
-      "ablating eviction policy and batch composition at the memory wall.";
+      "preemption) combination, plus an 8-cell saturation cross ablating "
+      "the eviction policy at the memory wall.";
   scenario.metric_keys = {
       metric_keys::kThroughputTokS,
       metric_keys::kOutputTokS,
@@ -305,7 +270,7 @@ Scenario MakeFig07MemoryPressureScenario() {
   scenario.traceable = true;
   scenario.plan = [](const ScenarioOptions& options) {
     ScenarioPlan plan;
-    const MemoryCase cases[] = {
+    std::vector<MemoryCase> cases = {
         {"bp/b16/recompute", PushMode::kBlind, 16, PreemptPolicy::kRecompute},
         {"bp/b16/swap", PushMode::kBlind, 16, PreemptPolicy::kSwap},
         {"spp/b16/recompute", PushMode::kSelectivePending, 16,
@@ -315,45 +280,31 @@ Scenario MakeFig07MemoryPressureScenario() {
         {"bp/b32/swap", PushMode::kBlind, 32, PreemptPolicy::kSwap},
         {"spp/b32/swap", PushMode::kSelectivePending, 32,
          PreemptPolicy::kSwap},
-        // ISSUE 5 ablations, appended so the base rows keep their indices.
-        {"spp/b16/swap/penalty", PushMode::kSelectivePending, 16,
-         PreemptPolicy::kSwap, /*preemption_penalty=*/2.0},
-        {"spp/b16/swap/perstep", PushMode::kSelectivePending, 16,
-         PreemptPolicy::kSwap, /*preemption_penalty=*/0.0,
-         /*per_step_admission=*/true},
     };
-    std::vector<MemoryCase> all_cases(std::begin(cases), std::end(cases));
-    // ISSUE 8 saturation cross, rows 8..23: (BP, SP-P) x (recompute, swap)
-    // x (kLruLeaf, kColdSubtree) x (default, decode-first composition) at
-    // b16 under the saturated workload. Loop order fixes the row indices
-    // the finalize below depends on.
+    // Saturation cross: (BP, SP-P) x (recompute, swap) x (kLruLeaf,
+    // kColdSubtree) at b16 under the saturated workload.
     for (PushMode mode : {PushMode::kBlind, PushMode::kSelectivePending}) {
       for (PreemptPolicy policy :
            {PreemptPolicy::kRecompute, PreemptPolicy::kSwap}) {
         for (EvictionPolicy eviction :
              {EvictionPolicy::kLruLeaf, EvictionPolicy::kColdSubtree}) {
-          for (bool decode_first : {false, true}) {
-            MemoryCase mc;
-            mc.label =
-                std::string("sat/") +
-                (mode == PushMode::kBlind ? "bp" : "spp") + "/b16/" +
-                (policy == PreemptPolicy::kSwap ? "swap" : "recompute") +
-                "/" +
-                (eviction == EvictionPolicy::kColdSubtree ? "coldsubtree"
-                                                          : "lruleaf") +
-                "/" + (decode_first ? "decodefirst" : "default");
-            mc.mode = mode;
-            mc.block_size = 16;
-            mc.policy = policy;
-            mc.saturate = true;
-            mc.eviction = eviction;
-            mc.decode_first = decode_first;
-            all_cases.push_back(std::move(mc));
-          }
+          MemoryCase mc;
+          mc.label =
+              std::string("sat/") +
+              (mode == PushMode::kBlind ? "bp" : "spp") + "/b16/" +
+              (policy == PreemptPolicy::kSwap ? "swap" : "recompute") + "/" +
+              (eviction == EvictionPolicy::kColdSubtree ? "coldsubtree"
+                                                        : "lruleaf");
+          mc.mode = mode;
+          mc.block_size = 16;
+          mc.policy = policy;
+          mc.saturate = true;
+          mc.eviction = eviction;
+          cases.push_back(std::move(mc));
         }
       }
     }
-    for (const MemoryCase& mc : all_cases) {
+    for (const MemoryCase& mc : cases) {
       plan.cells.push_back(ScenarioCell{mc.label, [mc, options] {
         return std::vector<MetricRow>{RunCase(mc, options)};
       }});
@@ -363,53 +314,45 @@ Scenario MakeFig07MemoryPressureScenario() {
       for (const auto& rows : cell_rows) {
         report.rows.insert(report.rows.end(), rows.begin(), rows.end());
       }
-      auto safe_div = [](double a, double b) { return b <= 0 ? 0.0 : a / b; };
-      auto tput = [&](size_t i) {
-        return *report.rows[i].Find(metric_keys::kThroughputTokS);
+      // Ratio of `key` between two cells (0 when the denominator is 0). The
+      // runner only finalizes unfiltered plans, so every label exists.
+      auto ratio = [&](const std::string& num, const std::string& den,
+                       const char* key = metric_keys::kThroughputTokS) {
+        const double d = *FindRow(report.rows, den)->Find(key);
+        return d <= 0 ? 0.0 : *FindRow(report.rows, num)->Find(key) / d;
       };
-      // Row order mirrors `cases` above.
-      report.derived.emplace_back("spp_vs_bp_throughput_b16_recompute_x",
-                                  safe_div(tput(2), tput(0)));
+      report.derived.emplace_back(
+          "spp_vs_bp_throughput_b16_recompute_x",
+          ratio("spp/b16/recompute", "bp/b16/recompute"));
       report.derived.emplace_back("spp_vs_bp_throughput_b16_swap_x",
-                                  safe_div(tput(3), tput(1)));
+                                  ratio("spp/b16/swap", "bp/b16/swap"));
       report.derived.emplace_back("spp_vs_bp_throughput_b32_swap_x",
-                                  safe_div(tput(5), tput(4)));
+                                  ratio("spp/b32/swap", "bp/b32/swap"));
       report.derived.emplace_back("swap_vs_recompute_spp_b16_x",
-                                  safe_div(tput(3), tput(2)));
+                                  ratio("spp/b16/swap", "spp/b16/recompute"));
       report.derived.emplace_back(
           "spp_b16_swap_ttft_p90_over_recompute_x",
-          safe_div(*report.rows[3].Find(metric_keys::kTtftP90),
-                   *report.rows[2].Find(metric_keys::kTtftP90)));
-      // ISSUE 5 ablations vs the plain SP-P/b16/swap cell (row 3).
-      report.derived.emplace_back("preemption_penalty_vs_spp_b16_swap_x",
-                                  safe_div(tput(6), tput(3)));
-      report.derived.emplace_back("per_step_admission_vs_spp_b16_swap_x",
-                                  safe_div(tput(7), tput(3)));
-      // ISSUE 8 saturation cross (rows 8..23, loop order bp/spp x
-      // recompute/swap x lruleaf/coldsubtree x default/decodefirst).
-      // Saturated SP-P/BP gap at seed policies — the headline the CI
-      // floor guards:
+          ratio("spp/b16/swap", "spp/b16/recompute", metric_keys::kTtftP90));
+      // Saturated SP-P/BP gap at seed policies — the headline the CI floor
+      // guards:
       report.derived.emplace_back("sat_spp_vs_bp_b16_recompute_x",
-                                  safe_div(tput(16), tput(8)));
-      report.derived.emplace_back("sat_spp_vs_bp_b16_swap_x",
-                                  safe_div(tput(20), tput(12)));
-      // The same gap with both ISSUE 8 mechanisms on in both arms.
-      report.derived.emplace_back("sat_spp_vs_bp_b16_swap_tuned_x",
-                                  safe_div(tput(23), tput(15)));
-      // Mechanism ablations. Cold-subtree eviction matters where eviction
-      // churn is heaviest — under BP, which keeps pushing into jammed
-      // replicas. SP-P routes around the churn (its swap arm takes ~1
-      // preemption to BP's ~12), so its cells are nearly insensitive to the
-      // eviction policy at this operating point; the SP-P ratio is kept as
-      // an inertness check, the BP ratio carries the CI floor.
-      report.derived.emplace_back("sat_coldsubtree_vs_lruleaf_bp_swap_x",
-                                  safe_div(tput(14), tput(12)));
-      report.derived.emplace_back("sat_coldsubtree_vs_lruleaf_spp_swap_x",
-                                  safe_div(tput(22), tput(20)));
-      report.derived.emplace_back("sat_decodefirst_vs_default_spp_swap_x",
-                                  safe_div(tput(21), tput(20)));
-      report.derived.emplace_back("sat_tuned_vs_seed_spp_swap_x",
-                                  safe_div(tput(23), tput(20)));
+                                  ratio("sat/spp/b16/recompute/lruleaf",
+                                        "sat/bp/b16/recompute/lruleaf"));
+      report.derived.emplace_back(
+          "sat_spp_vs_bp_b16_swap_x",
+          ratio("sat/spp/b16/swap/lruleaf", "sat/bp/b16/swap/lruleaf"));
+      // Cold-subtree eviction matters where eviction churn is heaviest —
+      // under BP, which keeps pushing into jammed replicas. SP-P routes
+      // around the churn (its swap arm takes ~1 preemption to BP's ~12), so
+      // its cells are nearly insensitive to the eviction policy at this
+      // operating point; the SP-P ratio is kept as an inertness check, the
+      // BP ratio carries the CI floor.
+      report.derived.emplace_back(
+          "sat_coldsubtree_vs_lruleaf_bp_swap_x",
+          ratio("sat/bp/b16/swap/coldsubtree", "sat/bp/b16/swap/lruleaf"));
+      report.derived.emplace_back(
+          "sat_coldsubtree_vs_lruleaf_spp_swap_x",
+          ratio("sat/spp/b16/swap/coldsubtree", "sat/spp/b16/swap/lruleaf"));
       report.notes.push_back(
           "Paged-memory re-run of fig09 (paper Fig. 9: SP-P/BP throughput "
           "1.27x): preemption and swap counters must be nonzero under this "

@@ -134,16 +134,6 @@ std::vector<FleetCase> PlanCases() {
   return cases;
 }
 
-const MetricRow* FindRow(const std::vector<MetricRow>& rows,
-                         const std::string& label) {
-  for (const MetricRow& row : rows) {
-    if (row.label == label) {
-      return &row;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 Scenario MakeFleetScaleScenario() {

@@ -289,16 +289,6 @@ MetricRow RunReswap(const std::string& label, int num_shards, int num_threads,
   return row.Dim("cell", "reswap").Dim("shards", std::to_string(num_shards));
 }
 
-const MetricRow* FindRow(const std::vector<MetricRow>& rows,
-                         const std::string& label) {
-  for (const MetricRow& row : rows) {
-    if (row.label == label) {
-      return &row;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 Scenario MakeResilienceScenario() {

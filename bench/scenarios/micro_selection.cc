@@ -55,16 +55,6 @@ MetricRow TimedRow(const std::string& label, int64_t iterations,
   return row;
 }
 
-const MetricRow* FindRow(const std::vector<MetricRow>& rows,
-                         const std::string& label) {
-  for (const MetricRow& row : rows) {
-    if (row.label == label) {
-      return &row;
-    }
-  }
-  return nullptr;
-}
-
 // The engine requires a selector; the microbenchmark queries the engine's
 // selection entry points directly and never dispatches.
 class NullSelector : public ReplicaSelector {

@@ -11,9 +11,25 @@
 #ifndef SKYWALKER_BENCH_SCENARIOS_SCENARIOS_H_
 #define SKYWALKER_BENCH_SCENARIOS_SCENARIOS_H_
 
+#include <string>
+#include <vector>
+
 #include "src/harness/scenario.h"
 
 namespace skywalker {
+
+// The first row labelled `label`, or null when no such row exists (e.g. a
+// cell the plan did not include). Finalizers look rows up by label, never
+// by position.
+inline const MetricRow* FindRow(const std::vector<MetricRow>& rows,
+                                const std::string& label) {
+  for (const MetricRow& row : rows) {
+    if (row.label == label) {
+      return &row;
+    }
+  }
+  return nullptr;
+}
 
 Scenario MakeFig02DiurnalTrafficScenario();
 Scenario MakeFig03aLoadAggregationScenario();

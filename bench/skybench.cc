@@ -60,9 +60,9 @@ void PrintUsage() {
       "  --threads=T            worker threads (default: hardware "
       "concurrency)\n"
       "  --cells=LABEL[,..]     run only the named cells of the selected\n"
-      "                         scenario(s); derived metrics needing absent\n"
-      "                         rows are skipped, so do not golden-diff a\n"
-      "                         filtered run\n"
+      "                         scenario(s); a filtered run reports their\n"
+      "                         rows only (no derived metrics), so do not\n"
+      "                         golden-diff it\n"
       "  --smoke                tiny durations for schema/CI checks\n"
       "  --timing               also write BENCH_TIMING.json (wall-clock\n"
       "                         sidecar; excluded from golden comparisons)\n"

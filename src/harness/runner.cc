@@ -88,9 +88,11 @@ std::vector<ScenarioRunResult> RunScenarios(
       options.trace_dir = config.trace_dir;
       pt.plan = scenario->plan(options);
       if (!config.cell_filter.empty()) {
-        // Keep only the requested labels (plan order preserved). Finalizers
-        // are written against FindRow-style null guards, so derived metrics
-        // over absent rows drop out instead of faulting.
+        // Keep only the requested labels (plan order preserved) and drop
+        // the finalizer: finalizers may assume every planned cell ran, so a
+        // filtered run just concatenates its rows, with no derived metrics
+        // or notes.
+        pt.plan.finalize = nullptr;
         std::vector<ScenarioCell> kept;
         for (ScenarioCell& cell : pt.plan.cells) {
           for (const std::string& want : config.cell_filter) {

@@ -27,9 +27,9 @@ struct RunConfig {
   // Exact cell labels to run; empty = every planned cell (ISSUE 10). Lets
   // CI time one full-size cell without paying for the whole scenario.
   // Determinism note: each cell owns its world, so a filtered run's rows
-  // are identical to the same cells of a full run — but derived metrics
-  // needing absent rows are skipped, so filtered BENCH output must not be
-  // golden-diffed.
+  // are identical to the same cells of a full run — but a filtered run
+  // skips the scenario's finalizer (no derived metrics or notes), so
+  // filtered BENCH output must not be golden-diffed.
   std::vector<std::string> cell_filter;
 };
 

@@ -115,11 +115,6 @@ class KvController {
   // and grows the sequence's table.
   void OnDecodeToken(SeqId id);
 
-  // Re-sets the sequence's committed output reserve (per-step decode
-  // admission tops the reserve up one block at a time instead of holding
-  // the full estimate).
-  void SetReserve(SeqId id, int64_t reserve_tokens);
-
   // Prefill completion published the prompt to the shared cache: drop the
   // first `tokens` of the sequence's span. References the cache now also
   // holds (the transferred pages, including a straddled boundary page)
@@ -303,11 +298,6 @@ inline void KvController::OnDecodeToken(SeqId id) {
   }
   e.table.Append(alloc_, config_.block_size_tokens, 1);
   seq_tokens_total_ += 1;
-}
-
-inline void KvController::SetReserve(SeqId id, int64_t reserve_tokens) {
-  SeqEntry& e = entry(id);
-  SetCommitted(e, e.committed_prefill, reserve_tokens);
 }
 
 }  // namespace skywalker

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "src/common/logging.h"
 #include "src/obs/trace.h"
@@ -14,10 +13,10 @@ Replica::Replica(Simulator* sim, ReplicaId id, RegionId region,
     : sim_(sim),
       id_(id),
       region_(region),
-      config_(config),
       kv_(config.kv()),
       cache_(config.kv_capacity_tokens, &kv_.allocator(),
-             config.kv_block_size_tokens, config.cache_eviction_policy) {}
+             config.kv_block_size_tokens, config.cache_eviction_policy),
+      config_(config) {}
 
 void Replica::Enqueue(Request req, Handlers handlers) {
   SKYWALKER_CHECK(!req.output.empty()) << "request must generate >= 1 token";
@@ -47,14 +46,6 @@ void Replica::Enqueue(Request req, Handlers handlers) {
 
 int64_t Replica::ReserveRemaining(const Seq& seq) const {
   return std::max<int64_t>(0, config_.output_reserve_tokens - seq.generated);
-}
-
-int64_t Replica::ReserveCommitTarget(const Seq& seq) const {
-  const int64_t remaining = ReserveRemaining(seq);
-  if (!config_.per_step_decode_admission) {
-    return remaining;
-  }
-  return std::min<int64_t>(remaining, config_.kv_block_size_tokens);
 }
 
 int64_t Replica::memory_used_tokens() const {
@@ -119,21 +110,11 @@ ProbePayload Replica::Probe() {
   LoadSnapshot snap = Snapshot();
   ProbePayload payload;
   payload.version = ++probe_version_;
-  // Under probe_admission_blocked_pending, arrivals merely waiting for the
-  // current step boundary are invisible: pending is surfaced only while the
-  // last admission pass actually failed to place work.
-  payload.pending = config_.probe_admission_blocked_pending
-                        ? (admission_blocked_ ? snap.pending : 0)
-                        : snap.pending;
+  payload.pending = snap.pending;
   payload.running = snap.running;
   payload.free_capacity = snap.free_capacity;
   payload.free_blocks = snap.free_blocks;
   payload.total_blocks = snap.total_blocks;
-  // Preemptions since the previous probe; 0 on the first (no baseline).
-  payload.preemption_delta =
-      probed_before_ ? snap.preemptions - preemptions_at_last_probe_ : 0;
-  preemptions_at_last_probe_ = snap.preemptions;
-  probed_before_ = true;
   payload.swapped = snap.swapped;
   payload.ewma_decode_us_per_token = decode_ewma_us_per_token_;
   payload.latency_samples = latency_samples_;
@@ -168,9 +149,6 @@ void Replica::Admit() {
   // swap-out transfer's completion poke re-enters here, and the swap-in
   // claims the freed blocks first.)
   if (!swapped_.empty()) {
-    // Held behind a swap-in: any queued work is blocked, not merely waiting
-    // for the current step to finish.
-    admission_blocked_ = !pending_.empty();
     return;
   }
   while (!pending_.empty() &&
@@ -187,14 +165,10 @@ void Replica::Admit() {
       pin = match.pin;
     }
     const int64_t prefill_need = candidate.prompt_len() - cached;
-    // The admission check prices a full fresh request's reserve (one block
-    // of it under per-step admission); the commit below re-prices for
-    // already-generated tokens (a re-admitted preemption victim).
-    const int64_t reserve =
-        config_.per_step_decode_admission
-            ? std::min<int64_t>(config_.output_reserve_tokens,
-                                config_.kv_block_size_tokens)
-            : config_.output_reserve_tokens;
+    // The admission check prices a full fresh request's reserve; the commit
+    // below re-prices for already-generated tokens (a re-admitted
+    // preemption victim).
+    const int64_t reserve = config_.output_reserve_tokens;
     if (!kv_.CanAdmit(prefill_need, reserve)) {
       EvictCache(kv_.AdmissionDeficitBlocks(prefill_need, reserve));
     }
@@ -237,7 +211,7 @@ void Replica::Admit() {
     // tree would charge them, so publishing at prefill completion is a
     // reference transfer.
     seq.kv = kv_.AdmitSeq(
-        seq.prefill_remaining, ReserveCommitTarget(seq),
+        seq.prefill_remaining, ReserveRemaining(seq),
         static_cast<int32_t>(cached % config_.kv_block_size_tokens));
     seq.prefill_done = false;
     seq.prefill_alloc = 0;
@@ -253,9 +227,6 @@ void Replica::Admit() {
                 admitted.prefill_remaining);
     }
   }
-  // Anything still queued here was memory- or slot-blocked this pass (the
-  // loop only exits early on those two conditions).
-  admission_blocked_ = !pending_.empty();
 }
 
 void Replica::MaybeStartSwapIns() {
@@ -267,7 +238,7 @@ void Replica::MaybeStartSwapIns() {
       break;  // The swap-out completion poke re-enters here.
     }
     const int64_t tokens = front.swap_tokens;
-    const int64_t reserve = ReserveCommitTarget(front.seq);
+    const int64_t reserve = ReserveRemaining(front.seq);
     const int64_t prefill = front.seq.prefill_remaining;
     if (!kv_.CanAdmitRestore(tokens, prefill, reserve)) {
       EvictCache(kv_.RestoreDeficitBlocks(tokens, prefill, reserve));
@@ -325,65 +296,23 @@ void Replica::MaybeStep() {
   if (running_.empty()) {
     return;
   }
-  // Plan the step: chunked prefill plus one decode token per decode-phase
-  // seq (mixed batch, SGLang-style), shaped by the composition policy. At
-  // the default (prefill-first, no shared budget, no decode cap) the plan
-  // is exactly the seed's.
-  const BatchCompositionConfig& comp = config_.composition;
+  // Plan the step: chunked prefill up to the per-step budget plus one
+  // decode token per decode-phase seq (mixed batch, SGLang-style).
   int64_t prefill_budget = config_.max_prefill_tokens_per_step;
-  // Decodes this step may plan; the composition knobs lower it below.
-  int decode_quota = std::numeric_limits<int>::max();
-  if (comp.max_decode_batch > 0 &&
-      (comp.pressure_free_blocks == 0 ||
-       kv_.free_blocks() < comp.pressure_free_blocks)) {
-    decode_quota = comp.max_decode_batch;
-  }
-  int decode_ready = 0;
-  for (const Seq& seq : running_) {
-    if (seq.prefill_done && seq.generated < seq.output_len()) {
-      ++decode_ready;
-    }
-  }
-  if (comp.step_token_budget > 0 &&
-      comp.policy == BatchCompositionPolicy::kDecodeFirst) {
-    // Decodes claim the shared budget first; prefill gets the remainder.
-    int planned = static_cast<int>(std::min<int64_t>(
-        std::min(decode_ready, decode_quota), comp.step_token_budget));
-    if (decode_ready > 0) {
-      planned = std::max(planned, 1);  // Decode progress is guaranteed.
-    }
-    decode_quota = std::min(decode_quota, planned);
-    prefill_budget = std::max<int64_t>(
-        0, std::min(prefill_budget, comp.step_token_budget - planned));
-  } else if (comp.step_token_budget > 0) {
-    // Prefill-first: prefill claims the shared budget up to its own cap.
-    prefill_budget = std::min(prefill_budget, comp.step_token_budget);
-  }
   int64_t prefill_total = 0;
-  for (Seq& seq : running_) {
-    seq.prefill_alloc = 0;
-    seq.decode_alloc = false;
-    if (!seq.prefill_done && prefill_budget > 0) {
-      seq.prefill_alloc = std::min(seq.prefill_remaining, prefill_budget);
-      prefill_budget -= seq.prefill_alloc;
-      prefill_total += seq.prefill_alloc;
-    }
-  }
-  if (comp.step_token_budget > 0 &&
-      comp.policy == BatchCompositionPolicy::kPrefillFirst) {
-    // Decode quota is whatever budget prefill left over — but never zero
-    // while anything is decode-ready (no starvation).
-    const int64_t remainder = comp.step_token_budget - prefill_total;
-    decode_quota = static_cast<int>(std::min<int64_t>(
-        decode_quota, std::max<int64_t>(decode_ready > 0 ? 1 : 0,
-                                        remainder)));
-  }
   int decode_count = 0;
   int64_t decode_context_tokens = 0;
   for (Seq& seq : running_) {
-    if (seq.prefill_done && seq.generated < seq.output_len() &&
-        decode_count < decode_quota) {
-      seq.decode_alloc = true;  // Admission order: oldest decodes first.
+    seq.prefill_alloc = 0;
+    seq.decode_alloc = false;
+    if (!seq.prefill_done) {
+      if (prefill_budget > 0) {
+        seq.prefill_alloc = std::min(seq.prefill_remaining, prefill_budget);
+        prefill_budget -= seq.prefill_alloc;
+        prefill_total += seq.prefill_alloc;
+      }
+    } else if (seq.generated < seq.output_len()) {
+      seq.decode_alloc = true;
       ++decode_count;
       decode_context_tokens += seq.prompt_len() + seq.generated;
     }
@@ -449,10 +378,6 @@ void Replica::FinishStep(double step_us, int decode_count) {
       ++seq.generated;
       kv_.OnDecodeToken(seq.kv);
       ++stats_.output_tokens_generated;
-      if (config_.per_step_decode_admission) {
-        // Roll the committed reserve forward one block at a time.
-        kv_.SetReserve(seq.kv, ReserveCommitTarget(seq));
-      }
     }
   }
 
@@ -487,9 +412,6 @@ void Replica::OnPrefillComplete(Seq& seq) {
     seq.generated = 1;
     kv_.OnDecodeToken(seq.kv);
     ++stats_.output_tokens_generated;
-    if (config_.per_step_decode_admission) {
-      kv_.SetReserve(seq.kv, ReserveCommitTarget(seq));
-    }
   }
 
   if (config_.enable_prefix_cache) {
@@ -720,12 +642,6 @@ void Replica::Recover() { serving_ = true; }
 void Replica::SetSlowdown(double factor) {
   SKYWALKER_CHECK(factor > 0.0) << "slowdown must be positive";
   slowdown_ = factor;
-}
-
-void Replica::ApplyComposition(const BatchCompositionConfig& composition) {
-  // Steps in flight already carry their plan in prefill_alloc/decode_alloc;
-  // the new shape applies from the next MaybeStep.
-  config_.composition = composition;
 }
 
 void Replica::ApplyCacheEvictionPolicy(EvictionPolicy policy) {

@@ -52,40 +52,6 @@
 
 namespace skywalker {
 
-// Per-step batch composition under saturation (ISSUE 8). The seed engine
-// plans every step the same way: chunked prefill claims its own token
-// budget, then every decode-ready sequence decodes one token. Under memory
-// pressure that mix thrashes — admissions keep prefilling new sequences
-// whose KV growth immediately preempts the decode stream. These knobs shape
-// the step instead:
-//  * kDecodeFirst hands the step's shared token budget to decodes before
-//    prefill gets the remainder, draining in-flight work (and its KV) ahead
-//    of taking on more;
-//  * a shared step_token_budget prices one decode token equal to one
-//    prefill token, bounding step latency under mixed load;
-//  * max_decode_batch caps decodes per step once free blocks fall under
-//    pressure_free_blocks, trading decode parallelism for headroom.
-// Every knob is inert at its default — the plan is then byte-identical to
-// the seed, which the committed goldens pin.
-enum class BatchCompositionPolicy : uint8_t {
-  kPrefillFirst,  // Seed order: prefill claims the step first.
-  kDecodeFirst,   // Decodes claim the shared budget first.
-};
-
-struct BatchCompositionConfig {
-  BatchCompositionPolicy policy = BatchCompositionPolicy::kPrefillFirst;
-  // Shared per-step token budget (a decode counts one token). 0 = off:
-  // prefill uses only max_prefill_tokens_per_step and decode is unbounded.
-  // Whenever any sequence is decode-ready the plan grants at least one
-  // decode, so a huge prefill backlog can never starve decode progress.
-  int64_t step_token_budget = 0;
-  // Decodes-per-step cap. 0 = uncapped.
-  int max_decode_batch = 0;
-  // The cap binds only while kv free blocks are below this; 0 means the
-  // cap (when set) binds unconditionally.
-  int64_t pressure_free_blocks = 0;
-};
-
 struct ReplicaConfig {
   // KV memory in tokens. Default models an L4 (24 GB) serving
   // Llama-3.1-8B: ~6 GB free for KV at 128 KiB/token ≈ 49K tokens.
@@ -126,30 +92,11 @@ struct ReplicaConfig {
   PreemptPolicy kv_preempt_policy = PreemptPolicy::kRecompute;
   // PCIe transfer model for kSwap, us per token each direction.
   double kv_swap_us_per_token = 5.2;
-  // Per-step decode admission (ISSUE 5): commit the output reserve one
-  // block at a time as decode proceeds instead of the full estimate up
-  // front. Packs more sequences per batch; decode growth past the pool is
-  // resolved by preemption. Off by default (coarse goldens unchanged).
-  bool per_step_decode_admission = false;
 
   // Victim selection for the prefix cache under memory pressure (ISSUE 8).
   // kLruLeaf is the behavior-frozen seed policy; kColdSubtree evicts whole
   // cold subtrees ranked by pages-per-expected-future-hit.
   EvictionPolicy cache_eviction_policy = EvictionPolicy::kLruLeaf;
-
-  // Probe fidelity under saturation (ISSUE 8). The probe's `pending` field
-  // historically counts every accepted request not yet in the batch — which
-  // includes arrivals merely waiting for the current (possibly 500ms+
-  // chunked-prefill) step to finish, so selective pushing reads "full" from
-  // a replica that would admit the whole queue at its next step boundary
-  // and starves it. When set, the probe reports pending only while the last
-  // admission pass actually failed to place work (memory or batch-slot
-  // blocked) — the §3.3 "continuous batch cannot admit more work" signal.
-  // Off by default: probe payloads (and the committed goldens) unchanged.
-  bool probe_admission_blocked_pending = false;
-
-  // Per-step batch composition (ISSUE 8). Defaults are inert (seed plan).
-  BatchCompositionConfig composition;
 
   KvConfig kv() const {
     KvConfig config;
@@ -165,11 +112,9 @@ struct ReplicaConfig {
 // The versioned heartbeat-probe payload (ISSUE 7): everything a balancer
 // routes on, in one struct with exactly one construction site
 // (Replica::Probe) and one decode site (the dispatch engine's probe-response
-// handler). `version` is a per-replica monotonic probe counter;
-// `preemption_delta` is the preemption count since the previous probe — the
-// "recent churn" preemption-aware pushing scores on (0 on a replica's first
-// probe). The EWMA decode-latency sample feeds passive latency-outlier
-// detection (src/routing/health.h); full diagnostic detail stays on
+// handler). `version` is a per-replica monotonic probe counter. The EWMA
+// decode-latency sample feeds passive latency-outlier detection
+// (src/routing/health.h); full diagnostic detail stays on
 // Replica::LoadSnapshot, which metrics and tests read directly.
 struct ProbePayload {
   int64_t version = 0;
@@ -178,7 +123,6 @@ struct ProbePayload {
   int free_capacity = 0;  // EstimateFreeCapacity().
   int64_t free_blocks = 0;
   int64_t total_blocks = 0;
-  int64_t preemption_delta = 0;
   int64_t swapped = 0;
   // EWMA over completed requests of (decode wall time) / (tokens decoded) —
   // the per-token service latency a straggler inflates, whatever its load.
@@ -279,11 +223,10 @@ class Replica {
   // One-call probe payload: queue depths plus paged-memory headroom.
   LoadSnapshot Snapshot() const;
 
-  // The heartbeat-probe RPC body (ISSUE 7): stamps the next probe version,
-  // computes the preemption delta against the previous probe, and attaches
-  // the decode-latency EWMA. Non-const on purpose — probing *is* the state
-  // change that advances the delta baseline, and keeping it here gives the
-  // payload exactly one construction site.
+  // The heartbeat-probe RPC body: stamps the next probe version and
+  // attaches the decode-latency EWMA. Non-const on purpose — probing
+  // advances the version counter, and keeping it here gives the payload
+  // exactly one construction site.
   ProbePayload Probe();
 
   // KV held by *running* requests (pinned cache paths + private tokens).
@@ -334,10 +277,6 @@ class Replica {
   void SetSlowdown(double factor);
   double slowdown() const { return slowdown_; }
 
-  // Hot-reswaps the per-step batch composition (dispatch-layer config push,
-  // ISSUE 7 reswap contract): takes effect at the next step plan; steps in
-  // flight finish under the plan they were priced with.
-  void ApplyComposition(const BatchCompositionConfig& composition);
   // Hot-reswaps the prefix cache's eviction policy. Entering kColdSubtree
   // rebuilds the subtree aggregates in one traversal.
   void ApplyCacheEvictionPolicy(EvictionPolicy policy);
@@ -384,9 +323,6 @@ class Replica {
   // Output reserve still unconsumed by `seq` (what re-admission and
   // swap-in must re-commit).
   int64_t ReserveRemaining(const Seq& seq) const;
-  // What admission actually commits for the output: the full remaining
-  // reserve, or one block at a time under per_step_decode_admission.
-  int64_t ReserveCommitTarget(const Seq& seq) const;
 
   // Moves pending requests into the batch while memory and slots allow;
   // swapped-out sequences re-enter first (resume priority).
@@ -423,20 +359,15 @@ class Replica {
   Simulator* sim_;
   ReplicaId id_;
   RegionId region_;
-  ReplicaConfig config_;
   KvController kv_;     // Owns the page pool; declared before the cache,
   PrefixCache cache_;   // which charges its node spans into kv_'s allocator.
+  // Declared after kv_ and cache_: with the config ahead of them, member
+  // placement alone made kv_wall's run_s ~4% slower (4-vCPU x86 host).
+  ReplicaConfig config_;
 
   bool serving_ = true;
   double slowdown_ = 1.0;
-  // Latest Admit() outcome: true iff it exited leaving pending work it
-  // could not place (memory- or slot-blocked, or held behind a swap-in).
-  // Read by Probe() under probe_admission_blocked_pending.
-  bool admission_blocked_ = false;
-  // Probe bookkeeping (ProbePayload construction, see Probe()).
-  int64_t probe_version_ = 0;
-  int64_t preemptions_at_last_probe_ = 0;
-  bool probed_before_ = false;
+  int64_t probe_version_ = 0;  // Last ProbePayload::version stamped.
   // Inter-token decode-latency EWMA, folded per decode step (alpha = 0.25):
   // a straggler's slowdown becomes probe-visible within a few steps instead
   // of only after whole sequences complete, which is what makes passive

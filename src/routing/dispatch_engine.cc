@@ -84,9 +84,6 @@ void DispatchEngine::AttachReplica(Replica* replica) {
   state.replica = replica;
   index_.emplace(replica->id(), replicas_.size());
   replicas_.push_back(std::move(state));
-  if (config_.manage_composition) {
-    replica->ApplyComposition(config_.composition);
-  }
   RebuildSelectionIndex();
   selector_->OnReplicaAttached(replica);
   TryDispatch();
@@ -135,7 +132,6 @@ void DispatchEngine::ResetProbeState() {
   for (ReplicaState& state : replicas_) {
     state.probed_once = false;
     state.pushes_since_probe = 0;
-    state.probed.preemption_delta = 0;
     state.health.Reset();
     state.latency_samples_at_ejection = 0;
   }
@@ -148,13 +144,6 @@ void DispatchEngine::ApplyConfig(const DispatchConfig& next) {
   if (Tracer* t = sim_->tracer()) {
     EmitTrace(t, sim_->now(), TraceEventType::kConfigSwap, region_,
               kInvalidReplica, -1, static_cast<int64_t>(config_.push_mode));
-  }
-  if (config_.manage_composition) {
-    // Push the step-composition snapshot to every managed replica; each
-    // picks it up at its next step plan (in-flight steps are untouched).
-    for (ReplicaState& state : replicas_) {
-      state.replica->ApplyComposition(config_.composition);
-    }
   }
   // The probe task picks the new interval up at its next reschedule; the
   // loop itself starts or stops with the need for one (a kBlind engine
@@ -175,11 +164,9 @@ void DispatchEngine::ApplyConfig(const DispatchConfig& next) {
 }
 
 double DispatchEngine::EffectiveLoadOf(const ReplicaState& state) const {
-  // With penalty == 0 this is the exact outstanding count (int -> double is
-  // lossless here), so the strict-less comparisons keep the seed tie-breaks.
-  double load = static_cast<double>(state.outstanding) +
-                config_.preemption_penalty *
-                    static_cast<double>(state.probed.preemption_delta);
+  // The exact outstanding count (int -> double is lossless here), so the
+  // strict-less comparisons keep the seed tie-breaks.
+  double load = static_cast<double>(state.outstanding);
   // Soft failover priority (DESIGN.md §10): degraded and half-open replicas
   // lose least-loaded selection to healthy ones until the healthy tier is
   // this many requests deeper. Unreachable while health is disabled (status

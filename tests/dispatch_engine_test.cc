@@ -412,47 +412,6 @@ TEST(DispatchEngineTest, FreeBlockGateRoutesAroundMemoryFullReplica) {
   EXPECT_EQ(control.replicas[0]->stats().enqueued, 3 + 1);
 }
 
-TEST(DispatchEngineTest, PreemptionPenaltyDownWeightsThrashingReplicas) {
-  // Preemption-aware selective pushing (ISSUE 5): the least-loaded scans
-  // add `penalty` per preemption the replica reported between its last two
-  // probes, so a lighter-by-outstanding but KV-thrashing replica loses to
-  // a calmer, more loaded one.
-  DispatchConfig config;
-  config.push_mode = PushMode::kSelectivePending;
-  config.preemption_penalty = 2.0;
-  EngineBench bench(2, config);
-  ReplicaState* r0 = bench.engine->FindReplica(0);
-  ReplicaState* r1 = bench.engine->FindReplica(1);
-  r0->probed_once = r1->probed_once = true;
-  r0->outstanding = 1;
-  r0->probed.preemption_delta = 3;  // Effective load 1 + 2*3 = 7.
-  r1->outstanding = 4;         // Effective load 4.
-  // Out-of-band mutation through the mutable FindReplica: the selection
-  // index must be told (engine-internal paths refresh it themselves).
-  bench.engine->RefreshSelectionIndex();
-  bench.engine->set_verify_selection(true);
-  CandidateView view(bench.engine.get());
-  EXPECT_DOUBLE_EQ(view.EffectiveLoad(*r0), 7.0);
-  EXPECT_DOUBLE_EQ(view.EffectiveLoad(*r1), 4.0);
-  EXPECT_EQ(view.LeastLoadedAvailable(), 1);
-  EXPECT_EQ(view.LeastLoadedAmong({0, 1}), 1);
-
-  // Penalty off (the default): raw outstanding wins — seed behavior.
-  DispatchConfig off;
-  off.push_mode = PushMode::kSelectivePending;
-  EngineBench control(2, off);
-  ReplicaState* c0 = control.engine->FindReplica(0);
-  ReplicaState* c1 = control.engine->FindReplica(1);
-  c0->probed_once = c1->probed_once = true;
-  c0->outstanding = 1;
-  c0->probed.preemption_delta = 3;
-  c1->outstanding = 4;
-  control.engine->RefreshSelectionIndex();
-  control.engine->set_verify_selection(true);
-  CandidateView control_view(control.engine.get());
-  EXPECT_EQ(control_view.LeastLoadedAvailable(), 0);
-}
-
 TEST(DispatchEngineTest, QueueWaitStatsTrackHeadOfLineBlocking) {
   DispatchConfig config;
   config.push_mode = PushMode::kSelectivePending;
@@ -472,42 +431,6 @@ TEST(DispatchEngineTest, QueueWaitStatsTrackHeadOfLineBlocking) {
   EXPECT_EQ(bench.engine->stats().queue_wait_sec.count(), 2u);
   // The blocked request's recorded wait spans the probe delay.
   EXPECT_GT(bench.engine->stats().queue_wait_sec.max(), 0.5);
-}
-
-TEST(DispatchEngineTest, ManagedCompositionPushesToReplicasOnAttachAndSwap) {
-  // ISSUE 8: when the balancer owns the batch-composition knob, it is
-  // propagated to every replica at attach time and again on a hot config
-  // reswap — making the policy ablatable from RuntimeConfig.
-  DispatchConfig config;
-  config.manage_composition = true;
-  config.composition.policy = BatchCompositionPolicy::kDecodeFirst;
-  config.composition.step_token_budget = 256;
-  EngineBench bench(2, config);
-  for (const auto& replica : bench.replicas) {
-    EXPECT_EQ(replica->config().composition.policy,
-              BatchCompositionPolicy::kDecodeFirst);
-    EXPECT_EQ(replica->config().composition.step_token_budget, 256);
-  }
-
-  DispatchConfig next = config;
-  next.composition.step_token_budget = 0;
-  next.composition.max_decode_batch = 4;
-  bench.engine->ApplyConfig(next);
-  for (const auto& replica : bench.replicas) {
-    EXPECT_EQ(replica->config().composition.step_token_budget, 0);
-    EXPECT_EQ(replica->config().composition.max_decode_batch, 4);
-  }
-}
-
-TEST(DispatchEngineTest, UnmanagedCompositionLeavesReplicaKnobsAlone) {
-  // Default manage_composition=false: a replica configured directly keeps
-  // its own composition across attach and config swaps.
-  ReplicaConfig rconfig;
-  rconfig.composition.max_decode_batch = 2;
-  EngineBench bench(1, DispatchConfig{}, rconfig);
-  EXPECT_EQ(bench.replicas[0]->config().composition.max_decode_batch, 2);
-  bench.engine->ApplyConfig(DispatchConfig{});
-  EXPECT_EQ(bench.replicas[0]->config().composition.max_decode_batch, 2);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "src/replica/replica.h"
@@ -497,146 +495,9 @@ TEST(ReplicaPagedTest, SnapshotReportsHeadroomSignals) {
   EXPECT_EQ(drained.preemptions, replica.stats().preemptions);
 }
 
-TEST(ReplicaTest, PerStepDecodeAdmissionCommitsOneBlockAtATime) {
-  // ISSUE 5: with per_step_decode_admission the output reserve is committed
-  // one block ahead instead of in full, so the committed-future ledger
-  // stays below running * block_size during decode; pressure from the
-  // uncommitted growth resolves through preemption, and everything still
-  // completes.
-  Simulator sim;
-  ReplicaConfig config;
-  config.kv_capacity_tokens = 4096;
-  config.kv_block_size_tokens = 16;
-  config.output_reserve_tokens = 128;
-  config.per_step_decode_admission = true;
-  Replica replica(&sim, 0, 0, config);
-  constexpr int kRequests = 12;
-  std::vector<Completion> done(kRequests);
-  for (int i = 0; i < kRequests; ++i) {
-    replica.Enqueue(MakeRequest(static_cast<RequestId>(i), 200, 200,
-                                static_cast<Token>(i) * 10'000),
-                    Record(&sim, &done[static_cast<size_t>(i)]));
-  }
-  int64_t peak_reserve = 0;
-  int peak_running = 0;
-  for (int tick = 0; tick < 4000 && replica.stats().completed < kRequests;
-       ++tick) {
-    sim.RunFor(Milliseconds(100));
-    peak_reserve =
-        std::max(peak_reserve, replica.reserved_future_tokens());
-    peak_running = std::max(peak_running, replica.running_count());
-  }
-  EXPECT_EQ(replica.stats().completed, kRequests);
-  // One block per running sequence is the commitment ceiling — far below
-  // the full-reserve regime's 128 per sequence.
-  EXPECT_LE(peak_reserve,
-            static_cast<int64_t>(peak_running) * config.kv_block_size_tokens);
-  EXPECT_EQ(replica.reserved_future_tokens(), 0);
-  EXPECT_EQ(replica.kv().seq_resident_tokens(), 0);  // Ledger drained.
-  for (const Completion& c : done) {
-    EXPECT_GE(c.completed, 0);
-  }
-}
+// --- Cache eviction policy -----------------------------------------------
 
-// --- Per-step batch composition (ISSUE 8) --------------------------------
-
-// Runs `n` identical mixed prefill/decode requests to completion and
-// returns (completion time of the last one, engine steps taken).
-std::pair<SimTime, int64_t> RunComposition(const ReplicaConfig& config,
-                                           int n = 4) {
-  Simulator sim;
-  Replica replica(&sim, 0, 0, config);
-  std::vector<Completion> done(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    replica.Enqueue(MakeRequest(static_cast<RequestId>(i), 512, 30,
-                                static_cast<Token>(i) * 10'000),
-                    Record(&sim, &done[static_cast<size_t>(i)]));
-  }
-  sim.Run();
-  SimTime last = 0;
-  for (const Completion& c : done) {
-    EXPECT_GT(c.completed, 0);
-    last = std::max(last, c.completed);
-  }
-  EXPECT_EQ(replica.stats().completed, n);
-  return {last, replica.stats().engine_steps};
-}
-
-TEST(ReplicaCompositionTest, PolicyAndPressureGateAreInertWithoutBudget) {
-  // The knobs must be pure opt-in: a decode-first policy with no shared
-  // budget, and a decode cap whose pressure gate never trips, both replay
-  // the seed plan step for step.
-  auto [seed_done, seed_steps] = RunComposition(ReplicaConfig{});
-
-  ReplicaConfig policy_only;
-  policy_only.composition.policy = BatchCompositionPolicy::kDecodeFirst;
-  auto [p_done, p_steps] = RunComposition(policy_only);
-  EXPECT_EQ(p_done, seed_done);
-  EXPECT_EQ(p_steps, seed_steps);
-
-  ReplicaConfig gated_cap;
-  gated_cap.composition.max_decode_batch = 1;
-  gated_cap.composition.pressure_free_blocks = 1;  // free_blocks < 1: never.
-  auto [g_done, g_steps] = RunComposition(gated_cap);
-  EXPECT_EQ(g_done, seed_done);
-  EXPECT_EQ(g_steps, seed_steps);
-}
-
-TEST(ReplicaCompositionTest, DecodeFirstBudgetChunksPrefillAndCompletes) {
-  auto [seed_done, seed_steps] = RunComposition(ReplicaConfig{});
-
-  ReplicaConfig budgeted;
-  budgeted.composition.policy = BatchCompositionPolicy::kDecodeFirst;
-  budgeted.composition.step_token_budget = 64;
-  auto [b_done, b_steps] = RunComposition(budgeted);
-  // A 512-token prompt now prefills in 64-token slices, so the run takes
-  // many more (smaller) steps — but decode progress is guaranteed each
-  // step, so everything still drains.
-  EXPECT_GT(b_steps, seed_steps);
-  EXPECT_GT(b_done, 0);
-}
-
-TEST(ReplicaCompositionTest, PrefillFirstBudgetNeverStarvesDecode) {
-  ReplicaConfig budgeted;
-  budgeted.composition.policy = BatchCompositionPolicy::kPrefillFirst;
-  budgeted.composition.step_token_budget = 64;
-  // Prefill claims the whole 64-token budget while ramping, leaving a zero
-  // remainder — the floor of one decode per step must still drain decodes.
-  auto [done, steps] = RunComposition(budgeted);
-  EXPECT_GT(done, 0);
-  EXPECT_GT(steps, 0);
-}
-
-TEST(ReplicaCompositionTest, DecodeCapBoundsDecodesPerStep) {
-  auto [seed_done, seed_steps] = RunComposition(ReplicaConfig{});
-
-  ReplicaConfig capped;
-  capped.composition.max_decode_batch = 1;  // pressure_free_blocks 0: always.
-  auto [c_done, c_steps] = RunComposition(capped);
-  // 4 seqs x 29 post-prefill output tokens (the first token rides the
-  // prefill-completion step), at most one decode per step: at least 116
-  // decode steps where the seed batches 4-wide (~30).
-  EXPECT_GE(c_steps, 116);
-  EXPECT_GT(c_steps, seed_steps);
-  EXPECT_GT(c_done, seed_done);  // Serialized decode costs wall time.
-}
-
-TEST(ReplicaCompositionTest, CompositionIsHotSwappable) {
-  Simulator sim;
-  Replica replica(&sim, 0, 0, ReplicaConfig{});
-  Completion c;
-  replica.Enqueue(MakeRequest(1, 256, 400), Record(&sim, &c));
-  sim.RunFor(Seconds(1));
-  BatchCompositionConfig comp;
-  comp.max_decode_batch = 1;
-  replica.ApplyComposition(comp);  // Mid-run reswap; next plan uses it.
-  EXPECT_EQ(replica.config().composition.max_decode_batch, 1);
-  sim.Run();
-  EXPECT_GT(c.completed, 0);
-  EXPECT_EQ(replica.stats().completed, 1);
-}
-
-TEST(ReplicaCompositionTest, CacheEvictionPolicyIsHotSwappable) {
+TEST(ReplicaEvictionTest, CacheEvictionPolicyIsHotSwappable) {
   Simulator sim;
   ReplicaConfig config;
   config.kv_capacity_tokens = 4096;
@@ -653,7 +514,7 @@ TEST(ReplicaCompositionTest, CacheEvictionPolicyIsHotSwappable) {
   EXPECT_TRUE(replica.kv().CheckConsistency());
 }
 
-TEST(ReplicaCompositionTest, ColdSubtreeReplicaDrainsSaturatedLoad) {
+TEST(ReplicaEvictionTest, ColdSubtreeReplicaDrainsSaturatedLoad) {
   // End-to-end: a paged replica under sustained pressure with the new
   // eviction policy completes everything and keeps the unified ledger
   // consistent.
@@ -679,7 +540,9 @@ TEST(ReplicaCompositionTest, ColdSubtreeReplicaDrainsSaturatedLoad) {
   EXPECT_TRUE(replica.kv().CheckConsistency());
 }
 
-TEST(ReplicaCompositionTest, EwmaOnlyFoldsStepsThatDecoded) {
+// --- Probe payload -------------------------------------------------------
+
+TEST(ReplicaProbeTest, EwmaOnlyFoldsStepsThatDecoded) {
   // ISSUE 8 fix: prefill-only steps must not grow the probe-visible decode
   // EWMA sample count. One sequence, 1536-token prompt (two chunked prefill
   // steps), 20 output tokens: exactly 20 decode steps fold in.
@@ -697,49 +560,42 @@ TEST(ReplicaCompositionTest, EwmaOnlyFoldsStepsThatDecoded) {
   EXPECT_EQ(replica.stats().engine_steps, probe.latency_samples + 2);
 }
 
-TEST(ReplicaProbeTest, MidStepArrivalHiddenOnlyUnderAdmissionBlockedPending) {
-  // ISSUE 8: a request that arrives while a step is in flight is admittable
-  // at the next step boundary — raw probes count it, admission-blocked
-  // probes must not (that's the starvation signal SP-P misreads).
-  for (bool blocked_mode : {false, true}) {
-    Simulator sim;
-    ReplicaConfig config;
-    config.probe_admission_blocked_pending = blocked_mode;
-    Replica replica(&sim, 0, 0, config);
-    Completion a, b;
-    replica.Enqueue(MakeRequest(1, 512, 8), Record(&sim, &a));
-    sim.RunFor(Milliseconds(1));  // Prefill step (~300 ms) now in flight.
-    replica.Enqueue(MakeRequest(2, 512, 8, 10000), Record(&sim, &b));
-    ProbePayload probe = replica.Probe();
-    EXPECT_EQ(probe.pending, blocked_mode ? 0 : 1);
-    sim.Run();  // The arrival still admits and completes normally.
-    EXPECT_EQ(replica.stats().completed, 2);
-  }
+TEST(ReplicaProbeTest, MidStepArrivalCountsAsPending) {
+  // A request that arrives while a step is in flight is admittable at the
+  // next step boundary, but until then the probe counts it as pending: that
+  // sensitivity to mid-step queueing is the load signal SP-P routes on.
+  Simulator sim;
+  Replica replica(&sim, 0, 0, ReplicaConfig{});
+  Completion a, b;
+  replica.Enqueue(MakeRequest(1, 512, 8), Record(&sim, &a));
+  sim.RunFor(Milliseconds(1));  // Prefill step (~300 ms) now in flight.
+  replica.Enqueue(MakeRequest(2, 512, 8, 10000), Record(&sim, &b));
+  ProbePayload probe = replica.Probe();
+  EXPECT_EQ(probe.pending, 1);
+  sim.Run();  // The arrival still admits and completes normally.
+  EXPECT_EQ(replica.stats().completed, 2);
 }
 
 TEST(ReplicaProbeTest, MemoryBlockedPendingStaysVisible) {
-  // The knob must not hide genuine saturation: once an admission pass fails
-  // on memory, the probe reports the blocked queue in both modes.
-  for (bool blocked_mode : {false, true}) {
-    Simulator sim;
-    ReplicaConfig config;
-    config.kv_capacity_tokens = 1024;
-    config.kv_block_size_tokens = 16;
-    config.probe_admission_blocked_pending = blocked_mode;
-    Replica replica(&sim, 0, 0, config);
-    Completion a, b;
-    replica.Enqueue(MakeRequest(1, 768, 256), Record(&sim, &a));
-    replica.Enqueue(MakeRequest(2, 768, 256, 10000), Record(&sim, &b));
-    // Several step boundaries pass; each Admit() finds request 2 blocked on
-    // memory (768 + reserve won't fit beside request 1's footprint).
-    sim.RunFor(Milliseconds(500));
-    ASSERT_EQ(replica.running_count(), 1);
-    ASSERT_EQ(replica.pending_count(), 1);
-    ProbePayload probe = replica.Probe();
-    EXPECT_EQ(probe.pending, 1);
-    sim.Run();
-    EXPECT_EQ(replica.stats().completed, 2);
-  }
+  // Genuine saturation is visible too: once an admission pass fails on
+  // memory, the probe reports the blocked queue.
+  Simulator sim;
+  ReplicaConfig config;
+  config.kv_capacity_tokens = 1024;
+  config.kv_block_size_tokens = 16;
+  Replica replica(&sim, 0, 0, config);
+  Completion a, b;
+  replica.Enqueue(MakeRequest(1, 768, 256), Record(&sim, &a));
+  replica.Enqueue(MakeRequest(2, 768, 256, 10000), Record(&sim, &b));
+  // Several step boundaries pass; each Admit() finds request 2 blocked on
+  // memory (768 + reserve won't fit beside request 1's footprint).
+  sim.RunFor(Milliseconds(500));
+  ASSERT_EQ(replica.running_count(), 1);
+  ASSERT_EQ(replica.pending_count(), 1);
+  ProbePayload probe = replica.Probe();
+  EXPECT_EQ(probe.pending, 1);
+  sim.Run();
+  EXPECT_EQ(replica.stats().completed, 2);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "bench/scenarios/scenarios.h"
 #include "src/common/json.h"
@@ -126,6 +127,32 @@ TEST_F(SkybenchSchemaTest, MultiTrialSummaryAveragesAcrossTrials) {
       doc->Find("summary")->Find("rows")->elements()[0];
   EXPECT_NEAR(summary_row.Find("metrics")->Find(key)->AsDouble(), sum / 3,
               1e-9);
+}
+
+TEST_F(SkybenchSchemaTest, CellFilterSkipsFinalizer) {
+  // fig07's and fig09's finalizers assume every planned cell ran; a
+  // one-cell --cells run must skip them and report just that cell's row.
+  const std::pair<const char*, const char*> filters[] = {
+      {"fig07_memory_pressure", "bp/b16/recompute"}, {"fig09", "BP"}};
+  for (const auto& [name, cell] : filters) {
+    SCOPED_TRACE(name);
+    const Scenario* scenario = ScenarioRegistry::Get().Find(name);
+    ASSERT_NE(scenario, nullptr);
+    RunConfig config = SmokeConfig();
+    config.cell_filter = {cell};
+    const std::vector<ScenarioRunResult> results =
+        RunScenarios({scenario}, config);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_EQ(results[0].trials.size(), 1u);
+    const ScenarioReport& report = results[0].trials[0].report;
+    ASSERT_EQ(report.rows.size(), 1u);
+    EXPECT_EQ(report.rows[0].label, cell);
+    EXPECT_TRUE(report.derived.empty());
+    EXPECT_TRUE(report.notes.empty());
+    std::optional<Json> doc = Json::Parse(ScenarioRunJson(results[0]).Dump());
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->Find("summary")->Find("derived"), nullptr);
+  }
 }
 
 }  // namespace
