@@ -1,6 +1,7 @@
 // Microbenchmarks for the paged KV memory subsystem (src/memory/, ISSUE 4):
-// allocator churn, copy-on-write fork/free storms, and the swap-vs-recompute
-// preemption policies under an overloaded replica.
+// allocator churn, copy-on-write fork/free storms, radix-cache page churn,
+// probe occupancy (scan vs incremental counts), eviction policies, and the
+// swap-vs-recompute preemption policies under an overloaded replica.
 //
 // ns_per_op is wall clock (deterministic = false); the checksums are
 // deterministic and double as a cheap behavior pin. As with the other micro
@@ -63,8 +64,10 @@ Scenario MakeMicroMemoryScenario() {
   scenario.name = "micro_memory";
   scenario.title = "Paged-KV memory subsystem microbenchmarks";
   scenario.description =
-      "ns per allocator append/truncate churn op, CoW fork/free storms, and "
-      "end-to-end replica overload under recompute vs swap preemption.";
+      "ns per allocator append/truncate churn op, CoW fork/free storms, "
+      "cache page churn, probe occupancy (radix scan vs incremental "
+      "counts), eviction churn, and end-to-end replica overload under "
+      "recompute vs swap preemption.";
   scenario.metric_keys = {"ns_per_op", "iterations", "checksum"};
   scenario.deterministic = false;  // Wall-clock metrics.
   scenario.plan = [](const ScenarioOptions& options) {
@@ -177,6 +180,80 @@ Scenario MakeMicroMemoryScenario() {
                 static_cast<double>(cache.size_tokens()) * 1e-12;
             return std::vector<MetricRow>{
                 MicroRow(label, ElapsedNs(start), iterations, checksum)};
+          }});
+    }
+
+    // Probe-occupancy cells: the cost of the heartbeat probe's
+    // exact page occupancy on a churned 16-token-page cache, by full radix
+    // scan (CountBlocksSlow, the test oracle) and by the allocator's
+    // incremental cache-holder totals (CountBlocks, what probes call).
+    // Both cells replay the same pin/unpin sequence against the same cache
+    // — one pin change plus one probe per op, so the indexed cell also pays
+    // for maintaining its counts — and their checksums fold every probe's
+    // held/evictable figures, so they must match exactly.
+    for (bool indexed : {false, true}) {
+      const std::string label =
+          std::string("probe_occupancy/") + (indexed ? "indexed" : "scan");
+      const int64_t iterations = options.smoke ? 20'000 : 400'000;
+      plan.cells.push_back(ScenarioCell{
+          label, [label, indexed, iterations] {
+            constexpr int32_t kBs = 16;
+            BlockAllocator alloc(1 << 16);
+            PrefixCache cache(12'000, &alloc, kBs);
+            // Churn the cache into a warm, fragmented state: a 773-token
+            // shared prefix (straddled pages) with unaligned suffix
+            // families, under eviction pressure.
+            std::vector<TokenSeq> prompts;
+            SimTime now = 0;
+            for (int64_t i = 0; i < 2'000; ++i) {
+              TokenSeq seq;
+              for (Token t = 0; t < 773; ++t) {
+                seq.push_back(t);
+              }
+              const Token base =
+                  1'000'000 + static_cast<Token>(i % 97) * 10'000;
+              for (int64_t j = 0; j < 37 + (i % 211); ++j) {
+                seq.push_back(base + static_cast<Token>(j));
+              }
+              cache.Insert(seq, ++now);
+              if (i >= 2'000 - 16) {
+                prompts.push_back(std::move(seq));
+              }
+            }
+            // A running sequence shares its pages with the cache, as after
+            // a publish: held, but not evictable.
+            TokenSeq published;
+            for (Token t = 0; t < 40; ++t) {
+              published.push_back(50'000'000 + t);
+            }
+            BlockTable table;
+            table.Append(alloc, kBs, 40);
+            cache.Insert(published, ++now, &table, 0);
+            std::vector<PinId> pins(prompts.size(), kInvalidPin);
+            double checksum = 0;
+            const auto start = std::chrono::steady_clock::now();
+            for (int64_t i = 0; i < iterations; ++i) {
+              const size_t k = static_cast<size_t>(i * 7) % prompts.size();
+              if (pins[k] == kInvalidPin) {
+                pins[k] = cache.MatchAndRef(prompts[k], ++now).pin;
+              } else {
+                cache.Unref(pins[k]);
+                pins[k] = kInvalidPin;
+              }
+              const PrefixCache::BlockOccupancy occ =
+                  indexed ? cache.CountBlocks() : cache.CountBlocksSlow();
+              checksum += static_cast<double>(occ.held_blocks) +
+                          static_cast<double>(occ.evictable_blocks) * 1e-4;
+            }
+            const double wall_ns = ElapsedNs(start);
+            for (PinId pin : pins) {
+              if (pin != kInvalidPin) {
+                cache.Unref(pin);
+              }
+            }
+            table.Clear(alloc);
+            return std::vector<MetricRow>{
+                MicroRow(label, wall_ns, iterations, checksum)};
           }});
     }
 
@@ -317,27 +394,45 @@ Scenario MakeMicroMemoryScenario() {
       for (const auto& rows : cell_rows) {
         report.rows.insert(report.rows.end(), rows.begin(), rows.end());
       }
-      // Cell order: alloc_churn b1/b16/b32, cow_fork_storm,
-      // cache_block_churn, evict_churn lruleaf (5) / coldsubtree (6),
-      // overload recompute/swap. The eviction-efficiency ratio is built
-      // from deterministic eviction counters, not wall clock, so it is
-      // stable enough to gate in CI (micro_memory_floors.json).
-      auto metric = [&](size_t i, const char* key) {
-        const double* v = report.rows[i].Find(key);
+      // The eviction-efficiency ratio is built from deterministic eviction
+      // counters, not wall clock, so it is stable enough to gate in CI
+      // (micro_memory_floors.json); the occupancy speedup is wall clock,
+      // floored far below its measured value.
+      auto metric = [&](const char* label, const char* key) {
+        const MetricRow* row = FindRow(report.rows, label);
+        const double* v = row == nullptr ? nullptr : row->Find(key);
         return v == nullptr ? 0.0 : *v;
       };
       auto safe_div = [](double a, double b) { return b <= 0 ? 0.0 : a / b; };
       report.derived.emplace_back(
           "coldsubtree_vs_lruleaf_pages_per_eviction_x",
-          safe_div(metric(6, "pages_per_eviction"),
-                   metric(5, "pages_per_eviction")));
-      report.derived.emplace_back("evict_churn_lruleaf_rounds",
-                                  metric(5, "evictions"));
-      report.derived.emplace_back("evict_churn_coldsubtree_rounds",
-                                  metric(6, "evictions"));
+          safe_div(metric("evict_churn/coldsubtree", "pages_per_eviction"),
+                   metric("evict_churn/lruleaf", "pages_per_eviction")));
+      report.derived.emplace_back(
+          "evict_churn_lruleaf_rounds",
+          metric("evict_churn/lruleaf", "evictions"));
+      report.derived.emplace_back(
+          "evict_churn_coldsubtree_rounds",
+          metric("evict_churn/coldsubtree", "evictions"));
+      const double scan_sum = metric("probe_occupancy/scan", "checksum");
+      report.derived.emplace_back(
+          "occupancy_checksums_match",
+          scan_sum > 0 &&
+                  scan_sum == metric("probe_occupancy/indexed", "checksum")
+              ? 1.0
+              : 0.0);
+      report.derived.emplace_back(
+          "occupancy_indexed_vs_scan_x",
+          safe_div(metric("probe_occupancy/scan", "ns_per_op"),
+                   metric("probe_occupancy/indexed", "ns_per_op")));
       report.notes.push_back(
           "evict_churn: cold-subtree eviction must reclaim more pages per "
           "eviction round than LRU-leaf on the hot/cold skewed tree.");
+      report.notes.push_back(
+          "probe_occupancy: the O(1) cache-holder totals must report the "
+          "same held/evictable pages as the radix scan on every probe "
+          "(occupancy_checksums_match = 1) and be much faster per "
+          "pin-change + probe op.");
       return report;
     };
     return plan;

@@ -36,6 +36,9 @@ PrefixCache::PrefixCache(int64_t capacity_tokens, BlockAllocator* alloc,
     alloc = owned_alloc_.get();
   }
   alloc_ = alloc;
+  if (block_size_ > 1) {
+    alloc_->EnableCacheHolders();  // O(1) CountBlocks (paged mode).
+  }
   root_ = nodes_.Alloc();
 }
 
@@ -52,8 +55,9 @@ PrefixCache::~PrefixCache() {
       (void)token;
       stack.push_back(child);
     }
-    alloc_->ReleaseSpan(n.blocks.data,
-                        static_cast<int64_t>(n.blocks.size()));
+    alloc_->ReleaseCacheSpan(n.blocks.data,
+                             static_cast<int64_t>(n.blocks.size()),
+                             n.ref_count > 0);
   }
 }
 
@@ -85,7 +89,10 @@ SlabId PrefixCache::SplitAbove(SlabId id, size_t keep, int64_t start) {
   upper.blocks = lower.blocks.Prefix(static_cast<size_t>(upper_len));
   block_pool_.AddRef(upper.blocks);  // One slice view became two.
   if (mid % block_size_ != 0) {
-    alloc_->AddRef(lower.blocks[static_cast<size_t>(lower_from)]);
+    // Both halves carry the original pin count, so the straddle page's new
+    // reference is pinned exactly when the old one was.
+    alloc_->AddCacheRef(lower.blocks[static_cast<size_t>(lower_from)],
+                        lower.ref_count > 0);
     ++block_refs_;
   }
   lower.blocks = lower.blocks.Suffix(static_cast<size_t>(lower_from));
@@ -168,6 +175,10 @@ PrefixCache::MatchRef PrefixCache::MatchAndRef(const TokenSeq& seq,
     Node& nd = node(n);
     if (nd.ref_count == 0) {
       pinned_tokens_ += static_cast<int64_t>(nd.edge.size());
+      if (block_size_ > 1) {
+        alloc_->PinCacheSpan(nd.blocks.data,
+                             static_cast<int64_t>(nd.blocks.size()), +1);
+      }
     }
     ++nd.ref_count;
   }
@@ -200,6 +211,10 @@ void PrefixCache::Unref(PinId pin) {
     SKYWALKER_CHECK(n.ref_count >= 0) << "negative refcount";
     if (n.ref_count == 0) {
       pinned_tokens_ -= static_cast<int64_t>(n.edge.size());
+      if (block_size_ > 1) {
+        alloc_->PinCacheSpan(n.blocks.data,
+                             static_cast<int64_t>(n.blocks.size()), -1);
+      }
     }
     cur = n.parent;
   }
@@ -235,7 +250,7 @@ int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
     span_scratch_.resize(static_cast<size_t>(last - first));
     if (donor == nullptr) {
       // Bare insert: a whole span of fresh pages in one allocator pass.
-      alloc_->AllocateSpan(last - first, span_scratch_.data());
+      alloc_->AllocateCacheSpan(last - first, span_scratch_.data());
     } else {
       const int64_t donor_first = PageFloor(donor_base, block_size_);
       for (int64_t j = first; j < last; ++j) {
@@ -243,12 +258,12 @@ int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
         const int64_t di = j - donor_first;
         if (di >= 0 && di < donor->num_blocks()) {
           id = donor->blocks()[static_cast<size_t>(di)];
-          alloc_->AddRef(id);
+          alloc_->AddCacheRef(id, /*pinned=*/false);
         }
         if (id == kInvalidBlockId) {
           // Re-publish after eviction: the donor no longer covers this
           // position; it gets a fresh page (rare corner, single alloc).
-          id = alloc_->Allocate();
+          alloc_->AllocateCacheSpan(1, &id);
         }
         span_scratch_[static_cast<size_t>(j - first)] = id;
       }
@@ -393,8 +408,8 @@ int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
   // (or still referenced by a running sequence's table) survive in the
   // allocator until their last holder lets go — the return value counts
   // only what actually hit the free list.
-  const int64_t freed = alloc_->ReleaseSpan(
-      n.blocks.data, static_cast<int64_t>(n.blocks.size()));
+  const int64_t freed = alloc_->ReleaseCacheSpan(
+      n.blocks.data, static_cast<int64_t>(n.blocks.size()), false);
   block_refs_ -= static_cast<int64_t>(n.blocks.size());
   block_pool_.Release(n.blocks);
   n.blocks = BlockSlice{};
@@ -414,23 +429,23 @@ int64_t PrefixCache::RemoveSubtree(SlabId id) {
   assert(top.ref_count == 0);
   node(top.parent).children.Erase(top.edge.front());
   PropagateSubBlocks(id, -static_cast<int64_t>(top.sub_blocks));
-  // evict_stack_ is the caller's candidate scan; use the probe stack here.
+  // The caller's candidate scan has drained evict_stack_; reuse it.
   int64_t freed = 0;
-  scan_stack_.clear();
-  scan_stack_.push_back(id);
-  while (!scan_stack_.empty()) {
-    SlabId cur = scan_stack_.back();
-    scan_stack_.pop_back();
+  evict_stack_.clear();
+  evict_stack_.push_back(id);
+  while (!evict_stack_.empty()) {
+    SlabId cur = evict_stack_.back();
+    evict_stack_.pop_back();
     Node& n = node(cur);
     for (const auto& [token, child] : n.children) {
       (void)token;
-      scan_stack_.push_back(child);
+      evict_stack_.push_back(child);
     }
     size_tokens_ -= static_cast<int64_t>(n.edge.size());
     --num_nodes_;
     pool_.Release(n.edge);
-    freed += alloc_->ReleaseSpan(n.blocks.data,
-                                 static_cast<int64_t>(n.blocks.size()));
+    freed += alloc_->ReleaseCacheSpan(
+        n.blocks.data, static_cast<int64_t>(n.blocks.size()), false);
     block_refs_ -= static_cast<int64_t>(n.blocks.size());
     block_pool_.Release(n.blocks);
     n.blocks = BlockSlice{};
@@ -549,57 +564,42 @@ int64_t PrefixCache::PinnedTokensSlow() const {
   return total;
 }
 
-PrefixCache::BlockOccupancy PrefixCache::CountBlocks() const {
-  BlockOccupancy occ;
-  if (block_size_ == 1) {
-    // A one-token page can never straddle a node boundary or hold both
-    // cache and sequence content, so no page is ever shared in coarse mode
-    // (transfer transients resolve within the same event) and occupancy
-    // reduces exactly to the token counters — O(nodes) instead of walking
-    // every page reference, which matters because probes call this every
-    // heartbeat.
-    occ.held_blocks = size_tokens_;
-    occ.evictable_blocks = size_tokens_ - pinned_tokens();
-    return occ;
-  }
-  ++tally_gen_;
-  tally_touched_.clear();
-  scan_stack_.clear();
-  scan_stack_.push_back(root_);
-  while (!scan_stack_.empty()) {
-    SlabId id = scan_stack_.back();
-    scan_stack_.pop_back();
-    const Node& n = node(id);
+std::vector<BlockAllocator::CacheHolders> PrefixCache::TallyPageHolders()
+    const {
+  std::vector<BlockAllocator::CacheHolders> pages;
+  std::vector<SlabId> stack{root_};
+  while (!stack.empty()) {
+    const Node& n = node(stack.back());
+    stack.pop_back();
     for (const auto& [token, child] : n.children) {
       (void)token;
-      scan_stack_.push_back(child);
+      stack.push_back(child);
     }
-    if (id == root_) {
-      continue;
-    }
-    const bool pinned = n.ref_count > 0;
     for (size_t i = 0; i < n.blocks.size(); ++i) {
-      const BlockId b = n.blocks[i];
-      const size_t slot = static_cast<size_t>(b);
-      if (slot >= tally_epoch_.size()) {
-        tally_epoch_.resize(slot + 1, 0);
-        tally_unpinned_.resize(slot + 1, 0);
+      const size_t id = static_cast<size_t>(n.blocks[i]);
+      if (id >= pages.size()) {
+        pages.resize(id + 1);
       }
-      if (tally_epoch_[slot] != tally_gen_) {
-        tally_epoch_[slot] = tally_gen_;
-        tally_unpinned_[slot] = 0;
-        tally_touched_.push_back(b);
-      }
-      if (!pinned) {
-        ++tally_unpinned_[slot];
-      }
+      ++pages[id].refs;
+      pages[id].pinned += n.ref_count > 0 ? 1 : 0;
     }
   }
-  occ.held_blocks = static_cast<int64_t>(tally_touched_.size());
-  for (BlockId b : tally_touched_) {
+  return pages;
+}
+
+PrefixCache::BlockOccupancy PrefixCache::CountBlocksSlow() const {
+  BlockOccupancy occ;
+  const std::vector<BlockAllocator::CacheHolders> pages = TallyPageHolders();
+  for (size_t id = 0; id < pages.size(); ++id) {
+    const BlockAllocator::CacheHolders& h = pages[id];
+    if (h.refs == 0) {
+      continue;
+    }
+    ++occ.held_blocks;
     // A page returns to the free list under full eviction iff every one of
     // its allocator references comes from an unpinned node.
-    if (tally_unpinned_[static_cast<size_t>(b)] == alloc_->ref_count(b)) {
+    if (h.pinned == 0 &&
+        h.refs == alloc_->ref_count(static_cast<BlockId>(id))) {
       ++occ.evictable_blocks;
     }
   }
@@ -658,6 +658,27 @@ bool PrefixCache::CheckInvariants() const {
   // The incremental pinned-token counter must match the tree's truth.
   if (PinnedTokensSlow() != pinned_tokens_) {
     ok = false;
+  }
+  // So must the O(1) occupancy figures; in paged mode the allocator's
+  // per-page holder counts must match the tree page by page (together with
+  // the held total, no page carries cache counts the tree does not hold).
+  const BlockOccupancy fast = CountBlocks();
+  const BlockOccupancy slow = CountBlocksSlow();
+  if (fast.held_blocks != slow.held_blocks ||
+      fast.evictable_blocks != slow.evictable_blocks) {
+    ok = false;
+  }
+  if (block_size_ > 1) {
+    const std::vector<BlockAllocator::CacheHolders> pages =
+        TallyPageHolders();
+    for (size_t id = 0; id < pages.size(); ++id) {
+      const BlockAllocator::CacheHolders counted =
+          alloc_->cache_holders(static_cast<BlockId>(id));
+      if (pages[id].refs > 0 && (counted.refs != pages[id].refs ||
+                                 counted.pinned != pages[id].pinned)) {
+        ok = false;
+      }
+    }
   }
   // Arena accounting: every tree node is live in the slab (plus the root),
   // every non-root node holds exactly one token-pool reference and one

@@ -44,6 +44,12 @@
 // position is page-aligned, no page is ever shared, and all block
 // quantities equal the seed token counters (coarse compatibility mode).
 //
+// Probe occupancy: in paged mode the tree takes and drops every
+// page reference through the allocator's cache-holder calls, naming the
+// holding node's pin state, and reports each node's pin-count transitions
+// (0 <-> 1) for its whole span; the allocator keeps the held/evictable page
+// totals current from that, so CountBlocks() is two loads, not a scan.
+//
 // Observable behavior (match lengths, eviction order, counters) is
 // bit-identical to the seed std::map implementation; only the layout
 // changed. tests/prefix_structures_property_test.cc fuzzes this equivalence
@@ -197,18 +203,32 @@ class PrefixCache {
   // CountBlocks().held_blocks.
   int64_t block_refs() const { return block_refs_; }
 
-  // Exact page occupancy of the tree, by full traversal: `held_blocks` is
-  // the number of distinct pages some node references; `evictable_blocks`
-  // counts pages that would return to the free list if every unpinned node
-  // were evicted — i.e. pages whose every allocator reference comes from an
-  // unpinned node (pages also held by pinned paths or live sequences are
-  // not evictable). Scratch buffers are reused across calls, so the probe
-  // path stays allocation-free in steady state.
+  // Exact page occupancy of the tree: `held_blocks` is the number of
+  // distinct pages some node references; `evictable_blocks` counts pages
+  // that would return to the free list if every unpinned node were evicted
+  // — i.e. pages whose every allocator reference comes from an unpinned
+  // node (pages also held by pinned paths or live sequences are not
+  // evictable). O(1), so heartbeat probes can call it freely: in paged mode
+  // both figures are the allocator's running cache-holder totals (the tree
+  // reports every span reference and every node pin transition to it); in
+  // coarse mode a one-token page can never straddle a node boundary or
+  // hold both cache and sequence content between events, so occupancy is
+  // exactly the token counters.
   struct BlockOccupancy {
     int64_t held_blocks = 0;
     int64_t evictable_blocks = 0;
   };
-  BlockOccupancy CountBlocks() const;
+  BlockOccupancy CountBlocks() const {
+    if (block_size_ == 1) {
+      return BlockOccupancy{size_tokens_, size_tokens_ - pinned_tokens_};
+    }
+    return BlockOccupancy{alloc_->cache_held_blocks(),
+                          alloc_->cache_evictable_blocks()};
+  }
+  // The same figures by full traversal of every node's page span — the
+  // oracle CheckInvariants and the differential tests compare CountBlocks
+  // against. O(page references); allocates.
+  BlockOccupancy CountBlocksSlow() const;
 
   // Cumulative statistics (for cache-hit-rate reporting).
   int64_t lookup_tokens() const { return lookup_tokens_; }
@@ -294,6 +314,10 @@ class PrefixCache {
   // Recomputes the pinned-token sum by full-tree walk (the pre-ISSUE-10
   // definition); CheckInvariants compares it against pinned_tokens_.
   int64_t PinnedTokensSlow() const;
+  // Per page id, the references node spans hold and how many of those come
+  // from pinned nodes, by full-tree walk (the oracle for the allocator's
+  // cache-holder counts). Sized to the largest id the tree holds.
+  std::vector<BlockAllocator::CacheHolders> TallyPageHolders() const;
   // Adds `delta` to sub_blocks on every ancestor of `id`, root included.
   void PropagateSubBlocks(SlabId id, int64_t delta);
   // Recomputes every node's aggregates bottom-up (policy entry, O(nodes)).
@@ -331,8 +355,7 @@ class PrefixCache {
   GenSlotPool<SlabId> pins_;
 
   // Reused scratch: eviction's DFS stack and Insert's span assembly buffer
-  // (steady-state allocation freedom), plus CountBlocks' tally arrays
-  // (mutable: probes are logically const).
+  // (steady-state allocation freedom).
   std::vector<SlabId> evict_stack_;
   std::vector<BlockId> span_scratch_;
   // Cold-pass candidate list (score precomputed; reused across passes).
@@ -343,11 +366,6 @@ class PrefixCache {
   };
   std::vector<ColdCandidate> cold_candidates_;
   EvictionStats eviction_stats_;
-  mutable std::vector<SlabId> scan_stack_;
-  mutable std::vector<int32_t> tally_unpinned_;
-  mutable std::vector<uint32_t> tally_epoch_;
-  mutable std::vector<BlockId> tally_touched_;
-  mutable uint32_t tally_gen_ = 0;
 
   int64_t lookup_tokens_ = 0;
   int64_t hit_tokens_ = 0;

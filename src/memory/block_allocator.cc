@@ -14,9 +14,21 @@ BlockAllocator::BlockAllocator(int64_t capacity_blocks)
 void BlockAllocator::Reserve(int64_t blocks) {
   refs_.reserve(static_cast<size_t>(blocks));
   free_list_.reserve(static_cast<size_t>(blocks));
+  if (track_cache_) {
+    cache_holders_.reserve(static_cast<size_t>(blocks));
+  }
 }
 
-void BlockAllocator::AllocateSpan(int64_t n, BlockId* out) {
+void BlockAllocator::EnableCacheHolders() {
+  if (track_cache_) {
+    return;
+  }
+  track_cache_ = true;
+  cache_holders_.reserve(refs_.capacity());  // Keeps a prior Reserve().
+  cache_holders_.resize(refs_.size());
+}
+
+void BlockAllocator::AllocateCacheSpan(int64_t n, BlockId* out) {
   int64_t i = 0;
   const int64_t from_free =
       std::min<int64_t>(n, static_cast<int64_t>(free_list_.size()));
@@ -29,26 +41,67 @@ void BlockAllocator::AllocateSpan(int64_t n, BlockId* out) {
   for (; i < n; ++i) {
     BlockId id = static_cast<BlockId>(refs_.size());
     refs_.push_back(1);
+    if (track_cache_) {
+      cache_holders_.emplace_back();
+    }
     out[i] = id;
+  }
+  if (track_cache_) {
+    // The node is new, hence unpinned, and the sole holder of every page:
+    // each page is held and evictable.
+    for (i = 0; i < n; ++i) {
+      cache_holders_[static_cast<size_t>(out[i])].refs = 1;
+    }
+    cache_held_ += n;
+    cache_evictable_ += n;
   }
   used_blocks_ += n;
   stats_.allocated += n;
   stats_.peak_used_blocks = std::max(stats_.peak_used_blocks, used_blocks_);
 }
 
-int64_t BlockAllocator::ReleaseSpan(const BlockId* ids, int64_t n) {
-  int64_t freed = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    int32_t& ref = refs_[static_cast<size_t>(ids[i])];
-    SKYWALKER_CHECK(ref > 0) << "release dead block";
-    if (--ref == 0) {
-      free_list_.push_back(ids[i]);
-      ++freed;
+int64_t BlockAllocator::ReleaseCacheSpan(const BlockId* ids, int64_t n,
+                                         bool pinned) {
+  const int64_t freed_before = stats_.freed;
+  if (!track_cache_) {
+    // Coarse mode evicts one page per token: keep the flag test out of the
+    // loop.
+    for (int64_t i = 0; i < n; ++i) {
+      ReleaseUncounted(ids[i]);
     }
+    return stats_.freed - freed_before;
   }
-  used_blocks_ -= freed;
-  stats_.freed += freed;
-  return freed;
+  for (int64_t i = 0; i < n; ++i) {
+    const BlockId id = ids[i];
+    SKYWALKER_CHECK(refs_[static_cast<size_t>(id)] > 0)
+        << "release dead block";
+    TallyCachePage(id, -1);
+    CacheHolders& h = cache_holders_[static_cast<size_t>(id)];
+    --h.refs;
+    h.pinned -= pinned ? 1 : 0;
+    if (--refs_[static_cast<size_t>(id)] == 0) {
+      free_list_.push_back(id);
+      --used_blocks_;
+      ++stats_.freed;
+    }
+    TallyCachePage(id, +1);
+  }
+  return stats_.freed - freed_before;
+}
+
+void BlockAllocator::PinCacheSpan(const BlockId* ids, int64_t n,
+                                  int32_t delta) {
+  SKYWALKER_CHECK(track_cache_) << "cache-holder counts are off";
+  // No refcount moves, so every page stays held; only its evictability can
+  // flip (TallyCachePage's bracket, minus the held total it leaves alone).
+  for (int64_t i = 0; i < n; ++i) {
+    const size_t id = static_cast<size_t>(ids[i]);
+    CacheHolders& h = cache_holders_[id];
+    const bool whole = h.refs == refs_[id];
+    cache_evictable_ -= whole && h.pinned == 0 ? 1 : 0;
+    h.pinned += delta;
+    cache_evictable_ += whole && h.pinned == 0 ? 1 : 0;
+  }
 }
 
 int64_t BlockAllocator::live_refs() const {
@@ -80,7 +133,28 @@ bool BlockAllocator::CheckInvariants() const {
       return false;
     }
   }
-  return true;
+  if (!track_cache_) {
+    return cache_holders_.empty() && cache_held_ == 0 &&
+           cache_evictable_ == 0;
+  }
+  if (cache_holders_.size() != refs_.size()) {
+    return false;
+  }
+  int64_t held = 0;
+  int64_t evictable = 0;
+  for (size_t id = 0; id < refs_.size(); ++id) {
+    const CacheHolders& h = cache_holders_[id];
+    if (h.pinned < 0 || h.pinned > h.refs || h.refs > refs_[id]) {
+      return false;
+    }
+    if (h.refs > 0) {
+      ++held;
+      if (h.pinned == 0 && h.refs == refs_[id]) {
+        ++evictable;
+      }
+    }
+  }
+  return held == cache_held_ && evictable == cache_evictable_;
 }
 
 }  // namespace skywalker

@@ -21,6 +21,18 @@
 // and every derived quantity reduces to the seed's token-counter
 // arithmetic — the coarse compatibility mode that keeps historical
 // BENCH_*.json goldens byte-identical (DESIGN.md §9).
+//
+// Cache-holder counts (paged mode): the prefix cache reports
+// which references it holds, so the allocator keeps per page the number of
+// references held by cache nodes and by *pinned* cache nodes, plus two
+// running totals — pages with a cache reference (`cache_held_blocks`) and
+// pages whose every reference comes from an unpinned cache node
+// (`cache_evictable_blocks`: a full eviction would free them). Every
+// refcount change re-evaluates its one page in O(1), sequence-side
+// AddRef/Release/CoW on a cache-held page included, which makes the probe's
+// occupancy figures O(1) instead of a radix-tree scan. Coarse mode never
+// enables the counts: its occupancy is the cache's token counters, and
+// per-page arrays at one token per page would cost 8 bytes per KV token.
 
 #ifndef SKYWALKER_MEMORY_BLOCK_ALLOCATOR_H_
 #define SKYWALKER_MEMORY_BLOCK_ALLOCATOR_H_
@@ -55,22 +67,45 @@ class BlockAllocator {
   // callers gate on free_blocks() for admission decisions.
   BlockId Allocate();
 
-  // Fills out[0..n) with fresh single-reference blocks — id-for-id the same
-  // sequence n Allocate() calls would return, with the bookkeeping updated
-  // once (the radix cache provisions whole node spans through this).
-  void AllocateSpan(int64_t n, BlockId* out);
-
-  // Drops one reference on each of ids[0..n) (span teardown counterpart).
-  // Returns how many blocks actually became free — the figure eviction
-  // accounting wants, since references shared with surviving holders free
-  // nothing.
-  int64_t ReleaseSpan(const BlockId* ids, int64_t n);
-
   // Shares an existing block (copy-on-write fork).
   void AddRef(BlockId id);
 
   // Drops one reference; returns true when the block became free.
   bool Release(BlockId id);
+
+  // Release() over ids[0..n), in order, with the cache-holder test hoisted
+  // out of the loop (coarse-mode publish and completion drop one reference
+  // per token).
+  void ReleaseSpan(const BlockId* ids, int64_t n);
+
+  // --- references held by prefix-cache node spans -----------------------
+  // The radix cache takes and drops its page references only through these
+  // calls, telling the allocator whether the holding node is pinned. Without
+  // EnableCacheHolders() they are the plain refcount operations.
+
+  // Turns on the per-page cache-holder counts (paged mode; idempotent).
+  // Pages already live count as sequence-held.
+  void EnableCacheHolders();
+
+  // Fills out[0..n) with fresh single-reference blocks for a new, unpinned
+  // cache node — id-for-id the same sequence n Allocate() calls would
+  // return, with the bookkeeping updated once.
+  void AllocateCacheSpan(int64_t n, BlockId* out);
+
+  // A cache node takes one more reference on a live block (publish by
+  // reference transfer, or the straddled page of an edge split).
+  void AddCacheRef(BlockId id, bool pinned);
+
+  // A cache node drops its references on ids[0..n) (eviction / teardown).
+  // Returns how many blocks actually became free — the figure eviction
+  // accounting wants, since references shared with surviving holders free
+  // nothing.
+  int64_t ReleaseCacheSpan(const BlockId* ids, int64_t n, bool pinned);
+
+  // A cache node's pin count went 0 -> 1 (`delta` = +1) or 1 -> 0 (-1):
+  // its references on ids[0..n) change class. Only valid while the counts
+  // are enabled.
+  void PinCacheSpan(const BlockId* ids, int64_t n, int32_t delta);
 
   // Pre-sizes metadata and the free list so later Allocate/Release cycles
   // below `blocks` live blocks never allocate heap memory.
@@ -85,6 +120,23 @@ class BlockAllocator {
     return refs_[static_cast<size_t>(id)];
   }
 
+  // Per-page references held by cache nodes, and by pinned cache nodes.
+  struct CacheHolders {
+    int32_t refs = 0;
+    int32_t pinned = 0;
+  };
+  bool tracks_cache_holders() const { return track_cache_; }
+  // Zero for every page while the counts are off.
+  CacheHolders cache_holders(BlockId id) const {
+    return track_cache_ ? cache_holders_[static_cast<size_t>(id)]
+                        : CacheHolders{};
+  }
+  // Pages with at least one cache reference, and pages whose every
+  // reference comes from an unpinned cache node. O(1); zero while the
+  // counts are off.
+  int64_t cache_held_blocks() const { return cache_held_; }
+  int64_t cache_evictable_blocks() const { return cache_evictable_; }
+
   // Sum of all reference counts (each shared block counted once per holder).
   // O(ids ever allocated) — a test/diagnostics view for the conservation
   // invariant (cache-held + sequence-held refs == live_refs), not a hot-path
@@ -95,15 +147,42 @@ class BlockAllocator {
   void NoteCowCopy() { ++stats_.cow_copies; }
 
   // Structural soundness: used_blocks matches the number of ids with a
-  // positive refcount and the free list holds exactly the zero-ref ids.
+  // positive refcount and the free list holds exactly the zero-ref ids;
+  // with cache-holder counts on, 0 <= pinned <= cache refs <= refs on every
+  // page and both running totals match a recount.
   bool CheckInvariants() const;
 
  private:
+  // Adds `sign` times page `id`'s contribution to the two cache totals.
+  // Every change to a page with cache references is bracketed by
+  // TallyCachePage(id, -1) / TallyCachePage(id, +1), so the totals track
+  // exactly the page that changed.
+  void TallyCachePage(BlockId id, int64_t sign) {
+    const CacheHolders& h = cache_holders_[static_cast<size_t>(id)];
+    if (h.refs > 0) {
+      cache_held_ += sign;
+      if (h.pinned == 0 && h.refs == refs_[static_cast<size_t>(id)]) {
+        cache_evictable_ += sign;
+      }
+    }
+  }
+  // Whether a sequence-side refcount change on `id` can move the totals.
+  bool CacheHeld(BlockId id) const {
+    return track_cache_ && cache_holders_[static_cast<size_t>(id)].refs > 0;
+  }
+  // Release() for a page whose refcount change cannot move the totals.
+  bool ReleaseUncounted(BlockId id);
+
   int64_t capacity_blocks_;
   std::vector<int32_t> refs_;       // Indexed by BlockId.
   std::vector<BlockId> free_list_;  // LIFO: deterministic, cache-friendly.
   int64_t used_blocks_ = 0;
   BlockAllocatorStats stats_;
+  // Cache-holder counts (empty unless enabled); grows with refs_.
+  bool track_cache_ = false;
+  std::vector<CacheHolders> cache_holders_;
+  int64_t cache_held_ = 0;
+  int64_t cache_evictable_ = 0;
 };
 
 // Allocate/AddRef/Release are defined inline: with block_size_tokens == 1
@@ -118,7 +197,12 @@ inline BlockId BlockAllocator::Allocate() {
   } else {
     id = static_cast<BlockId>(refs_.size());
     refs_.push_back(0);
+    if (track_cache_) {
+      cache_holders_.emplace_back();
+    }
   }
+  // A free page has no cache holders (cache refs <= refs), so a fresh
+  // sequence page never moves the cache totals.
   refs_[static_cast<size_t>(id)] = 1;
   ++used_blocks_;
   ++stats_.allocated;
@@ -128,10 +212,47 @@ inline BlockId BlockAllocator::Allocate() {
 
 inline void BlockAllocator::AddRef(BlockId id) {
   SKYWALKER_CHECK(refs_[static_cast<size_t>(id)] > 0) << "addref dead block";
+  if (CacheHeld(id)) {
+    // A sequence sharing a cache page makes it unevictable.
+    TallyCachePage(id, -1);
+    ++refs_[static_cast<size_t>(id)];
+    TallyCachePage(id, +1);
+    return;
+  }
   ++refs_[static_cast<size_t>(id)];
 }
 
+// Inline like AddRef: in coarse mode a publish transfers one reference per
+// token.
+inline void BlockAllocator::AddCacheRef(BlockId id, bool pinned) {
+  int32_t& ref = refs_[static_cast<size_t>(id)];
+  SKYWALKER_CHECK(ref > 0) << "addref dead block";
+  if (!track_cache_) {
+    ++ref;
+    return;
+  }
+  TallyCachePage(id, -1);
+  ++ref;
+  CacheHolders& h = cache_holders_[static_cast<size_t>(id)];
+  ++h.refs;
+  h.pinned += pinned ? 1 : 0;
+  TallyCachePage(id, +1);
+}
+
 inline bool BlockAllocator::Release(BlockId id) {
+  if (CacheHeld(id)) {
+    // A sequence dropping its claim on a cache page (publish, completion,
+    // CoW): the cache's references keep it live, and it may have just
+    // become evictable.
+    TallyCachePage(id, -1);
+    --refs_[static_cast<size_t>(id)];
+    TallyCachePage(id, +1);
+    return false;
+  }
+  return ReleaseUncounted(id);
+}
+
+inline bool BlockAllocator::ReleaseUncounted(BlockId id) {
   int32_t& ref = refs_[static_cast<size_t>(id)];
   SKYWALKER_CHECK(ref > 0) << "release dead block";
   if (--ref > 0) {
@@ -141,6 +262,18 @@ inline bool BlockAllocator::Release(BlockId id) {
   --used_blocks_;
   ++stats_.freed;
   return true;
+}
+
+inline void BlockAllocator::ReleaseSpan(const BlockId* ids, int64_t n) {
+  if (track_cache_) {
+    for (int64_t i = 0; i < n; ++i) {
+      Release(ids[i]);
+    }
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    ReleaseUncounted(ids[i]);
+  }
 }
 
 }  // namespace skywalker

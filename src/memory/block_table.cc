@@ -1,5 +1,7 @@
 #include "src/memory/block_table.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 
 namespace skywalker {
@@ -58,14 +60,11 @@ int64_t BlockTable::ReleasePrefix(BlockAllocator& alloc, int32_t block_size,
     // Everything published/dropped: nothing of ours remains in any page,
     // but the table's path alignment advances past the dropped span — a
     // re-materialized token (RestoreDecodedTokens) must land at its true
-    // path position, so skew survives the empty state.
-    for (BlockId id : blocks_) {
-      if (id == cow_exempt_) {
-        cow_exempt_ = kInvalidBlockId;
-      }
-      alloc.Release(id);
-      ++released;
-    }
+    // path position, so skew survives the empty state. The exempt page, if
+    // any, is one of ours and goes with the rest.
+    released = num_blocks();
+    alloc.ReleaseSpan(blocks_.data(), released);
+    cow_exempt_ = kInvalidBlockId;
     blocks_.clear();
     skew_ = static_cast<int32_t>(drop % block_size);
     return released;
@@ -75,13 +74,12 @@ int64_t BlockTable::ReleasePrefix(BlockAllocator& alloc, int32_t block_size,
   // boundary page stays (its later slots are still ours; its earlier slots
   // now belong to the cache, which holds its own reference).
   const int64_t full = drop / block_size;
-  for (int64_t i = 0; i < full; ++i) {
-    if (blocks_[static_cast<size_t>(i)] == cow_exempt_) {
-      cow_exempt_ = kInvalidBlockId;  // The exemption dies with the page.
-    }
-    alloc.Release(blocks_[static_cast<size_t>(i)]);
-    ++released;
+  if (std::find(blocks_.begin(), blocks_.begin() + full, cow_exempt_) !=
+      blocks_.begin() + full) {
+    cow_exempt_ = kInvalidBlockId;  // The exemption dies with the page.
   }
+  alloc.ReleaseSpan(blocks_.data(), full);
+  released = full;
   blocks_.erase(blocks_.begin(), blocks_.begin() + full);
   skew_ = static_cast<int32_t>(drop % block_size);
   return released;
@@ -89,9 +87,7 @@ int64_t BlockTable::ReleasePrefix(BlockAllocator& alloc, int32_t block_size,
 
 int64_t BlockTable::Clear(BlockAllocator& alloc) {
   int64_t released = static_cast<int64_t>(blocks_.size());
-  for (BlockId id : blocks_) {
-    alloc.Release(id);
-  }
+  alloc.ReleaseSpan(blocks_.data(), released);
   blocks_.clear();  // Capacity retained for pooled reuse.
   tokens_ = 0;
   skew_ = 0;

@@ -72,13 +72,11 @@ int Replica::EstimateFreeCapacity() const {
   }
   int64_t per_request = 512 + config_.output_reserve_tokens;
   if (!running_.empty()) {
-    int64_t total = 0;
-    for (const Seq& seq : running_) {
-      total += seq.prompt_len() - seq.cached_len +
-               config_.output_reserve_tokens;
-    }
-    per_request = std::max<int64_t>(64, total /
-                                            static_cast<int64_t>(running_.size()));
+    // Σ(uncached + reserve) over the batch, from the running sum.
+    const int64_t n = static_cast<int64_t>(running_.size());
+    const int64_t total =
+        running_uncached_tokens_ + n * config_.output_reserve_tokens;
+    per_request = std::max<int64_t>(64, total / n);
   }
   int by_memory = static_cast<int>(free_tokens / per_request);
   return std::max(0, std::min(free_slots, by_memory));
@@ -217,6 +215,7 @@ void Replica::Admit() {
     seq.prefill_alloc = 0;
     seq.decode_alloc = false;
     stats_.cached_tokens_reused += cached;
+    running_uncached_tokens_ += seq.uncached_len();
     running_.push_back(std::move(seq));
     stats_.peak_running =
         std::max(stats_.peak_running, static_cast<int>(running_.size()));
@@ -276,6 +275,7 @@ void Replica::FinishSwapIn(int64_t ticket) {
     }
     Seq seq = std::move(it->seq);
     restoring_.erase(it);
+    running_uncached_tokens_ += seq.uncached_len();
     running_.push_back(std::move(seq));
     stats_.peak_running =
         std::max(stats_.peak_running, static_cast<int>(running_.size()));
@@ -385,6 +385,7 @@ void Replica::FinishStep(double step_us, int decode_count) {
   std::vector<Seq> finished;
   for (auto it = running_.begin(); it != running_.end();) {
     if (it->prefill_done && it->generated >= it->output_len()) {
+      running_uncached_tokens_ -= it->uncached_len();
       finished.push_back(std::move(*it));
       it = running_.erase(it);
     } else {
@@ -516,6 +517,7 @@ void Replica::ReclaimMemory() {
   while (over > 0 && running_.size() > 1) {
     Seq seq = std::move(running_.back());
     running_.pop_back();
+    running_uncached_tokens_ -= seq.uncached_len();
     ++stats_.preemptions;
     const bool swap = config_.kv_preempt_policy == PreemptPolicy::kSwap;
     if (Tracer* t = sim_->tracer()) {
@@ -613,6 +615,7 @@ void Replica::Crash() {
     kv_.ReleaseSeq(seq.kv);
   }
   running_.clear();
+  running_uncached_tokens_ = 0;
   for (SwappedSeq& swapped : swapped_) {
     if (swapped.seq.pin != kInvalidPin) {
       cache_.Unref(swapped.seq.pin);
@@ -630,6 +633,14 @@ void Replica::Crash() {
   pending_.clear();
   watermark_reject_id_valid_ = false;
   cache_.Clear();
+}
+
+bool Replica::CheckInvariants() const {
+  int64_t uncached = 0;
+  for (const Seq& seq : running_) {
+    uncached += seq.uncached_len();
+  }
+  return uncached == running_uncached_tokens_ && cache_.CheckInvariants();
 }
 
 void Replica::Fail() {

@@ -281,6 +281,11 @@ class Replica {
   // rebuilds the subtree aggregates in one traversal.
   void ApplyCacheEvictionPolicy(EvictionPolicy policy);
 
+  // Recomputes the incrementally maintained probe inputs from scratch — the
+  // batch's uncached-token sum behind EstimateFreeCapacity, and the cache
+  // invariants behind the snapshot's block figures (tests only).
+  bool CheckInvariants() const;
+
  private:
   struct Seq {
     Request req;
@@ -302,6 +307,8 @@ class Replica {
 
     int64_t prompt_len() const { return req.prompt_tokens(); }
     int64_t output_len() const { return req.output_tokens(); }
+    // Prompt tokens the admission-time cache hit did not cover.
+    int64_t uncached_len() const { return prompt_len() - cached_len; }
   };
 
   // A sequence preempted to host memory (kSwap policy). Keeps its prefix-
@@ -377,6 +384,9 @@ class Replica {
 
   std::deque<Seq> pending_;
   std::vector<Seq> running_;  // Admission order (oldest first).
+  // Σ uncached_len() over running_, updated wherever running_ changes, so
+  // EstimateFreeCapacity (every probe) is O(1).
+  int64_t running_uncached_tokens_ = 0;
   std::deque<SwappedSeq> swapped_;  // Swap-out order (oldest first).
   std::vector<RestoringSeq> restoring_;
   int64_t next_restore_ticket_ = 0;

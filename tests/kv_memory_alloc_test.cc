@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -196,11 +197,40 @@ TEST(KvMemoryAllocTest, ControllerSeqChurnDoesNotAllocateWhenWarm) {
   EXPECT_TRUE(kv.CheckConsistency());
 }
 
+TEST(KvMemoryAllocTest, ReservePreSizesCacheHolderCounts) {
+  // Paged mode keeps per-page cache-holder counts next to the refcounts.
+  // Reserve() sizes them with the refcounts whichever comes first — the
+  // reservation or the cache that turns the counts on — so growing the pool
+  // to the reserved size never touches the heap.
+  constexpr int64_t kBlocks = 1 << 14;
+  for (bool reserve_first : {true, false}) {
+    BlockAllocator alloc(kBlocks);
+    std::unique_ptr<PrefixCache> cache;
+    if (reserve_first) {
+      alloc.Reserve(kBlocks);
+      cache = std::make_unique<PrefixCache>(1 << 20, &alloc, 16);
+    } else {
+      cache = std::make_unique<PrefixCache>(1 << 20, &alloc, 16);
+      alloc.Reserve(kBlocks);
+    }
+    ASSERT_TRUE(alloc.tracks_cache_holders());
+    const long long baseline = NewCount();
+    for (int64_t i = 0; i < kBlocks; ++i) {
+      alloc.Allocate();
+    }
+    EXPECT_EQ(NewCount() - baseline, 0)
+        << "reserve_first=" << reserve_first;
+    EXPECT_TRUE(alloc.CheckInvariants());
+  }
+}
+
 TEST(KvMemoryAllocTest, BlockNativeEvictionSteadyStateDoesNotAllocate) {
   // The ISSUE 5 eviction path: LRU leaf scans, page-span release, and
   // publish/re-insert churn against a shared allocator must recycle nodes,
   // token chunks, page-span chunks, and pages without touching the heap
-  // once warm.
+  // once warm — with overlapping pins, unpins, and probes of the O(1)
+  // occupancy figures in the loop, so the per-page cache-holder counts
+  // are exercised on every path.
   constexpr int32_t kBs = 16;
   BlockAllocator alloc(1 << 16);
   alloc.Reserve(1 << 16);
@@ -221,12 +251,21 @@ TEST(KvMemoryAllocTest, BlockNativeEvictionSteadyStateDoesNotAllocate) {
   }
 
   SimTime now = 0;
+  int64_t probe_sum = 0;
   auto churn = [&] {
+    PinId held = kInvalidPin;  // A second, overlapping pin (0->1->2->1).
     for (const TokenSeq& seq : seqs) {
       auto ref = cache.MatchAndRef(seq, ++now);
       cache.Insert(seq, ++now);
+      if (held != kInvalidPin) {
+        cache.Unref(held);
+      }
+      held = cache.MatchAndRef(seq, ++now).pin;
       cache.Unref(ref.pin);
+      const PrefixCache::BlockOccupancy occ = cache.CountBlocks();
+      probe_sum += occ.held_blocks + occ.evictable_blocks;
     }
+    cache.Unref(held);
     cache.Evict(std::numeric_limits<int64_t>::max());
   };
   // Warm-up: node slab, token/page-span chunk pools, pin slots, child-map
@@ -244,8 +283,11 @@ TEST(KvMemoryAllocTest, BlockNativeEvictionSteadyStateDoesNotAllocate) {
   }
   EXPECT_EQ(NewCount() - baseline, 0)
       << "block-native eviction churn must not allocate at steady state";
+  EXPECT_GT(probe_sum, 0);
   EXPECT_EQ(alloc.used_blocks(), 0);
+  EXPECT_EQ(cache.CountBlocks().held_blocks, 0);
   EXPECT_TRUE(cache.CheckInvariants());
+  EXPECT_TRUE(alloc.CheckInvariants());
 }
 
 }  // namespace

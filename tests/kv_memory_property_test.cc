@@ -17,12 +17,15 @@
 //
 // The unified-ledger test then replays the full replica publish protocol
 // (admit with pin + skew, chunked prefill, publish-by-reference-transfer,
-// decode into the shared boundary page, complete, preempt, evict, fork)
-// at real block sizes, asserting after every op the block-conservation
-// invariant of ISSUE 5:
+// decode into the shared boundary page, complete, recompute or swap
+// preemption, swap-in, evict, fork) at real block sizes, asserting after
+// every op the unified ledger's block-conservation invariant:
 //     cache-held refs + sequence-held refs == allocator refs,
 //     every used page has a holder, free pages have none,
-// plus tree/ledger self-consistency and non-negative exact fragmentation.
+// plus tree/ledger self-consistency, non-negative exact fragmentation, and
+// that the O(1) probe occupancy (PrefixCache::CountBlocks, the allocator's
+// incremental cache-holder totals in paged mode) equals the full-scan
+// oracle CountBlocksSlow.
 
 #include <gtest/gtest.h>
 
@@ -254,20 +257,22 @@ struct LiveSeq {
   int64_t base = 0;  // Path position of the table's first token.
   int64_t prefill_left = 0;
   int64_t generated = 0;
+  int64_t swapped_tokens = 0;  // Private KV on the host while swapped out.
   bool published = false;
 };
 
 class UnifiedLedgerPropertyTest
     : public ::testing::TestWithParam<
-          std::tuple<int32_t, uint64_t, EvictionPolicy>> {};
+          std::tuple<int32_t, uint64_t, EvictionPolicy, PreemptPolicy>> {};
 
 TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
-  auto [block_size, seed, policy] = GetParam();
+  auto [block_size, seed, policy, preempt] = GetParam();
   Rng rng(seed);
   KvConfig config;
   config.capacity_tokens = 8192;
   config.block_size_tokens = block_size;
   config.watermark_blocks = block_size > 1 ? 4 : 0;
+  config.preempt_policy = preempt;
   KvController kv(config);
   // The kColdSubtree replays exercise subtree eviction (plus its LRU-leaf
   // fallback) under the full publish protocol: conservation and aggregate
@@ -278,6 +283,7 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
   const int64_t reserve = 96;
 
   std::vector<LiveSeq> live;
+  std::vector<LiveSeq> swapped;  // Swap-out order; victims keep their pin.
   std::vector<TokenSeq> history;  // Prompt pool; extensions share prefixes.
   Token next_token = 1;
   Token next_output = 50'000'000;
@@ -291,6 +297,11 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
     ASSERT_EQ(cache.block_refs() + kv.seq_block_refs(),
               kv.allocator().live_refs())
         << "conservation broke at op " << step;
+    // The probe's O(1) occupancy equals the full-scan oracle.
+    const PrefixCache::BlockOccupancy fast = cache.CountBlocks();
+    const PrefixCache::BlockOccupancy slow = cache.CountBlocksSlow();
+    ASSERT_EQ(fast.held_blocks, slow.held_blocks) << "op " << step;
+    ASSERT_EQ(fast.evictable_blocks, slow.evictable_blocks) << "op " << step;
     ASSERT_TRUE(cache.CheckInvariants()) << "op " << step;
     ASSERT_TRUE(kv.CheckConsistency()) << "op " << step;
     // Exact fragmentation is non-negative: pages hold at least as many
@@ -329,7 +340,7 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
   };
 
   for (int step = 0; step < 3000; ++step) {
-    const int op = static_cast<int>(rng.UniformInt(0, 6));
+    const int op = static_cast<int>(rng.UniformInt(0, 7));
     if (op == 0 && live.size() < 24) {  // Admit.
       LiveSeq s;
       if (!history.empty() && rng.UniformInt(0, 1) == 0) {
@@ -391,12 +402,31 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
       }
       cache.Unref(s.pin);
       kv.ReleaseSeq(s.id);
-    } else if (op == 4 && live.size() > 1) {  // Preempt (recompute-style).
+    } else if (op == 4 && live.size() > 1) {  // Preempt the youngest.
       LiveSeq s = std::move(live.back());
       live.pop_back();
-      cache.Unref(s.pin);
-      kv.ReleaseSeq(s.id);
-      kv.NoteRecomputePreemption();
+      if (preempt == PreemptPolicy::kSwap) {
+        // Mirror Replica::ReclaimMemory's swap arm: private KV leaves the
+        // device, the prefix-cache pin stays.
+        s.swapped_tokens = kv.SeqTokens(s.id);
+        kv.SwapOut(s.id);
+        s.id = KvController::kInvalidSeq;
+        swapped.push_back(std::move(s));
+      } else {
+        cache.Unref(s.pin);
+        kv.ReleaseSeq(s.id);
+        kv.NoteRecomputePreemption();
+      }
+    } else if (op == 7 && !swapped.empty()) {  // Swap-in, oldest first.
+      LiveSeq s = std::move(swapped.front());
+      swapped.erase(swapped.begin());
+      SimDuration transfer = 0;
+      // Restored KV lands in fresh pages at the original path alignment.
+      s.id = kv.BeginSwapIn(s.swapped_tokens, s.prefill_left,
+                            std::max<int64_t>(0, reserve - s.generated),
+                            static_cast<int32_t>(s.base % block_size),
+                            &transfer);
+      live.push_back(std::move(s));
     } else if (op == 5) {  // Eviction pressure (Evict takes blocks now).
       cache.Evict(rng.UniformInt(0, 2048) / block_size);
     } else if (op == 6 && !live.empty()) {  // Fork a table, then drop it.
@@ -422,10 +452,17 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
     kv.ReleaseSeq(s.id);
   }
   live.clear();
+  for (LiveSeq& s : swapped) {
+    cache.Unref(s.pin);
+  }
+  swapped.clear();
   cache.Clear();
   EXPECT_EQ(cache.size_tokens(), 0);
   EXPECT_EQ(kv.used_blocks(), 0);
   EXPECT_EQ(kv.allocator().live_refs(), 0);
+  EXPECT_EQ(cache.CountBlocks().held_blocks, 0);
+  EXPECT_EQ(kv.allocator().cache_held_blocks(), 0);
+  EXPECT_EQ(kv.allocator().cache_evictable_blocks(), 0);
   EXPECT_TRUE(kv.CheckConsistency());
   EXPECT_TRUE(cache.CheckInvariants());
 }
@@ -436,7 +473,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          int32_t{32}),
                        ::testing::Values(11u, 12u, 13u),
                        ::testing::Values(EvictionPolicy::kLruLeaf,
-                                         EvictionPolicy::kColdSubtree)));
+                                         EvictionPolicy::kColdSubtree),
+                       ::testing::Values(PreemptPolicy::kRecompute,
+                                         PreemptPolicy::kSwap)));
 
 }  // namespace
 }  // namespace skywalker

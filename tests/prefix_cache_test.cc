@@ -349,6 +349,90 @@ TEST(PrefixCacheBlockTest, PagesSharedWithSequencesAreNotEvictable) {
   EXPECT_TRUE(cache.CheckInvariants());
 }
 
+// Asserts the probe's O(1) occupancy figures and that the full-scan oracle
+// agrees with them.
+void ExpectOccupancy(const PrefixCache& cache, int64_t held,
+                     int64_t evictable) {
+  const PrefixCache::BlockOccupancy fast = cache.CountBlocks();
+  const PrefixCache::BlockOccupancy slow = cache.CountBlocksSlow();
+  EXPECT_EQ(fast.held_blocks, held);
+  EXPECT_EQ(fast.evictable_blocks, evictable);
+  EXPECT_EQ(slow.held_blocks, held);
+  EXPECT_EQ(slow.evictable_blocks, evictable);
+}
+
+TEST(PrefixCacheBlockTest, PageSharedByThreeShortEdgesCountsOnce) {
+  // Edges shorter than a page: splits at 10 and 5 leave one 16-token page
+  // referenced by three nodes. It is held once, and evictable only while
+  // none of the three is pinned and no sequence shares it.
+  BlockAllocator alloc(64);
+  PrefixCache cache(1024, &alloc, 16);
+  cache.Insert(Iota(16), 1);       // One node on page 0.
+  cache.MatchPrefix(Iota(10), 2);  // Split at 10: page 0 straddles.
+  cache.MatchPrefix(Iota(5), 3);   // Split at 5: it straddles again.
+  const BlockId page = 0;
+  EXPECT_EQ(cache.num_nodes(), 3u);
+  EXPECT_EQ(alloc.used_blocks(), 1);
+  EXPECT_EQ(alloc.ref_count(page), 3);
+  EXPECT_EQ(alloc.cache_holders(page).refs, 3);
+  ExpectOccupancy(cache, 1, 1);
+  // Pinning [0, 10) pins two of the three references.
+  auto ref = cache.MatchAndRef(Iota(10), 4);
+  EXPECT_EQ(alloc.cache_holders(page).pinned, 2);
+  ExpectOccupancy(cache, 1, 0);
+  // The unpinned leaf goes, dropping one reference and freeing nothing.
+  EXPECT_EQ(cache.Evict(1), 0);
+  EXPECT_EQ(cache.num_nodes(), 2u);
+  EXPECT_EQ(alloc.cache_holders(page).refs, 2);
+  ExpectOccupancy(cache, 1, 0);
+  // A sequence sharing the page keeps it unevictable after the unpin...
+  alloc.AddRef(page);
+  cache.Unref(ref.pin);
+  EXPECT_EQ(alloc.cache_holders(page).pinned, 0);
+  ExpectOccupancy(cache, 1, 0);
+  // ...until it lets go.
+  EXPECT_FALSE(alloc.Release(page));
+  ExpectOccupancy(cache, 1, 1);
+  EXPECT_TRUE(cache.CheckInvariants());
+  EXPECT_TRUE(alloc.CheckInvariants());
+  cache.Evict(1 << 20);
+  EXPECT_EQ(alloc.used_blocks(), 0);
+  ExpectOccupancy(cache, 0, 0);
+  EXPECT_TRUE(alloc.CheckInvariants());
+}
+
+TEST(PrefixCacheBlockTest, PinSpanningSplitKeepsStraddleCountsExact) {
+  // A split under an active pin: the new upper half inherits the pin, so
+  // the straddled page's new reference is a pinned one.
+  BlockAllocator alloc(64);
+  PrefixCache cache(1024, &alloc, 16);
+  cache.Insert(Iota(40), 1);  // One node on pages 0, 1, 2.
+  auto pin = cache.MatchAndRef(Iota(40), 2);
+  ExpectOccupancy(cache, 3, 0);
+  cache.MatchPrefix(Iota(24), 3);  // Split at 24: page 1 straddles.
+  EXPECT_EQ(cache.num_nodes(), 2u);
+  EXPECT_EQ(alloc.cache_holders(1).refs, 2);
+  EXPECT_EQ(alloc.cache_holders(1).pinned, 2);
+  ExpectOccupancy(cache, 3, 0);
+  EXPECT_TRUE(cache.CheckInvariants());
+  // One pin covered both halves; releasing it unpins both.
+  cache.Unref(pin.pin);
+  EXPECT_EQ(alloc.cache_holders(1).pinned, 0);
+  ExpectOccupancy(cache, 3, 3);
+  // Pin only the upper half: page 1 is half pinned, page 2 may go.
+  auto upper = cache.MatchAndRef(Iota(24), 4);
+  EXPECT_EQ(alloc.cache_holders(1).pinned, 1);
+  ExpectOccupancy(cache, 3, 1);
+  // The lower leaf goes: page 2 frees, page 1 survives through the upper.
+  EXPECT_EQ(cache.Evict(1), 1);
+  EXPECT_EQ(alloc.cache_holders(1).refs, 1);
+  ExpectOccupancy(cache, 2, 0);
+  cache.Unref(upper.pin);
+  ExpectOccupancy(cache, 2, 2);
+  EXPECT_TRUE(cache.CheckInvariants());
+  EXPECT_TRUE(alloc.CheckInvariants());
+}
+
 // --- Cold-subtree eviction (ISSUE 8) -------------------------------------
 
 TEST(ColdSubtreeTest, EvictsWholeColdSubtreeBeforeHotContent) {
@@ -505,9 +589,13 @@ TEST(PrefixCacheBlockTest, CoarseModeIsTokenGranular) {
   cache.MatchPrefix(Iota(60), 2);  // Split: still no page sharing at B=1.
   EXPECT_EQ(alloc.used_blocks(), 100);
   EXPECT_EQ(cache.block_refs(), 100);
-  PrefixCache::BlockOccupancy occ = cache.CountBlocks();
-  EXPECT_EQ(occ.held_blocks, 100);
-  EXPECT_EQ(occ.evictable_blocks, 100);
+  // Occupancy is the token counters; the page scan agrees.
+  ExpectOccupancy(cache, 100, 100);
+  auto ref = cache.MatchAndRef(Iota(60), 3);
+  ExpectOccupancy(cache, 100, 40);
+  cache.Unref(ref.pin);
+  // Coarse mode keeps no per-page holder arrays.
+  EXPECT_FALSE(alloc.tracks_cache_holders());
   cache.Evict(40);
   EXPECT_EQ(alloc.used_blocks(), cache.size_tokens());
   EXPECT_TRUE(cache.CheckInvariants());

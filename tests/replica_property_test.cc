@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/replica/replica.h"
@@ -123,6 +125,87 @@ INSTANTIATE_TEST_SUITE_P(
             SweepConfig{8192, 16, 128, 0.8},     // Tiny chunks, heavy reuse.
             SweepConfig{8192, 16, 4096, 0.0}),   // No sharing at all.
         ::testing::Values(1u, 2u, 3u)));
+
+// Heartbeat probes against the full-scan oracle: every Probe() during a
+// memory-starved run with shared prefixes (evictions, straddled pages,
+// pins, recompute or swap preemptions) must report exactly the free-block
+// headroom recomputed from PrefixCache::CountBlocksSlow, in coarse and
+// paged mode.
+class ReplicaProbeOracleTest
+    : public ::testing::TestWithParam<
+          std::tuple<int32_t, PreemptPolicy, uint64_t>> {};
+
+TEST_P(ReplicaProbeOracleTest, ProbeFreeBlocksMatchesScanOracle) {
+  auto [block_size, policy, seed] = GetParam();
+  Simulator sim;
+  ReplicaConfig config;
+  config.kv_capacity_tokens = 4096;
+  config.kv_block_size_tokens = block_size;
+  config.kv_preempt_policy = policy;
+  config.output_reserve_tokens = 64;
+  config.max_prefill_tokens_per_step = 256;
+  Replica replica(&sim, 0, 0, config);
+
+  Rng rng(seed);
+  const int kRequests = 60;
+  std::vector<TokenSeq> prior_prompts;
+  Token fresh = 1;
+  for (int i = 0; i < kRequests; ++i) {
+    Request req;
+    req.id = static_cast<RequestId>(i + 1);
+    req.client_region = 0;
+    if (!prior_prompts.empty() && rng.Bernoulli(0.6)) {
+      req.prompt = prior_prompts[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(prior_prompts.size()) - 1))];
+    }
+    const int64_t extra = rng.UniformInt(8, 300);
+    for (int64_t k = 0; k < extra; ++k) {
+      req.prompt.push_back(fresh++);
+    }
+    const int64_t out = rng.UniformInt(1, 200);
+    for (int64_t k = 0; k < out; ++k) {
+      req.output.push_back(fresh++);
+    }
+    prior_prompts.push_back(req.prompt);
+    sim.ScheduleAfter(static_cast<SimDuration>(rng.Exponential(1.0) * 2e5),
+                      [&replica, req = std::move(req)]() mutable {
+                        replica.Enqueue(std::move(req), {});
+                      });
+  }
+
+  int64_t probes = 0;
+  PeriodicTask heartbeat(&sim, Milliseconds(7), [&] {
+    const ProbePayload probe = replica.Probe();
+    const PrefixCache::BlockOccupancy occ = replica.cache().CountBlocksSlow();
+    const KvController& kv = replica.kv();
+    ASSERT_EQ(probe.free_blocks,
+              std::max<int64_t>(0, kv.free_blocks() + occ.evictable_blocks -
+                                       kv.committed_blocks()))
+        << "probe " << probes;
+    const Replica::LoadSnapshot snap = replica.Snapshot();
+    ASSERT_EQ(snap.cache_blocks, occ.held_blocks) << "probe " << probes;
+    ASSERT_EQ(snap.evictable_blocks, occ.evictable_blocks)
+        << "probe " << probes;
+    ASSERT_TRUE(replica.CheckInvariants()) << "probe " << probes;
+    ++probes;
+    if (replica.stats().completed == kRequests) {
+      heartbeat.Stop();
+    }
+  });
+  heartbeat.Start();
+  sim.Run();
+
+  EXPECT_EQ(replica.stats().completed, kRequests);
+  EXPECT_GT(probes, 100);
+  EXPECT_GT(replica.cache().eviction_stats().victims, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Heartbeats, ReplicaProbeOracleTest,
+    ::testing::Combine(::testing::Values(int32_t{1}, int32_t{16}),
+                       ::testing::Values(PreemptPolicy::kRecompute,
+                                         PreemptPolicy::kSwap),
+                       ::testing::Values(1u, 2u)));
 
 TEST(ReplicaEdgeCaseTest, SingleTokenOutput) {
   Simulator sim;

@@ -560,6 +560,51 @@ TEST(ReplicaProbeTest, EwmaOnlyFoldsStepsThatDecoded) {
   EXPECT_EQ(replica.stats().engine_steps, probe.latency_samples + 2);
 }
 
+TEST(ReplicaProbeTest, FreeCapacityRunningSumMatchesBatchLoop) {
+  // EstimateFreeCapacity reads a running sum of (prompt - cached) over the
+  // batch; Replica::CheckInvariants recomputes it with the loop it
+  // replaced. Step event by event through admissions, completions,
+  // recompute or swap preemptions, swap-ins, and a mid-flight crash, in
+  // coarse and paged mode.
+  for (int32_t block_size : {int32_t{1}, int32_t{16}}) {
+    for (PreemptPolicy policy :
+         {PreemptPolicy::kRecompute, PreemptPolicy::kSwap}) {
+      SCOPED_TRACE(testing::Message() << "block " << block_size << " swap "
+                                      << (policy == PreemptPolicy::kSwap));
+      Simulator sim;
+      ReplicaConfig config;
+      config.kv_capacity_tokens = 4096;
+      config.kv_block_size_tokens = block_size;
+      config.kv_preempt_policy = policy;
+      config.output_reserve_tokens = 64;
+      Replica replica(&sim, 0, 0, config);
+      for (int i = 0; i < 32; ++i) {
+        // Pairs share a prompt, so admission-time cache hits vary.
+        replica.Enqueue(MakeRequest(static_cast<RequestId>(i), 300,
+                                    100 + (i % 4) * 100,
+                                    static_cast<Token>(i / 2) * 10000),
+                        {});
+      }
+      int64_t events = 0;
+      while (sim.now() < Seconds(12) && sim.Step()) {
+        ASSERT_TRUE(replica.CheckInvariants()) << "event " << events;
+        ++events;
+      }
+      EXPECT_GT(replica.stats().completed, 0);
+      EXPECT_GT(replica.stats().preemptions, 0);
+      if (policy == PreemptPolicy::kSwap) {
+        EXPECT_GT(replica.kv().counters().swap_ins, 0);
+      }
+      ASSERT_GT(replica.running_count(), 0);
+      replica.Crash();
+      EXPECT_TRUE(replica.CheckInvariants());
+      EXPECT_EQ(replica.running_count(), 0);
+      sim.Run();
+      EXPECT_TRUE(replica.CheckInvariants());
+    }
+  }
+}
+
 TEST(ReplicaProbeTest, MidStepArrivalCountsAsPending) {
   // A request that arrives while a step is in flight is admittable at the
   // next step boundary, but until then the probe counts it as pending: that

@@ -80,6 +80,14 @@ SKYWALKER_NOINLINE void operator delete(void* p, std::align_val_t) noexcept {
 SKYWALKER_NOINLINE void operator delete[](void* p, std::align_val_t) noexcept {
   ::operator delete(p);
 }
+SKYWALKER_NOINLINE void operator delete(void* p, size_t,
+                                        std::align_val_t) noexcept {
+  ::operator delete(p);
+}
+SKYWALKER_NOINLINE void operator delete[](void* p, size_t,
+                                          std::align_val_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace skywalker {
 namespace {

@@ -58,6 +58,18 @@ SKYWALKER_NOINLINE void* operator new(size_t size, std::align_val_t align) {
 SKYWALKER_NOINLINE void* operator new[](size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
+// std::stable_sort's temporary buffer (Tracer::Merged) comes from the
+// nothrow form and goes back through sized delete; replacing it too keeps
+// every allocation on malloc/free, so ASan sees matched pairs.
+SKYWALKER_NOINLINE void* operator new(size_t size,
+                                      const std::nothrow_t&) noexcept {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+SKYWALKER_NOINLINE void* operator new[](size_t size,
+                                        const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 SKYWALKER_NOINLINE void operator delete(void* p) noexcept { std::free(p); }
 SKYWALKER_NOINLINE void operator delete[](void* p) noexcept {
   ::operator delete(p);
@@ -72,6 +84,14 @@ SKYWALKER_NOINLINE void operator delete(void* p, std::align_val_t) noexcept {
   ::operator delete(p);
 }
 SKYWALKER_NOINLINE void operator delete[](void* p,
+                                          std::align_val_t) noexcept {
+  ::operator delete(p);
+}
+SKYWALKER_NOINLINE void operator delete(void* p, size_t,
+                                        std::align_val_t) noexcept {
+  ::operator delete(p);
+}
+SKYWALKER_NOINLINE void operator delete[](void* p, size_t,
                                           std::align_val_t) noexcept {
   ::operator delete(p);
 }
