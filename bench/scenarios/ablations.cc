@@ -22,7 +22,7 @@
 #include "bench/scenarios/scenarios.h"
 #include "src/analysis/metrics.h"
 #include "src/common/table.h"
-#include "src/harness/experiment.h"
+#include "src/harness/run.h"
 #include "src/lb/policies.h"
 #include "src/net/topology.h"
 
@@ -30,26 +30,22 @@ namespace skywalker {
 
 namespace {
 
-SystemSpec AblationBaseSystem() {
-  SystemSpec spec;
-  spec.kind = SystemKind::kSkyWalker;
-  spec.replicas_per_region = {2, 2, 2};
-  spec.replica_config.max_running_requests = 32;
-  spec.replica_config.kv_capacity_tokens = 40960;
-  return spec;
-}
-
-ExperimentConfig AblationConfig(bool smoke) {
-  ExperimentConfig config;
-  config.warmup = smoke ? Seconds(5) : Seconds(30);
-  config.measure = smoke ? Seconds(15) : Seconds(150);
-  return config;
-}
-
-WorkloadSpec AblationWorkload(uint64_t canonical_seed,
-                              const ScenarioOptions& options) {
-  WorkloadSpec spec = UniformChatWorkload(
-      options.smoke ? 8 : 30, MixSeed(canonical_seed, options.seed_stream));
+// The ablation studies' base run: SkyWalker on {2,2,2} L4-band replicas
+// under uniform WildChat load at 1 s pacing.
+RunSpec AblationRun(uint64_t canonical_seed, const ScenarioOptions& options) {
+  RunSpec spec;
+  spec.system.kind = SystemKind::kSkyWalker;
+  spec.system.replicas_per_region = {2, 2, 2};
+  spec.system.replica_config.max_running_requests = 32;
+  spec.system.replica_config.kv_capacity_tokens = 40960;
+  spec.warmup = options.smoke ? Seconds(5) : Seconds(30);
+  spec.measure = options.smoke ? Seconds(15) : Seconds(150);
+  ClientConfig pacing;
+  pacing.think_time_mean = Seconds(1);
+  pacing.program_gap_mean = Seconds(1);
+  const int clients = options.smoke ? 8 : 30;
+  spec.workload = ChatWorkload({clients, clients, clients}, pacing,
+                               MixSeed(canonical_seed, options.seed_stream));
   return spec;
 }
 
@@ -83,13 +79,9 @@ Scenario MakeAblationProbeIntervalScenario() {
         for (int ms : {20, 50, 100, 200, 400}) {
           const std::string label = std::to_string(ms) + " ms";
           cells.push_back(ScenarioCell{label, [ms, label, options] {
-            SystemSpec spec = AblationBaseSystem();
-            spec.skywalker.engine.probe_interval = Milliseconds(ms);
-            MetricRow row = ExperimentMetricRow(
-                label, RunExperiment(Topology::ThreeContinents(), spec,
-                                     AblationWorkload(1201, options),
-                                     AblationConfig(options.smoke)),
-                6);
+            RunSpec spec = AblationRun(1201, options);
+            spec.system.skywalker.engine.probe_interval = Milliseconds(ms);
+            MetricRow row = RunMetricRow(label, Run(spec), 6);
             row.Dim("probe_interval_ms", std::to_string(ms));
             return std::vector<MetricRow>{std::move(row)};
           }});
@@ -108,13 +100,9 @@ Scenario MakeAblationPushSlackScenario() {
         for (int slack : {1, 4, 16, 32, 128}) {
           const std::string label = std::to_string(slack);
           cells.push_back(ScenarioCell{label, [slack, label, options] {
-            SystemSpec spec = AblationBaseSystem();
-            spec.skywalker.engine.push_slack = slack;
-            MetricRow row = ExperimentMetricRow(
-                label, RunExperiment(Topology::ThreeContinents(), spec,
-                                     AblationWorkload(1202, options),
-                                     AblationConfig(options.smoke)),
-                6);
+            RunSpec spec = AblationRun(1202, options);
+            spec.system.skywalker.engine.push_slack = slack;
+            MetricRow row = RunMetricRow(label, Run(spec), 6);
             row.Dim("push_slack", label);
             return std::vector<MetricRow>{std::move(row)};
           }});
@@ -133,13 +121,9 @@ Scenario MakeAblationExploreThresholdScenario() {
         for (double threshold : {0.0, 0.25, 0.5, 0.75, 1.01}) {
           const std::string label = Table::Num(threshold, 2);
           cells.push_back(ScenarioCell{label, [threshold, label, options] {
-            SystemSpec spec = AblationBaseSystem();
-            spec.skywalker.routing.explore_threshold = threshold;
-            MetricRow row = ExperimentMetricRow(
-                label, RunExperiment(Topology::ThreeContinents(), spec,
-                                     AblationWorkload(1203, options),
-                                     AblationConfig(options.smoke)),
-                6);
+            RunSpec spec = AblationRun(1203, options);
+            spec.system.skywalker.routing.explore_threshold = threshold;
+            MetricRow row = RunMetricRow(label, Run(spec), 6);
             row.Dim("explore_threshold", label);
             return std::vector<MetricRow>{std::move(row)};
           }});
@@ -158,26 +142,24 @@ Scenario MakeAblationMigrationControlScenario() {
         auto run = [options](const std::string& label,
                              double affinity_threshold, int patience,
                              bool use_defaults) {
-          SystemSpec spec = AblationBaseSystem();
-          spec.replicas_per_region = {3, 3, 3};
+          RunSpec spec = AblationRun(1204, options);
+          // The migration study runs the larger {3,3,3} fleet.
+          spec.system.replicas_per_region = {3, 3, 3};
+          RoutingRuntimeConfig& routing = spec.system.skywalker.routing;
           if (!use_defaults) {
             if (affinity_threshold > 0) {
-              spec.skywalker.routing.remote_affinity_threshold = affinity_threshold;
+              routing.remote_affinity_threshold = affinity_threshold;
             }
             if (patience >= 0) {
-              spec.skywalker.routing.forward_patience = patience;
+              routing.forward_patience = patience;
             }
           }
-          WorkloadSpec skew = SkewedChatWorkload(
-              {120, 40, 40}, MixSeed(1204, options.seed_stream));
+          spec.workload = ChatWorkload({120, 40, 40}, ChatClientConfig(),
+                                       MixSeed(1204, options.seed_stream));
           if (options.smoke) {
-            skew.ScaleClients(0.25);
+            spec.workload.ScaleClients(0.25);
           }
-          // The migration study runs the larger {3,3,3} fleet.
-          MetricRow row = ExperimentMetricRow(
-              label, RunExperiment(Topology::ThreeContinents(), spec, skew,
-                                   AblationConfig(options.smoke)),
-              9);
+          MetricRow row = RunMetricRow(label, Run(spec), 9);
           row.Dim("setting", label);
           return std::vector<MetricRow>{std::move(row)};
         };
@@ -212,6 +194,7 @@ Scenario MakeAblationHeterogeneousScenario() {
                           metric_keys::kTtftP90, "fast_device_share_pct",
                           metric_keys::kCompleted};
   scenario.plan = [](const ScenarioOptions& options) {
+    // Hand-wired: per-replica device configs are not a RunSpec option.
     auto run = [options](PushMode mode, const std::string& label) {
       Simulator sim;
       Topology topology;
@@ -317,15 +300,13 @@ Scenario MakeAblationShortPromptScenario() {
           const std::string label =
               threshold == 0 ? "disabled" : std::to_string(threshold) + " tok";
           cells.push_back(ScenarioCell{label, [threshold, label, options] {
-            WorkloadSpec spec = AblationWorkload(1206, options);
-            spec.conversation.lengths.input_mu = 3.4;  // Shorter messages.
-            spec.conversation.turns_mean = 2;
-            SystemSpec system = AblationBaseSystem();
-            system.skywalker.routing.short_prompt_threshold = threshold;
-            MetricRow row = ExperimentMetricRow(
-                label, RunExperiment(Topology::ThreeContinents(), system,
-                                     spec, AblationConfig(options.smoke)),
-                6);
+            RunSpec spec = AblationRun(1206, options);
+            ConversationWorkloadConfig& conversation =
+                spec.workload.conversation;
+            conversation.lengths.input_mu = 3.4;  // Shorter messages.
+            conversation.turns_mean = 2;
+            spec.system.skywalker.routing.short_prompt_threshold = threshold;
+            MetricRow row = RunMetricRow(label, Run(spec), 6);
             row.Dim("short_prompt_threshold", std::to_string(threshold));
             return std::vector<MetricRow>{std::move(row)};
           }});

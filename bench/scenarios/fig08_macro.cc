@@ -21,8 +21,7 @@
 #include <vector>
 
 #include "bench/scenarios/scenarios.h"
-#include "src/harness/experiment.h"
-#include "src/net/topology.h"
+#include "src/harness/run.h"
 
 namespace skywalker {
 
@@ -70,16 +69,6 @@ MacroWorkloadCase MakeCase(int workload, const ScenarioOptions& options) {
   return wc;
 }
 
-ExperimentConfig MacroConfig(bool smoke) {
-  ExperimentConfig config;
-  // Durations hold the system at the paper's high-utilization operating
-  // point. Much longer windows let closed-loop conversations accumulate
-  // context until every system collapses into queueing-dominated overload,
-  // which masks the routing effects the figure is about.
-  config.warmup = smoke ? Seconds(5) : Seconds(30);
-  config.measure = smoke ? Seconds(15) : Seconds(120);
-  return config;
-}
 
 }  // namespace
 
@@ -102,14 +91,20 @@ Scenario MakeFig08MacroScenario() {
                                   std::string(SystemKindName(kind));
         plan.cells.push_back(ScenarioCell{label, [w, kind, options, label] {
           MacroWorkloadCase wc = MakeCase(w, options);
-          SystemSpec spec = MacroSystemSpec(kind, wc.replicas_per_region);
-          ExperimentResult result =
-              RunExperiment(Topology::ThreeContinents(), spec, wc.spec,
-                            MacroConfig(options.smoke));
+          RunSpec spec;
+          spec.system = MacroSystemSpec(kind, wc.replicas_per_region);
+          spec.workload = wc.spec;
+          // Durations hold the system at the paper's high-utilization
+          // operating point. Much longer windows let closed-loop
+          // conversations accumulate context until every system collapses
+          // into queueing-dominated overload, which masks the routing
+          // effects the figure is about.
+          spec.warmup = options.smoke ? Seconds(5) : Seconds(30);
+          spec.measure = options.smoke ? Seconds(15) : Seconds(120);
           const int replicas =
               std::accumulate(wc.replicas_per_region.begin(),
                               wc.replicas_per_region.end(), 0);
-          MetricRow row = ExperimentMetricRow(label, result, replicas);
+          MetricRow row = RunMetricRow(label, Run(spec), replicas);
           row.Dim("workload", wc.name);
           row.Dim("system", std::string(SystemKindName(kind)));
           return std::vector<MetricRow>{std::move(row)};

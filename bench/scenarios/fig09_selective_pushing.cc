@@ -7,18 +7,12 @@
 // over SP-O, with a dramatically lower P90 TTFT than BP (paper: 18.47x) and
 // a higher cache hit rate (89.9% vs 68.9%).
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/scenarios/scenarios.h"
 #include "src/analysis/cost_model.h"
-#include "src/analysis/metrics.h"
-#include "src/lb/policies.h"
-#include "src/net/network.h"
-#include "src/sim/simulator.h"
-#include "src/workload/client.h"
-#include "src/workload/tot.h"
+#include "src/harness/run.h"
 
 namespace skywalker {
 
@@ -36,45 +30,33 @@ constexpr int kClients = 40;
 
 MetricRow RunPushMode(PushMode mode, const std::string& label,
                       const ScenarioOptions& options) {
-  Simulator sim;
-  Topology topology;
-  topology.AddRegion("local", Milliseconds(1));
-  Network net(&sim, topology);
-
-  ReplicaConfig rconfig;
+  RunSpec spec;
+  spec.topology = Topology();
+  spec.topology.AddRegion("local", Milliseconds(1));
+  spec.system.kind = SystemKind::kSglRouter;
+  spec.system.replicas_per_region = {kReplicas};
   // Paper §3.3: the same L4 sustains 20-50 concurrent requests depending on
   // lengths; cap mid-band so the batch actually fills under load.
-  rconfig.max_running_requests = 32;
+  spec.system.replica_config.max_running_requests = 32;
   // 24 GB L4 minus 16 GB weights and runtime overheads leaves ~4 GB of KV
   // at 128 KiB/token.
-  rconfig.output_reserve_tokens = 128;
-  rconfig.kv_capacity_tokens = 32768;
-  std::vector<std::unique_ptr<Replica>> replicas;
-  for (int i = 0; i < kReplicas; ++i) {
-    replicas.push_back(std::make_unique<Replica>(&sim, i, 0, rconfig));
-  }
-  LbConfig config;
-  config.engine.push_mode = mode;
-  config.engine.max_outstanding_per_replica = 24;  // SP-O's fixed threshold.
+  spec.system.replica_config.output_reserve_tokens = 128;
+  spec.system.replica_config.kv_capacity_tokens = 32768;
+  DispatchConfig& engine = spec.system.baseline_lb.engine;
+  engine.push_mode = mode;
+  engine.max_outstanding_per_replica = 24;  // SP-O's fixed threshold.
   // Burst bound: big enough to fill a freed batch within one probe window,
   // small enough that pushes between probes cannot blow past the replica's
   // memory (the balance SP-P relies on).
-  config.engine.push_slack = 32;
-  SglRouterLb lb(&sim, &net, 0, 0, config);
-  for (auto& replica : replicas) {
-    lb.AttachReplica(replica.get());
-  }
-  lb.Start();
+  engine.push_slack = 32;
+  spec.warmup = options.smoke ? Seconds(5) : Seconds(30);
+  spec.measure = options.smoke ? Seconds(20) : Seconds(240);
 
-  SingleFrontendResolver resolver(&lb);
-  MetricsCollector metrics;
-  const SimDuration warmup = options.smoke ? Seconds(5) : Seconds(30);
-  const SimDuration measure = options.smoke ? Seconds(20) : Seconds(240);
-  metrics.SetMeasurementWindow(warmup, warmup + measure);
-
-  ToTConfig tot;
-  tot.depth = 4;
-  tot.branching = 2;
+  ClientGroup group;
+  group.kind = ClientGroup::Kind::kToT;
+  group.count = options.smoke ? kClients / 4 : kClients;
+  group.tot.depth = 4;
+  group.tot.branching = 2;
   // GSM8K-with-ToT prompting carries the question plus few-shot exemplars
   // and proposal instructions, so prompts are long; reasoning steps are
   // decode-heavy with strongly heavy-tailed lengths (§2.3). The decode
@@ -82,60 +64,37 @@ MetricRow RunPushMode(PushMode mode, const std::string& label,
   // their output reservation mid-flight, so a policy that keeps batches
   // maximally full (BP) converts length unpredictability into cache
   // eviction, while SP-P's pending gate leaves decode headroom.
-  tot.question_len_mean = 800;
-  tot.thought_len_mean = 250;
-  tot.thought_len_sigma = 1.2;
-  ToTGenerator generator(tot, MixSeed(909, options.seed_stream));
-  ClientConfig client_config;
-  client_config.think_time_mean = Milliseconds(200);
-  client_config.program_gap_mean = Seconds(1);
-  std::vector<std::unique_ptr<ToTClient>> clients;
-  const int num_clients = options.smoke ? kClients / 4 : kClients;
-  for (int i = 0; i < num_clients; ++i) {
-    clients.push_back(std::make_unique<ToTClient>(
-        &sim, &net, &resolver, &generator, &metrics, 0, client_config,
-        MixSeed(1000 + static_cast<uint64_t>(i), options.seed_stream)));
-    clients.back()->Start(Milliseconds(i * 50));
-  }
-  sim.RunUntil(warmup + measure);
+  group.tot.question_len_mean = 800;
+  group.tot.thought_len_mean = 250;
+  group.tot.thought_len_sigma = 1.2;
+  group.client = ToTClientConfig();
+  spec.workload.groups.push_back(group);
+  spec.workload.seed = MixSeed(909, options.seed_stream);
+  const RunResult result = Run(spec);
 
   MetricRow row;
   row.label = label;
   row.Dim("policy", label);
-  Distribution ttft = metrics.TtftSeconds();
-  Distribution e2e = metrics.E2eSeconds();
-  row.Set(metric_keys::kThroughputTokS, metrics.ThroughputTokensPerSec());
-  row.Set(metric_keys::kOutputTokS, metrics.OutputThroughputTokensPerSec());
-  row.Set(metric_keys::kTtftP50, ttft.empty() ? 0.0 : ttft.Percentile(50));
-  row.Set(metric_keys::kTtftP90, ttft.empty() ? 0.0 : ttft.Percentile(90));
-  row.Set(metric_keys::kTtftP99, ttft.empty() ? 0.0 : ttft.Percentile(99));
-  row.Set(metric_keys::kTtftMean, ttft.empty() ? 0.0 : ttft.mean());
-  row.Set(metric_keys::kE2eP50, e2e.empty() ? 0.0 : e2e.Percentile(50));
-  row.Set(metric_keys::kE2eP90, e2e.empty() ? 0.0 : e2e.Percentile(90));
-  row.Set(metric_keys::kE2eP99, e2e.empty() ? 0.0 : e2e.Percentile(99));
-  int64_t hits = 0;
-  int64_t lookups = 0;
-  for (auto& replica : replicas) {
-    hits += replica->cache().hit_tokens();
-    lookups += replica->cache().lookup_tokens();
-  }
-  row.Set(metric_keys::kCacheHitRate,
-          lookups == 0
-              ? 0.0
-              : static_cast<double>(hits) / static_cast<double>(lookups));
+  row.Set(metric_keys::kThroughputTokS, result.throughput_tok_s);
+  row.Set(metric_keys::kOutputTokS, result.output_throughput_tok_s);
+  row.Set(metric_keys::kTtftP50, result.ttft_p50_s);
+  row.Set(metric_keys::kTtftP90, result.ttft_p90_s);
+  row.Set(metric_keys::kTtftP99,
+          result.ttft.empty() ? 0.0 : result.ttft.Percentile(99));
+  row.Set(metric_keys::kTtftMean, result.ttft_mean_s);
+  row.Set(metric_keys::kE2eP50, result.e2e_p50_s);
+  row.Set(metric_keys::kE2eP90, result.e2e_p90_s);
+  row.Set(metric_keys::kE2eP99,
+          result.e2e.empty() ? 0.0 : result.e2e.Percentile(99));
+  row.Set(metric_keys::kCacheHitRate, result.cache_hit_rate);
   row.Set(metric_keys::kForwardRate, 0.0);  // Single region.
-  row.Set(metric_keys::kCompleted,
-          static_cast<double>(metrics.CountInWindow()));
+  row.Set(metric_keys::kCompleted, static_cast<double>(result.completed));
   row.Set(metric_keys::kCostUsdPerHour,
           kReplicas * Pricing().reserved_hourly);
   // Preemptions are the churn mechanism the figure is about: a replica that
   // outgrows its KV during decode restarts its youngest sequences from
   // scratch, turning imbalance into redundant prefill.
-  int64_t preemptions = 0;
-  for (auto& replica : replicas) {
-    preemptions += replica->stats().preemptions;
-  }
-  row.Set(metric_keys::kPreemptions, static_cast<double>(preemptions));
+  row.Set(metric_keys::kPreemptions, static_cast<double>(result.preemptions));
   return row;
 }
 

@@ -11,8 +11,7 @@
 
 #include "bench/scenarios/scenarios.h"
 #include "src/analysis/cost_model.h"
-#include "src/harness/experiment.h"
-#include "src/net/topology.h"
+#include "src/harness/run.h"
 
 namespace skywalker {
 
@@ -30,26 +29,23 @@ std::vector<int> EvenSplit(int total) {
 
 MetricRow RunOne(SystemKind kind, int total_replicas,
                  const ScenarioOptions& options) {
-  SystemSpec spec;
-  spec.kind = kind;
-  spec.replicas_per_region = EvenSplit(total_replicas);
+  RunSpec spec;
+  spec.system.kind = kind;
+  spec.system.replicas_per_region = EvenSplit(total_replicas);
   // L4 band (paper: 20-50 concurrent requests per replica): the batch must
   // actually fill under regional overload for offloading to engage.
-  spec.replica_config.max_running_requests = 32;
-  spec.replica_config.kv_capacity_tokens = 40960;
-  ExperimentConfig config;
-  config.warmup = options.smoke ? Seconds(5) : Seconds(60);
-  config.measure = options.smoke ? Seconds(15) : Seconds(300);
-  WorkloadSpec workload =
-      SkewedChatWorkload({120, 40, 40}, MixSeed(101, options.seed_stream));
+  spec.system.replica_config.max_running_requests = 32;
+  spec.system.replica_config.kv_capacity_tokens = 40960;
+  spec.warmup = options.smoke ? Seconds(5) : Seconds(60);
+  spec.measure = options.smoke ? Seconds(15) : Seconds(300);
+  spec.workload = ChatWorkload({120, 40, 40}, ChatClientConfig(),
+                               MixSeed(101, options.seed_stream));
   if (options.smoke) {
-    workload.ScaleClients(0.25);
+    spec.workload.ScaleClients(0.25);
   }
-  ExperimentResult result =
-      RunExperiment(Topology::ThreeContinents(), spec, workload, config);
   const std::string label = std::to_string(total_replicas) + "/" +
                             std::string(SystemKindName(kind));
-  MetricRow row = ExperimentMetricRow(label, result, total_replicas);
+  MetricRow row = RunMetricRow(label, Run(spec), total_replicas);
   row.Dim("replicas", std::to_string(total_replicas));
   row.Dim("system", std::string(SystemKindName(kind)));
   return row;

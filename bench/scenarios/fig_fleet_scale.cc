@@ -4,7 +4,7 @@
 // replicas.
 //
 // Every cell runs on the ShardedSimulator (one shard per region, 4 worker
-// threads) via the fleet harness, whose results are bit-identical across
+// threads) via the run harness, whose results are bit-identical across
 // shard and thread counts — so this golden doubles as a cross-host
 // determinism check for the parallel engine. The `spp_r1000_shards1` cell
 // re-runs the headline cell on a single shard; its metric row must match
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench/scenarios/scenarios.h"
-#include "src/harness/fleet.h"
+#include "src/harness/run.h"
 #include "src/harness/runner.h"
 
 namespace skywalker {
@@ -45,30 +45,32 @@ struct FleetCase {
 };
 
 MetricRow RunFleetCase(const FleetCase& c, const ScenarioOptions& options) {
-  FleetSpec spec;
+  RunSpec spec;
   spec.topology = Topology::FourRegions();
   const int per_region = c.total_replicas / kRegions;
-  spec.replicas_per_region.assign(kRegions, per_region);
+  spec.system.replicas_per_region.assign(kRegions, per_region);
   // Closed-loop load proportional to fleet size: two clients per replica
   // (one in smoke) with sub-second think times holds every scale at the
   // same busy-but-not-collapsed operating point, where push-mode gating and
   // probe staleness actually change placements.
-  spec.clients_per_region = options.smoke ? per_region : per_region * 2;
-  spec.client.think_time_mean = Milliseconds(500);
-  spec.client.program_gap_mean = Seconds(1);
+  ClientConfig client;
+  client.think_time_mean = Milliseconds(500);
+  client.program_gap_mean = Seconds(1);
+  spec.workload = ChatWorkload(
+      std::vector<int>(kRegions, options.smoke ? per_region : per_region * 2),
+      client, MixSeed(6001, options.seed_stream));
   // Small-batch replicas (paper §3.3 low band) so the operating point sits
   // near the admission cap without needing 10k+ client actors.
-  spec.replica_config.max_running_requests = 8;
-  spec.replica_config.kv_capacity_tokens = 24576;
-  spec.lb.engine.push_mode = c.push_mode;
-  spec.lb.engine.probe_interval = c.probe_interval;
+  spec.system.replica_config.max_running_requests = 8;
+  spec.system.replica_config.kv_capacity_tokens = 24576;
+  spec.system.skywalker.engine.push_mode = c.push_mode;
+  spec.system.skywalker.engine.probe_interval = c.probe_interval;
   spec.warmup = options.smoke ? Seconds(2) : Seconds(10);
   spec.measure = options.smoke ? Seconds(8) : Seconds(60);
-  spec.seed = MixSeed(6001, options.seed_stream);
   spec.num_shards = c.num_shards;
   spec.num_threads = c.num_threads;
 
-  FleetResult result = RunFleetExperiment(spec);
+  RunResult result = Run(spec);
 
   CellShardTiming timing;
   timing.scenario = "fig_fleet_scale";
@@ -87,8 +89,7 @@ MetricRow RunFleetCase(const FleetCase& c, const ScenarioOptions& options) {
   }
   ShardTimingRegistry::Instance().Record(std::move(timing));
 
-  MetricRow row = ExperimentMetricRow(c.label, result.metrics,
-                                      c.total_replicas);
+  MetricRow row = RunMetricRow(c.label, result, c.total_replicas);
   row.Dim("push", c.push_mode == PushMode::kBlind ? "BP" : "SP-P");
   row.Dim("replicas", std::to_string(c.total_replicas));
   row.Dim("probe_ms",
@@ -173,7 +174,7 @@ Scenario MakeFleetScaleScenario() {
         }
       }
       // The determinism pair: every metric of the 4-shard and 1-shard runs
-      // must agree exactly (the fleet harness contract).
+      // must agree exactly (the run harness contract).
       const MetricRow* sharded = FindRow(report.rows, "spp_r1000");
       const MetricRow* single = FindRow(report.rows, "spp_r1000_shards1");
       double determinism_ok = 0.0;

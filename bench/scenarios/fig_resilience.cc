@@ -1,5 +1,5 @@
 // Resilience pack (ISSUE 7): hostile scenarios for the health state machine,
-// passive outlier ejection, and hot config reswap, all on the fleet harness.
+// passive outlier ejection, and hot config reswap, all on the run harness.
 //
 // Cells:
 //  * blackout_resil / blackout_noresil — region 1 loses its LB and all of
@@ -28,7 +28,7 @@
 
 #include "bench/scenarios/scenarios.h"
 #include "src/common/hash.h"
-#include "src/harness/fleet.h"
+#include "src/harness/run.h"
 #include "src/obs/trace.h"
 
 namespace skywalker {
@@ -65,22 +65,24 @@ SimDuration RequestTimeout(const ScenarioOptions& options) {
 
 // The common fleet: 4 replicas per region, SP-P, closed-loop clients pinned
 // to the busy-but-stable operating point of fig_fleet_scale.
-FleetSpec BaseSpec(const ScenarioOptions& options) {
+RunSpec BaseSpec(const ScenarioOptions& options) {
   const ResilienceDurations d = Durations(options);
-  FleetSpec spec;
+  RunSpec spec;
   spec.topology = Topology::FourRegions();
-  spec.replicas_per_region.assign(kRegions, 4);
-  spec.clients_per_region = options.smoke ? 4 : 8;
-  spec.client.think_time_mean = Milliseconds(500);
-  spec.client.program_gap_mean = Seconds(1);
-  spec.replica_config.max_running_requests = 8;
-  spec.replica_config.kv_capacity_tokens = 24576;
+  spec.system.replicas_per_region.assign(kRegions, 4);
+  spec.system.replica_config.max_running_requests = 8;
+  spec.system.replica_config.kv_capacity_tokens = 24576;
+  ClientConfig client;
+  client.think_time_mean = Milliseconds(500);
+  client.program_gap_mean = Seconds(1);
+  // Quiesce before the drain so lost_forever accounting converges.
+  client.stop_issuing_after = d.warmup + d.measure;
+  spec.workload =
+      ChatWorkload(std::vector<int>(kRegions, options.smoke ? 4 : 8), client,
+                   MixSeed(7001, options.seed_stream));
   spec.warmup = d.warmup;
   spec.measure = d.measure;
   spec.drain = d.drain;
-  // Quiesce before the drain so lost_forever accounting converges.
-  spec.client.stop_issuing_after = d.warmup + d.measure;
-  spec.seed = MixSeed(7001, options.seed_stream);
   return spec;
 }
 
@@ -99,12 +101,12 @@ OutlierConfig ResilienceOn(const ScenarioOptions& options) {
 }
 
 // Lifecycle tracing for one cell (--trace): installs a caller-owned Tracer
-// on the fleet spec and writes the TRACE_* artifacts after the run. Tracing
+// on the run spec and writes the TRACE_* artifacts after the run. Tracing
 // never perturbs the simulation, so traced cells report the same metrics.
 struct CellTrace {
   std::unique_ptr<Tracer> tracer;
 
-  void Arm(FleetSpec* spec, const ScenarioOptions& options) {
+  void Arm(RunSpec* spec, const ScenarioOptions& options) {
     if (!options.trace) {
       return;
     }
@@ -121,16 +123,15 @@ struct CellTrace {
   }
 };
 
-MetricRow ResilienceRow(const std::string& label, const FleetSpec& spec,
-                        const FleetResult& result) {
+MetricRow ResilienceRow(const std::string& label, const RunSpec& spec,
+                        const RunResult& result) {
   const double measure_sec = ToSeconds(spec.measure);
-  MetricRow row = ExperimentMetricRow(
-      label, result.metrics,
-      kRegions * spec.replicas_per_region[0]);
+  MetricRow row = RunMetricRow(label, result,
+                               kRegions * spec.system.replicas_per_region[0]);
   row.Set(metric_keys::kGoodputReqS,
           measure_sec <= 0
               ? 0.0
-              : static_cast<double>(result.metrics.completed) / measure_sec);
+              : static_cast<double>(result.completed) / measure_sec);
   row.Set(metric_keys::kLostForever,
           static_cast<double>(result.lost_forever));
   row.Set(metric_keys::kMisrouted,
@@ -150,40 +151,40 @@ MetricRow ResilienceRow(const std::string& label, const FleetSpec& spec,
 MetricRow RunBlackout(const std::string& label, bool resilience,
                       const ScenarioOptions& options) {
   const ResilienceDurations d = Durations(options);
-  FleetSpec spec = BaseSpec(options);
+  RunSpec spec = BaseSpec(options);
   // Plain mode: controller failover reassigns replicas across regions,
   // which is inherently cross-shard.
   spec.num_shards = 0;
   spec.num_threads = 1;
   // Recovery is driven by the scripted kLbRecover fault below.
-  spec.controller.auto_recovery_delay = 0;
+  spec.system.controller.auto_recovery_delay = 0;
   if (resilience) {
-    spec.lb.engine.outlier = ResilienceOn(options);
+    spec.system.skywalker.engine.outlier = ResilienceOn(options);
   }
 
   const SimTime fail_at = d.warmup + d.measure / 4;
   const SimTime recover_at = d.warmup + (d.measure * 3) / 5;
-  FleetFault lb_fail;
-  lb_fail.kind = FleetFault::kLbFail;
+  Fault lb_fail;
+  lb_fail.kind = Fault::kLbFail;
   lb_fail.at = fail_at;
   lb_fail.region = 1;
-  FleetFault replicas_fail;
-  replicas_fail.kind = FleetFault::kReplicaFail;
+  Fault replicas_fail;
+  replicas_fail.kind = Fault::kReplicaFail;
   replicas_fail.at = fail_at;
   replicas_fail.region = 1;
-  FleetFault replicas_recover;
-  replicas_recover.kind = FleetFault::kReplicaRecover;
+  Fault replicas_recover;
+  replicas_recover.kind = Fault::kReplicaRecover;
   replicas_recover.at = recover_at;
   replicas_recover.region = 1;
-  FleetFault lb_recover;
-  lb_recover.kind = FleetFault::kLbRecover;
+  Fault lb_recover;
+  lb_recover.kind = Fault::kLbRecover;
   lb_recover.at = recover_at + Milliseconds(100);
   lb_recover.region = 1;
   spec.faults = {lb_fail, replicas_fail, replicas_recover, lb_recover};
 
   CellTrace trace;
   trace.Arm(&spec, options);
-  FleetResult result = RunFleetExperiment(spec);
+  RunResult result = Run(spec);
   trace.Write(label, options,
               {{"resilience", resilience ? "on" : "off"}});
   return ResilienceRow(label, spec, result)
@@ -195,7 +196,7 @@ MetricRow RunBlackout(const std::string& label, bool resilience,
 
 MetricRow RunGray(const std::string& label, bool ejection,
                   const ScenarioOptions& options) {
-  FleetSpec spec = BaseSpec(options);
+  RunSpec spec = BaseSpec(options);
   spec.num_shards = kRegions;
   spec.num_threads = kRegions;
   if (ejection) {
@@ -203,7 +204,7 @@ MetricRow RunGray(const std::string& label, bool ejection,
     // Latency-only detection: stragglers answer probes and never "fail",
     // so keep the guarded timeout path out of the comparison.
     outlier.request_timeout = 0;
-    spec.lb.engine.outlier = outlier;
+    spec.system.skywalker.engine.outlier = outlier;
   }
   // One straggler per region, 8x decode. Milder than a hard hang on
   // purpose: at 8x the straggler still completes sequences, so it keeps
@@ -212,8 +213,8 @@ MetricRow RunGray(const std::string& label, bool ejection,
   // detector needs within the first ~15 s. The per-region median stays
   // healthy (1 straggler out of 4), so 8x trips latency_factor = 3.
   for (RegionId region = 0; region < kRegions; ++region) {
-    FleetFault slow;
-    slow.kind = FleetFault::kReplicaSlowdown;
+    Fault slow;
+    slow.kind = Fault::kReplicaSlowdown;
     slow.at = Seconds(1);
     slow.region = region;
     slow.replica_index = 0;
@@ -223,7 +224,7 @@ MetricRow RunGray(const std::string& label, bool ejection,
 
   CellTrace trace;
   trace.Arm(&spec, options);
-  FleetResult result = RunFleetExperiment(spec);
+  RunResult result = Run(spec);
   trace.Write(label, options, {{"ejection", ejection ? "on" : "off"}});
   return ResilienceRow(label, spec, result)
       .Dim("cell", "gray")
@@ -235,20 +236,18 @@ MetricRow RunGray(const std::string& label, bool ejection,
 MetricRow RunFlashCrowd(const std::string& label,
                         const ScenarioOptions& options) {
   const ResilienceDurations d = Durations(options);
-  FleetSpec spec = BaseSpec(options);
+  RunSpec spec = BaseSpec(options);
   spec.num_shards = kRegions;
   spec.num_threads = kRegions;
-  spec.lb.engine.outlier = ResilienceOn(options);
-  FleetClientWave wave;
-  wave.region = 0;
-  wave.count = spec.clients_per_region;
+  spec.system.skywalker.engine.outlier = ResilienceOn(options);
+  // A second cohort the size of region 0's population.
+  ClientGroup wave = spec.workload.groups[0];
   wave.start = d.warmup + (d.measure * 3) / 10;
-  wave.stop_issuing_after = d.warmup + d.measure;
-  spec.client_waves.push_back(wave);
+  spec.workload.groups.push_back(wave);
 
   CellTrace trace;
   trace.Arm(&spec, options);
-  FleetResult result = RunFleetExperiment(spec);
+  RunResult result = Run(spec);
   trace.Write(label, options);
   return ResilienceRow(label, spec, result).Dim("cell", "flash_crowd");
 }
@@ -258,26 +257,26 @@ MetricRow RunFlashCrowd(const std::string& label,
 MetricRow RunReswap(const std::string& label, int num_shards, int num_threads,
                     const ScenarioOptions& options) {
   const ResilienceDurations d = Durations(options);
-  FleetSpec spec = BaseSpec(options);
+  RunSpec spec = BaseSpec(options);
   spec.num_shards = num_shards;
   spec.num_threads = num_threads;
   spec.collect_trace = true;
 
   // The published snapshot flips the push discipline, routing policy, τ,
   // and probe cadence at once — a worst-case knob swap.
-  RuntimeConfig next = spec.lb.runtime();
+  RuntimeConfig next = spec.system.skywalker.runtime();
   next.dispatch.push_mode = PushMode::kBlind;
   next.dispatch.probe_interval = Milliseconds(200);
   next.routing.policy = RoutingPolicyKind::kConsistentHash;
   next.routing.queue_tau = 8;
-  FleetConfigUpdate update;
+  ConfigUpdate update;
   update.at = d.warmup + d.measure / 2;
   update.config = next;
   spec.config_updates.push_back(update);
 
   CellTrace trace;
   trace.Arm(&spec, options);
-  FleetResult result = RunFleetExperiment(spec);
+  RunResult result = Run(spec);
   trace.Write(label, options,
               {{"shards", std::to_string(num_shards)},
                {"threads", std::to_string(num_threads)}});

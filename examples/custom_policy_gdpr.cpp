@@ -8,6 +8,8 @@
 // The example overloads each side in turn and shows where traffic lands.
 //
 //   $ ./build/examples/custom_policy_gdpr
+//
+// Wired by hand on purpose: it walks through the raw Deployment API.
 
 #include <cstdio>
 

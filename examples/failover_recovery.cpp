@@ -5,6 +5,8 @@
 // its replicas transfer back.
 //
 //   $ ./build/examples/failover_recovery
+//
+// Wired by hand on purpose: it walks through the raw Deployment API.
 
 #include <cstdio>
 

@@ -5,6 +5,8 @@
 // region to the idle ones, then prints the provisioning-cost implication.
 //
 //   $ ./build/examples/multi_region_diurnal
+//
+// Wired by hand on purpose: it walks through the raw Deployment API.
 
 #include <cstdio>
 #include <memory>

@@ -6,6 +6,8 @@
 // This walks the full public API surface in ~80 lines:
 //   Topology -> Network -> Deployment (regional LBs + controller + DNS)
 //   ConversationGenerator -> ConversationClient -> MetricsCollector.
+//
+// Wired by hand on purpose: it walks through the raw Deployment API.
 
 #include <cstdio>
 

@@ -8,19 +8,21 @@
 //   $ ./build/examples/tree_of_thoughts
 
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <string>
 
-#include "src/analysis/metrics.h"
-#include "src/harness/experiment.h"
+#include "src/harness/run.h"
 
 using namespace skywalker;  // Example code; the library never does this.
 
 namespace {
 
-WorkloadSpec TreeWorkload() {
-  WorkloadSpec spec;
-  spec.seed = 404;
+void RunOne(SystemKind kind) {
+  RunSpec spec;
+  spec.system.kind = kind;
+  spec.system.replicas_per_region = {2, 2, 2};
+  spec.warmup = Seconds(20);
+  spec.measure = Seconds(120);
+  spec.workload.seed = 404;
   for (RegionId region = 0; region < 3; ++region) {
     ClientGroup group;
     group.kind = ClientGroup::Kind::kToT;
@@ -30,22 +32,10 @@ WorkloadSpec TreeWorkload() {
     group.tot.branching = 2;  // 15 expansion requests per tree.
     group.tot.question_len_mean = 600;
     group.tot.thought_len_mean = 150;
-    group.client.think_time_mean = Milliseconds(200);
-    group.client.program_gap_mean = Seconds(1);
-    spec.groups.push_back(group);
+    group.client = ToTClientConfig();
+    spec.workload.groups.push_back(group);
   }
-  return spec;
-}
-
-void RunOne(SystemKind kind) {
-  SystemSpec spec;
-  spec.kind = kind;
-  spec.replicas_per_region = {2, 2, 2};
-  ExperimentConfig config;
-  config.warmup = Seconds(20);
-  config.measure = Seconds(120);
-  ExperimentResult result = RunExperiment(Topology::ThreeContinents(), spec,
-                                          TreeWorkload(), config);
+  RunResult result = Run(spec);
   std::printf("%-14s tput %6.0f tok/s | TTFT p50 %6.3f s | hit %5.1f%% | "
               "%zu requests\n",
               std::string(result.system).c_str(), result.throughput_tok_s,

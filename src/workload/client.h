@@ -107,6 +107,7 @@ class ToTClient {
 
   size_t completed_requests() const { return completed_requests_; }
   size_t completed_trees() const { return completed_trees_; }
+  size_t issued_requests() const { return issued_requests_; }
 
  private:
   void BeginTree();
@@ -128,6 +129,7 @@ class ToTClient {
   ToTGenerator::Tree current_;
   int current_level_ = 0;
   size_t level_pending_ = 0;
+  size_t issued_requests_ = 0;
   size_t completed_requests_ = 0;
   size_t completed_trees_ = 0;
 };

@@ -114,8 +114,8 @@ MacroWorkloadCase MixedTreeMacroCase(uint64_t seed) {
   return wc;
 }
 
-WorkloadSpec SkewedChatWorkload(const std::vector<int>& counts,
-                                uint64_t seed) {
+WorkloadSpec ChatWorkload(const std::vector<int>& counts,
+                          const ClientConfig& client, uint64_t seed) {
   WorkloadSpec spec;
   spec.conversation = ConversationWorkloadConfig::WildChat();
   spec.seed = seed;
@@ -124,26 +124,7 @@ WorkloadSpec SkewedChatWorkload(const std::vector<int>& counts,
     group.kind = ClientGroup::Kind::kConversation;
     group.region = r;
     group.count = counts[static_cast<size_t>(r)];
-    group.client.think_time_mean = Seconds(2);
-    group.client.program_gap_mean = Seconds(2);
-    spec.groups.push_back(group);
-  }
-  return spec;
-}
-
-// (UniformChatWorkload pacing is 1 s think / 1 s gap, tighter than the chat
-// preset, matching the ablation studies' historical setup.)
-WorkloadSpec UniformChatWorkload(int clients_per_region, uint64_t seed) {
-  WorkloadSpec spec;
-  spec.conversation = ConversationWorkloadConfig::WildChat();
-  spec.seed = seed;
-  for (RegionId r = 0; r < 3; ++r) {
-    ClientGroup group;
-    group.kind = ClientGroup::Kind::kConversation;
-    group.region = r;
-    group.count = clients_per_region;
-    group.client.think_time_mean = Seconds(1);
-    group.client.program_gap_mean = Seconds(1);
+    group.client = client;
     spec.groups.push_back(group);
   }
   return spec;

@@ -1,8 +1,8 @@
 // Workload specification and the canonical workload presets of the paper's
-// evaluation (§5.1). WorkloadSpec/ClientGroup moved here from
-// src/harness/experiment.h so the workload layer owns its own configuration
-// and benchmark scenarios can share one set of paper-calibrated builders
-// instead of copy-pasting client tables.
+// evaluation (§5.1). The workload layer owns its own configuration, and
+// benchmark scenarios share one set of paper-calibrated builders instead of
+// copy-pasting client tables. src/harness/run.h turns a WorkloadSpec into
+// clients.
 
 #ifndef SKYWALKER_WORKLOAD_SPEC_H_
 #define SKYWALKER_WORKLOAD_SPEC_H_
@@ -23,13 +23,17 @@ struct ClientGroup {
   int count = 0;
   ToTConfig tot;  // Used when kind == kToT.
   ClientConfig client;
+  // The group's clients start staggered over [start, start + 5 s); a later
+  // start models a cohort arriving mid-run (flash crowd, diurnal shift).
+  SimDuration start = 0;
 };
 
 struct WorkloadSpec {
-  // Conversation groups share one generator (shared template pools drive
-  // cross-user prefix similarity); configure it here.
+  // Conversation clients fork one generator's template bank (shared
+  // template pools drive cross-user prefix similarity); configure it here.
   ConversationWorkloadConfig conversation;
   std::vector<ClientGroup> groups;
+  // Every client stream of a run derives from this seed.
   uint64_t seed = 42;
 
   // Multiplies every group's client count by `factor` (rounding up, so no
@@ -56,13 +60,10 @@ MacroWorkloadCase WildChatMacroCase(uint64_t seed);
 MacroWorkloadCase ToTMacroCase(uint64_t seed);
 MacroWorkloadCase MixedTreeMacroCase(uint64_t seed);
 
-// Regionally skewed WildChat load (Fig. 10 / migration ablation):
-// `counts[r]` clients per region at chat pacing.
-WorkloadSpec SkewedChatWorkload(const std::vector<int>& counts, uint64_t seed);
-
-// Uniform WildChat load, `clients_per_region` per region, 1 s pacing
-// (the ablation studies' base workload).
-WorkloadSpec UniformChatWorkload(int clients_per_region, uint64_t seed);
+// WildChat conversations: `counts[r]` clients in region r, all paced by
+// `client` (Fig. 10's regional skew, the ablations, the fleet scenarios).
+WorkloadSpec ChatWorkload(const std::vector<int>& counts,
+                          const ClientConfig& client, uint64_t seed);
 
 }  // namespace skywalker
 

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "src/common/logging.h"
 #include "src/common/strings.h"
 
 namespace skywalker {
@@ -22,6 +25,19 @@ ToTGenerator::ToTGenerator(const ToTConfig& config, uint64_t seed)
     : config_(config), rng_(seed) {
   assert(config_.depth >= 1);
   assert(config_.branching >= 1);
+}
+
+ToTGenerator::ToTGenerator(const ToTConfig& config, uint64_t seed,
+                           uint64_t client_index)
+    : ToTGenerator(config, seed) {
+  constexpr uint64_t kBandTokens = uint64_t{1} << 21;
+  constexpr uint64_t kMaxToken = std::numeric_limits<Token>::max();
+  SKYWALKER_CHECK(client_index <
+                  (kMaxToken - static_cast<uint64_t>(next_token_)) /
+                      kBandTokens)
+      << "ToT client index " << client_index << " overflows 32-bit tokens";
+  next_token_ += static_cast<Token>(client_index * kBandTokens);
+  next_session_ = static_cast<SessionId>((client_index + 1) * 1'000'000 + 1);
 }
 
 int64_t ToTGenerator::JitteredLen(int64_t mean) {

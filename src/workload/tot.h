@@ -40,6 +40,12 @@ struct ToTConfig {
 class ToTGenerator {
  public:
   ToTGenerator(const ToTConfig& config, uint64_t seed);
+  // Per-client generator (the run harness): fresh tokens and session ids —
+  // and so the `question-N` routing keys — come from bands private to
+  // `client_index`, so distinct clients never share a prefix or a key.
+  // Token ids are 32-bit: each band holds 2^21 tokens above 1e9, which
+  // bounds client_index below 547.
+  ToTGenerator(const ToTConfig& config, uint64_t seed, uint64_t client_index);
 
   struct Node {
     int level = 0;

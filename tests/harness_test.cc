@@ -1,14 +1,24 @@
-// Tests for the experiment harness: system construction for every kind,
-// workload drivers, and result invariants across seeds (the property layer
+// Tests for the run harness: system construction for every kind, the
+// client population, and result invariants across seeds (the property layer
 // the figure benches stand on).
 
 #include <gtest/gtest.h>
 
-#include "src/harness/experiment.h"
+#include <cstdio>
+#include <sstream>
+#include <string>
+
+#include "src/harness/run.h"
 #include "src/net/topology.h"
 
 namespace skywalker {
 namespace {
+
+constexpr SystemKind kAllKinds[] = {
+    SystemKind::kGkeGateway,  SystemKind::kRoundRobin,
+    SystemKind::kLeastLoad,   SystemKind::kConsistentHash,
+    SystemKind::kSglRouter,   SystemKind::kSkyWalkerCh,
+    SystemKind::kSkyWalker,   SystemKind::kRegionLocal};
 
 SystemSpec TinySystem(SystemKind kind) {
   SystemSpec spec;
@@ -35,22 +45,21 @@ WorkloadSpec TinyWorkload(uint64_t seed) {
   return spec;
 }
 
-ExperimentConfig TinyConfig() {
-  ExperimentConfig config;
-  config.warmup = Seconds(10);
-  config.measure = Seconds(40);
-  return config;
+RunSpec TinyRun(SystemKind kind, uint64_t seed) {
+  RunSpec spec;
+  spec.system = TinySystem(kind);
+  spec.workload = TinyWorkload(seed);
+  spec.warmup = Seconds(10);
+  spec.measure = Seconds(40);
+  spec.collect_trace = true;
+  return spec;
 }
 
 TEST(ServingSystemTest, BuildsEveryKindWithExpectedShape) {
   Simulator sim;
   Network net(&sim, Topology::ThreeContinents());
-  for (SystemKind kind :
-       {SystemKind::kGkeGateway, SystemKind::kRoundRobin,
-        SystemKind::kLeastLoad, SystemKind::kConsistentHash,
-        SystemKind::kSglRouter, SystemKind::kSkyWalkerCh,
-        SystemKind::kSkyWalker, SystemKind::kRegionLocal}) {
-    auto system = ServingSystem::Build(&sim, &net, TinySystem(kind));
+  for (SystemKind kind : kAllKinds) {
+    auto system = ServingSystem::Build(&net, TinySystem(kind));
     EXPECT_EQ(system->replicas().size(), 3u) << SystemKindName(kind);
     EXPECT_NE(system->resolver(), nullptr);
     bool is_skywalker = kind == SystemKind::kSkyWalker ||
@@ -66,7 +75,7 @@ TEST(ServingSystemTest, CentralBaselineResolvesToOneRegion) {
   Network net(&sim, Topology::ThreeContinents());
   SystemSpec spec = TinySystem(SystemKind::kLeastLoad);
   spec.central_lb_region = 2;
-  auto system = ServingSystem::Build(&sim, &net, spec);
+  auto system = ServingSystem::Build(&net, spec);
   for (RegionId client = 0; client < 3; ++client) {
     Frontend* fe = system->resolver()->Resolve(client);
     ASSERT_NE(fe, nullptr);
@@ -77,8 +86,7 @@ TEST(ServingSystemTest, CentralBaselineResolvesToOneRegion) {
 TEST(ServingSystemTest, RegionalSystemsResolveLocally) {
   Simulator sim;
   Network net(&sim, Topology::ThreeContinents());
-  auto system =
-      ServingSystem::Build(&sim, &net, TinySystem(SystemKind::kSkyWalker));
+  auto system = ServingSystem::Build(&net, TinySystem(SystemKind::kSkyWalker));
   for (RegionId client = 0; client < 3; ++client) {
     Frontend* fe = system->resolver()->Resolve(client);
     ASSERT_NE(fe, nullptr);
@@ -86,11 +94,8 @@ TEST(ServingSystemTest, RegionalSystemsResolveLocally) {
   }
 }
 
-TEST(RunExperimentTest, ResultFieldsAreConsistent) {
-  ExperimentResult result =
-      RunExperiment(Topology::ThreeContinents(),
-                    TinySystem(SystemKind::kSkyWalker), TinyWorkload(5),
-                    TinyConfig());
+TEST(RunTest, ResultFieldsAreConsistent) {
+  RunResult result = skywalker::Run(TinyRun(SystemKind::kSkyWalker, 5));
   EXPECT_GT(result.completed, 0u);
   EXPECT_EQ(result.ttft.count(), result.completed);
   EXPECT_EQ(result.e2e.count(), result.completed);
@@ -101,65 +106,81 @@ TEST(RunExperimentTest, ResultFieldsAreConsistent) {
   EXPECT_LE(result.cache_hit_rate, 1.0);
   EXPECT_GE(result.forwarded_fraction, 0.0);
   EXPECT_LE(result.forwarded_fraction, 1.0);
+  // Client-side accounting spans the whole run: requests still in flight at
+  // the end were issued but not completed, and the window is a subset.
+  EXPECT_GE(result.issued, result.completed_total);
+  EXPECT_GE(result.completed_total, static_cast<int64_t>(result.completed));
 }
 
 // Property: per-request TTFT <= E2E must hold for every outcome, for every
-// system kind, across seeds.
+// system kind, across seeds. Outcomes are read back from the run's trace.
 class HarnessPropertyTest
     : public ::testing::TestWithParam<std::tuple<SystemKind, uint64_t>> {};
 
 TEST_P(HarnessPropertyTest, TtftNeverExceedsE2e) {
   auto [kind, seed] = GetParam();
-  Simulator sim;
-  Network net(&sim, Topology::ThreeContinents());
-  auto system = ServingSystem::Build(&sim, &net, TinySystem(kind));
-  MetricsCollector metrics;
-  WorkloadDriver driver(&sim, &net, system->resolver(), &metrics,
-                        TinyWorkload(seed), 3);
-  system->Start();
-  driver.Start();
-  sim.RunUntil(Seconds(60));
-  ASSERT_GT(metrics.total_recorded(), 10u);
-  for (const RequestOutcome& o : metrics.outcomes()) {
-    EXPECT_LE(o.submit_time, o.first_token_time);
-    EXPECT_LE(o.first_token_time, o.completion_time);
-    EXPECT_GE(o.cached_prompt_tokens, 0);
-    EXPECT_LT(o.cached_prompt_tokens, o.prompt_tokens);
-    EXPECT_TRUE(o.hops == 1 || o.hops == 2);
-    EXPECT_EQ(o.hops == 2, o.forwarded);
+  RunResult result = skywalker::Run(TinyRun(kind, seed));
+  std::istringstream lines(result.trace);
+  std::string line;
+  int outcomes = 0;
+  while (std::getline(lines, line)) {
+    long long id, submit, first_token, completion, prompt, cached, output;
+    int client_region, served_region, replica, hops;
+    ASSERT_EQ(std::sscanf(line.c_str(),
+                          "%lld r%d>r%d@%d s%lld f%lld c%lld p%lld k%lld "
+                          "o%lld h%d",
+                          &id, &client_region, &served_region, &replica,
+                          &submit, &first_token, &completion, &prompt,
+                          &cached, &output, &hops),
+              11)
+        << line;
+    const bool forwarded = line.size() > 2 &&
+                           line.compare(line.size() - 2, 2, " F") == 0;
+    EXPECT_LE(submit, first_token);
+    EXPECT_LE(first_token, completion);
+    EXPECT_GE(cached, 0);
+    EXPECT_LT(cached, prompt);
+    EXPECT_TRUE(hops == 1 || hops == 2);
+    EXPECT_EQ(hops == 2, forwarded);
+    ++outcomes;
   }
+  EXPECT_GT(outcomes, 10);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KindsAndSeeds, HarnessPropertyTest,
-    ::testing::Combine(::testing::Values(SystemKind::kSkyWalker,
-                                         SystemKind::kSkyWalkerCh,
-                                         SystemKind::kSglRouter,
-                                         SystemKind::kGkeGateway),
-                       ::testing::Values(11u, 22u, 33u)));
+INSTANTIATE_TEST_SUITE_P(KindsAndSeeds, HarnessPropertyTest,
+                         ::testing::Combine(::testing::ValuesIn(kAllKinds),
+                                            ::testing::Values(11u, 22u, 33u)));
 
 // Property: deterministic replay — identical specs and seeds give identical
-// results for every system kind.
+// results for every system kind, down to every request's observables.
 class DeterminismPropertyTest : public ::testing::TestWithParam<SystemKind> {};
 
 TEST_P(DeterminismPropertyTest, IdenticalAcrossRuns) {
-  ExperimentResult a =
-      RunExperiment(Topology::ThreeContinents(), TinySystem(GetParam()),
-                    TinyWorkload(9), TinyConfig());
-  ExperimentResult b =
-      RunExperiment(Topology::ThreeContinents(), TinySystem(GetParam()),
-                    TinyWorkload(9), TinyConfig());
+  RunResult a = skywalker::Run(TinyRun(GetParam(), 9));
+  RunResult b = skywalker::Run(TinyRun(GetParam(), 9));
+  ASSERT_FALSE(a.trace.empty());
+  EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.completed, b.completed);
-  EXPECT_DOUBLE_EQ(a.throughput_tok_s, b.throughput_tok_s);
-  EXPECT_DOUBLE_EQ(a.ttft_p90_s, b.ttft_p90_s);
-  EXPECT_DOUBLE_EQ(a.cache_hit_rate, b.cache_hit_rate);
+  EXPECT_EQ(a.throughput_tok_s, b.throughput_tok_s);
+  EXPECT_EQ(a.ttft_p90_s, b.ttft_p90_s);
+  EXPECT_EQ(a.cache_hit_rate, b.cache_hit_rate);
+  EXPECT_EQ(a.outstanding_imbalance, b.outstanding_imbalance);
+  EXPECT_EQ(a.executed_events, b.executed_events);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, DeterminismPropertyTest,
-                         ::testing::Values(SystemKind::kGkeGateway,
-                                           SystemKind::kConsistentHash,
-                                           SystemKind::kSkyWalker,
-                                           SystemKind::kRegionLocal));
+                         ::testing::ValuesIn(kAllKinds));
+
+// Sharding is limited to the SkyWalker kinds: one central LB or gateway
+// object spans every region, which no region shard may own.
+TEST(RunDeathTest, ShardingACentralOrGatewayKindDiesNamingTheKind) {
+  RunSpec central = TinyRun(SystemKind::kLeastLoad, 1);
+  central.num_shards = 2;
+  EXPECT_DEATH(skywalker::Run(central), "not LL");
+  RunSpec gateway = TinyRun(SystemKind::kGkeGateway, 1);
+  gateway.num_shards = 1;
+  EXPECT_DEATH(skywalker::Run(gateway), "not GKE-Gateway");
+}
 
 }  // namespace
 }  // namespace skywalker

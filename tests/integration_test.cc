@@ -6,8 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/harness/experiment.h"
-#include "src/net/topology.h"
+#include "src/harness/run.h"
 
 namespace skywalker {
 namespace {
@@ -40,20 +39,20 @@ SystemSpec SmallSystem(SystemKind kind) {
   return spec;
 }
 
-ExperimentConfig FastConfig() {
-  ExperimentConfig config;
-  config.warmup = Seconds(20);
-  config.measure = Seconds(60);
-  return config;
+RunResult RunFast(const SystemSpec& system, const WorkloadSpec& workload) {
+  RunSpec spec;
+  spec.system = system;
+  spec.workload = workload;
+  spec.warmup = Seconds(20);
+  spec.measure = Seconds(60);
+  return Run(spec);
 }
 
 class AllSystemsTest : public ::testing::TestWithParam<SystemKind> {};
 
 TEST_P(AllSystemsTest, CompletesRequestsWithSaneTimestamps) {
-  Topology topology = Topology::ThreeContinents();
-  ExperimentResult result = RunExperiment(topology, SmallSystem(GetParam()),
-                                          SmallConversationWorkload(6),
-                                          FastConfig());
+  RunResult result =
+      RunFast(SmallSystem(GetParam()), SmallConversationWorkload(6));
   EXPECT_GT(result.completed, 50u) << result.system;
   EXPECT_GT(result.throughput_tok_s, 0.0);
   // TTFT must include at least one network round trip plus prefill.
@@ -81,17 +80,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(IntegrationTest, PrefixAwareBeatsRoundRobinOnHitRate) {
-  Topology topology = Topology::ThreeContinents();
   WorkloadSpec workload = SmallConversationWorkload(6);
-  ExperimentResult rr = RunExperiment(topology, SmallSystem(SystemKind::kRoundRobin),
-                                      workload, FastConfig());
-  ExperimentResult sky = RunExperiment(topology, SmallSystem(SystemKind::kSkyWalker),
-                                       workload, FastConfig());
+  RunResult rr = RunFast(SmallSystem(SystemKind::kRoundRobin), workload);
+  RunResult sky = RunFast(SmallSystem(SystemKind::kSkyWalker), workload);
   EXPECT_GT(sky.cache_hit_rate, rr.cache_hit_rate);
 }
 
 TEST(IntegrationTest, SkewedLoadTriggersForwarding) {
-  Topology topology = Topology::ThreeContinents();
   WorkloadSpec workload;
   workload.conversation = ConversationWorkloadConfig::Arena();
   workload.conversation.lengths.input_mu = 4.0;
@@ -107,29 +102,23 @@ TEST(IntegrationTest, SkewedLoadTriggersForwarding) {
 
   SystemSpec spec = SmallSystem(SystemKind::kSkyWalker);
   spec.replicas_per_region = {1, 1, 1};
-  ExperimentResult result =
-      RunExperiment(topology, spec, workload, FastConfig());
+  RunResult result = RunFast(spec, workload);
   EXPECT_GT(result.forwarded_fraction, 0.05)
       << "overloaded region should offload cross-region";
 }
 
 TEST(IntegrationTest, RegionLocalNeverForwards) {
-  Topology topology = Topology::ThreeContinents();
-  WorkloadSpec workload = SmallConversationWorkload(8);
-  SystemSpec spec = SmallSystem(SystemKind::kRegionLocal);
-  ExperimentResult result =
-      RunExperiment(topology, spec, workload, FastConfig());
+  RunResult result = RunFast(SmallSystem(SystemKind::kRegionLocal),
+                             SmallConversationWorkload(8));
   EXPECT_EQ(result.forwarded_fraction, 0.0);
   EXPECT_GT(result.completed, 50u);
 }
 
 TEST(IntegrationTest, DeterministicAcrossRuns) {
-  Topology topology = Topology::ThreeContinents();
   WorkloadSpec workload = SmallConversationWorkload(4);
   SystemSpec spec = SmallSystem(SystemKind::kSkyWalker);
-  ExperimentConfig config = FastConfig();
-  ExperimentResult a = RunExperiment(topology, spec, workload, config);
-  ExperimentResult b = RunExperiment(topology, spec, workload, config);
+  RunResult a = RunFast(spec, workload);
+  RunResult b = RunFast(spec, workload);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_DOUBLE_EQ(a.throughput_tok_s, b.throughput_tok_s);
   EXPECT_DOUBLE_EQ(a.ttft_p50_s, b.ttft_p50_s);

@@ -1,4 +1,4 @@
-// End-to-end resilience tests on the fleet harness (ISSUE 7): a region
+// End-to-end resilience tests on the run harness (ISSUE 7): a region
 // blackout loses no request forever once request timeouts + retries are on,
 // passive latency ejection fires against a gray straggler and does not cost
 // goodput, and a mid-run RuntimeConfig reswap is bit-identical across shard
@@ -7,27 +7,29 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
-#include "src/harness/fleet.h"
+#include "src/harness/run.h"
 
 namespace skywalker {
 namespace {
 
 // A small four-region fleet with a post-measure drain long enough for
-// lost-forever accounting to converge (see FleetSpec::drain).
-FleetSpec SmallFleet() {
-  FleetSpec spec;
+// lost-forever accounting to converge (see RunSpec::drain).
+RunSpec SmallFleet(int clients_per_region = 2) {
+  RunSpec spec;
   spec.topology = Topology::FourRegions();
-  spec.replicas_per_region.assign(4, 4);
-  spec.clients_per_region = 2;
-  spec.client.think_time_mean = Milliseconds(500);
-  spec.client.program_gap_mean = Seconds(1);
-  spec.replica_config.max_running_requests = 8;
+  spec.system.replicas_per_region.assign(4, 4);
+  spec.system.replica_config.max_running_requests = 8;
   spec.warmup = Seconds(1);
   spec.measure = Seconds(7);
   spec.drain = Seconds(25);
-  spec.client.stop_issuing_after = spec.warmup + spec.measure;
-  spec.seed = 1234;
+  ClientConfig client;
+  client.think_time_mean = Milliseconds(500);
+  client.program_gap_mean = Seconds(1);
+  client.stop_issuing_after = spec.warmup + spec.measure;
+  spec.workload =
+      ChatWorkload(std::vector<int>(4, clients_per_region), client, 1234);
   return spec;
 }
 
@@ -42,34 +44,34 @@ OutlierConfig Resilience() {
   return outlier;
 }
 
-void AddBlackout(FleetSpec& spec, SimTime fail_at, SimTime recover_at) {
-  FleetFault lb_fail;
-  lb_fail.kind = FleetFault::kLbFail;
+void AddBlackout(RunSpec& spec, SimTime fail_at, SimTime recover_at) {
+  Fault lb_fail;
+  lb_fail.kind = Fault::kLbFail;
   lb_fail.at = fail_at;
   lb_fail.region = 1;
-  FleetFault replicas_fail;
-  replicas_fail.kind = FleetFault::kReplicaFail;
+  Fault replicas_fail;
+  replicas_fail.kind = Fault::kReplicaFail;
   replicas_fail.at = fail_at;
   replicas_fail.region = 1;
-  FleetFault replicas_recover;
-  replicas_recover.kind = FleetFault::kReplicaRecover;
+  Fault replicas_recover;
+  replicas_recover.kind = Fault::kReplicaRecover;
   replicas_recover.at = recover_at;
   replicas_recover.region = 1;
-  FleetFault lb_recover;
-  lb_recover.kind = FleetFault::kLbRecover;
+  Fault lb_recover;
+  lb_recover.kind = Fault::kLbRecover;
   lb_recover.at = recover_at + Milliseconds(100);
   lb_recover.region = 1;
   spec.faults = {lb_fail, replicas_fail, replicas_recover, lb_recover};
 }
 
 TEST(ResilienceTest, BlackoutLosesNothingForeverWithTimeoutsOn) {
-  FleetSpec spec = SmallFleet();
+  RunSpec spec = SmallFleet();
   spec.num_shards = 0;  // Controller failover is cross-shard: plain mode.
-  spec.controller.auto_recovery_delay = 0;
-  spec.lb.engine.outlier = Resilience();
+  spec.system.controller.auto_recovery_delay = 0;
+  spec.system.skywalker.engine.outlier = Resilience();
   AddBlackout(spec, Seconds(3), Seconds(6));
 
-  FleetResult result = RunFleetExperiment(spec);
+  RunResult result = skywalker::Run(spec);
   EXPECT_GT(result.completed_total, 0);
   EXPECT_GT(result.issued, 0);
   // Every request swallowed by the blackout timed out, errored back to its
@@ -82,12 +84,12 @@ TEST(ResilienceTest, BlackoutLosesNothingForeverWithTimeoutsOn) {
 }
 
 TEST(ResilienceTest, BlackoutWithoutResilienceStrandsInFlightRequests) {
-  FleetSpec spec = SmallFleet();
+  RunSpec spec = SmallFleet();
   spec.num_shards = 0;
-  spec.controller.auto_recovery_delay = 0;
+  spec.system.controller.auto_recovery_delay = 0;
   AddBlackout(spec, Seconds(3), Seconds(6));
 
-  FleetResult result = RunFleetExperiment(spec);
+  RunResult result = skywalker::Run(spec);
   // No timeouts: whatever was in flight on the dead replicas hangs forever.
   EXPECT_GT(result.lost_forever, 0);
   EXPECT_EQ(result.client_errors, 0);
@@ -95,30 +97,29 @@ TEST(ResilienceTest, BlackoutWithoutResilienceStrandsInFlightRequests) {
 }
 
 TEST(ResilienceTest, GrayStragglerGetsLatencyEjected) {
-  FleetSpec base = SmallFleet();
-  base.num_shards = 4;
-  base.num_threads = 4;
   // Enough clients that the straggler takes traffic and at least
   // min_latency_hosts replicas report decode samples; enough drain that its
   // 8x-held victims finish inside the run.
-  base.clients_per_region = 4;
+  RunSpec base = SmallFleet(/*clients_per_region=*/4);
+  base.num_shards = 4;
+  base.num_threads = 4;
   base.drain = Seconds(90);
-  FleetFault slow;
-  slow.kind = FleetFault::kReplicaSlowdown;
+  Fault slow;
+  slow.kind = Fault::kReplicaSlowdown;
   slow.at = Seconds(1);
   slow.region = 0;
   slow.replica_index = 0;
   slow.factor = 8.0;
   base.faults.push_back(slow);
 
-  FleetSpec with_ejection = base;
+  RunSpec with_ejection = base;
   OutlierConfig outlier = Resilience();
   // Latency-only: the straggler answers probes and never "fails".
   outlier.request_timeout = 0;
-  with_ejection.lb.engine.outlier = outlier;
+  with_ejection.system.skywalker.engine.outlier = outlier;
 
-  FleetResult off = RunFleetExperiment(base);
-  FleetResult on = RunFleetExperiment(with_ejection);
+  RunResult off = skywalker::Run(base);
+  RunResult on = skywalker::Run(with_ejection);
 
   EXPECT_EQ(off.ejections, 0);
   // The per-step decode-latency EWMA makes the 8x straggler probe-visible
@@ -133,15 +134,15 @@ TEST(ResilienceTest, GrayStragglerGetsLatencyEjected) {
 // all at once) published mid-run must leave the outcome stream bit-identical
 // across the plain reference, 1 shard, and 4 shards / multi-threaded runs.
 TEST(ResilienceTest, MidRunReswapIsDeterministicAcrossShardsAndThreads) {
-  FleetSpec base = SmallFleet();
+  RunSpec base = SmallFleet();
   base.collect_trace = true;
 
-  RuntimeConfig next = base.lb.runtime();
+  RuntimeConfig next = base.system.skywalker.runtime();
   next.dispatch.push_mode = PushMode::kBlind;
   next.dispatch.probe_interval = Milliseconds(200);
   next.routing.policy = RoutingPolicyKind::kConsistentHash;
   next.routing.queue_tau = 8;
-  FleetConfigUpdate update;
+  ConfigUpdate update;
   update.at = Seconds(4);
   update.config = next;
   base.config_updates.push_back(update);
@@ -154,10 +155,10 @@ TEST(ResilienceTest, MidRunReswapIsDeterministicAcrossShardsAndThreads) {
   std::string reference;
   int64_t reference_swaps = -1;
   for (const Variant& v : variants) {
-    FleetSpec spec = base;
+    RunSpec spec = base;
     spec.num_shards = v.num_shards;
     spec.num_threads = v.num_threads;
-    FleetResult result = RunFleetExperiment(spec);
+    RunResult result = skywalker::Run(spec);
     ASSERT_FALSE(result.trace.empty());
     // One swap per region LB.
     EXPECT_EQ(result.config_swaps, 4);

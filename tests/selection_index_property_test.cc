@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/harness/fleet.h"
+#include "src/harness/run.h"
 #include "src/net/network.h"
 #include "src/net/topology.h"
 #include "src/routing/dispatch_engine.h"
@@ -243,38 +243,38 @@ TEST(SelectionIndexPropertyTest, HeapCompactionPreservesAgreement) {
 
 // --- fleet layer ----------------------------------------------------------
 
-FleetSpec VerifiedFleet() {
-  FleetSpec spec;
+RunSpec VerifiedFleet() {
+  RunSpec spec;
   spec.topology = Topology::FourRegions();
-  spec.replicas_per_region = {2, 2, 2, 2};
-  spec.clients_per_region = 3;
+  spec.system.replicas_per_region = {2, 2, 2, 2};
+  spec.workload = ChatWorkload({3, 3, 3, 3}, ClientConfig(), 23);
   spec.warmup = Seconds(2);
   spec.measure = Seconds(6);
-  spec.seed = 23;
   spec.collect_trace = true;
   // Every production selection in every region's engine re-answers via the
   // linear oracle and dies on divergence.
-  spec.lb.engine.verify_selection = true;
-  spec.lb.engine.outlier.enabled = true;
+  DispatchConfig& engine = spec.system.skywalker.engine;
+  engine.verify_selection = true;
+  engine.outlier.enabled = true;
 
   // A replica outage + recovery drives real ejection/recovery transitions
   // through the index mid-traffic.
-  FleetFault fail;
-  fail.kind = FleetFault::kReplicaFail;
+  Fault fail;
+  fail.kind = Fault::kReplicaFail;
   fail.at = Seconds(3);
   fail.region = 1;
   fail.replica_index = 0;
   spec.faults.push_back(fail);
-  FleetFault recover = fail;
-  recover.kind = FleetFault::kReplicaRecover;
+  Fault recover = fail;
+  recover.kind = Fault::kReplicaRecover;
   recover.at = Seconds(5);
   spec.faults.push_back(recover);
 
   // Mid-run reswap (keeps verification on): push mode and slack change
   // under live queues, forcing a full index rebuild while requests flow.
-  FleetConfigUpdate update;
+  ConfigUpdate update;
   update.at = Seconds(4);
-  update.config.dispatch = spec.lb.engine;
+  update.config.dispatch = engine;
   update.config.dispatch.push_mode = PushMode::kSelectiveOutstanding;
   update.config.dispatch.max_outstanding_per_replica = 6;
   spec.config_updates.push_back(update);
@@ -282,10 +282,10 @@ FleetSpec VerifiedFleet() {
 }
 
 TEST(SelectionIndexPropertyTest, FleetVerifiedAcrossShardsAndThreads) {
-  FleetSpec reference_spec = VerifiedFleet();
+  RunSpec reference_spec = VerifiedFleet();
   reference_spec.num_shards = 0;  // Plain Simulator reference.
-  FleetResult reference = RunFleetExperiment(reference_spec);
-  ASSERT_GT(reference.metrics.completed, 0u);
+  RunResult reference = skywalker::Run(reference_spec);
+  ASSERT_GT(reference.completed, 0u);
   ASSERT_FALSE(reference.trace.empty());
 
   struct Grid {
@@ -295,15 +295,15 @@ TEST(SelectionIndexPropertyTest, FleetVerifiedAcrossShardsAndThreads) {
   for (const Grid grid : std::vector<Grid>{{1, 1}, {1, 8}, {4, 1}, {4, 8}}) {
     SCOPED_TRACE("shards=" + std::to_string(grid.shards) +
                  " threads=" + std::to_string(grid.threads));
-    FleetSpec spec = VerifiedFleet();
+    RunSpec spec = VerifiedFleet();
     spec.num_shards = grid.shards;
     spec.num_threads = grid.threads;
     // Completing at all proves every selection matched the oracle (the
     // verify path is fatal); trace equality additionally pins the decisions
     // to the plain reference bit for bit.
-    FleetResult result = RunFleetExperiment(spec);
+    RunResult result = skywalker::Run(spec);
     EXPECT_EQ(result.trace, reference.trace);
-    EXPECT_EQ(result.metrics.completed, reference.metrics.completed);
+    EXPECT_EQ(result.completed, reference.completed);
   }
 }
 

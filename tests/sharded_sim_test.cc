@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/harness/fleet.h"
+#include "src/harness/run.h"
 #include "src/net/network.h"
 #include "src/net/topology.h"
 #include "src/sim/event_queue.h"
@@ -176,71 +176,83 @@ TEST(ShardedSimulatorTest, TimingCoversAllShards) {
   EXPECT_EQ(executed, sim.executed_events());
 }
 
-FleetSpec SmallFleet() {
-  FleetSpec spec;
+// A small four-region fleet with both client kinds: chat clients in regions
+// 0, 1 and 3, and a ToT cohort in region 2 whose client indices sit between
+// the chat groups'.
+RunSpec SmallFleet() {
+  RunSpec spec;
   spec.topology = Topology::FourRegions();
-  spec.replicas_per_region = {2, 2, 2, 2};
-  spec.clients_per_region = 3;
+  spec.system.replicas_per_region = {2, 2, 2, 2};
+  spec.workload = ChatWorkload({3, 3, 0, 3}, ClientConfig(), 11);
+  ClientGroup& tot = spec.workload.groups[2];
+  tot.kind = ClientGroup::Kind::kToT;
+  tot.count = 4;
+  tot.client = ToTClientConfig();
   spec.warmup = Seconds(2);
   spec.measure = Seconds(6);
-  spec.seed = 11;
   spec.collect_trace = true;
   return spec;
 }
 
-// The tentpole determinism contract: the full fleet — LBs, replicas,
-// clients, probes, forwarding — produces bit-identical request traces and
-// summary metrics for every shard/thread combination, including against the
-// plain single-threaded Simulator.
+// The tentpole determinism contract: the full fleet — LBs, replicas, chat
+// and ToT clients, probes, forwarding — produces bit-identical request
+// traces and summary metrics for every shard/thread combination, including
+// against the plain single-threaded Simulator.
 TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
-  FleetSpec spec = SmallFleet();
-  spec.num_shards = 0;  // Plain Simulator reference.
-  FleetResult reference = RunFleetExperiment(spec);
-  ASSERT_GT(reference.metrics.completed, 0u);
+  const RunResult reference = skywalker::Run(SmallFleet());
+  ASSERT_GT(reference.completed, 0u);
   ASSERT_FALSE(reference.trace.empty());
+  // Both client kinds completed requests (region 2 hosts only ToT).
+  EXPECT_NE(reference.trace.find(" r0>"), std::string::npos);
+  EXPECT_NE(reference.trace.find(" r2>"), std::string::npos);
 
-  struct Config {
-    int shards;
-    int threads;
-  };
-  for (Config config : std::vector<Config>{
-           {1, 1}, {2, 1}, {2, 8}, {4, 1}, {4, 8}}) {
-    FleetSpec run_spec = SmallFleet();
-    run_spec.num_shards = config.shards;
-    run_spec.num_threads = config.threads;
-    FleetResult result = RunFleetExperiment(run_spec);
-    SCOPED_TRACE("shards=" + std::to_string(config.shards) +
-                 " threads=" + std::to_string(config.threads));
-    // Trace equality covers every per-request observable bit for bit.
-    EXPECT_EQ(result.trace, reference.trace);
-    EXPECT_EQ(result.metrics.completed, reference.metrics.completed);
-    EXPECT_EQ(result.metrics.throughput_tok_s,
-              reference.metrics.throughput_tok_s);
-    EXPECT_EQ(result.metrics.ttft_p50_s, reference.metrics.ttft_p50_s);
-    EXPECT_EQ(result.metrics.ttft_p90_s, reference.metrics.ttft_p90_s);
-    EXPECT_EQ(result.metrics.e2e_p50_s, reference.metrics.e2e_p50_s);
-    EXPECT_EQ(result.metrics.e2e_p90_s, reference.metrics.e2e_p90_s);
-    EXPECT_EQ(result.metrics.cache_hit_rate,
-              reference.metrics.cache_hit_rate);
-    EXPECT_EQ(result.metrics.forwarded_fraction,
-              reference.metrics.forwarded_fraction);
-    EXPECT_EQ(result.metrics.outstanding_imbalance,
-              reference.metrics.outstanding_imbalance);
-    EXPECT_EQ(result.messages_sent, reference.messages_sent);
-    EXPECT_EQ(result.cross_region_messages,
-              reference.cross_region_messages);
-    EXPECT_EQ(result.executed_events, reference.executed_events);
+  for (int shards : {1, 2, 4}) {
+    for (int threads : {1, 4}) {
+      RunSpec run_spec = SmallFleet();
+      run_spec.num_shards = shards;
+      run_spec.num_threads = threads;
+      const RunResult result = skywalker::Run(run_spec);
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      // Trace equality covers every per-request observable bit for bit.
+      EXPECT_EQ(result.trace, reference.trace);
+      EXPECT_EQ(result.completed, reference.completed);
+      EXPECT_EQ(result.throughput_tok_s, reference.throughput_tok_s);
+      EXPECT_EQ(result.output_throughput_tok_s,
+                reference.output_throughput_tok_s);
+      EXPECT_EQ(result.ttft_p50_s, reference.ttft_p50_s);
+      EXPECT_EQ(result.ttft_p90_s, reference.ttft_p90_s);
+      EXPECT_EQ(result.ttft_mean_s, reference.ttft_mean_s);
+      EXPECT_EQ(result.e2e_p50_s, reference.e2e_p50_s);
+      EXPECT_EQ(result.e2e_p90_s, reference.e2e_p90_s);
+      EXPECT_EQ(result.e2e_mean_s, reference.e2e_mean_s);
+      EXPECT_EQ(result.cache_hit_rate, reference.cache_hit_rate);
+      EXPECT_EQ(result.forwarded_fraction, reference.forwarded_fraction);
+      EXPECT_EQ(result.outstanding_imbalance,
+                reference.outstanding_imbalance);
+      EXPECT_EQ(result.messages_sent, reference.messages_sent);
+      EXPECT_EQ(result.cross_region_messages,
+                reference.cross_region_messages);
+      EXPECT_EQ(result.executed_events, reference.executed_events);
+      EXPECT_EQ(result.preemptions, reference.preemptions);
+      EXPECT_EQ(result.issued, reference.issued);
+      EXPECT_EQ(result.completed_total, reference.completed_total);
+      EXPECT_EQ(result.client_errors, reference.client_errors);
+      EXPECT_EQ(result.lost_forever, reference.lost_forever);
+      EXPECT_EQ(result.probe_misses, reference.probe_misses);
+      EXPECT_EQ(result.ejections, reference.ejections);
+    }
   }
 }
 
 // Repeated identical runs must agree exactly (no hidden global state, e.g.
-// the request-id atomic, leaks into fleet results).
+// the request-id atomic, leaks into results).
 TEST(FleetDeterminismTest, RepeatedRunsIdentical) {
-  FleetSpec spec = SmallFleet();
+  RunSpec spec = SmallFleet();
   spec.num_shards = 4;
   spec.num_threads = 4;
-  FleetResult a = RunFleetExperiment(spec);
-  FleetResult b = RunFleetExperiment(spec);
+  const RunResult a = skywalker::Run(spec);
+  const RunResult b = skywalker::Run(spec);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.messages_sent, b.messages_sent);
 }

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "src/harness/fleet.h"
+#include "src/harness/run.h"
 #include "src/obs/trace.h"
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -103,49 +103,47 @@ long long NewCount() { return g_news.load(std::memory_order_relaxed); }
 
 constexpr int kRegions = 4;
 
-FleetSpec SmallFleet() {
-  FleetSpec spec;
+RunSpec SmallFleet() {
+  RunSpec spec;
   spec.topology = Topology::FourRegions();
-  spec.replicas_per_region = {2, 2, 2, 2};
-  spec.clients_per_region = 3;
+  spec.system.replicas_per_region = {2, 2, 2, 2};
+  spec.workload = ChatWorkload({3, 3, 3, 3}, ClientConfig(), 23);
   spec.warmup = Seconds(2);
   spec.measure = Seconds(6);
-  spec.seed = 23;
   spec.collect_trace = true;
   return spec;
 }
 
 TEST(TraceDeterminismTest, TracingNeverPerturbsTheRun) {
-  FleetSpec spec = SmallFleet();
+  RunSpec spec = SmallFleet();
   spec.num_shards = 0;
-  const FleetResult untraced = RunFleetExperiment(spec);
-  ASSERT_GT(untraced.metrics.completed, 0u);
+  const RunResult untraced = skywalker::Run(spec);
+  ASSERT_GT(untraced.completed, 0u);
 
   Tracer tracer(kRegions);
   spec.tracer = &tracer;
-  const FleetResult traced = RunFleetExperiment(spec);
+  const RunResult traced = skywalker::Run(spec);
   EXPECT_GT(tracer.size(), 0);
 
   // Every observable of the run is bit-identical with tracing on.
   EXPECT_EQ(traced.trace, untraced.trace);
-  EXPECT_EQ(traced.metrics.completed, untraced.metrics.completed);
-  EXPECT_EQ(traced.metrics.throughput_tok_s,
-            untraced.metrics.throughput_tok_s);
-  EXPECT_EQ(traced.metrics.ttft_p50_s, untraced.metrics.ttft_p50_s);
-  EXPECT_EQ(traced.metrics.ttft_p90_s, untraced.metrics.ttft_p90_s);
-  EXPECT_EQ(traced.metrics.e2e_p90_s, untraced.metrics.e2e_p90_s);
+  EXPECT_EQ(traced.completed, untraced.completed);
+  EXPECT_EQ(traced.throughput_tok_s, untraced.throughput_tok_s);
+  EXPECT_EQ(traced.ttft_p50_s, untraced.ttft_p50_s);
+  EXPECT_EQ(traced.ttft_p90_s, untraced.ttft_p90_s);
+  EXPECT_EQ(traced.e2e_p90_s, untraced.e2e_p90_s);
   EXPECT_EQ(traced.messages_sent, untraced.messages_sent);
   EXPECT_EQ(traced.executed_events, untraced.executed_events);
 }
 
 TEST(TraceDeterminismTest, TraceBytesIdenticalAcrossShardsAndThreads) {
   // Reference: plain single-threaded simulator.
-  FleetSpec spec = SmallFleet();
+  RunSpec spec = SmallFleet();
   spec.num_shards = 0;
   Tracer reference_tracer(kRegions);
   spec.tracer = &reference_tracer;
-  const FleetResult reference = RunFleetExperiment(spec);
-  ASSERT_GT(reference.metrics.completed, 0u);
+  const RunResult reference = skywalker::Run(spec);
+  ASSERT_GT(reference.completed, 0u);
   ASSERT_GT(reference_tracer.size(), 0);
   const std::string reference_bytes =
       TraceToBinary(reference_tracer.Merged(), {});
@@ -158,12 +156,12 @@ TEST(TraceDeterminismTest, TraceBytesIdenticalAcrossShardsAndThreads) {
        std::vector<Config>{{1, 1}, {1, 8}, {4, 1}, {4, 8}}) {
     SCOPED_TRACE("shards=" + std::to_string(config.shards) +
                  " threads=" + std::to_string(config.threads));
-    FleetSpec run_spec = SmallFleet();
+    RunSpec run_spec = SmallFleet();
     run_spec.num_shards = config.shards;
     run_spec.num_threads = config.threads;
     Tracer tracer(kRegions);
     run_spec.tracer = &tracer;
-    const FleetResult result = RunFleetExperiment(run_spec);
+    const RunResult result = skywalker::Run(run_spec);
     EXPECT_EQ(result.trace, reference.trace);
     EXPECT_EQ(TraceToBinary(tracer.Merged(), {}), reference_bytes);
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "src/workload/conversation.h"
 #include "src/workload/diurnal.h"
@@ -267,6 +268,33 @@ TEST(ToTTest, TreesAreTokenDisjoint) {
   auto t2 = gen.MakeTree();
   EXPECT_EQ(CommonPrefixLen(t1.nodes[0].prompt, t2.nodes[0].prompt), 0u);
   EXPECT_NE(t1.routing_key, t2.routing_key);
+
+  // Per-client generators (one per client of a run) live in private bands:
+  // two clients share no token and no routing key, even on equal seeds.
+  ToTGenerator a(ToTConfig{}, 5, /*client_index=*/0);
+  ToTGenerator b(ToTConfig{}, 5, /*client_index=*/1);
+  std::set<Token> a_tokens;
+  std::set<std::string> a_keys;
+  for (int i = 0; i < 20; ++i) {
+    auto tree = a.MakeTree();
+    a_keys.insert(tree.routing_key);
+    for (const auto& node : tree.nodes) {
+      a_tokens.insert(node.prompt.begin(), node.prompt.end());
+      a_tokens.insert(node.output.begin(), node.output.end());
+    }
+  }
+  for (int i = 0; i < 20; ++i) {
+    auto tree = b.MakeTree();
+    EXPECT_EQ(a_keys.count(tree.routing_key), 0u) << tree.routing_key;
+    for (const auto& node : tree.nodes) {
+      for (Token token : node.prompt) {
+        ASSERT_EQ(a_tokens.count(token), 0u) << token;
+      }
+      for (Token token : node.output) {
+        ASSERT_EQ(a_tokens.count(token), 0u) << token;
+      }
+    }
+  }
 }
 
 }  // namespace
