@@ -51,9 +51,10 @@ std::string OutcomeTrace(const std::vector<RequestOutcome>& outcomes) {
 }
 
 // The closed-loop client population. Client `index` (global, in group
-// order) is a pure function of (seed, index): a forked generator with
-// private token/user/session bands, request ids from `(index + 1) << 32`,
-// and its own client and stagger RNG seeds.
+// order) is a pure function of (seed, index): a per-client generator (see
+// ConversationGenerator's fork and ToTGenerator's per-client constructor),
+// request ids from `(index + 1) << 32`, and its own client and stagger RNG
+// seeds.
 class Clients {
  public:
   Clients(Network* net, FrontendResolver* resolver,

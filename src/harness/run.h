@@ -4,9 +4,10 @@
 // ShardedSimulator, runs warmup + measure + drain, and summarizes.
 //
 // Every client is a pure function of (workload.seed, global client index):
-// its generator is a fork with private token/user/session bands, its request
-// ids come from the private band `(index + 1) << 32`, and its RNG and start
-// stagger draw from per-index seeds. Each region's outcomes go to that
+// its generator is a per-client fork (private user/session bands; ToT
+// clients also private token bands), its request ids come from the private
+// band `(index + 1) << 32`, and its RNG and start stagger draw from
+// per-index seeds. Each region's outcomes go to that
 // region's collector, and summaries re-feed the merged stream in canonical
 // order. A run is therefore bit-identical across shard and thread counts,
 // against the plain reference, and regardless of what else ran in the

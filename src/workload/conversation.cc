@@ -61,9 +61,8 @@ ConversationGenerator::ConversationGenerator(const ConversationGenerator& base,
       lengths_(base.config_.lengths),
       templates_(base.templates_),
       num_global_templates_(base.num_global_templates_) {
-  // Disjoint id namespaces: fresh tokens live in a 2^32-wide per-client band
-  // well above anything the base (template bank) allocated; user and session
-  // ids get a million-wide band each.
+  // User and session ids get a million-wide band each. The token band
+  // truncates to 0 in the 32-bit Token (see the declaration).
   next_token_ = static_cast<Token>((client_index + 1) << 32);
   next_user_ = static_cast<UserId>((client_index + 1) * 1'000'000 + 1);
   next_session_ = static_cast<SessionId>((client_index + 1) * 1'000'000 + 1);

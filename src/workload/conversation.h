@@ -62,13 +62,15 @@ class ConversationGenerator {
   ConversationGenerator(const ConversationWorkloadConfig& config,
                         size_t num_regions, uint64_t seed);
 
-  // Per-client fork (sharded fleet runs): shares `base`'s immutable template
-  // bank (no copy — the bank can be hundreds of MB across thousands of
-  // clients) but draws from its own RNG stream and from disjoint token /
-  // user / session namespaces, so each client's stream is a pure function of
-  // (base workload, client_index, client_seed) — independent of the order
-  // clients run in. The base generator must not be used for conversations
-  // once forked fleets rely on namespace disjointness.
+  // Per-client fork (the run harness and the repo benchmark): shares
+  // `base`'s immutable template bank (no copy — the bank can be hundreds of
+  // MB across thousands of clients) but draws from its own RNG stream and
+  // from disjoint user / session namespaces, so each client's stream is a
+  // pure function of (base workload, client_index, client_seed) —
+  // independent of the order clients run in. Fresh tokens are not disjoint:
+  // their band, `(client_index + 1) << 32`, truncates to 0 in the 32-bit
+  // Token, so every fork counts fresh tokens from 0, over the template
+  // bank's ids, and forks' conversations can share prefixes by accident.
   ConversationGenerator(const ConversationGenerator& base,
                         uint64_t client_index, uint64_t client_seed);
 
