@@ -239,8 +239,13 @@ TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
       EXPECT_EQ(result.completed_total, reference.completed_total);
       EXPECT_EQ(result.client_errors, reference.client_errors);
       EXPECT_EQ(result.lost_forever, reference.lost_forever);
+      EXPECT_EQ(result.request_timeouts, reference.request_timeouts);
       EXPECT_EQ(result.probe_misses, reference.probe_misses);
       EXPECT_EQ(result.ejections, reference.ejections);
+      EXPECT_EQ(result.recoveries, reference.recoveries);
+      EXPECT_EQ(result.late_completions, reference.late_completions);
+      EXPECT_EQ(result.config_swaps, reference.config_swaps);
+      EXPECT_EQ(result.failovers, reference.failovers);
     }
   }
 }
