@@ -44,7 +44,8 @@ class ToTGenerator {
   // and so the `question-N` routing keys — come from bands private to
   // `client_index`, so distinct clients never share a prefix or a key.
   // Token ids are 32-bit: each band holds 2^21 tokens above 1e9, which
-  // bounds client_index below 547.
+  // bounds client_index below 547. Nothing checks that a client stays
+  // inside its band; full-size runs draw at most 54k tokens per client.
   ToTGenerator(const ToTConfig& config, uint64_t seed, uint64_t client_index);
 
   struct Node {
