@@ -60,12 +60,12 @@ void Network::Send(RegionId from, RegionId to, EventFn deliver) {
     latency = static_cast<SimDuration>(static_cast<double>(latency) * factor);
   }
   Simulator* sender = sharded_->shard(from_shard);
-  const SimTime at = sender->now() + latency;
-  const uint64_t key = sender->NextOrderKey(from);
+  const EventOrder order{sender->now() + latency, sender->now(),
+                         sender->NextOrderKey(from)};
   if (sharded_->ShardOf(to) == from_shard) {
-    sender->ScheduleKeyedAt(at, key, to, std::move(deliver));
+    sender->ScheduleKeyedAt(order, to, std::move(deliver));
   } else {
-    sharded_->PostCrossShard(from_shard, at, key, to, std::move(deliver));
+    sharded_->PostCrossShard(from_shard, order, to, std::move(deliver));
   }
 }
 
@@ -89,12 +89,12 @@ void Network::SendBatch(RegionId from, RegionId to, int count,
     counters.cross_region += static_cast<uint64_t>(count);
   }
   Simulator* sender = sharded_->shard(from_shard);
-  const SimTime at = sender->now() + topology_.Latency(from, to);
-  const uint64_t key = sender->NextOrderKey(from);
+  const EventOrder order{sender->now() + topology_.Latency(from, to),
+                         sender->now(), sender->NextOrderKey(from)};
   if (sharded_->ShardOf(to) == from_shard) {
-    sender->ScheduleKeyedAt(at, key, to, std::move(deliver));
+    sender->ScheduleKeyedAt(order, to, std::move(deliver));
   } else {
-    sharded_->PostCrossShard(from_shard, at, key, to, std::move(deliver));
+    sharded_->PostCrossShard(from_shard, order, to, std::move(deliver));
   }
 }
 
@@ -107,14 +107,14 @@ void Network::Deliver(RegionId from, RegionId to, SimDuration delay,
   }
   const int from_shard = sharded_->ShardOf(from);
   Simulator* sender = sharded_->shard(from_shard);
-  const SimTime at = sender->now() + delay;
-  const uint64_t key = sender->NextOrderKey(from);
+  const EventOrder order{sender->now() + delay, sender->now(),
+                         sender->NextOrderKey(from)};
   if (sharded_->ShardOf(to) == from_shard) {
-    sender->ScheduleKeyedAt(at, key, to, std::move(fn));
+    sender->ScheduleKeyedAt(order, to, std::move(fn));
   } else {
     SKYWALKER_CHECK(delay >= topology_.Latency(from, to))
         << "cross-shard Deliver below the link latency";
-    sharded_->PostCrossShard(from_shard, at, key, to, std::move(fn));
+    sharded_->PostCrossShard(from_shard, order, to, std::move(fn));
   }
 }
 

@@ -16,7 +16,8 @@ Replica::Replica(Simulator* sim, ReplicaId id, RegionId region,
       kv_(config.kv()),
       cache_(config.kv_capacity_tokens, &kv_.allocator(),
              config.kv_block_size_tokens, config.cache_eviction_policy),
-      config_(config) {}
+      config_(config),
+      step_ordinal_(sim->AssignStepOrdinal()) {}
 
 void Replica::Enqueue(Request req, Handlers handlers) {
   SKYWALKER_CHECK(!req.output.empty()) << "request must generate >= 1 token";
@@ -333,10 +334,12 @@ void Replica::MaybeStep() {
   step_in_flight_ = true;
   ++stats_.engine_steps;
   stats_.busy_us += duration_us;
-  sim_->ScheduleAfter(static_cast<SimDuration>(duration_us),
-                      [this, duration_us, decode_count] {
-                        FinishStep(duration_us, decode_count);
-                      });
+  const SimTime start = sim_->now();
+  sim_->ScheduleStep(
+      start + std::max<SimDuration>(static_cast<SimDuration>(duration_us), 0),
+      start, region_, step_ordinal_, [this, duration_us, decode_count] {
+        FinishStep(duration_us, decode_count);
+      });
 }
 
 void Replica::FinishStep(double step_us, int decode_count) {

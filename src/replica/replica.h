@@ -371,6 +371,8 @@ class Replica {
   // Declared after kv_ and cache_: with the config ahead of them, member
   // placement alone made kv_wall's run_s ~4% slower (4-vCPU x86 host).
   ReplicaConfig config_;
+  // Tie-break among this simulator's step events (Simulator::StepOrder).
+  uint32_t step_ordinal_;
 
   bool serving_ = true;
   double slowdown_ = 1.0;

@@ -55,18 +55,16 @@ void EventQueue::PopHeapTop() {
 }
 
 EventId EventQueue::Push(SimTime at, EventFn fn) {
-  uint32_t slot = slots_.Acquire();
-  slots_[slot] = Payload{std::move(fn), kInvalidEventRegion};
-  heap_.push_back(Entry{at, next_seq_++, slot, slots_.gen(slot)});
-  SiftUp(heap_.size() - 1);
-  return slots_.MakeHandle(slot);
+  return PushOrdered(
+      EventOrder{at, 0, MakeOrderKey(kInvalidEventRegion, next_seq_++)},
+      kInvalidEventRegion, std::move(fn));
 }
 
-EventId EventQueue::PushKeyed(SimTime at, uint64_t key, EventRegion target,
-                              EventFn fn) {
+EventId EventQueue::PushOrdered(const EventOrder& order, EventRegion target,
+                                EventFn fn) {
   uint32_t slot = slots_.Acquire();
   slots_[slot] = Payload{std::move(fn), target};
-  heap_.push_back(Entry{at, key, slot, slots_.gen(slot)});
+  heap_.push_back(Entry{order, slot, slots_.gen(slot)});
   SiftUp(heap_.size() - 1);
   return slots_.MakeHandle(slot);
 }
@@ -92,8 +90,9 @@ EventQueue::Event EventQueue::Pop() {
   assert(!heap_.empty());
   const Entry top = heap_.front();
   PopHeapTop();
-  Event event{top.at, slots_.MakeHandle(top.slot),
-              std::move(slots_[top.slot].fn), slots_[top.slot].target};
+  Event event{top.order.at, slots_.MakeHandle(top.slot),
+              std::move(slots_[top.slot].fn), slots_[top.slot].target,
+              top.order};
   ReleaseSlot(top.slot);
   return event;
 }

@@ -1,10 +1,15 @@
 // Priority event queue for the discrete-event simulator.
 //
-// Events with equal timestamps execute in scheduling (FIFO) order, which
-// makes runs deterministic.
+// Events run in a strict total order: (time, origin region, scheduling
+// time, key) — see EventOrder. An ordinary event's key carries a sequence
+// number that grows with scheduling time, so equal-time ordinary events
+// execute in scheduling order, which makes runs deterministic. An engine
+// step event is stamped with the start of the step it ends, and sorts
+// first among events of its origin scheduled at that instant (DESIGN.md
+// §7.2, §13).
 //
-// Layout (ISSUE 3): the binary heap holds 24-byte POD entries
-// {time, seq, slot, generation} — sift operations are memcpy-speed — while
+// Layout (ISSUE 3): the binary heap holds 32-byte POD entries
+// {order, slot, generation} — sift operations are memcpy-speed — while
 // the callback lives in a slot slab addressed by index. Cancellation is
 // zero-tombstone: Cancel bumps the slot's generation and recycles it, and
 // Pop/PeekTime discard heap entries whose generation no longer matches (the
@@ -40,28 +45,63 @@ inline constexpr EventRegion kInvalidEventRegion = -1;
 using EventFn = InlineFunction;
 
 // Deterministic cross-shard ordering key (ISSUE 6): packs (origin region,
-// per-origin sequence) so that plain uint64 comparison orders equal-time
-// events by origin region first, then by per-origin scheduling order. The
-// key is a pure function of the origin region's own execution history, so
-// the resulting (time, key) total order is independent of how regions are
-// grouped into shards and of thread count.
+// low bits) so that the key's high bits order equal-time events by origin
+// region first. The low bits are a per-origin sequence for ordinary events
+// and a per-simulator replica ordinal for engine-step events, which sort
+// below every ordinary event: at equal (time, origin, scheduling time), step
+// events run first, in ordinal order. Every key is a pure function of the
+// origin region's own execution history, so the resulting total order is
+// independent of how regions are grouped into shards and of thread count.
 inline constexpr int kOrderKeySeqBits = 40;
+inline constexpr uint64_t kOrdinaryKeyBit = uint64_t{1}
+                                            << (kOrderKeySeqBits - 1);
 inline constexpr uint64_t MakeOrderKey(EventRegion origin, uint64_t seq) {
-  return (static_cast<uint64_t>(origin + 1) << kOrderKeySeqBits) | seq;
+  return (static_cast<uint64_t>(origin + 1) << kOrderKeySeqBits) |
+         kOrdinaryKeyBit | seq;
+}
+inline constexpr uint64_t MakeStepKey(EventRegion origin, uint32_t ordinal) {
+  return (static_cast<uint64_t>(origin + 1) << kOrderKeySeqBits) | ordinal;
+}
+
+// An event's position in the total order: (at, origin, sched, key), where
+// origin is the key's high bits. Ordinary events' sequence numbers grow
+// with scheduling time within an origin, so for them this is exactly the
+// (at, key) order; `sched` only decides ties against step events, whose
+// key holds no sequence (DESIGN.md §7.2).
+struct EventOrder {
+  SimTime at = 0;     // When the event runs.
+  SimTime sched = 0;  // When it was scheduled; a step event: its step's start.
+  uint64_t key = 0;   // MakeOrderKey / MakeStepKey.
+};
+
+inline bool operator<(const EventOrder& a, const EventOrder& b) {
+  if (a.at != b.at) {
+    return a.at < b.at;
+  }
+  const uint64_t a_origin = a.key >> kOrderKeySeqBits;
+  const uint64_t b_origin = b.key >> kOrderKeySeqBits;
+  if (a_origin != b_origin) {
+    return a_origin < b_origin;
+  }
+  if (a.sched != b.sched) {
+    return a.sched < b.sched;
+  }
+  return a.key < b.key;
 }
 
 class EventQueue {
  public:
   // Enqueues `fn` to run at absolute time `at`. Returns a handle usable with
-  // Cancel(). Tie-break at equal times: scheduling (FIFO) order.
+  // Cancel(). Tie-break at equal times: push (FIFO) order — an ordinary
+  // event of no region, scheduled at time 0.
   EventId Push(SimTime at, EventFn fn);
 
-  // Keyed enqueue: the caller supplies the 64-bit tie-break key (see
-  // MakeOrderKey) and the region the event targets, which Pop() surfaces so
-  // a sharded executor can scope the handler to its region. Keys must be
-  // unique; plain and keyed pushes must not be mixed in one queue (the two
-  // key spaces would interleave arbitrarily at equal timestamps).
-  EventId PushKeyed(SimTime at, uint64_t key, EventRegion target, EventFn fn);
+  // Enqueues at an explicit order position (see EventOrder) targeting
+  // `target`, which Pop() surfaces so a sharded executor can scope the
+  // handler to its region. Orders must be unique; the simulator allocates
+  // them, and FIFO pushes must not be mixed in (their sequence would
+  // interleave arbitrarily with the caller's).
+  EventId PushOrdered(const EventOrder& order, EventRegion target, EventFn fn);
 
   // Cancels a pending event. Returns false if the event already ran, was
   // already cancelled, or never existed.
@@ -76,21 +116,22 @@ class EventQueue {
   SimTime PeekTime() {
     SkipStale();
     assert(!heap_.empty());
-    return heap_.front().at;
+    return heap_.front().order.at;
   }
 
   // Pops the earliest live event. Requires !empty(). `target` is the region
-  // given to PushKeyed, or kInvalidEventRegion for plain pushes.
+  // given to PushOrdered, or kInvalidEventRegion for FIFO pushes.
   struct Event {
     SimTime at;
     EventId id;
     EventFn fn;
     EventRegion target = kInvalidEventRegion;
+    EventOrder order;
   };
   Event Pop();
 
  private:
-  // Slot payload: the callback plus the target region for keyed events.
+  // Slot payload: the callback plus the target region for ordered events.
   struct Payload {
     EventFn fn;
     EventRegion target = kInvalidEventRegion;
@@ -99,21 +140,22 @@ class EventQueue {
   // live in the generation-stamped slot pool (releasing a slot invalidates
   // both the outstanding EventId and any stale heap entry in one store).
   struct Entry {
-    SimTime at;
-    uint64_t seq;  // Tie-break: earlier scheduling first.
+    EventOrder order;
     uint32_t slot;
     uint32_t gen;
   };
+  static_assert(sizeof(Entry) == 32, "heap entries stay 32-byte PODs");
 
   bool IsLive(const Entry& entry) const {
     return slots_.gen(entry.slot) == entry.gen;
   }
 
-  // 4-ary min-heap on (at, seq): half the sift depth of a binary heap, and
-  // the four children of a node share two cache lines. (at, seq) is a strict
-  // total order — seq is unique — so pop order is independent of heap arity.
+  // 4-ary min-heap on the event order: half the sift depth of a binary
+  // heap, and the four children of a node share two cache lines. The order
+  // is strict and total — keys are unique — so pop order is independent of
+  // heap arity.
   static bool Before(const Entry& a, const Entry& b) {
-    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+    return a.order < b.order;
   }
   void SiftUp(size_t i);
   void SiftDown(size_t i);

@@ -102,10 +102,10 @@ ShardedSimulator::~ShardedSimulator() {
   }
 }
 
-void ShardedSimulator::PostCrossShard(int from_shard, SimTime at, uint64_t key,
+void ShardedSimulator::PostCrossShard(int from_shard, const EventOrder& order,
                                       RegionId target, EventFn fn) {
   Mailbox(from_shard, ShardOf(target))
-      .push_back(Mail{at, key, target, std::move(fn)});
+      .push_back(Mail{order, target, std::move(fn)});
 }
 
 void ShardedSimulator::DrainMailboxes() {
@@ -123,10 +123,9 @@ void ShardedSimulator::DrainMailboxes() {
         // PairLookahead(src, dst) for every src, and anything src sent this
         // round left at or after frontier_[src] with at least the
         // discounted pair latency in flight.
-        SKYWALKER_CHECK(mail.at >= window_end)
+        SKYWALKER_CHECK(mail.order.at >= window_end)
             << "cross-shard message violates the lookahead bound";
-        sim->ScheduleKeyedAt(mail.at, mail.key, mail.target,
-                             std::move(mail.fn));
+        sim->ScheduleKeyedAt(mail.order, mail.target, std::move(mail.fn));
       }
       mailbox_in_[static_cast<size_t>(dst)] += box.size();
       // clear() keeps capacity, so steady-state drains never allocate.

@@ -22,7 +22,7 @@
 // waking the worker pool.
 //
 // Determinism is structural, not scheduling-dependent: every event carries
-// an ordering key (time, origin region, per-origin sequence) — see
+// an order (time, origin region, scheduling time, per-origin key) — see
 // event_queue.h — so each shard's execution order, and therefore each
 // region's observable behavior, is a pure function of per-region histories.
 // Shard count and thread count change only which queue an event waits in,
@@ -104,7 +104,7 @@ class ShardedSimulator {
   // Cross-shard message injection (Network's sharded send path). Only the
   // thread currently executing `from_shard` may call this; the mail is
   // drained into the destination shard at the next window barrier.
-  void PostCrossShard(int from_shard, SimTime at, uint64_t key,
+  void PostCrossShard(int from_shard, const EventOrder& order,
                       RegionId target, EventFn fn);
 
   // Windowed parallel execution of all shards up to and including
@@ -132,8 +132,7 @@ class ShardedSimulator {
 
  private:
   struct Mail {
-    SimTime at;
-    uint64_t key;
+    EventOrder order;  // The sender's key and clock, carried end to end.
     RegionId target;
     EventFn fn;
   };

@@ -1,6 +1,7 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -8,6 +9,7 @@
 namespace skywalker {
 
 EventId Simulator::ScheduleAt(SimTime at, EventFn fn) {
+  const SimTime when = std::max(at, now_);
   if (keyed_) {
     // Self-scheduling: the event both originates from and targets the
     // region whose code is running (handlers re-arming themselves, think
@@ -15,11 +17,13 @@ EventId Simulator::ScheduleAt(SimTime at, EventFn fn) {
     // Network::Send / Network::Deliver.
     SKYWALKER_CHECK(current_region_ != kInvalidEventRegion)
         << "keyed scheduling outside any region scope";
-    return events_.PushKeyed(std::max(at, now_),
-                             NextOrderKey(current_region_), current_region_,
-                             std::move(fn));
+    return events_.PushOrdered(
+        EventOrder{when, now_, NextOrderKey(current_region_)},
+        current_region_, std::move(fn));
   }
-  return events_.Push(std::max(at, now_), std::move(fn));
+  return events_.PushOrdered(
+      EventOrder{when, now_, MakeOrderKey(kInvalidEventRegion, ++plain_seq_)},
+      kInvalidEventRegion, std::move(fn));
 }
 
 EventId Simulator::ScheduleAfter(SimDuration delay, EventFn fn) {
@@ -41,13 +45,29 @@ uint64_t Simulator::NextOrderKey(EventRegion origin) {
   return MakeOrderKey(origin, ++origin_seq_[static_cast<size_t>(origin)]);
 }
 
-EventId Simulator::ScheduleKeyedAt(SimTime at, uint64_t key,
+EventId Simulator::ScheduleKeyedAt(const EventOrder& order,
                                    EventRegion target, EventFn fn) {
   SKYWALKER_CHECK(keyed_);
   // Conservative lookahead: injected events must not land in this shard's
-  // executed past, or the (time, key) order would be violated.
-  SKYWALKER_CHECK(at >= now_) << "keyed event scheduled in the past";
-  return events_.PushKeyed(at, key, target, std::move(fn));
+  // executed past, or the event order would be violated.
+  SKYWALKER_CHECK(order.at >= now_) << "keyed event scheduled in the past";
+  return events_.PushOrdered(order, target, std::move(fn));
+}
+
+EventId Simulator::ScheduleStep(SimTime at, SimTime start, EventRegion region,
+                                uint32_t ordinal, EventFn fn) {
+  SKYWALKER_CHECK(at >= now_ && start <= at) << "step event in the past";
+  return events_.PushOrdered(StepOrder(at, start, region, ordinal),
+                             keyed_ ? region : kInvalidEventRegion,
+                             std::move(fn));
+}
+
+void Simulator::CoverThrough(SimTime t) {
+  const EventOrder end_of_instant{t, std::numeric_limits<SimTime>::max(),
+                                  std::numeric_limits<uint64_t>::max()};
+  if (horizon_ < end_of_instant) {
+    horizon_ = end_of_instant;
+  }
 }
 
 size_t Simulator::Run() {
@@ -65,6 +85,7 @@ size_t Simulator::RunUntil(SimTime deadline) {
     ++n;
   }
   now_ = std::max(now_, deadline);
+  CoverThrough(deadline);
   return n;
 }
 
@@ -74,10 +95,14 @@ size_t Simulator::RunBefore(SimTime end) {
     Step();
     ++n;
   }
+  CoverThrough(end - 1);
   return n;
 }
 
-void Simulator::AdvanceTo(SimTime t) { now_ = std::max(now_, t); }
+void Simulator::AdvanceTo(SimTime t) {
+  now_ = std::max(now_, t);
+  CoverThrough(t);
+}
 
 bool Simulator::Step() {
   if (events_.empty()) {
@@ -85,6 +110,9 @@ bool Simulator::Step() {
   }
   EventQueue::Event event = events_.Pop();
   now_ = std::max(now_, event.at);
+  if (horizon_ < event.order) {
+    horizon_ = event.order;
+  }
   if (event.target != kInvalidEventRegion) {
     current_region_ = event.target;
   }

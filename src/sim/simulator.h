@@ -3,11 +3,18 @@
 // simulated clock only advances between events, so event handlers observe a
 // consistent "now".
 //
+// Events run in scheduling-time order: (time, origin region, scheduling
+// time, key), see EventOrder in event_queue.h. In plain mode every event
+// has the same (empty) origin and ordinary keys count up in scheduling
+// order, so equal-time events run in the order they were scheduled. Engine
+// step events are stamped with the start of the step they end (a replica
+// may schedule one event for a whole stretch of steps, DESIGN.md §13).
+//
 // Sharded mode (ISSUE 6): a ShardedSimulator owns one Simulator per region
 // group and advances them in conservative-lookahead windows. Each shard then
-// runs with *keyed ordering* enabled: events are totally ordered by
-// (time, origin region, per-origin sequence) instead of (time, global FIFO
-// sequence). That order is a pure function of each region's own execution
+// runs with *keyed ordering* enabled: the origin is the region that
+// scheduled the event and the key counts per origin, instead of one global
+// sequence. That order is a pure function of each region's own execution
 // history, so results are bit-identical for any grouping of regions into
 // shards and any thread count. See DESIGN.md §7.2.
 
@@ -70,10 +77,9 @@ class Simulator {
 
   // --- keyed (region-deterministic) ordering: sharded-simulator mode ---
 
-  // Switches this shard to the (time, origin region, per-origin sequence)
-  // total order. Must be called before anything is scheduled. Region ids
-  // are global (topology) ids; only regions owned by this shard allocate
-  // keys here.
+  // Switches this shard to per-origin-region keys (see the file comment).
+  // Must be called before anything is scheduled. Region ids are global
+  // (topology) ids; only regions owned by this shard allocate keys here.
   void EnableKeyedOrdering(size_t num_regions);
   bool keyed_ordering() const { return keyed_; }
 
@@ -87,10 +93,11 @@ class Simulator {
   // Requires keyed ordering; `origin` must be owned by this shard.
   uint64_t NextOrderKey(EventRegion origin);
 
-  // Schedules with an explicit key and target region — the injection path
-  // for network sends and cross-shard mailbox drains. `at` must not lie in
+  // Schedules at an explicit order position and target region — the
+  // injection path for network sends and cross-shard mailbox drains, whose
+  // order carries the sender's key and clock. `order.at` must not lie in
   // this shard's past (the conservative-lookahead guarantee).
-  EventId ScheduleKeyedAt(SimTime at, uint64_t key, EventRegion target,
+  EventId ScheduleKeyedAt(const EventOrder& order, EventRegion target,
                           EventFn fn);
 
   // Runs all events with timestamp < `end` (one lookahead window). Does not
@@ -98,8 +105,40 @@ class Simulator {
   // final deadline for RunUntil parity.
   size_t RunBefore(SimTime end);
 
-  // now = max(now, t).
+  // now = max(now, t), with every event at or before `t` counted as run
+  // (the sharded RunUntil's final step, after all shards covered `t`).
   void AdvanceTo(SimTime t);
+
+  // --- engine-step events (DESIGN.md §13) ---
+
+  // A per-simulator ordinal for one replica: the tie-break among step
+  // events of one origin with equal (time, scheduling time). Replicas take
+  // ordinals in construction order, so the relative order of one region's
+  // replicas does not depend on how regions are grouped into shards.
+  uint32_t AssignStepOrdinal() { return next_step_ordinal_++; }
+
+  // The order position of the step event a replica with `ordinal` in
+  // `region` schedules to run at `at` for the step that started at
+  // `start`. Stretch coalescing compares these against horizon() for the
+  // step boundaries it has not materialized yet.
+  EventOrder StepOrder(SimTime at, SimTime start, EventRegion region,
+                       uint32_t ordinal) const {
+    return EventOrder{
+        at, start,
+        MakeStepKey(keyed_ ? region : kInvalidEventRegion, ordinal)};
+  }
+
+  // Schedules a step event at StepOrder(at, start, region, ordinal).
+  // `start` may lie in the future: a stretch's end event carries the start
+  // of its last step.
+  EventId ScheduleStep(SimTime at, SimTime start, EventRegion region,
+                       uint32_t ordinal, EventFn fn);
+
+  // Everything ordered before the horizon has run: during an event it is
+  // the largest order executed so far (normally the running event's own);
+  // after RunUntil(t) or AdvanceTo(t) it covers all of instant t.
+  const EventOrder& horizon() const { return horizon_; }
+  bool HasRun(const EventOrder& order) const { return order < horizon_; }
 
   // --- observability (ISSUE 9) ---
   // Installs a request-lifecycle tracer (borrowed; may be null). Emission
@@ -114,10 +153,16 @@ class Simulator {
   Tracer* tracer() const { return tracer_; }
 
  private:
+  // Raises the horizon to the end of instant `t`.
+  void CoverThrough(SimTime t);
+
   EventQueue events_;
   SimTime now_ = 0;
+  EventOrder horizon_;
   size_t executed_ = 0;
   Tracer* tracer_ = nullptr;
+  uint64_t plain_seq_ = 0;  // Ordinary-event sequence in plain mode.
+  uint32_t next_step_ordinal_ = 0;
 
   bool keyed_ = false;
   EventRegion current_region_ = kInvalidEventRegion;

@@ -64,11 +64,16 @@ TEST(EventQueueTest, KeyedPopOrderIsTimeThenKey) {
   std::vector<int> order;
   // Same timestamp, keys from different origins, inserted out of order: pop
   // order must follow (time, key), not insertion.
-  queue.PushKeyed(10, MakeOrderKey(2, 1), 2, [&] { order.push_back(21); });
-  queue.PushKeyed(10, MakeOrderKey(0, 2), 0, [&] { order.push_back(2); });
-  queue.PushKeyed(5, MakeOrderKey(3, 7), 3, [&] { order.push_back(37); });
-  queue.PushKeyed(10, MakeOrderKey(0, 1), 0, [&] { order.push_back(1); });
-  queue.PushKeyed(10, MakeOrderKey(1, 5), 1, [&] { order.push_back(15); });
+  auto push = [&queue, &order](SimTime at, EventRegion origin, uint64_t seq,
+                               int tag) {
+    queue.PushOrdered(EventOrder{at, 0, MakeOrderKey(origin, seq)}, origin,
+                      [&order, tag] { order.push_back(tag); });
+  };
+  push(10, 2, 1, 21);
+  push(10, 0, 2, 2);
+  push(5, 3, 7, 37);
+  push(10, 0, 1, 1);
+  push(10, 1, 5, 15);
   while (!queue.empty()) {
     EventQueue::Event event = queue.Pop();
     event.fn();

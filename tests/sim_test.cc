@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
 
@@ -58,6 +61,68 @@ TEST(EventQueueTest, CancelledHeadSkipped) {
   EXPECT_EQ(q.PeekTime(), 10);
   q.Pop().fn();
   EXPECT_EQ(fired, 2);
+}
+
+// The scheduling-time order (DESIGN.md §7.2) must not move ordinary
+// events: with per-origin sequence numbers that grow with scheduling time,
+// (time, origin, scheduling time, key) pops exactly in the old (time, key)
+// order.
+TEST(EventQueueTest, SchedulingTimeOrderKeepsTimeKeyOrderForOrdinaryEvents) {
+  Rng rng(7);
+  EventQueue q;
+  struct Pushed {
+    SimTime at;
+    uint64_t key;
+    int tag;
+  };
+  std::vector<Pushed> pushed;
+  std::vector<int> popped;
+  std::vector<uint64_t> seq(5, 0);
+  SimTime now = 0;
+  for (int i = 0; i < 4000; ++i) {
+    now += rng.UniformInt(0, 3);
+    const auto origin = static_cast<EventRegion>(rng.UniformInt(-1, 3));
+    const SimTime at = now + rng.UniformInt(0, 20);
+    const uint64_t key =
+        MakeOrderKey(origin, ++seq[static_cast<size_t>(origin + 1)]);
+    q.PushOrdered(EventOrder{at, now, key}, origin,
+                  [&popped, i] { popped.push_back(i); });
+    pushed.push_back(Pushed{at, key, i});
+  }
+  std::sort(pushed.begin(), pushed.end(), [](const Pushed& a, const Pushed& b) {
+    return std::tie(a.at, a.key) < std::tie(b.at, b.key);
+  });
+  std::vector<int> expected;
+  for (const Pushed& p : pushed) {
+    expected.push_back(p.tag);
+  }
+  while (!q.empty()) {
+    q.Pop().fn();
+  }
+  EXPECT_EQ(popped, expected);
+}
+
+// A step event is stamped with the start of the step it ends and sorts
+// first among its origin's events scheduled at that instant, by replica
+// ordinal.
+TEST(EventQueueTest, StepEventPopsFirstAtEqualTimeOriginAndSchedulingTime) {
+  EventQueue q;
+  std::vector<int> order;
+  auto push = [&](SimTime sched, uint64_t key, int tag) {
+    q.PushOrdered(EventOrder{100, sched, key}, 1,
+                  [&order, tag] { order.push_back(tag); });
+  };
+  push(50, MakeOrderKey(1, 7), 4);   // Ordinary, scheduled at 50.
+  push(50, MakeStepKey(1, 3), 3);    // Step of replica ordinal 3 from 50.
+  push(51, MakeOrderKey(1, 8), 5);   // Scheduled after the step began.
+  push(50, MakeStepKey(1, 2), 2);    // Step of replica ordinal 2 from 50.
+  push(49, MakeOrderKey(1, 6), 1);   // Scheduled before the step began.
+  q.PushOrdered(EventOrder{100, 60, MakeOrderKey(0, 9)}, 0,
+                [&order] { order.push_back(0); });  // Lower origin first.
+  while (!q.empty()) {
+    q.Pop().fn();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
