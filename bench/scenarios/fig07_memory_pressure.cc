@@ -179,6 +179,9 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   sim.RunUntil(warmup + measure);
 
   if (tracer != nullptr) {
+    for (const auto& replica : replicas) {
+      replica->Sync();  // Trace every engine step finished by the deadline.
+    }
     WriteTraceArtifacts(
         *tracer, options.trace_dir, "fig07_memory_pressure", mc.label,
         {{"policy", mc.mode == PushMode::kBlind ? "BP" : "SP-P"},

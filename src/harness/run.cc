@@ -428,6 +428,11 @@ RunResult Run(const RunSpec& spec) {
   result.run_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
+  // Replicas still inside a stable stretch emit their finished steps' trace
+  // records now, while the tracer's caller can still export them.
+  for (const Replica* replica : replicas) {
+    replica->Sync();
+  }
   for (auto& sampler : samplers) {
     sampler->Stop();
   }

@@ -76,6 +76,12 @@ class BlockTable {
   // allocates one without changing the block count).
   int64_t Append(BlockAllocator& alloc, int32_t block_size, int64_t tokens);
 
+  // Blocks `tokens` appends of one token each would allocate, counting a
+  // copy-on-write replacement (which allocates without freeing: the shared
+  // page survives). A query: nothing changes.
+  int64_t BlocksToAppend(const BlockAllocator& alloc, int32_t block_size,
+                         int64_t tokens) const;
+
   // Becomes a fork of `parent`'s first `tokens` tokens by taking references
   // on the covering blocks (inheriting the parent's skew). The table must
   // be empty.
@@ -138,6 +144,25 @@ inline int64_t BlockTable::Append(BlockAllocator& alloc, int32_t block_size,
   }
   tokens_ += tokens;
   return allocated;
+}
+
+inline int64_t BlockTable::BlocksToAppend(const BlockAllocator& alloc,
+                                          int32_t block_size,
+                                          int64_t tokens) const {
+  if (tokens <= 0) {
+    return 0;
+  }
+  // Mirrors Append: the first token may copy a shared partial tail; after
+  // that the tail is private, and a page is allocated whenever it fills.
+  const int64_t avail = blocks_.empty()
+                            ? 0
+                            : num_blocks() * block_size - skew_ - tokens_;
+  const int64_t cow = avail > 0 && alloc.ref_count(blocks_.back()) > 1 &&
+                              blocks_.back() != cow_exempt_
+                          ? 1
+                          : 0;
+  const int64_t spill = tokens - (avail < tokens ? avail : tokens);
+  return cow + (spill + block_size - 1) / block_size;
 }
 
 }  // namespace skywalker

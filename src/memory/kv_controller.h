@@ -132,6 +132,13 @@ class KvController {
   // never re-charges it).
   void RestoreDecodedTokens(SeqId id, int64_t tokens);
 
+  // Blocks the next `tokens` OnDecodeToken calls for the sequence would
+  // allocate (stable-stretch planning, DESIGN.md §13). A query only.
+  int64_t DecodeBlocks(SeqId id, int64_t tokens) const {
+    return entry(id).table.BlocksToAppend(alloc_, config_.block_size_tokens,
+                                          tokens);
+  }
+
   int64_t SeqTokens(SeqId id) const;
   const BlockTable& table(SeqId id) const { return entry(id).table; }
 

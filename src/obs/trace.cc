@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "src/common/json.h"
+#include "src/sim/simulator.h"
 
 namespace skywalker {
 
@@ -58,7 +59,22 @@ Tracer::Ring& Tracer::RingFor(int16_t region) {
   return rings_[index];
 }
 
+void Tracer::BindClock(const Simulator* sim) {
+  for (Ring& ring : rings_) {
+    ring.clock = sim;
+  }
+}
+
+void Tracer::BindClock(int32_t region, const Simulator* sim) {
+  RingFor(static_cast<int16_t>(region)).clock = sim;
+}
+
 void Tracer::Emit(const TraceRecord& record) {
+  const Simulator* clock = RingFor(record.region).clock;
+  Emit(record, clock != nullptr ? clock->horizon() : EventOrder{});
+}
+
+void Tracer::Emit(const TraceRecord& record, const EventOrder& order) {
   Ring& ring = RingFor(record.region);
   if (ring.slabs.empty() || ring.tail_used == kSlabRecords) {
     if (ring.slabs.size() < max_slabs_per_ring_) {
@@ -73,7 +89,8 @@ void Tracer::Emit(const TraceRecord& record) {
     }
     ring.tail_used = 0;
   }
-  ring.slabs.back()->records[ring.tail_used++] = record;
+  ring.slabs.back()->entries[ring.tail_used++] =
+      Entry{record, order.sched, order.key};
 }
 
 int64_t Tracer::size() const {
@@ -99,15 +116,29 @@ int64_t Tracer::dropped() const {
 std::vector<TraceRecord> Tracer::Merged() const {
   std::vector<TraceRecord> merged;
   merged.reserve(static_cast<size_t>(size()));
-  // Concatenate rings in region order; each ring is already in per-region
-  // append order. A stable sort by time then realizes the (time, region,
-  // seq) total order — ties keep concatenation order, which is exactly
-  // (region, per-region seq).
+  // Order each ring by (time, emitting event's order), keeping append order
+  // among a single event's records: real events append in that order
+  // already, and a stretch's late-emitted virtual steps move back to where
+  // the per-step events would have appended them. Then concatenate rings in
+  // region order; a stable sort by time realizes the (time, region, event
+  // order, append index) total order — ties keep concatenation order.
+  auto before = [](const Entry& a, const Entry& b) {
+    return EventOrder{a.record.time, a.sched, a.key} <
+           EventOrder{b.record.time, b.sched, b.key};
+  };
+  std::vector<Entry> ring_entries;
   for (const Ring& ring : rings_) {
+    ring_entries.clear();
     for (size_t s = 0; s < ring.slabs.size(); ++s) {
       size_t n = s + 1 == ring.slabs.size() ? ring.tail_used : kSlabRecords;
-      const TraceRecord* recs = ring.slabs[s]->records;
-      merged.insert(merged.end(), recs, recs + n);
+      const Entry* entries = ring.slabs[s]->entries;
+      ring_entries.insert(ring_entries.end(), entries, entries + n);
+    }
+    if (!std::is_sorted(ring_entries.begin(), ring_entries.end(), before)) {
+      std::stable_sort(ring_entries.begin(), ring_entries.end(), before);
+    }
+    for (const Entry& entry : ring_entries) {
+      merged.push_back(entry.record);
     }
   }
   std::stable_sort(

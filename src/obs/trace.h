@@ -20,10 +20,15 @@
 // exactly one shard under the sharded simulator, and keyed ordering makes a
 // region's execution history a pure function of the workload — so each
 // region's append stream is identical for any grouping of regions into
-// shards and any thread count. The merged order is (time, region,
-// per-region append seq): concatenate the rings in region order and
-// stable-sort by time. Exported trace bytes are therefore bit-identical
-// across shard/thread counts.
+// shards and any thread count. Each record keeps the order position of the
+// event that emitted it (the bound simulator's horizon, or an explicit
+// order), outside the exported bytes. The merged order is (time, region,
+// emitting event's order, append index). For real events that is the
+// append order; a replica's stable stretch emits its virtual steps' records
+// late, at catch-up, under the order of the per-step events they replace
+// (DESIGN.md §13), and the merge puts them back in place. Exported trace
+// bytes are therefore bit-identical across shard/thread counts and to the
+// per-step path.
 //
 // Memory: each ring grows in 4096-record slabs up to `max_records_per_region`
 // and then recycles its oldest slab (drop-oldest, counted in dropped()).
@@ -40,8 +45,11 @@
 #include <vector>
 
 #include "src/common/sim_time.h"
+#include "src/sim/event_queue.h"
 
 namespace skywalker {
+
+class Simulator;
 
 // Stable on-disk ids (the compact binary stores the numeric value; renaming
 // an enumerator is fine, renumbering is a format break).
@@ -107,17 +115,29 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Appends to the record's region ring. Thread-safe across *different*
-  // regions (each region's events run on one shard); never safe for one
-  // region from two threads — which the sharded simulator's region
-  // ownership rules out.
+  // Appends to the record's region ring, stamped with the order position
+  // of the emitting event: the horizon of the simulator bound to that
+  // region (none bound: a zero order, i.e. plain append order). Thread-safe
+  // across *different* regions (each region's events run on one shard);
+  // never safe for one region from two threads — which the sharded
+  // simulator's region ownership rules out.
   void Emit(const TraceRecord& record);
+  // Same, stamped with an explicit order whose time is `record.time` (a
+  // virtual stretch step's records, emitted after the fact).
+  void Emit(const TraceRecord& record, const EventOrder& order);
+
+  // Binds the simulator whose horizon stamps implicit emissions: for every
+  // ring, or for one region's. Simulator::SetTracer binds itself; a bound
+  // simulator must outlive every implicit emission into its rings.
+  void BindClock(const Simulator* sim);
+  void BindClock(int32_t region, const Simulator* sim);
 
   // Records retained across all rings / records dropped by ring caps.
   int64_t size() const;
   int64_t dropped() const;
 
-  // All retained records in the deterministic (time, region, seq) order.
+  // All retained records in the deterministic (time, region, emitting
+  // event's order, append index) order.
   std::vector<TraceRecord> Merged() const;
 
   // Drops all records; keeps slab storage for reuse.
@@ -127,14 +147,22 @@ class Tracer {
   static constexpr size_t kSlabRecords = 4096;
 
  private:
-  struct Slab {
-    TraceRecord records[kSlabRecords];
+  // A record and its emitting event's order position (its time is the
+  // record's own), kept out of the exported 48 bytes.
+  struct Entry {
+    TraceRecord record;
+    SimTime sched;
+    uint64_t key;
   };
-  // One per region: slabs in chronological order; all full except the tail.
+  struct Slab {
+    Entry entries[kSlabRecords];
+  };
+  // One per region: slabs in append order; all full except the tail.
   struct Ring {
     std::vector<std::unique_ptr<Slab>> slabs;
     size_t tail_used = 0;   // Records in the last slab.
     int64_t dropped = 0;
+    const Simulator* clock = nullptr;  // Stamps implicit emissions.
   };
 
   Ring& RingFor(int16_t region);
@@ -146,9 +174,10 @@ class Tracer {
 // Emission-site helper: one call per record, common fields first. Sites
 // guard with `if (Tracer* t = sim->tracer())` so the off path never even
 // builds the arguments.
-inline void EmitTrace(Tracer* tracer, SimTime time, TraceEventType type,
-                      int32_t region, int32_t replica, int64_t request,
-                      int64_t a = 0, int64_t b = 0, double x = 0.0) {
+inline TraceRecord MakeTraceRecord(SimTime time, TraceEventType type,
+                                   int32_t region, int32_t replica,
+                                   int64_t request, int64_t a, int64_t b,
+                                   double x) {
   TraceRecord record;
   record.time = time;
   record.request = request;
@@ -158,7 +187,23 @@ inline void EmitTrace(Tracer* tracer, SimTime time, TraceEventType type,
   record.type = static_cast<uint16_t>(type);
   record.region = static_cast<int16_t>(region);
   record.replica = replica;
-  tracer->Emit(record);
+  return record;
+}
+
+inline void EmitTrace(Tracer* tracer, SimTime time, TraceEventType type,
+                      int32_t region, int32_t replica, int64_t request,
+                      int64_t a = 0, int64_t b = 0, double x = 0.0) {
+  tracer->Emit(MakeTraceRecord(time, type, region, replica, request, a, b, x));
+}
+
+// Emits at an explicit event order, stamped with its time.
+inline void EmitTrace(Tracer* tracer, const EventOrder& order,
+                      TraceEventType type, int32_t region, int32_t replica,
+                      int64_t request, int64_t a = 0, int64_t b = 0,
+                      double x = 0.0) {
+  tracer->Emit(
+      MakeTraceRecord(order.at, type, region, replica, request, a, b, x),
+      order);
 }
 
 // --- exporters -----------------------------------------------------------

@@ -1,12 +1,31 @@
 #include "src/replica/replica.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <limits>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/obs/trace.h"
 
 namespace skywalker {
+
+namespace {
+
+std::atomic<bool> g_per_step_oracle{false};
+
+// Event delay of a step: what ScheduleAfter(static_cast<SimDuration>(us))
+// would add to the clock.
+SimDuration StepDelay(double step_us) {
+  return std::max<SimDuration>(static_cast<SimDuration>(step_us), 0);
+}
+
+}  // namespace
+
+void Replica::set_per_step_oracle(bool on) {
+  g_per_step_oracle.store(on, std::memory_order_relaxed);
+}
 
 Replica::Replica(Simulator* sim, ReplicaId id, RegionId region,
                  const ReplicaConfig& config)
@@ -17,10 +36,12 @@ Replica::Replica(Simulator* sim, ReplicaId id, RegionId region,
       cache_(config.kv_capacity_tokens, &kv_.allocator(),
              config.kv_block_size_tokens, config.cache_eviction_policy),
       config_(config),
-      step_ordinal_(sim->AssignStepOrdinal()) {}
+      step_ordinal_(sim->AssignStepOrdinal()),
+      per_step_(g_per_step_oracle.load(std::memory_order_relaxed)) {}
 
 void Replica::Enqueue(Request req, Handlers handlers) {
   SKYWALKER_CHECK(!req.output.empty()) << "request must generate >= 1 token";
+  Sync();
   if (!serving_) {
     // A crashed engine accepts nothing; the request vanishes exactly like
     // in-flight work did at the crash. The dispatching balancer's request
@@ -42,6 +63,9 @@ void Replica::Enqueue(Request req, Handlers handlers) {
     EmitTrace(t, sim_->now(), TraceEventType::kReplicaArrive, region_, id_,
               static_cast<int64_t>(pending_.back().req.id), pending_count());
   }
+  if (HasFreeSlot()) {
+    CutStretch();  // The next boundary's Admit has this request to try.
+  }
   MaybeStep();
 }
 
@@ -50,15 +74,18 @@ int64_t Replica::ReserveRemaining(const Seq& seq) const {
 }
 
 int64_t Replica::memory_used_tokens() const {
+  Sync();
   return cache_.size_tokens() + kv_.seq_resident_tokens();
 }
 
 int64_t Replica::fragmentation_tokens() const {
+  Sync();
   return kv_.used_blocks() * config_.kv_block_size_tokens -
          memory_used_tokens();
 }
 
 int Replica::EstimateFreeCapacity() const {
+  Sync();
   int free_slots = config_.max_running_requests -
                    static_cast<int>(running_.size()) - pending_count();
   if (free_slots <= 0) {
@@ -84,6 +111,7 @@ int Replica::EstimateFreeCapacity() const {
 }
 
 Replica::LoadSnapshot Replica::Snapshot() const {
+  Sync();
   LoadSnapshot snap;
   snap.pending = pending_count();
   snap.running = running_count();
@@ -126,6 +154,7 @@ double Replica::memory_utilization() const {
 }
 
 int64_t Replica::active_memory_tokens() const {
+  Sync();
   return cache_.pinned_tokens() + kv_.seq_resident_tokens();
 }
 
@@ -135,6 +164,7 @@ double Replica::active_memory_utilization() const {
 }
 
 double Replica::BusyFraction() const {
+  Sync();
   double elapsed = static_cast<double>(sim_->now());
   return elapsed <= 0 ? 0.0 : stats_.busy_us / elapsed;
 }
@@ -303,6 +333,7 @@ void Replica::MaybeStep() {
   int64_t prefill_total = 0;
   int decode_count = 0;
   int64_t decode_context_tokens = 0;
+  int64_t min_remaining = std::numeric_limits<int64_t>::max();
   for (Seq& seq : running_) {
     seq.prefill_alloc = 0;
     seq.decode_alloc = false;
@@ -316,35 +347,149 @@ void Replica::MaybeStep() {
       seq.decode_alloc = true;
       ++decode_count;
       decode_context_tokens += seq.prompt_len() + seq.generated;
+      min_remaining = std::min(min_remaining, seq.output_len() - seq.generated);
     }
   }
   if (prefill_total == 0 && decode_count == 0) {
     return;  // Nothing to do (all seqs stalled behind the prefill budget).
   }
+  step_in_flight_ = true;
+  step_start_ = sim_->now();
+  step_us_ = StepUs(prefill_total, decode_count, decode_context_tokens);
+  step_decode_count_ = decode_count;
+  step_context_tokens_ = decode_context_tokens;
+  // A pure-decode batch may run a stable stretch: walk its step durations
+  // to the start of its last step, which the end event carries as its
+  // scheduling time. Only steps at least 1 us long end at a virtual
+  // boundary, so the per-step path would have scheduled each boundary's
+  // event strictly before it runs (what Simulator::HasRun relies on).
+  const bool pure_decode =
+      prefill_total == 0 && static_cast<size_t>(decode_count) == running_.size();
+  const int64_t steps = pure_decode ? StretchLength(min_remaining) : 1;
+  SimTime last_start = step_start_;
+  double last_us = step_us_;
+  int64_t context = decode_context_tokens;
+  int64_t planned = 1;
+  while (planned < steps && StepDelay(last_us) >= 1) {
+    last_start += StepDelay(last_us);
+    context += decode_count;
+    last_us = StepUs(0, decode_count, context);
+    ++planned;
+  }
+  stretch_steps_ = planned - 1;
+  boundary_ = StepEndOrder();
+  step_event_ = sim_->ScheduleStep(last_start + StepDelay(last_us), last_start,
+                                   region_, step_ordinal_,
+                                   [this] { OnStepEvent(); });
+}
+
+double Replica::StepUs(int64_t prefill_tokens, int decode_count,
+                       int64_t decode_context_tokens) const {
   double duration_us =
       config_.step_base_us +
-      static_cast<double>(prefill_total) * config_.prefill_us_per_token +
+      static_cast<double>(prefill_tokens) * config_.prefill_us_per_token +
       static_cast<double>(decode_count) * config_.decode_us_per_seq +
       static_cast<double>(decode_context_tokens) *
           config_.decode_us_per_context_token;
   // Gray-failure knob: a straggler executes every step slower. The
   // multiplication by the default 1.0 is exact for finite doubles, so
   // unslowed replicas keep bit-identical step times.
-  duration_us *= slowdown_;
-  step_in_flight_ = true;
-  ++stats_.engine_steps;
-  stats_.busy_us += duration_us;
-  const SimTime start = sim_->now();
-  sim_->ScheduleStep(
-      start + std::max<SimDuration>(static_cast<SimDuration>(duration_us), 0),
-      start, region_, step_ordinal_, [this, duration_us, decode_count] {
-        FinishStep(duration_us, decode_count);
-      });
+  return duration_us * slowdown_;
 }
 
-void Replica::FinishStep(double step_us, int decode_count) {
-  step_in_flight_ = false;
+int64_t Replica::StretchLength(int64_t min_remaining) const {
+  // Admit must have nothing to try at any boundary: no swap to resume, and
+  // no pending request unless the batch is full (a memory-blocked head
+  // would be retried, re-stamping LRU times and maybe evicting).
+  if (per_step_ || !swapped_.empty() || !restoring_.empty() ||
+      (!pending_.empty() && HasFreeSlot())) {
+    return 1;
+  }
+  // No sequence completes before the last step.
+  int64_t steps = min_remaining;
+  // The ledger never needs reclaim at a boundary before the last: the
+  // blocks m steps of decode allocate must fit the headroom for m < steps.
+  const int64_t headroom = kv_.total_blocks() - kv_.used_blocks();
+  auto grown = [this](int64_t m) {
+    if (config_.kv_block_size_tokens == 1) {
+      // Coarse mode: every token is a fresh one-token page.
+      return m * static_cast<int64_t>(running_.size());
+    }
+    int64_t blocks = 0;
+    for (const Seq& seq : running_) {
+      blocks += kv_.DecodeBlocks(seq.kv, m);
+    }
+    return blocks;
+  };
+  if (steps > 1 && grown(steps - 1) > headroom) {
+    // The largest m < steps - 1 that still fits (growth is monotone).
+    int64_t fits = 0;
+    int64_t overflows = steps - 1;
+    while (overflows - fits > 1) {
+      const int64_t mid = fits + (overflows - fits) / 2;
+      (grown(mid) <= headroom ? fits : overflows) = mid;
+    }
+    steps = fits + 1;
+  }
+  return steps;
+}
 
+SimTime Replica::StepEnd() const { return step_start_ + StepDelay(step_us_); }
+
+void Replica::OnStepEvent() {
+  step_event_ = kInvalidEventId;
+  Sync();  // Every earlier boundary of the stretch precedes this event.
+  FinishStep(step_us_, step_decode_count_);
+}
+
+void Replica::CatchUp() {
+  // SampleMemory reads public getters, which Sync: park the count so they
+  // see no stretch while a boundary is half materialized.
+  int64_t left = std::exchange(stretch_steps_, 0);
+  while (left > 0 && sim_->HasRun(boundary_)) {
+    FinishStretchStep();
+    --left;
+  }
+  stretch_steps_ = left;
+}
+
+void Replica::FinishStretchStep() {
+  const EventOrder at = boundary_;
+  // FinishStep's bookkeeping for a pure decode step that completes no
+  // sequence, in its order: every sequence decodes one token.
+  CountStep(step_us_, step_decode_count_);
+  for (Seq& seq : running_) {
+    ++seq.generated;
+    kv_.OnDecodeToken(seq.kv);
+  }
+  stats_.output_tokens_generated += step_decode_count_;
+  if (Tracer* t = sim_->tracer()) {
+    EmitTrace(t, at, TraceEventType::kEngineStep, region_, id_, -1, 0,
+              step_decode_count_, step_us_);
+  }
+  assert(kv_.ReclaimNeededBlocks() == 0 && "StretchLength bounds growth");
+  SampleMemory(at);
+  // MaybeStep's plan of the next step: the same batch, one more context
+  // token per sequence.
+  step_start_ = at.at;
+  step_context_tokens_ += step_decode_count_;
+  step_us_ = StepUs(0, step_decode_count_, step_context_tokens_);
+  boundary_ = StepEndOrder();
+}
+
+void Replica::CutStretch() {
+  if (stretch_steps_ == 0) {
+    return;
+  }
+  stretch_steps_ = 0;
+  sim_->Cancel(step_event_);
+  step_event_ = sim_->ScheduleStep(StepEnd(), step_start_, region_,
+                                   step_ordinal_, [this] { OnStepEvent(); });
+}
+
+void Replica::CountStep(double step_us, int decode_count) {
+  ++stats_.engine_steps;
+  stats_.busy_us += step_us;
   // Fold this step's duration into the probe-visible inter-token-latency
   // EWMA: each decoding sequence waited the whole step for its token. This
   // includes time spent on co-batched prefill chunks — that is latency the
@@ -356,6 +501,11 @@ void Replica::FinishStep(double step_us, int decode_count) {
                               : 0.25 * step_us + 0.75 * decode_ewma_us_per_token_;
     ++latency_samples_;
   }
+}
+
+void Replica::FinishStep(double step_us, int decode_count) {
+  step_in_flight_ = false;
+  CountStep(step_us, decode_count);
 
   // Apply prefill progress and decode increments.
   int64_t prefill_applied = 0;
@@ -405,7 +555,7 @@ void Replica::FinishStep(double step_us, int decode_count) {
   }
 
   ReclaimMemory();
-  SampleMemory();
+  SampleMemory(sim_->horizon());
   MaybeStep();
 }
 
@@ -573,7 +723,7 @@ void Replica::ReclaimMemory() {
   }
 }
 
-void Replica::SampleMemory() {
+void Replica::SampleMemory(const EventOrder& at) {
   stats_.peak_memory_utilization =
       std::max(stats_.peak_memory_utilization, memory_utilization());
   kv_.NoteFragmentationSample(fragmentation_tokens());
@@ -583,9 +733,9 @@ void Replica::SampleMemory() {
   if (stats_.engine_steps %
           static_cast<int64_t>(config_.memory_sample_every_steps) ==
       0) {
-    memory_series_.emplace_back(sim_->now(), active_memory_utilization());
+    memory_series_.emplace_back(at.at, active_memory_utilization());
     if (Tracer* t = sim_->tracer()) {
-      EmitTrace(t, sim_->now(), TraceEventType::kMemSample, region_, id_, -1,
+      EmitTrace(t, at, TraceEventType::kMemSample, region_, id_, -1,
                 kv_.free_blocks(), running_count(), memory_utilization());
     }
   }
@@ -611,6 +761,8 @@ int64_t Replica::EvictCache(int64_t blocks) {
 }
 
 void Replica::Crash() {
+  Sync();
+  CutStretch();  // The step in flight still finishes, over an empty batch.
   for (Seq& seq : running_) {
     if (seq.pin != kInvalidPin) {
       cache_.Unref(seq.pin);
@@ -639,6 +791,7 @@ void Replica::Crash() {
 }
 
 bool Replica::CheckInvariants() const {
+  Sync();
   int64_t uncached = 0;
   for (const Seq& seq : running_) {
     uncached += seq.uncached_len();
@@ -655,10 +808,14 @@ void Replica::Recover() { serving_ = true; }
 
 void Replica::SetSlowdown(double factor) {
   SKYWALKER_CHECK(factor > 0.0) << "slowdown must be positive";
+  Sync();
+  CutStretch();  // The stretch priced its steps at the old factor.
   slowdown_ = factor;
 }
 
 void Replica::ApplyCacheEvictionPolicy(EvictionPolicy policy) {
+  Sync();
+  CutStretch();
   config_.cache_eviction_policy = policy;
   cache_.SetEvictionPolicy(policy);
 }

@@ -19,6 +19,13 @@
 //   duration = step_base + prefill_tokens · prefill_per_token
 //            + decoding_seqs · decode_per_seq
 //
+// Stable stretches (DESIGN.md §13): when the next steps of a batch differ
+// only by context growth — pure decode, no completion, no admission to try,
+// no reclaim — MaybeStep plans them all and schedules one event at the end
+// of the last one. Readers and mutators first materialize every step
+// boundary the simulator has run past (Sync), replaying the per-step
+// bookkeeping exactly, so every observable matches the per-step path.
+//
 // Prompt KV is published to the prefix cache when prefill completes (SGLang
 // inserts computed KV into its radix tree immediately, so concurrent
 // identical prompts share from that point); generated tokens are published
@@ -148,8 +155,8 @@ class Replica {
     int64_t output_tokens_generated = 0;
     int64_t preemptions = 0;  // Recompute + swap victims.
     int64_t dropped_requests = 0;  // Arrivals while failed (vanish, §10).
-    int64_t engine_steps = 0;
-    double busy_us = 0;          // Total step time.
+    int64_t engine_steps = 0;    // Finished steps (one kEngineStep each).
+    double busy_us = 0;          // Total time of the finished steps.
     double peak_memory_utilization = 0;
     int peak_running = 0;
     int peak_pending = 0;
@@ -183,6 +190,12 @@ class Replica {
 
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
+
+  // Test-only oracle: replicas constructed while this is on plan one engine
+  // step per event — the per-step path that stable-stretch coalescing must
+  // reproduce bit for bit (DESIGN.md §13). Process-wide so whole fleets
+  // built by Run can take the oracle arm; set it before building them.
+  static void set_per_step_oracle(bool on);
 
   // Request arrival at the replica (network latency already applied by the
   // caller). Enters the pending queue until the batch admits it.
@@ -240,21 +253,32 @@ class Replica {
   // whenever the batch drains — completion, abort, and preemption all hand
   // their reserve back (regression-tested; ISSUE 4).
   int64_t reserved_future_tokens() const {
+    Sync();
     return kv_.committed_reserve_tokens();
   }
 
   ReplicaId id() const { return id_; }
   RegionId region() const { return region_; }
   const ReplicaConfig& config() const { return config_; }
-  const PrefixCache& cache() const { return cache_; }
-  const Stats& stats() const { return stats_; }
-  const KvController& kv() const { return kv_; }
+  const PrefixCache& cache() const {
+    Sync();
+    return cache_;
+  }
+  const Stats& stats() const {
+    Sync();
+    return stats_;
+  }
+  const KvController& kv() const {
+    Sync();
+    return kv_;
+  }
 
   // Fraction of wall time the engine executed steps since construction.
   double BusyFraction() const;
 
   // (time, utilization in [0,1]) samples for memory time-series figures.
   const std::vector<std::pair<SimTime, double>>& memory_series() const {
+    Sync();
     return memory_series_;
   }
 
@@ -280,6 +304,18 @@ class Replica {
   // Hot-reswaps the prefix cache's eviction policy. Entering kColdSubtree
   // rebuilds the subtree aggregates in one traversal.
   void ApplyCacheEvictionPolicy(EvictionPolicy policy);
+
+  // Materializes every stable-stretch step boundary the simulator has run
+  // past (Simulator::HasRun), bringing the replica to the state the
+  // per-step path would have at this point of the event order; a virtual
+  // step's trace records are emitted here. Every reader and mutator calls
+  // it first. It changes no observable, so it is const. Call it before
+  // exporting a trace, so every step finished by the deadline is in it.
+  void Sync() const {
+    if (stretch_steps_ > 0 && sim_->HasRun(boundary_)) {
+      const_cast<Replica*>(this)->CatchUp();
+    }
+  }
 
   // Recomputes the incrementally maintained probe inputs from scratch — the
   // batch's uncached-token sum behind EstimateFreeCapacity, and the cache
@@ -337,14 +373,54 @@ class Replica {
   void MaybeStartSwapIns();
   void FinishSwapIn(int64_t ticket);
 
-  // Starts an engine step if work exists and none is in flight.
+  // Starts an engine step if work exists and none is in flight — or a
+  // stable stretch of steps, scheduled as one event (DESIGN.md §13).
   void MaybeStep();
+
+  // Wall duration of a step with this plan, before the slowdown factor's
+  // exact multiply. The one formula every planned step goes through.
+  double StepUs(int64_t prefill_tokens, int decode_count,
+                int64_t decode_context_tokens) const;
+
+  // How many steps, counting the pure-decode step just planned, can run as
+  // one stretch: every boundary before the last must leave nothing to
+  // admit, no sequence complete and no block to reclaim. 1 = no stretch.
+  // `min_remaining` is the fewest output tokens any sequence still owes.
+  int64_t StretchLength(int64_t min_remaining) const;
+
+  // The step event: materializes the stretch's earlier boundaries, then
+  // finishes the step in flight.
+  void OnStepEvent();
 
   // Applies the effects of the step that just finished. `step_us` is the
   // step's wall duration and `decode_count` how many sequences decoded a
   // token in it — every such sequence experienced the full step duration as
   // its inter-token latency, which is the decode-latency sample.
   void FinishStep(double step_us, int decode_count);
+
+  // Counts a finished step: step totals and the decode-latency EWMA fold.
+  void CountStep(double step_us, int decode_count);
+
+  // --- stable stretches (DESIGN.md §13) ---
+  void CatchUp();
+  // One virtual boundary: the per-step path's FinishStep for a pure decode
+  // step that completes nothing, then its plan of the next step.
+  void FinishStretchStep();
+  // Ends the stretch at the next boundary (after Sync): cancels its end
+  // event and schedules the event the per-step path has pending there,
+  // at the same order position. Mutators that change what the next plan
+  // would be call it.
+  void CutStretch();
+  // End of the step in flight, and the order position of its boundary.
+  SimTime StepEnd() const;
+  EventOrder StepEndOrder() const {
+    return sim_->StepOrder(StepEnd(), step_start_, region_, step_ordinal_);
+  }
+  // Whether Admit could admit a pending request right now (a free slot).
+  bool HasFreeSlot() const {
+    return running_.size() + restoring_.size() <
+           static_cast<size_t>(config_.max_running_requests);
+  }
 
   // Handles a seq whose prefill completed in this step: publishes the
   // prompt's pages to the shared cache by reference transfer and drops the
@@ -357,7 +433,8 @@ class Replica {
   // preemption of the youngest running request (recompute or swap-out).
   void ReclaimMemory();
 
-  void SampleMemory();
+  // Post-step memory sample, stamped with the finishing step's order.
+  void SampleMemory(const EventOrder& at);
 
   // cache_.Evict with trace attribution: emits one kCacheEvict record per
   // call that removed at least one node. Returns the blocks freed.
@@ -393,6 +470,20 @@ class Replica {
   std::vector<RestoringSeq> restoring_;
   int64_t next_restore_ticket_ = 0;
   bool step_in_flight_ = false;
+  // The step in flight: start, duration, decode count, and the context
+  // tokens its decode cost was priced on (each stretch step adds one per
+  // sequence).
+  SimTime step_start_ = 0;
+  double step_us_ = 0;
+  int step_decode_count_ = 0;
+  int64_t step_context_tokens_ = 0;
+  // Steps of the stable stretch still to run after the one in flight; each
+  // starts at a virtual boundary that Sync materializes. `boundary_` is the
+  // order position of the next one (StepEndOrder), kept for Sync's check.
+  int64_t stretch_steps_ = 0;
+  EventOrder boundary_;
+  EventId step_event_ = kInvalidEventId;  // Ends the stretch's last step.
+  bool per_step_;  // The test-only oracle (set_per_step_oracle).
   // Deduplicates watermark-rejection counting: one count per blocked
   // request's episode (keyed by id — the head can rotate under preemption).
   RequestId watermark_reject_id_ = 0;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/obs/trace.h"
 
 namespace skywalker {
 
@@ -98,6 +99,18 @@ ShardedSimulator::~ShardedSimulator() {
     start_cv_.notify_all();
     for (std::thread& worker : pool_) {
       worker.join();
+    }
+  }
+}
+
+void ShardedSimulator::SetTracer(Tracer* tracer) {
+  for (auto& shard : shards_) {
+    shard->SetTracer(tracer);
+  }
+  if (tracer != nullptr) {
+    for (size_t r = 0; r < topology_.num_regions(); ++r) {
+      const auto region = static_cast<RegionId>(r);
+      tracer->BindClock(region, SimForRegion(region));
     }
   }
 }

@@ -88,12 +88,9 @@ class ShardedSimulator {
 
   // Installs one shared Tracer on every shard (ISSUE 9). Safe because the
   // tracer buffers per *region* and each region's events execute on exactly
-  // one shard; see src/obs/trace.h.
-  void SetTracer(Tracer* tracer) {
-    for (auto& shard : shards_) {
-      shard->SetTracer(tracer);
-    }
-  }
+  // one shard; see src/obs/trace.h. Each region's ring is stamped by its
+  // own shard's clock.
+  void SetTracer(Tracer* tracer);
 
   int ShardOf(RegionId region) const {
     return shard_of_region_[static_cast<size_t>(region)];

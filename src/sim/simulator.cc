@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/obs/trace.h"
 
 namespace skywalker {
 
@@ -60,6 +61,13 @@ EventId Simulator::ScheduleStep(SimTime at, SimTime start, EventRegion region,
   return events_.PushOrdered(StepOrder(at, start, region, ordinal),
                              keyed_ ? region : kInvalidEventRegion,
                              std::move(fn));
+}
+
+void Simulator::SetTracer(Tracer* tracer) {
+  tracer_ = tracer;
+  if (tracer_ != nullptr) {
+    tracer_->BindClock(this);
+  }
 }
 
 void Simulator::CoverThrough(SimTime t) {

@@ -149,7 +149,9 @@ class Simulator {
   // bit-identical to untraced runs (DESIGN.md §11). In sharded mode every
   // shard's Simulator shares one Tracer, whose per-region rings make that
   // safe (each region's events execute on exactly one shard).
-  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
+  // Installing a tracer binds this simulator's horizon as the order stamp
+  // of the records emitted under it (src/obs/trace.h).
+  void SetTracer(Tracer* tracer);
   Tracer* tracer() const { return tracer_; }
 
  private:

@@ -88,6 +88,31 @@ TEST(TracerTest, MergeOrderIndependentOfEmissionInterleaving) {
   EXPECT_EQ(TraceToBinary(a.Merged(), {}), TraceToBinary(b.Merged(), {}));
 }
 
+// Records emitted late under an explicit event order — a replica's
+// virtual stretch steps (DESIGN.md §13) — merge back to where that event
+// would have appended them; one event's records keep their append order.
+TEST(TracerTest, ExplicitOrdersMergeBackIntoEventOrder) {
+  Tracer tracer(1);
+  tracer.Emit(Rec(100, TraceEventType::kSubmit, 0, -1, 1),
+              EventOrder{100, 10, MakeOrderKey(0, 5)});
+  tracer.Emit(Rec(100, TraceEventType::kSubmit, 0, -1, 2),
+              EventOrder{100, 30, MakeOrderKey(0, 9)});
+  // Emitted last, for a step event at 100 that started at 20.
+  tracer.Emit(Rec(90, TraceEventType::kEngineStep, 0, 3),
+              EventOrder{90, 50, MakeStepKey(0, 0)});
+  tracer.Emit(Rec(100, TraceEventType::kEngineStep, 0, 3),
+              EventOrder{100, 20, MakeStepKey(0, 0)});
+  tracer.Emit(Rec(100, TraceEventType::kMemSample, 0, 3),
+              EventOrder{100, 20, MakeStepKey(0, 0)});
+  std::vector<TraceRecord> merged = tracer.Merged();
+  ASSERT_EQ(merged.size(), 5u);
+  EXPECT_EQ(merged[0].time, 90);
+  EXPECT_EQ(merged[1].request, 1);
+  EXPECT_EQ(merged[2].type, static_cast<uint16_t>(TraceEventType::kEngineStep));
+  EXPECT_EQ(merged[3].type, static_cast<uint16_t>(TraceEventType::kMemSample));
+  EXPECT_EQ(merged[4].request, 2);
+}
+
 TEST(TracerTest, RingCapsDropOldestAndCount) {
   // Cap of one slab: the ring holds at most kSlabRecords records and drops
   // whole slabs from the head.

@@ -1,16 +1,22 @@
 // Property tests for the replica engine: conservation (every enqueued
 // request completes exactly once, first-token precedes completion), memory
 // boundedness, and cache-accounting invariants, swept across engine
-// configurations and workload shapes with parameterized gtest.
+// configurations and workload shapes with parameterized gtest — plus the
+// differential check of stable-stretch coalescing against the per-step
+// oracle (DESIGN.md §13).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/obs/trace.h"
 #include "src/replica/replica.h"
 #include "src/sim/simulator.h"
 
@@ -22,7 +28,22 @@ struct SweepConfig {
   int max_running;
   int64_t prefill_chunk;
   double share_probability;  // Chance a request reuses another's prefix.
+  int32_t block_size = 1;    // > 1: paged KV.
+  PreemptPolicy policy = PreemptPolicy::kRecompute;
 };
+
+ReplicaConfig MakeConfig(const SweepConfig& sweep) {
+  ReplicaConfig config;
+  config.kv_capacity_tokens = sweep.kv_capacity;
+  config.max_running_requests = sweep.max_running;
+  config.max_prefill_tokens_per_step = sweep.prefill_chunk;
+  config.kv_block_size_tokens = sweep.block_size;
+  config.kv_preempt_policy = sweep.policy;
+  if (sweep.block_size > 1) {
+    config.output_reserve_tokens = 64;
+  }
+  return config;
+}
 
 class ReplicaSweepTest
     : public ::testing::TestWithParam<std::tuple<SweepConfig, uint64_t>> {};
@@ -30,10 +51,7 @@ class ReplicaSweepTest
 TEST_P(ReplicaSweepTest, ConservationAndInvariants) {
   auto [sweep, seed] = GetParam();
   Simulator sim;
-  ReplicaConfig config;
-  config.kv_capacity_tokens = sweep.kv_capacity;
-  config.max_running_requests = sweep.max_running;
-  config.max_prefill_tokens_per_step = sweep.prefill_chunk;
+  const ReplicaConfig config = MakeConfig(sweep);
   Replica replica(&sim, 0, 0, config);
 
   Rng rng(seed);
@@ -115,6 +133,213 @@ TEST_P(ReplicaSweepTest, ConservationAndInvariants) {
   EXPECT_GE(replica.stats().output_tokens_generated, 0);
 }
 
+// --- Stable-stretch coalescing against the per-step oracle ----------------
+
+// Requests shaped like the sweep's: fresh suffixes over a shared-prefix bank.
+std::vector<Request> MakeRequests(Rng& rng, int count, double share) {
+  std::vector<Request> requests;
+  std::vector<TokenSeq> prior_prompts;
+  Token fresh = 1;
+  for (int i = 0; i < count; ++i) {
+    Request req;
+    req.id = static_cast<RequestId>(i + 1);
+    req.client_region = 0;
+    if (!prior_prompts.empty() && rng.Bernoulli(share)) {
+      req.prompt = prior_prompts[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(prior_prompts.size()) - 1))];
+    }
+    const int64_t extra = rng.UniformInt(8, 400);
+    for (int64_t k = 0; k < extra; ++k) {
+      req.prompt.push_back(fresh++);
+    }
+    const int64_t out = rng.UniformInt(1, 160);
+    for (int64_t k = 0; k < out; ++k) {
+      req.output.push_back(fresh++);
+    }
+    prior_prompts.push_back(req.prompt);
+    requests.push_back(std::move(req));
+  }
+  return requests;
+}
+
+// One observation line: every stat, the probe payload, ledger totals, the
+// memory series and the cache, printed exactly (hex floats).
+void Observe(Simulator& sim, Replica& replica, const std::string& what,
+             std::vector<std::string>* lines) {
+  std::ostringstream os;
+  os << std::hexfloat << sim.now() << ' ' << what;
+  const Replica::Stats& st = replica.stats();
+  os << " stats " << st.enqueued << ' ' << st.completed << ' '
+     << st.prefill_tokens_computed << ' ' << st.cached_tokens_reused << ' '
+     << st.output_tokens_generated << ' ' << st.preemptions << ' '
+     << st.dropped_requests << ' ' << st.engine_steps << ' ' << st.busy_us
+     << ' ' << st.peak_memory_utilization << ' ' << st.peak_running << ' '
+     << st.peak_pending;
+  const ProbePayload p = replica.Probe();
+  os << " probe " << p.version << ' ' << p.pending << ' ' << p.running << ' '
+     << p.free_capacity << ' ' << p.free_blocks << ' ' << p.total_blocks
+     << ' ' << p.swapped << ' ' << p.ewma_decode_us_per_token << ' '
+     << p.latency_samples;
+  const Replica::LoadSnapshot snap = replica.Snapshot();
+  os << " snap " << snap.cache_blocks << ' ' << snap.evictable_blocks << ' '
+     << snap.fragmentation_tokens;
+  const KvController& kv = replica.kv();
+  os << " kv " << kv.used_blocks() << ' ' << kv.committed_blocks() << ' '
+     << kv.seq_resident_tokens() << ' ' << kv.committed_tokens() << ' '
+     << kv.live_seqs() << ' ' << kv.allocator_stats().allocated << ' '
+     << kv.allocator_stats().freed << ' ' << kv.allocator_stats().cow_copies
+     << ' ' << kv.allocator_stats().peak_used_blocks << ' '
+     << kv.counters().peak_fragmentation_tokens << ' '
+     << kv.counters().preempt_swap << ' ' << kv.counters().swap_ins;
+  os << " mem " << replica.memory_used_tokens() << ' '
+     << replica.active_memory_tokens() << ' '
+     << replica.reserved_future_tokens() << ' ' << replica.BusyFraction();
+  const auto& series = replica.memory_series();
+  os << " series " << series.size();
+  if (!series.empty()) {
+    os << ' ' << series.back().first << ' ' << series.back().second;
+  }
+  os << " cache " << replica.cache().size_tokens() << ' '
+     << replica.cache().num_nodes() << ' '
+     << replica.cache().eviction_stats().victims << " ok "
+     << replica.CheckInvariants();
+  lines->push_back(os.str());
+}
+
+struct WorldSpec {
+  ReplicaConfig config;
+  uint64_t seed = 1;
+  double share = 0.5;
+  // > 0: every injected time is a multiple of it.
+  SimDuration grid = 0;
+  // Instants to probe exactly, both before and after any step event there.
+  std::vector<SimTime> boundaries;
+};
+
+struct WorldLog {
+  std::vector<std::string> lines;  // Observations and callbacks, in order.
+  std::string trace;               // SKTRACE1 bytes.
+  std::vector<SimTime> step_ends;  // kEngineStep record times.
+  size_t events = 0;
+};
+
+// Arrivals, random probes, boundary probes and faults (Fail/Recover,
+// SetSlowdown, ApplyCacheEvictionPolicy) against one replica, coalesced or
+// on the per-step oracle; an observation after every injected event.
+WorldLog RunWorld(const WorldSpec& spec, bool oracle) {
+  WorldLog log;
+  Simulator sim;
+  Tracer tracer(1);
+  sim.SetTracer(&tracer);
+  Replica::set_per_step_oracle(oracle);
+  Replica replica(&sim, 0, 0, spec.config);
+  Replica::set_per_step_oracle(false);
+
+  Rng rng(spec.seed);
+  auto when = [&rng, &spec](double from_s, double to_s) {
+    auto t = static_cast<SimTime>(rng.Uniform(from_s * 1e6, to_s * 1e6));
+    return spec.grid > 0 ? t / spec.grid * spec.grid : t;
+  };
+  auto observe = [&sim, &replica, &log](const std::string& what) {
+    Observe(sim, replica, what, &log.lines);
+  };
+  for (Request& req : MakeRequests(rng, 60, spec.share)) {
+    Replica::Handlers handlers;
+    handlers.on_first_token = [&sim, &log](const Request& r, int64_t cached) {
+      log.lines.push_back(std::to_string(sim.now()) + " first " +
+                          std::to_string(r.id) + " " + std::to_string(cached));
+    };
+    handlers.on_complete = [&sim, &log](const Request& r, int64_t) {
+      log.lines.push_back(std::to_string(sim.now()) + " complete " +
+                          std::to_string(r.id));
+    };
+    sim.ScheduleAt(when(0, 6), [&replica, &observe, req = std::move(req),
+                                handlers = std::move(handlers)]() mutable {
+      replica.Enqueue(std::move(req), std::move(handlers));
+      observe("enqueue");
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    sim.ScheduleAt(when(0, 10), [&observe] { observe("probe"); });
+  }
+  for (SimTime t : spec.boundaries) {
+    // Scheduled at setup, this probe sorts before a step event ending at
+    // `t`; its zero-delay follow-up, scheduled at `t`, sorts after it.
+    sim.ScheduleAt(t, [&sim, &observe] {
+      observe("boundary_before");
+      sim.ScheduleAfter(0, [&observe] { observe("boundary_after"); });
+    });
+  }
+  const SimTime fail = when(3, 6);
+  sim.ScheduleAt(fail, [&replica, &observe] {
+    replica.Fail();
+    observe("fail");
+  });
+  sim.ScheduleAt(fail + (spec.grid > 0 ? 40 * spec.grid : 40'000),
+                 [&replica, &observe] {
+                   replica.Recover();
+                   observe("recover");
+                 });
+  const SimTime slow = when(0, 5);
+  sim.ScheduleAt(slow, [&replica, &observe] {
+    replica.SetSlowdown(2.5);
+    observe("slow");
+  });
+  sim.ScheduleAt(slow + when(0.5, 2), [&replica, &observe] {
+    replica.SetSlowdown(1.0);
+    observe("unslow");
+  });
+  sim.ScheduleAt(when(0, 4), [&replica, &observe] {
+    replica.ApplyCacheEvictionPolicy(EvictionPolicy::kColdSubtree);
+    observe("coldsubtree");
+  });
+  sim.ScheduleAt(when(4, 8), [&replica, &observe] {
+    replica.ApplyCacheEvictionPolicy(EvictionPolicy::kLruLeaf);
+    observe("lruleaf");
+  });
+  sim.Run();
+  observe("end");
+
+  log.events = sim.executed_events();
+  const std::vector<TraceRecord> records = tracer.Merged();
+  log.trace = TraceToBinary(records, {});
+  for (const TraceRecord& r : records) {
+    if (r.type == static_cast<uint16_t>(TraceEventType::kEngineStep)) {
+      log.step_ends.push_back(r.time);
+    }
+  }
+  return log;
+}
+
+// Runs the oracle once to find its step boundaries, probes a sample of them
+// in both arms, and requires identical observations and trace bytes.
+void ExpectCoalescedMatchesOracle(WorldSpec spec) {
+  const WorldLog first = RunWorld(spec, /*oracle=*/true);
+  for (size_t i = 0; i < first.step_ends.size(); i += 7) {
+    spec.boundaries.push_back(first.step_ends[i]);
+  }
+  const WorldLog oracle = RunWorld(spec, /*oracle=*/true);
+  const WorldLog coalesced = RunWorld(spec, /*oracle=*/false);
+  ASSERT_FALSE(oracle.lines.empty());
+  const size_t n = std::min(oracle.lines.size(), coalesced.lines.size());
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(coalesced.lines[i], oracle.lines[i]) << "observation " << i;
+  }
+  EXPECT_EQ(coalesced.lines.size(), oracle.lines.size());
+  EXPECT_TRUE(coalesced.trace == oracle.trace) << "trace bytes differ";
+  // The oracle schedules one event per step; coalescing must save some.
+  EXPECT_LT(coalesced.events, oracle.events);
+}
+
+TEST_P(ReplicaSweepTest, CoalescedMatchesPerStepOracle) {
+  auto [sweep, seed] = GetParam();
+  WorldSpec spec;
+  spec.config = MakeConfig(sweep);
+  spec.seed = seed;
+  spec.share = sweep.share_probability;
+  ExpectCoalescedMatchesOracle(spec);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ReplicaSweepTest,
     ::testing::Combine(
@@ -123,8 +348,29 @@ INSTANTIATE_TEST_SUITE_P(
             SweepConfig{4096, 64, 1024, 0.5},    // Memory-starved.
             SweepConfig{49152, 4, 1024, 0.5},    // Slot-starved.
             SweepConfig{8192, 16, 128, 0.8},     // Tiny chunks, heavy reuse.
-            SweepConfig{8192, 16, 4096, 0.0}),   // No sharing at all.
+            SweepConfig{8192, 16, 4096, 0.0},    // No sharing at all.
+            // Paged KV with swap preemption.
+            SweepConfig{4096, 32, 256, 0.6, 16, PreemptPolicy::kSwap},
+            SweepConfig{12288, 16, 512, 0.5, 16, PreemptPolicy::kSwap}),
         ::testing::Values(1u, 2u, 3u)));
+
+// Every step exactly 1 ms and every injected event on the 1 ms grid: each
+// step boundary ties with arrivals, probes and faults, some ordered before
+// the step event and some after it.
+TEST(ReplicaCoalescingTest, RoundNumberConfigTiesAtEveryBoundary) {
+  for (uint64_t seed : {1u, 2u}) {
+    WorldSpec spec;
+    spec.config.step_base_us = 1000.0;
+    spec.config.prefill_us_per_token = 0.0;
+    spec.config.decode_us_per_seq = 0.0;
+    spec.config.decode_us_per_context_token = 0.0;
+    spec.config.kv_capacity_tokens = 8192;
+    spec.config.max_running_requests = 8;
+    spec.seed = seed;
+    spec.grid = Milliseconds(1);
+    ExpectCoalescedMatchesOracle(spec);
+  }
+}
 
 // Heartbeat probes against the full-scan oracle: every Probe() during a
 // memory-starved run with shared prefixes (evictions, straddled pages,
@@ -206,6 +452,46 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(PreemptPolicy::kRecompute,
                                          PreemptPolicy::kSwap),
                        ::testing::Values(1u, 2u)));
+
+// Replica::Stats counts a step when it finishes, so a run stopped with
+// steps in flight (or mid-stretch) reports exactly the steps its trace
+// records: engine_steps equals the kEngineStep records and busy_us their
+// summed durations, on both paths.
+TEST(ReplicaCoalescingTest, EngineStepsMatchTracedSteps) {
+  for (bool oracle : {false, true}) {
+    Simulator sim;
+    Tracer tracer(1);
+    sim.SetTracer(&tracer);
+    Replica::set_per_step_oracle(oracle);
+    Replica replica(&sim, 0, 0, ReplicaConfig{});
+    Replica::set_per_step_oracle(false);
+    Rng rng(5);
+    for (Request& req : MakeRequests(rng, 12, 0.5)) {
+      sim.ScheduleAt(rng.UniformInt(0, Seconds(1)),
+                     [&replica, req = std::move(req)]() mutable {
+                       replica.Enqueue(std::move(req), {});
+                     });
+    }
+    for (SimTime deadline :
+         {Milliseconds(1234), Milliseconds(2500), Milliseconds(4321)}) {
+      sim.RunUntil(deadline);
+      replica.Sync();
+      int64_t traced = 0;
+      double traced_us = 0;
+      for (const TraceRecord& r : tracer.Merged()) {
+        if (r.type == static_cast<uint16_t>(TraceEventType::kEngineStep)) {
+          ++traced;
+          traced_us += r.x;
+        }
+      }
+      SCOPED_TRACE(std::string(oracle ? "oracle" : "coalesced") + " at " +
+                   std::to_string(deadline));
+      EXPECT_GT(traced, 0);
+      EXPECT_EQ(replica.stats().engine_steps, traced);
+      EXPECT_EQ(replica.stats().busy_us, traced_us);
+    }
+  }
+}
 
 TEST(ReplicaEdgeCaseTest, SingleTokenOutput) {
   Simulator sim;

@@ -14,6 +14,7 @@
 #include "src/harness/run.h"
 #include "src/net/network.h"
 #include "src/net/topology.h"
+#include "src/replica/replica.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/sharded_simulator.h"
 #include "src/sim/simulator.h"
@@ -199,10 +200,50 @@ RunSpec SmallFleet() {
   return spec;
 }
 
+// Every summary and resilience field of two runs, exactly. Executed events
+// are compared only when both runs use the same engine-step path.
+void ExpectSameRun(const RunResult& result, const RunResult& reference,
+                   bool same_step_path) {
+  // Trace equality covers every per-request observable bit for bit.
+  EXPECT_EQ(result.trace, reference.trace);
+  EXPECT_EQ(result.completed, reference.completed);
+  EXPECT_EQ(result.throughput_tok_s, reference.throughput_tok_s);
+  EXPECT_EQ(result.output_throughput_tok_s,
+            reference.output_throughput_tok_s);
+  EXPECT_EQ(result.ttft_p50_s, reference.ttft_p50_s);
+  EXPECT_EQ(result.ttft_p90_s, reference.ttft_p90_s);
+  EXPECT_EQ(result.ttft_mean_s, reference.ttft_mean_s);
+  EXPECT_EQ(result.e2e_p50_s, reference.e2e_p50_s);
+  EXPECT_EQ(result.e2e_p90_s, reference.e2e_p90_s);
+  EXPECT_EQ(result.e2e_mean_s, reference.e2e_mean_s);
+  EXPECT_EQ(result.cache_hit_rate, reference.cache_hit_rate);
+  EXPECT_EQ(result.forwarded_fraction, reference.forwarded_fraction);
+  EXPECT_EQ(result.outstanding_imbalance, reference.outstanding_imbalance);
+  EXPECT_EQ(result.messages_sent, reference.messages_sent);
+  EXPECT_EQ(result.cross_region_messages, reference.cross_region_messages);
+  if (same_step_path) {
+    EXPECT_EQ(result.executed_events, reference.executed_events);
+  }
+  EXPECT_EQ(result.preemptions, reference.preemptions);
+  EXPECT_EQ(result.issued, reference.issued);
+  EXPECT_EQ(result.completed_total, reference.completed_total);
+  EXPECT_EQ(result.client_errors, reference.client_errors);
+  EXPECT_EQ(result.lost_forever, reference.lost_forever);
+  EXPECT_EQ(result.request_timeouts, reference.request_timeouts);
+  EXPECT_EQ(result.probe_misses, reference.probe_misses);
+  EXPECT_EQ(result.ejections, reference.ejections);
+  EXPECT_EQ(result.recoveries, reference.recoveries);
+  EXPECT_EQ(result.late_completions, reference.late_completions);
+  EXPECT_EQ(result.config_swaps, reference.config_swaps);
+  EXPECT_EQ(result.failovers, reference.failovers);
+}
+
 // The tentpole determinism contract: the full fleet — LBs, replicas, chat
 // and ToT clients, probes, forwarding — produces bit-identical request
 // traces and summary metrics for every shard/thread combination, including
-// against the plain single-threaded Simulator.
+// against the plain single-threaded Simulator. The per-step oracle is one
+// more arm (DESIGN.md §13): coalescing engine steps into stable stretches
+// changes only how many events run.
 TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
   const RunResult reference = skywalker::Run(SmallFleet());
   ASSERT_GT(reference.completed, 0u);
@@ -219,39 +260,20 @@ TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
       const RunResult result = skywalker::Run(run_spec);
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " threads=" + std::to_string(threads));
-      // Trace equality covers every per-request observable bit for bit.
-      EXPECT_EQ(result.trace, reference.trace);
-      EXPECT_EQ(result.completed, reference.completed);
-      EXPECT_EQ(result.throughput_tok_s, reference.throughput_tok_s);
-      EXPECT_EQ(result.output_throughput_tok_s,
-                reference.output_throughput_tok_s);
-      EXPECT_EQ(result.ttft_p50_s, reference.ttft_p50_s);
-      EXPECT_EQ(result.ttft_p90_s, reference.ttft_p90_s);
-      EXPECT_EQ(result.ttft_mean_s, reference.ttft_mean_s);
-      EXPECT_EQ(result.e2e_p50_s, reference.e2e_p50_s);
-      EXPECT_EQ(result.e2e_p90_s, reference.e2e_p90_s);
-      EXPECT_EQ(result.e2e_mean_s, reference.e2e_mean_s);
-      EXPECT_EQ(result.cache_hit_rate, reference.cache_hit_rate);
-      EXPECT_EQ(result.forwarded_fraction, reference.forwarded_fraction);
-      EXPECT_EQ(result.outstanding_imbalance,
-                reference.outstanding_imbalance);
-      EXPECT_EQ(result.messages_sent, reference.messages_sent);
-      EXPECT_EQ(result.cross_region_messages,
-                reference.cross_region_messages);
-      EXPECT_EQ(result.executed_events, reference.executed_events);
-      EXPECT_EQ(result.preemptions, reference.preemptions);
-      EXPECT_EQ(result.issued, reference.issued);
-      EXPECT_EQ(result.completed_total, reference.completed_total);
-      EXPECT_EQ(result.client_errors, reference.client_errors);
-      EXPECT_EQ(result.lost_forever, reference.lost_forever);
-      EXPECT_EQ(result.request_timeouts, reference.request_timeouts);
-      EXPECT_EQ(result.probe_misses, reference.probe_misses);
-      EXPECT_EQ(result.ejections, reference.ejections);
-      EXPECT_EQ(result.recoveries, reference.recoveries);
-      EXPECT_EQ(result.late_completions, reference.late_completions);
-      EXPECT_EQ(result.config_swaps, reference.config_swaps);
-      EXPECT_EQ(result.failovers, reference.failovers);
+      ExpectSameRun(result, reference, /*same_step_path=*/true);
     }
+  }
+
+  for (int shards : {0, 4}) {
+    RunSpec run_spec = SmallFleet();
+    run_spec.num_shards = shards;
+    run_spec.num_threads = shards;
+    Replica::set_per_step_oracle(true);
+    const RunResult oracle = skywalker::Run(run_spec);
+    Replica::set_per_step_oracle(false);
+    SCOPED_TRACE("per-step oracle, shards=" + std::to_string(shards));
+    ExpectSameRun(oracle, reference, /*same_step_path=*/false);
+    EXPECT_GT(oracle.executed_events, reference.executed_events);
   }
 }
 

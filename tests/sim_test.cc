@@ -125,6 +125,30 @@ TEST(EventQueueTest, StepEventPopsFirstAtEqualTimeOriginAndSchedulingTime) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
+// The horizon decides whether a step boundary nobody scheduled yet counts
+// as run: during an event, by the running event's order; after
+// RunUntil(t), for all of instant t.
+TEST(SimulatorTest, HorizonOrdersUnscheduledStepBoundaries) {
+  Simulator sim;
+  // A step event at 100 for a step that started at 40.
+  const EventOrder step = sim.StepOrder(100, 40, kInvalidEventRegion, 0);
+  EXPECT_FALSE(sim.HasRun(step));
+  bool before = true;
+  bool after = false;
+  // Scheduled at 0 (before the step started): sorts before the step event.
+  sim.ScheduleAt(100, [&] { before = sim.HasRun(step); });
+  // Scheduled at 60 (after it started): sorts after it.
+  sim.ScheduleAt(60, [&] {
+    sim.ScheduleAt(100, [&] { after = sim.HasRun(step); });
+  });
+  sim.RunUntil(99);
+  EXPECT_FALSE(sim.HasRun(step));
+  sim.RunUntil(100);
+  EXPECT_TRUE(sim.HasRun(step));
+  EXPECT_FALSE(before);
+  EXPECT_TRUE(after);
+}
+
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
   Simulator sim;
   SimTime observed = -1;

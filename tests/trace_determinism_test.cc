@@ -1,12 +1,14 @@
 // Trace determinism contract (ISSUE 9, DESIGN.md §11):
 //
 //   1. Lifecycle tracing never perturbs the simulation: a traced fleet run's
-//      per-request outcome stream and summary metrics are bit-identical to
-//      the untraced run's.
+//      per-request outcome stream, summary metrics and event count are
+//      bit-identical to the untraced run's, with coalesced engine steps and
+//      on the per-step oracle alike, and both export the same trace bytes.
 //   2. Exported trace bytes are bit-identical across shard/thread counts —
 //      {1, 4} shards x {1, 8} threads and the plain reference all produce
 //      the same SKTRACE1 buffer, because records are buffered per region and
-//      merged by the keyed (time, region, per-region seq) order.
+//      merged by the (time, region, emitting event's order, append index)
+//      order.
 //   3. A capped tracer's steady state allocates nothing: once a ring reaches
 //      its slab cap, drop-oldest recycles slab storage instead of growing.
 //      (Counted with a global operator new replacement, the
@@ -22,6 +24,7 @@
 
 #include "src/harness/run.h"
 #include "src/obs/trace.h"
+#include "src/replica/replica.h"
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
@@ -114,26 +117,42 @@ RunSpec SmallFleet() {
   return spec;
 }
 
+// Both engine-step paths: coalesced stable stretches and the per-step
+// oracle (DESIGN.md §13). Tracing never changes a run or its event count on
+// either, and both export the same trace bytes — a stretch's virtual steps
+// are emitted at catch-up and merged back into per-step order.
 TEST(TraceDeterminismTest, TracingNeverPerturbsTheRun) {
-  RunSpec spec = SmallFleet();
-  spec.num_shards = 0;
-  const RunResult untraced = skywalker::Run(spec);
-  ASSERT_GT(untraced.completed, 0u);
+  std::string trace_bytes[2];
+  size_t events[2] = {0, 0};
+  for (bool oracle : {false, true}) {
+    SCOPED_TRACE(oracle ? "per-step oracle" : "coalesced");
+    Replica::set_per_step_oracle(oracle);
+    RunSpec spec = SmallFleet();
+    spec.num_shards = 0;
+    const RunResult untraced = skywalker::Run(spec);
+    ASSERT_GT(untraced.completed, 0u);
 
-  Tracer tracer(kRegions);
-  spec.tracer = &tracer;
-  const RunResult traced = skywalker::Run(spec);
-  EXPECT_GT(tracer.size(), 0);
+    Tracer tracer(kRegions);
+    spec.tracer = &tracer;
+    const RunResult traced = skywalker::Run(spec);
+    Replica::set_per_step_oracle(false);
+    EXPECT_GT(tracer.size(), 0);
 
-  // Every observable of the run is bit-identical with tracing on.
-  EXPECT_EQ(traced.trace, untraced.trace);
-  EXPECT_EQ(traced.completed, untraced.completed);
-  EXPECT_EQ(traced.throughput_tok_s, untraced.throughput_tok_s);
-  EXPECT_EQ(traced.ttft_p50_s, untraced.ttft_p50_s);
-  EXPECT_EQ(traced.ttft_p90_s, untraced.ttft_p90_s);
-  EXPECT_EQ(traced.e2e_p90_s, untraced.e2e_p90_s);
-  EXPECT_EQ(traced.messages_sent, untraced.messages_sent);
-  EXPECT_EQ(traced.executed_events, untraced.executed_events);
+    // Every observable of the run is bit-identical with tracing on.
+    EXPECT_EQ(traced.trace, untraced.trace);
+    EXPECT_EQ(traced.completed, untraced.completed);
+    EXPECT_EQ(traced.throughput_tok_s, untraced.throughput_tok_s);
+    EXPECT_EQ(traced.ttft_p50_s, untraced.ttft_p50_s);
+    EXPECT_EQ(traced.ttft_p90_s, untraced.ttft_p90_s);
+    EXPECT_EQ(traced.e2e_p90_s, untraced.e2e_p90_s);
+    EXPECT_EQ(traced.messages_sent, untraced.messages_sent);
+    EXPECT_EQ(traced.executed_events, untraced.executed_events);
+    trace_bytes[oracle ? 1 : 0] = TraceToBinary(tracer.Merged(), {});
+    events[oracle ? 1 : 0] = traced.executed_events;
+  }
+  EXPECT_TRUE(trace_bytes[0] == trace_bytes[1])
+      << "coalesced and per-step traces differ";
+  EXPECT_LT(events[0], events[1]);
 }
 
 TEST(TraceDeterminismTest, TraceBytesIdenticalAcrossShardsAndThreads) {
