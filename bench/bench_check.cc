@@ -159,12 +159,58 @@ const skywalker::Json* FindTimingCell(const skywalker::Json& timing,
   return nullptr;
 }
 
+// Executed-event ceilings: a floors cell entry's `max_executed_events`
+// (`max_executed_events_smoke` for smoke sidecars) bounds the sum of the
+// cell's per_shard[].executed_events. The count is deterministic and does
+// not depend on the host, so it gates what coalescing saves (DESIGN.md §13)
+// without runner noise, and it is checked on every host.
+int CheckEventCeilings(const skywalker::Json& timing,
+                       const skywalker::Json& floors, bool is_smoke,
+                       const std::string& timing_path) {
+  const skywalker::Json* cells = floors.Find("cells");
+  if (cells == nullptr || !cells->is_array()) {
+    return 0;
+  }
+  int failures = 0;
+  for (const skywalker::Json& entry : cells->elements()) {
+    const skywalker::Json* name = entry.Find("cell");
+    const skywalker::Json* ceiling = entry.Find(
+        is_smoke ? "max_executed_events_smoke" : "max_executed_events");
+    if (name == nullptr || ceiling == nullptr) {
+      continue;  // Malformed entries fail in the wall-clock pass.
+    }
+    const skywalker::Json* timed = FindTimingCell(timing, name->AsString());
+    const skywalker::Json* shards =
+        timed != nullptr ? timed->Find("per_shard") : nullptr;
+    if (shards == nullptr || !shards->is_array()) {
+      std::fprintf(stderr, "FAIL timing cell '%s' or its per_shard missing from %s\n",
+                   name->AsString().c_str(), timing_path.c_str());
+      ++failures;
+      continue;
+    }
+    double events = 0;
+    for (const skywalker::Json& shard : shards->elements()) {
+      const skywalker::Json* executed = shard.Find("executed_events");
+      events += executed != nullptr ? executed->AsDouble() : 0.0;
+    }
+    if (events > ceiling->AsDouble()) {
+      std::fprintf(stderr, "FAIL %s executed %.0f events, above ceiling %.0f\n",
+                   name->AsString().c_str(), events, ceiling->AsDouble());
+      ++failures;
+    } else {
+      std::printf("ok   %s executed %.0f events (ceiling %.0f)\n",
+                  name->AsString().c_str(), events, ceiling->AsDouble());
+    }
+  }
+  return failures;
+}
+
 // Enforces parallel-speedup floors on the sharded-simulator cells recorded
 // in the skybench --timing sidecar (ISSUE 6). The floors file pairs a
 // multi-shard cell with its single-shard twin and sets a minimum wall-clock
-// ratio; the whole check is skipped (not failed) on hosts with fewer
+// ratio; the wall-clock checks are skipped (not failed) on hosts with fewer
 // hardware threads than `min_host_threads`, where no parallel speedup is
-// physically available.
+// physically available. Executed-event ceilings run first, on every host.
 int CheckTiming(const std::string& timing_path,
                 const std::string& floors_path) {
   auto timing_text = ReadFile(timing_path);
@@ -180,6 +226,10 @@ int CheckTiming(const std::string& timing_path,
     std::fprintf(stderr, "FAIL unparseable timing/floors JSON\n");
     return 1;
   }
+  const skywalker::Json* smoke = timing->Find("smoke");
+  const bool is_smoke = smoke != nullptr && smoke->AsBool();
+  const int event_failures =
+      CheckEventCeilings(*timing, *floors, is_smoke, timing_path);
   const skywalker::Json* host = timing->Find("hardware_concurrency");
   const skywalker::Json* min_host = floors->Find("min_host_threads");
   const double host_threads = host != nullptr ? host->AsDouble() : 0;
@@ -188,10 +238,8 @@ int CheckTiming(const std::string& timing_path,
         "skip timing floors: host has %.0f hardware thread(s), floors "
         "require >= %.0f (no parallel speedup available)\n",
         host_threads, min_host->AsDouble());
-    return 0;
+    return event_failures;
   }
-  const skywalker::Json* smoke = timing->Find("smoke");
-  const bool is_smoke = smoke != nullptr && smoke->AsBool();
   const skywalker::Json* pairs = floors->Find("pairs");
   const skywalker::Json* cells = floors->Find("cells");
   if ((pairs == nullptr || !pairs->is_array()) &&
@@ -199,7 +247,7 @@ int CheckTiming(const std::string& timing_path,
     std::fprintf(stderr, "FAIL floors file has no 'pairs' or 'cells' array\n");
     return 1;
   }
-  int failures = 0;
+  int failures = event_failures;
   // Absolute wall-clock ceilings (ISSUE 10): for cells with no single-shard
   // twin to ratio against, the floors file bounds the cell's wall time
   // outright. Keyed per mode so the full-size ceiling is meaningful while
@@ -215,7 +263,7 @@ int CheckTiming(const std::string& timing_path,
         continue;
       }
       if (ceiling == nullptr) {
-        continue;  // No ceiling for this mode.
+        continue;  // No wall-clock ceiling for this mode.
       }
       const skywalker::Json* timed = FindTimingCell(*timing, name->AsString());
       if (timed == nullptr) {
