@@ -34,6 +34,8 @@
 // and then recycles its oldest slab (drop-oldest, counted in dropped()).
 // Steady state allocates nothing — slab recycling reuses storage, and
 // dropping is per-region-local, so a capped trace is still deterministic.
+// Drops follow append order, in which a stretch's virtual steps come late,
+// so only an uncapped trace matches the per-step path byte for byte.
 
 #ifndef SKYWALKER_OBS_TRACE_H_
 #define SKYWALKER_OBS_TRACE_H_
@@ -143,7 +145,7 @@ class Tracer {
   // Drops all records; keeps slab storage for reuse.
   void Clear();
 
-  static constexpr int64_t kDefaultMaxRecords = 1 << 22;  // 192 MiB/region cap.
+  static constexpr int64_t kDefaultMaxRecords = 1 << 22;  // 256 MiB/region cap.
   static constexpr size_t kSlabRecords = 4096;
 
  private:

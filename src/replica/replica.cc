@@ -180,9 +180,7 @@ void Replica::Admit() {
   if (!swapped_.empty()) {
     return;
   }
-  while (!pending_.empty() &&
-         running_.size() + restoring_.size() <
-             static_cast<size_t>(config_.max_running_requests)) {
+  while (!pending_.empty() && HasFreeSlot()) {
     Seq& candidate = pending_.front();
     int64_t cached = 0;
     PinId pin = kInvalidPin;
@@ -260,9 +258,7 @@ void Replica::Admit() {
 }
 
 void Replica::MaybeStartSwapIns() {
-  while (!swapped_.empty() &&
-         running_.size() + restoring_.size() <
-             static_cast<size_t>(config_.max_running_requests)) {
+  while (!swapped_.empty() && HasFreeSlot()) {
     SwappedSeq& front = swapped_.front();
     if (sim_->now() < front.ready_at) {
       break;  // The swap-out completion poke re-enters here.
@@ -815,7 +811,7 @@ void Replica::SetSlowdown(double factor) {
 
 void Replica::ApplyCacheEvictionPolicy(EvictionPolicy policy) {
   Sync();
-  CutStretch();
+  CutStretch();  // Conservative: the next plan may admit or reclaim under it.
   config_.cache_eviction_policy = policy;
   cache_.SetEvictionPolicy(policy);
 }

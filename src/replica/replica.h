@@ -377,8 +377,8 @@ class Replica {
   // stable stretch of steps, scheduled as one event (DESIGN.md §13).
   void MaybeStep();
 
-  // Wall duration of a step with this plan, before the slowdown factor's
-  // exact multiply. The one formula every planned step goes through.
+  // Wall duration of a step with this plan, slowdown included: the one
+  // formula every planned step, real or virtual, goes through.
   double StepUs(int64_t prefill_tokens, int decode_count,
                 int64_t decode_context_tokens) const;
 
@@ -402,6 +402,7 @@ class Replica {
   void CountStep(double step_us, int decode_count);
 
   // --- stable stretches (DESIGN.md §13) ---
+  // Sync's slow path: materializes the boundaries that have run.
   void CatchUp();
   // One virtual boundary: the per-step path's FinishStep for a pure decode
   // step that completes nothing, then its plan of the next step.
@@ -416,7 +417,7 @@ class Replica {
   EventOrder StepEndOrder() const {
     return sim_->StepOrder(StepEnd(), step_start_, region_, step_ordinal_);
   }
-  // Whether Admit could admit a pending request right now (a free slot).
+  // Whether the batch has a slot for an admission or a swap-in.
   bool HasFreeSlot() const {
     return running_.size() + restoring_.size() <
            static_cast<size_t>(config_.max_running_requests);

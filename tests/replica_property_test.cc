@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
