@@ -160,12 +160,13 @@ const skywalker::Json* FindTimingCell(const skywalker::Json& timing,
 }
 
 // Executed-event ceilings: a floors cell entry's `max_executed_events`
-// (`max_executed_events_smoke` for smoke sidecars) bounds the sum of the
-// cell's per_shard[].executed_events. The count is deterministic and does
-// not depend on the host, so it gates what coalescing saves (DESIGN.md §13)
-// without runner noise, and it is checked on every host.
+// bounds the sum of the cell's per_shard[].executed_events, in either mode
+// (a smoke sidecar runs fewer events, so a full-size ceiling only passes).
+// The count is deterministic and does not depend on the host, so it gates
+// what coalescing saves (DESIGN.md §13) without runner noise, and it is
+// checked on every host.
 int CheckEventCeilings(const skywalker::Json& timing,
-                       const skywalker::Json& floors, bool is_smoke,
+                       const skywalker::Json& floors,
                        const std::string& timing_path) {
   const skywalker::Json* cells = floors.Find("cells");
   if (cells == nullptr || !cells->is_array()) {
@@ -174,8 +175,7 @@ int CheckEventCeilings(const skywalker::Json& timing,
   int failures = 0;
   for (const skywalker::Json& entry : cells->elements()) {
     const skywalker::Json* name = entry.Find("cell");
-    const skywalker::Json* ceiling = entry.Find(
-        is_smoke ? "max_executed_events_smoke" : "max_executed_events");
+    const skywalker::Json* ceiling = entry.Find("max_executed_events");
     if (name == nullptr || ceiling == nullptr) {
       continue;  // Malformed entries fail in the wall-clock pass.
     }
@@ -226,10 +226,7 @@ int CheckTiming(const std::string& timing_path,
     std::fprintf(stderr, "FAIL unparseable timing/floors JSON\n");
     return 1;
   }
-  const skywalker::Json* smoke = timing->Find("smoke");
-  const bool is_smoke = smoke != nullptr && smoke->AsBool();
-  const int event_failures =
-      CheckEventCeilings(*timing, *floors, is_smoke, timing_path);
+  const int event_failures = CheckEventCeilings(*timing, *floors, timing_path);
   const skywalker::Json* host = timing->Find("hardware_concurrency");
   const skywalker::Json* min_host = floors->Find("min_host_threads");
   const double host_threads = host != nullptr ? host->AsDouble() : 0;
@@ -240,6 +237,8 @@ int CheckTiming(const std::string& timing_path,
         host_threads, min_host->AsDouble());
     return event_failures;
   }
+  const skywalker::Json* smoke = timing->Find("smoke");
+  const bool is_smoke = smoke != nullptr && smoke->AsBool();
   const skywalker::Json* pairs = floors->Find("pairs");
   const skywalker::Json* cells = floors->Find("cells");
   if ((pairs == nullptr || !pairs->is_array()) &&
