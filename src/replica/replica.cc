@@ -463,7 +463,8 @@ void Replica::FinishStretchStep() {
     EmitTrace(t, at, TraceEventType::kEngineStep, region_, id_, -1, 0,
               step_decode_count_, step_us_);
   }
-  assert(kv_.ReclaimNeededBlocks() == 0 && "StretchLength bounds growth");
+  SKYWALKER_CHECK(kv_.ReclaimNeededBlocks() == 0)
+      << "StretchLength let a virtual step outgrow the ledger";
   SampleMemory(at);
   // MaybeStep's plan of the next step: the same batch, one more context
   // token per sequence.
