@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "src/common/json.h"
 #include "src/sim/simulator.h"
@@ -113,38 +114,118 @@ int64_t Tracer::dropped() const {
   return total;
 }
 
-std::vector<TraceRecord> Tracer::Merged() const {
-  std::vector<TraceRecord> merged;
-  merged.reserve(static_cast<size_t>(size()));
-  // Order each ring by (time, emitting event's order), keeping append order
-  // among a single event's records: real events append in that order
-  // already, and a stretch's late-emitted virtual steps move back to where
-  // the per-step events would have appended them. Then concatenate rings in
-  // region order; a stable sort by time realizes the (time, region, event
-  // order, append index) total order — ties keep concatenation order.
-  auto before = [](const Entry& a, const Entry& b) {
-    return EventOrder{a.record.time, a.sched, a.key} <
-           EventOrder{b.record.time, b.sched, b.key};
-  };
-  std::vector<Entry> ring_entries;
-  for (const Ring& ring : rings_) {
-    ring_entries.clear();
-    for (size_t s = 0; s < ring.slabs.size(); ++s) {
-      size_t n = s + 1 == ring.slabs.size() ? ring.tail_used : kSlabRecords;
-      const Entry* entries = ring.slabs[s]->entries;
-      ring_entries.insert(ring_entries.end(), entries, entries + n);
+// Reads one ring in (time, emitting event's order, append index) order.
+// Real events append in that order already; the records a stretch's
+// virtual steps emit late, at catch-up (DESIGN.md §13), are the ones
+// ordered below something appended before them. Only their indices are
+// sorted, then merged back in: the slabs are neither copied nor sorted.
+class Tracer::RingReader {
+ public:
+  explicit RingReader(const Ring& ring)
+      : ring_(&ring),
+        size_(ring.slabs.empty() ? 0
+                                 : (ring.slabs.size() - 1) * kSlabRecords +
+                                       ring.tail_used) {
+    EventOrder high = kNothingWalked;
+    for (size_t i = 0; i < size_; ++i) {
+      const EventOrder key = Key(i);
+      if (key < high) {
+        late_.push_back(i);
+      } else {
+        high = key;
+      }
     }
-    if (!std::is_sorted(ring_entries.begin(), ring_entries.end(), before)) {
-      std::stable_sort(ring_entries.begin(), ring_entries.end(), before);
+    // The index breaks ties, so the unstable sort yields the stable order.
+    std::sort(late_.begin(), late_.end(), [this](size_t a, size_t b) {
+      return Before(a, b);
+    });
+    Advance();
+  }
+
+  bool done() const { return head_ == kDone; }
+  const TraceRecord& head() const { return At(head_).record; }
+
+  // Moves past the head record.
+  void Pop() {
+    if (late_next_ < late_.size() && late_[late_next_] == head_) {
+      ++late_next_;
+    } else {
+      high_ = Key(next_);
+      ++next_;
     }
-    for (const Entry& entry : ring_entries) {
-      merged.push_back(entry.record);
+    Advance();
+  }
+
+ private:
+  static constexpr EventOrder kNothingWalked{
+      std::numeric_limits<SimTime>::min(), 0, 0};
+  static constexpr size_t kDone = std::numeric_limits<size_t>::max();
+
+  const Entry& At(size_t i) const {
+    return ring_->slabs[i / kSlabRecords]->entries[i % kSlabRecords];
+  }
+  EventOrder Key(size_t i) const {
+    const Entry& e = At(i);
+    return EventOrder{e.record.time, e.sched, e.key};
+  }
+  bool Before(size_t a, size_t b) const {
+    const EventOrder ka = Key(a);
+    const EventOrder kb = Key(b);
+    return ka < kb || (!(kb < ka) && a < b);
+  }
+
+  // Finds the next record: the earlier of the next in-order one (skipping
+  // the late ones, found by the same running-maximum test as above) and
+  // the next late one.
+  void Advance() {
+    while (next_ < size_ && Key(next_) < high_) {
+      ++next_;
+    }
+    const bool in_order = next_ < size_;
+    const bool late = late_next_ < late_.size();
+    if (late && (!in_order || Before(late_[late_next_], next_))) {
+      head_ = late_[late_next_];
+    } else {
+      head_ = in_order ? next_ : kDone;
     }
   }
-  std::stable_sort(
-      merged.begin(), merged.end(),
-      [](const TraceRecord& a, const TraceRecord& b) { return a.time < b.time; });
-  return merged;
+
+  const Ring* ring_;
+  size_t size_;
+  std::vector<size_t> late_;
+  size_t late_next_ = 0;
+  size_t next_ = 0;                  // Next in-order candidate.
+  EventOrder high_ = kNothingWalked;  // Largest in-order key read so far.
+  size_t head_ = kDone;
+};
+
+std::vector<TraceRecord> Tracer::Merged() const {
+  // Each ring reads in (time, emitting event's order, append index) order;
+  // merging the rings by (time, ring) then realizes the total order
+  // (time, region, event order, append index) — what concatenating the
+  // rings in region order and stable-sorting by time would give.
+  std::vector<RingReader> readers;
+  readers.reserve(rings_.size());
+  for (const Ring& ring : rings_) {
+    readers.emplace_back(ring);
+  }
+  std::vector<TraceRecord> merged;
+  merged.reserve(static_cast<size_t>(size()));
+  for (;;) {
+    RingReader* first = nullptr;
+    for (RingReader& reader : readers) {
+      // Strictly earlier only: a tie goes to the lower region.
+      if (!reader.done() &&
+          (first == nullptr || reader.head().time < first->head().time)) {
+        first = &reader;
+      }
+    }
+    if (first == nullptr) {
+      return merged;
+    }
+    merged.push_back(first->head());
+    first->Pop();
+  }
 }
 
 void Tracer::Clear() {

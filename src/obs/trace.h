@@ -166,6 +166,8 @@ class Tracer {
     int64_t dropped = 0;
     const Simulator* clock = nullptr;  // Stamps implicit emissions.
   };
+  // Reads one ring in merge order (trace.cc).
+  class RingReader;
 
   Ring& RingFor(int16_t region);
 

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/obs/attribution.h"
 #include "src/obs/registry.h"
@@ -111,6 +113,57 @@ TEST(TracerTest, ExplicitOrdersMergeBackIntoEventOrder) {
   EXPECT_EQ(merged[2].type, static_cast<uint16_t>(TraceEventType::kEngineStep));
   EXPECT_EQ(merged[3].type, static_cast<uint16_t>(TraceEventType::kMemSample));
   EXPECT_EQ(merged[4].request, 2);
+}
+
+// Merged() against a direct sort: random regions, times, scheduling times
+// and keys (many ties, some equal orders), mostly in event order with late
+// records mixed in, across several slabs per ring. The result must be the
+// stable sort of the emissions by (time, region, event order).
+TEST(TracerTest, MergedMatchesStableSortOfEmissions) {
+  struct Emission {
+    TraceRecord record;
+    EventOrder order;
+  };
+  Rng rng(11);
+  Tracer tracer(3);
+  std::vector<Emission> emitted;
+  std::vector<SimTime> clock(4, 0);  // Per ring: the latest real event time.
+  for (int64_t i = 0; i < 3 * static_cast<int64_t>(Tracer::kSlabRecords);
+       ++i) {
+    const auto region = static_cast<int16_t>(rng.UniformInt(-1, 2));
+    SimTime& now = clock[static_cast<size_t>(region + 1)];
+    Emission e;
+    if (rng.Bernoulli(0.3)) {
+      // Late: an earlier step boundary, emitted at catch-up.
+      const SimTime at = std::max<SimTime>(0, now - rng.UniformInt(0, 6));
+      e.order = EventOrder{at, at - rng.UniformInt(0, 3),
+                           MakeStepKey(region, static_cast<uint32_t>(
+                                                   rng.UniformInt(0, 2)))};
+    } else {
+      now += rng.UniformInt(0, 2);
+      e.order = EventOrder{now, now - rng.UniformInt(0, 3),
+                           MakeOrderKey(region, static_cast<uint64_t>(
+                                                    rng.UniformInt(0, 3)))};
+    }
+    e.record = Rec(e.order.at, TraceEventType::kEngineStep, region, -1, i);
+    tracer.Emit(e.record, e.order);
+    emitted.push_back(e);
+  }
+  std::stable_sort(emitted.begin(), emitted.end(),
+                   [](const Emission& a, const Emission& b) {
+                     if (a.record.time != b.record.time) {
+                       return a.record.time < b.record.time;
+                     }
+                     if (a.record.region != b.record.region) {
+                       return a.record.region < b.record.region;
+                     }
+                     return a.order < b.order;
+                   });
+  const std::vector<TraceRecord> merged = tracer.Merged();
+  ASSERT_EQ(merged.size(), emitted.size());
+  for (size_t i = 0; i < merged.size(); ++i) {
+    ASSERT_EQ(merged[i].request, emitted[i].record.request) << "position " << i;
+  }
 }
 
 TEST(TracerTest, RingCapsDropOldestAndCount) {
