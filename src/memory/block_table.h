@@ -70,17 +70,26 @@ class BlockTable {
   // truncate, clear), so a recycled id can never inherit it.
   void set_cow_exempt(BlockId id) { cow_exempt_ = id; }
 
+  // Free slots in the tail block. Skew slots belong to the cached prefix
+  // frame, not to this table, and an empty table has no tail block yet, so
+  // nothing is available there. Always 0 with block_size == 1.
+  int64_t tail_free(int32_t block_size) const {
+    return blocks_.empty() ? 0 : num_blocks() * block_size - skew_ - tokens_;
+  }
+
+  // Whether the next append copies the tail first: a partial tail shared
+  // with a fork, unless exempt. After that copy, or once the tail fills, the
+  // tail is private, so only the first token of a run of appends can copy.
+  bool TailCopies(const BlockAllocator& alloc, int32_t block_size) const {
+    return tail_free(block_size) > 0 && alloc.ref_count(blocks_.back()) > 1 &&
+           blocks_.back() != cow_exempt_;
+  }
+
   // Appends `tokens`, allocating blocks as needed. A shared partial tail is
   // copy-on-write duplicated before being written into (unless exempt, see
   // above). Returns the net number of blocks allocated (CoW replacement
   // allocates one without changing the block count).
   int64_t Append(BlockAllocator& alloc, int32_t block_size, int64_t tokens);
-
-  // Blocks `tokens` appends of one token each would allocate, counting a
-  // copy-on-write replacement (which allocates without freeing: the shared
-  // page survives). A query: nothing changes.
-  int64_t BlocksToAppend(const BlockAllocator& alloc, int32_t block_size,
-                         int64_t tokens) const;
 
   // Becomes a fork of `parent`'s first `tokens` tokens by taking references
   // on the covering blocks (inheriting the parent's skew). The table must
@@ -119,14 +128,7 @@ inline int64_t BlockTable::Append(BlockAllocator& alloc, int32_t block_size,
     return 0;
   }
   int64_t allocated = 0;
-  // Free slots in the current tail block (skew slots belong to the cached
-  // prefix frame, not to this table; an empty skewed table has no tail
-  // block yet, so nothing is available).
-  int64_t avail = blocks_.empty()
-                      ? 0
-                      : num_blocks() * block_size - skew_ - tokens_;
-  if (avail > 0 && alloc.ref_count(blocks_.back()) > 1 &&
-      blocks_.back() != cow_exempt_) {
+  if (TailCopies(alloc, block_size)) {
     // Copy-on-write: the partial tail is shared with a fork; duplicate it
     // before writing. (Full shared blocks are immutable and stay shared;
     // the cache-shared boundary page is exempt — extension there fills
@@ -136,6 +138,7 @@ inline int64_t BlockTable::Append(BlockAllocator& alloc, int32_t block_size,
     alloc.NoteCowCopy();
     ++allocated;
   }
+  const int64_t avail = tail_free(block_size);
   int64_t remaining = tokens - (avail < tokens ? avail : tokens);
   while (remaining > 0) {
     blocks_.push_back(alloc.Allocate());
@@ -144,25 +147,6 @@ inline int64_t BlockTable::Append(BlockAllocator& alloc, int32_t block_size,
   }
   tokens_ += tokens;
   return allocated;
-}
-
-inline int64_t BlockTable::BlocksToAppend(const BlockAllocator& alloc,
-                                          int32_t block_size,
-                                          int64_t tokens) const {
-  if (tokens <= 0) {
-    return 0;
-  }
-  // Mirrors Append: the first token may copy a shared partial tail; after
-  // that the tail is private, and a page is allocated whenever it fills.
-  const int64_t avail = blocks_.empty()
-                            ? 0
-                            : num_blocks() * block_size - skew_ - tokens_;
-  const int64_t cow = avail > 0 && alloc.ref_count(blocks_.back()) > 1 &&
-                              blocks_.back() != cow_exempt_
-                          ? 1
-                          : 0;
-  const int64_t spill = tokens - (avail < tokens ? avail : tokens);
-  return cow + (spill + block_size - 1) / block_size;
 }
 
 }  // namespace skywalker

@@ -68,6 +68,43 @@ void KvController::RestoreDecodedTokens(SeqId id, int64_t tokens) {
   seq_tokens_total_ += tokens;
 }
 
+bool KvController::PlanDecode(SeqId id, DecodeRun* run) const {
+  const SeqEntry& e = entry(id);
+  if (e.table.TailCopies(alloc_, config_.block_size_tokens)) {
+    return false;
+  }
+  run->id = id;
+  run->tail_free =
+      static_cast<int32_t>(e.table.tail_free(config_.block_size_tokens));
+  run->reserve = e.committed_reserve;
+  return true;
+}
+
+void KvController::OnDecodeSteps(std::vector<DecodeRun>* runs,
+                                 int64_t steps) {
+  if (steps == 0) {
+    return;
+  }
+  for (const DecodeRun& run : *runs) {
+    SeqEntry& e = entry(run.id);
+    SetCommitted(e, e.committed_prefill,
+                 std::max<int64_t>(0, e.committed_reserve - steps));
+  }
+  for (int64_t step = 0; step < steps; ++step) {
+    for (const DecodeRun& run : *runs) {
+      seqs_[static_cast<size_t>(run.id)].table.Append(
+          alloc_, config_.block_size_tokens, 1);
+    }
+  }
+  seq_tokens_total_ += steps * static_cast<int64_t>(runs->size());
+  for (DecodeRun& run : *runs) {
+    const SeqEntry& e = seqs_[static_cast<size_t>(run.id)];
+    run.tail_free =
+        static_cast<int32_t>(e.table.tail_free(config_.block_size_tokens));
+    run.reserve = e.committed_reserve;
+  }
+}
+
 int64_t KvController::SeqTokens(SeqId id) const {
   return entry(id).table.num_tokens();
 }

@@ -38,6 +38,7 @@
 #ifndef SKYWALKER_MEMORY_KV_CONTROLLER_H_
 #define SKYWALKER_MEMORY_KV_CONTROLLER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -132,12 +133,44 @@ class KvController {
   // never re-charges it).
   void RestoreDecodedTokens(SeqId id, int64_t tokens);
 
-  // Blocks the next `tokens` OnDecodeToken calls for the sequence would
-  // allocate (stable-stretch planning, DESIGN.md §13). A query only.
-  int64_t DecodeBlocks(SeqId id, int64_t tokens) const {
-    return entry(id).table.BlocksToAppend(alloc_, config_.block_size_tokens,
-                                          tokens);
-  }
+  // --- stable decode stretches (DESIGN.md §13) -------------------------
+  // One sequence of a stretch, where every step decodes one token per
+  // sequence and nothing else touches the ledger. What its ledger does over
+  // the next j steps follows from two numbers.
+  struct DecodeRun {
+    SeqId id = kInvalidSeq;
+    int32_t tail_free = 0;  // Free tail slots; always 0 in coarse mode.
+    int64_t reserve = 0;    // Committed output reserve, in tokens.
+  };
+
+  // What j decode steps of a stretch's runs change in the ledger.
+  struct DecodeGrowth {
+    int64_t tokens = 0;          // Resident sequence tokens gained.
+    int64_t blocks = 0;          // Pages allocated.
+    int64_t reserve_tokens = 0;  // Committed reserve consumed, in tokens,
+    int64_t reserve_blocks = 0;  // and in committed ceil-blocks.
+  };
+
+  // The sequence's run, or false when its first decode token would copy a
+  // shared tail page (a stretch cannot project the copy).
+  bool PlanDecode(SeqId id, DecodeRun* run) const;
+
+  // Pages `steps` decode steps of `runs` allocate:
+  // Σ ceil(max(0, steps - tail_free)), which is steps · runs in coarse mode.
+  int64_t DecodeBlocks(const std::vector<DecodeRun>& runs,
+                       int64_t steps) const;
+
+  // The ledger change of `steps` decode steps of `runs`: every sequence
+  // gains `steps` tokens and consumes min(steps, reserve) of its reserve,
+  // and the pages are DecodeBlocks.
+  DecodeGrowth ProjectDecode(const std::vector<DecodeRun>& runs,
+                             int64_t steps) const;
+
+  // Materializes `steps` decode steps of `runs`: one entry lookup and one
+  // commitment update per sequence, and pages allocated step-major (each
+  // step appends one token to every sequence in order), so page ids match
+  // `steps` rounds of OnDecodeToken. Re-plans each run from its new state.
+  void OnDecodeSteps(std::vector<DecodeRun>* runs, int64_t steps);
 
   int64_t SeqTokens(SeqId id) const;
   const BlockTable& table(SeqId id) const { return entry(id).table; }
@@ -305,6 +338,31 @@ inline void KvController::OnDecodeToken(SeqId id) {
   }
   e.table.Append(alloc_, config_.block_size_tokens, 1);
   seq_tokens_total_ += 1;
+}
+
+// Inline: stretch planning evaluates DecodeBlocks per candidate length,
+// materialization per step, and probes project at every heartbeat
+// (DESIGN.md §13.3).
+inline int64_t KvController::DecodeBlocks(const std::vector<DecodeRun>& runs,
+                                          int64_t steps) const {
+  int64_t blocks = 0;
+  for (const DecodeRun& run : runs) {
+    blocks += CeilBlocks(std::max<int64_t>(0, steps - run.tail_free));
+  }
+  return blocks;
+}
+
+inline KvController::DecodeGrowth KvController::ProjectDecode(
+    const std::vector<DecodeRun>& runs, int64_t steps) const {
+  DecodeGrowth growth;
+  growth.tokens = steps * static_cast<int64_t>(runs.size());
+  growth.blocks = DecodeBlocks(runs, steps);
+  for (const DecodeRun& run : runs) {
+    const int64_t left = std::max<int64_t>(0, run.reserve - steps);
+    growth.reserve_tokens += run.reserve - left;
+    growth.reserve_blocks += CeilBlocks(run.reserve) - CeilBlocks(left);
+  }
+  return growth;
 }
 
 }  // namespace skywalker

@@ -74,18 +74,34 @@ int64_t Replica::ReserveRemaining(const Seq& seq) const {
 }
 
 int64_t Replica::memory_used_tokens() const {
-  Sync();
-  return cache_.size_tokens() + kv_.seq_resident_tokens();
+  return MemoryUsedTokens(Projected());
 }
 
 int64_t Replica::fragmentation_tokens() const {
-  Sync();
-  return kv_.used_blocks() * config_.kv_block_size_tokens -
-         memory_used_tokens();
+  return FragmentationTokens(Projected());
 }
 
 int Replica::EstimateFreeCapacity() const {
-  Sync();
+  return FreeCapacity(Projected());
+}
+
+int64_t Replica::MemoryUsedTokens(
+    const KvController::DecodeGrowth& growth) const {
+  return cache_.size_tokens() + kv_.seq_resident_tokens() + growth.tokens;
+}
+
+int64_t Replica::ActiveMemoryTokens(
+    const KvController::DecodeGrowth& growth) const {
+  return cache_.pinned_tokens() + kv_.seq_resident_tokens() + growth.tokens;
+}
+
+int64_t Replica::FragmentationTokens(
+    const KvController::DecodeGrowth& growth) const {
+  return (kv_.used_blocks() + growth.blocks) * config_.kv_block_size_tokens -
+         MemoryUsedTokens(growth);
+}
+
+int Replica::FreeCapacity(const KvController::DecodeGrowth& growth) const {
   int free_slots = config_.max_running_requests -
                    static_cast<int>(running_.size()) - pending_count();
   if (free_slots <= 0) {
@@ -93,8 +109,9 @@ int Replica::EstimateFreeCapacity() const {
   }
   // Memory headroom in units of a typical request: average the footprint of
   // the current batch, falling back to a conservative default when idle.
-  int64_t free_tokens = config_.kv_capacity_tokens - memory_used_tokens() -
-                        kv_.committed_tokens();
+  int64_t free_tokens = config_.kv_capacity_tokens -
+                        MemoryUsedTokens(growth) -
+                        (kv_.committed_tokens() - growth.reserve_tokens);
   if (free_tokens <= 0) {
     return 0;
   }
@@ -111,11 +128,13 @@ int Replica::EstimateFreeCapacity() const {
 }
 
 Replica::LoadSnapshot Replica::Snapshot() const {
-  Sync();
+  // Mid-stretch, the passed boundaries only grow the sequence side of the
+  // ledger; the cache, the queues and the preemption count are frozen.
+  const KvController::DecodeGrowth& growth = Projected();
   LoadSnapshot snap;
   snap.pending = pending_count();
   snap.running = running_count();
-  snap.free_capacity = EstimateFreeCapacity();
+  snap.free_capacity = FreeCapacity(growth);
   // Routing headroom, exact (ISSUE 5): pages free in the pool plus pages a
   // full eviction of unpinned cache content would return (raw free blocks
   // read ~0 forever once the LRU cache warms up — the cache deliberately
@@ -125,9 +144,10 @@ Replica::LoadSnapshot Replica::Snapshot() const {
   snap.cache_blocks = occ.held_blocks;
   snap.evictable_blocks = occ.evictable_blocks;
   snap.free_blocks = std::max<int64_t>(
-      0, kv_.free_blocks() + occ.evictable_blocks - kv_.committed_blocks());
+      0, (kv_.free_blocks() - growth.blocks) + occ.evictable_blocks -
+             (kv_.committed_blocks() - growth.reserve_blocks));
   snap.total_blocks = kv_.total_blocks();
-  snap.fragmentation_tokens = fragmentation_tokens();
+  snap.fragmentation_tokens = FragmentationTokens(growth);
   snap.preemptions = stats_.preemptions;
   snap.swapped = swapped_count();
   return snap;
@@ -143,24 +163,25 @@ ProbePayload Replica::Probe() {
   payload.free_blocks = snap.free_blocks;
   payload.total_blocks = snap.total_blocks;
   payload.swapped = snap.swapped;
-  payload.ewma_decode_us_per_token = decode_ewma_us_per_token_;
-  payload.latency_samples = latency_samples_;
+  // Snapshot advanced the cursor over every boundary that has run.
+  const bool passed = cursor_.passed > 0;
+  payload.ewma_decode_us_per_token = passed ? cursor_.ewma_us_per_token
+                                            : decode_ewma_us_per_token_;
+  payload.latency_samples =
+      passed ? cursor_.latency_samples : latency_samples_;
   return payload;
 }
 
 double Replica::memory_utilization() const {
-  return static_cast<double>(memory_used_tokens()) /
-         static_cast<double>(config_.kv_capacity_tokens);
+  return Utilization(memory_used_tokens());
 }
 
 int64_t Replica::active_memory_tokens() const {
-  Sync();
-  return cache_.pinned_tokens() + kv_.seq_resident_tokens();
+  return ActiveMemoryTokens(Projected());
 }
 
 double Replica::active_memory_utilization() const {
-  return static_cast<double>(active_memory_tokens()) /
-         static_cast<double>(config_.kv_capacity_tokens);
+  return Utilization(active_memory_tokens());
 }
 
 double Replica::BusyFraction() const {
@@ -361,7 +382,7 @@ void Replica::MaybeStep() {
   // event strictly before it runs (what Simulator::HasRun relies on).
   const bool pure_decode =
       prefill_total == 0 && static_cast<size_t>(decode_count) == running_.size();
-  const int64_t steps = pure_decode ? StretchLength(min_remaining) : 1;
+  const int64_t steps = pure_decode ? PlanStretch(min_remaining) : 1;
   SimTime last_start = step_start_;
   double last_us = step_us_;
   int64_t context = decode_context_tokens;
@@ -374,6 +395,7 @@ void Replica::MaybeStep() {
   }
   stretch_steps_ = planned - 1;
   boundary_ = StepEndOrder();
+  ResetCursor();
   step_event_ = sim_->ScheduleStep(last_start + StepDelay(last_us), last_start,
                                    region_, step_ordinal_,
                                    [this] { OnStepEvent(); });
@@ -393,31 +415,34 @@ double Replica::StepUs(int64_t prefill_tokens, int decode_count,
   return duration_us * slowdown_;
 }
 
-int64_t Replica::StretchLength(int64_t min_remaining) const {
+int64_t Replica::PlanStretch(int64_t min_remaining) {
   // Admit must have nothing to try at any boundary: no swap to resume, and
   // no pending request unless the batch is full (a memory-blocked head
   // would be retried, re-stamping LRU times and maybe evicting).
   if (per_step_ || !swapped_.empty() || !restoring_.empty() ||
-      (!pending_.empty() && HasFreeSlot())) {
+      (!pending_.empty() && HasFreeSlot()) || min_remaining <= 1) {
     return 1;
+  }
+  // What each sequence's ledger does over the stretch. A first token that
+  // copies a shared tail would break the plan's arithmetic; it cannot
+  // happen (coarse pages hold one token, and the one shared partial tail a
+  // replica makes, the prompt boundary page publish leaves, is CoW-exempt),
+  // but a stretch must not rely on it.
+  stretch_.clear();
+  for (const Seq& seq : running_) {
+    KvController::DecodeRun run;
+    if (!kv_.PlanDecode(seq.kv, &run)) {
+      return 1;
+    }
+    stretch_.push_back(run);
   }
   // No sequence completes before the last step.
   int64_t steps = min_remaining;
   // The ledger never needs reclaim at a boundary before the last: the
   // blocks m steps of decode allocate must fit the headroom for m < steps.
   const int64_t headroom = kv_.total_blocks() - kv_.used_blocks();
-  auto grown = [this](int64_t m) {
-    if (config_.kv_block_size_tokens == 1) {
-      // Coarse mode: every token is a fresh one-token page.
-      return m * static_cast<int64_t>(running_.size());
-    }
-    int64_t blocks = 0;
-    for (const Seq& seq : running_) {
-      blocks += kv_.DecodeBlocks(seq.kv, m);
-    }
-    return blocks;
-  };
-  if (steps > 1 && grown(steps - 1) > headroom) {
+  auto grown = [this](int64_t m) { return kv_.DecodeBlocks(stretch_, m); };
+  if (grown(steps - 1) > headroom) {
     // The largest m < steps - 1 that still fits (growth is monotone).
     int64_t fits = 0;
     int64_t overflows = steps - 1;
@@ -438,40 +463,74 @@ void Replica::OnStepEvent() {
   FinishStep(step_us_, step_decode_count_);
 }
 
-void Replica::CatchUp() {
-  // SampleMemory reads public getters, which Sync: park the count so they
-  // see no stretch while a boundary is half materialized.
-  int64_t left = std::exchange(stretch_steps_, 0);
-  while (left > 0 && sim_->HasRun(boundary_)) {
-    FinishStretchStep();
-    --left;
-  }
-  stretch_steps_ = left;
+inline void Replica::NextStretchStep(EventOrder* end, double* us,
+                                     int64_t* context) const {
+  const SimTime start = end->at;
+  *context += step_decode_count_;
+  *us = StepUs(0, step_decode_count_, *context);
+  *end = sim_->StepOrder(start + StepDelay(*us), start, region_,
+                         step_ordinal_);
 }
 
-void Replica::FinishStretchStep() {
-  const EventOrder at = boundary_;
-  // FinishStep's bookkeeping for a pure decode step that completes no
-  // sequence, in its order: every sequence decodes one token.
-  CountStep(step_us_, step_decode_count_);
+void Replica::CatchUp() {
+  // Boundary by boundary, FinishStep's bookkeeping for a pure decode step
+  // that completes no sequence, in its order. The ledger is still at the
+  // first boundary's start, so memory samples read the plan's totals.
+  int64_t steps = 0;
+  while (steps < stretch_steps_ && sim_->HasRun(boundary_)) {
+    ++steps;
+    const EventOrder at = boundary_;
+    CountStep(step_us_, step_decode_count_);
+    stats_.output_tokens_generated += step_decode_count_;
+    if (Tracer* t = sim_->tracer()) {
+      EmitTrace(t, at, TraceEventType::kEngineStep, region_, id_, -1, 0,
+                step_decode_count_, step_us_);
+    }
+    KvController::DecodeGrowth growth;  // What a memory sample reads.
+    growth.tokens = steps * step_decode_count_;
+    growth.blocks = kv_.DecodeBlocks(stretch_, steps);
+    SampleMemory(at, growth);
+    // MaybeStep's plan of the next step: the same batch, one more context
+    // token per sequence.
+    step_start_ = at.at;
+    NextStretchStep(&boundary_, &step_us_, &step_context_tokens_);
+  }
+  stretch_steps_ -= steps;
+  // Then every sequence's tokens at once.
+  kv_.OnDecodeSteps(&stretch_, steps);
   for (Seq& seq : running_) {
-    ++seq.generated;
-    kv_.OnDecodeToken(seq.kv);
+    seq.generated += steps;
   }
-  stats_.output_tokens_generated += step_decode_count_;
-  if (Tracer* t = sim_->tracer()) {
-    EmitTrace(t, at, TraceEventType::kEngineStep, region_, id_, -1, 0,
-              step_decode_count_, step_us_);
-  }
+  // Growth is monotone, so the last boundary bounds every earlier one.
   SKYWALKER_CHECK(kv_.ReclaimNeededBlocks() == 0)
-      << "StretchLength let a virtual step outgrow the ledger";
-  SampleMemory(at);
-  // MaybeStep's plan of the next step: the same batch, one more context
-  // token per sequence.
-  step_start_ = at.at;
-  step_context_tokens_ += step_decode_count_;
-  step_us_ = StepUs(0, step_decode_count_, step_context_tokens_);
-  boundary_ = StepEndOrder();
+      << "PlanStretch let a virtual step outgrow the ledger";
+  ResetCursor();
+}
+
+const KvController::DecodeGrowth& Replica::Projected() const {
+  static const KvController::DecodeGrowth kNone;
+  Cursor& c = cursor_;
+  if (c.left > 0 && sim_->HasRun(c.next)) {
+    do {
+      FoldDecodeLatency(c.step_us, &c.ewma_us_per_token, &c.latency_samples);
+      --c.left;
+      ++c.passed;
+      NextStretchStep(&c.next, &c.step_us, &c.context);
+    } while (c.left > 0 && sim_->HasRun(c.next));
+    c.growth = kv_.ProjectDecode(stretch_, c.passed);
+  }
+  return c.passed > 0 ? c.growth : kNone;
+}
+
+void Replica::ResetCursor() {
+  cursor_.left = stretch_steps_;
+  cursor_.passed = 0;
+  cursor_.next = boundary_;
+  cursor_.step_us = step_us_;
+  cursor_.context = step_context_tokens_;
+  cursor_.ewma_us_per_token = decode_ewma_us_per_token_;
+  cursor_.latency_samples = latency_samples_;
+  cursor_.growth = KvController::DecodeGrowth{};
 }
 
 void Replica::CutStretch() {
@@ -479,6 +538,7 @@ void Replica::CutStretch() {
     return;
   }
   stretch_steps_ = 0;
+  ResetCursor();
   sim_->Cancel(step_event_);
   step_event_ = sim_->ScheduleStep(StepEnd(), step_start_, region_,
                                    step_ordinal_, [this] { OnStepEvent(); });
@@ -493,11 +553,15 @@ void Replica::CountStep(double step_us, int decode_count) {
   // decode stream really experienced — and it surfaces a straggler's
   // slowdown within a few steps, not after whole sequences complete.
   if (decode_count > 0) {
-    decode_ewma_us_per_token_ =
-        latency_samples_ == 0 ? step_us
-                              : 0.25 * step_us + 0.75 * decode_ewma_us_per_token_;
-    ++latency_samples_;
+    FoldDecodeLatency(step_us, &decode_ewma_us_per_token_, &latency_samples_);
   }
+}
+
+void Replica::FoldDecodeLatency(double step_us, double* ewma_us_per_token,
+                                int64_t* samples) {
+  *ewma_us_per_token =
+      *samples == 0 ? step_us : 0.25 * step_us + 0.75 * *ewma_us_per_token;
+  ++*samples;
 }
 
 void Replica::FinishStep(double step_us, int decode_count) {
@@ -552,7 +616,7 @@ void Replica::FinishStep(double step_us, int decode_count) {
   }
 
   ReclaimMemory();
-  SampleMemory(sim_->horizon());
+  SampleMemory(sim_->horizon(), KvController::DecodeGrowth{});
   MaybeStep();
 }
 
@@ -720,20 +784,24 @@ void Replica::ReclaimMemory() {
   }
 }
 
-void Replica::SampleMemory(const EventOrder& at) {
+void Replica::SampleMemory(const EventOrder& at,
+                           const KvController::DecodeGrowth& growth) {
+  const int64_t used = MemoryUsedTokens(growth);
   stats_.peak_memory_utilization =
-      std::max(stats_.peak_memory_utilization, memory_utilization());
-  kv_.NoteFragmentationSample(fragmentation_tokens());
+      std::max(stats_.peak_memory_utilization, Utilization(used));
+  kv_.NoteFragmentationSample(FragmentationTokens(growth));
   if (config_.memory_sample_every_steps <= 0) {
     return;
   }
   if (stats_.engine_steps %
           static_cast<int64_t>(config_.memory_sample_every_steps) ==
       0) {
-    memory_series_.emplace_back(at.at, active_memory_utilization());
+    memory_series_.emplace_back(at.at,
+                                Utilization(ActiveMemoryTokens(growth)));
     if (Tracer* t = sim_->tracer()) {
       EmitTrace(t, at, TraceEventType::kMemSample, region_, id_, -1,
-                kv_.free_blocks(), running_count(), memory_utilization());
+                kv_.free_blocks() - growth.blocks, running_count(),
+                Utilization(used));
     }
   }
 }
@@ -790,10 +858,16 @@ void Replica::Crash() {
 bool Replica::CheckInvariants() const {
   Sync();
   int64_t uncached = 0;
+  int64_t reserve = 0;
   for (const Seq& seq : running_) {
     uncached += seq.uncached_len();
+    reserve += ReserveRemaining(seq);
   }
-  return uncached == running_uncached_tokens_ && cache_.CheckInvariants();
+  for (const RestoringSeq& restoring : restoring_) {
+    reserve += ReserveRemaining(restoring.seq);
+  }
+  return uncached == running_uncached_tokens_ &&
+         reserve == kv_.committed_reserve_tokens() && cache_.CheckInvariants();
 }
 
 void Replica::Fail() {

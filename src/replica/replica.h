@@ -21,10 +21,12 @@
 //
 // Stable stretches (DESIGN.md §13): when the next steps of a batch differ
 // only by context growth — pure decode, no completion, no admission to try,
-// no reclaim — MaybeStep plans them all and schedules one event at the end
-// of the last one. Readers and mutators first materialize every step
-// boundary the simulator has run past (Sync), replaying the per-step
-// bookkeeping exactly, so every observable matches the per-step path.
+// no reclaim — MaybeStep plans them all, records what each sequence's
+// ledger does over them, and schedules one event at the end of the last
+// one. Value readers (Probe, Snapshot, the memory getters) evaluate that
+// plan at the step boundaries the simulator has run past; reference readers
+// and mutators first materialize those boundaries in one pass (Sync). Every
+// observable matches the per-step path.
 //
 // Prompt KV is published to the prefix cache when prefill completes (SGLang
 // inserts computed KV into its radix tree immediately, so concurrent
@@ -233,13 +235,14 @@ class Replica {
   // count so balancers can bound their optimistic pushes between probes.
   int EstimateFreeCapacity() const;
 
-  // One-call probe payload: queue depths plus paged-memory headroom.
+  // One-call probe payload: queue depths plus paged-memory headroom. Mid-
+  // stretch it projects the passed boundaries and materializes nothing.
   LoadSnapshot Snapshot() const;
 
   // The heartbeat-probe RPC body: stamps the next probe version and
-  // attaches the decode-latency EWMA. Non-const on purpose — probing
-  // advances the version counter, and keeping it here gives the payload
-  // exactly one construction site.
+  // attaches the decode-latency EWMA, projected like Snapshot. Non-const on
+  // purpose — probing advances the version counter, and keeping it here
+  // gives the payload exactly one construction site.
   ProbePayload Probe();
 
   // KV held by *running* requests (pinned cache paths + private tokens).
@@ -253,8 +256,7 @@ class Replica {
   // whenever the batch drains — completion, abort, and preemption all hand
   // their reserve back (regression-tested; ISSUE 4).
   int64_t reserved_future_tokens() const {
-    Sync();
-    return kv_.committed_reserve_tokens();
+    return kv_.committed_reserve_tokens() - Projected().reserve_tokens;
   }
 
   ReplicaId id() const { return id_; }
@@ -306,11 +308,13 @@ class Replica {
   void ApplyCacheEvictionPolicy(EvictionPolicy policy);
 
   // Materializes every stable-stretch step boundary the simulator has run
-  // past (Simulator::HasRun), bringing the replica to the state the
-  // per-step path would have at this point of the event order; a virtual
-  // step's trace records are emitted here. Every reader and mutator calls
-  // it first. It changes no observable, so it is const. Call it before
-  // exporting a trace, so every step finished by the deadline is in it.
+  // past (Simulator::HasRun) in one pass, bringing the replica to the state
+  // the per-step path would have at this point of the event order; a
+  // virtual step's trace records are emitted here. Mutators and the
+  // reference-returning readers (stats, kv, cache, memory_series) call it
+  // first; value readers project instead. It changes no observable, so it
+  // is const. Call it before exporting a trace, so every step finished by
+  // the deadline is in it.
   void Sync() const {
     if (stretch_steps_ > 0 && sim_->HasRun(boundary_)) {
       const_cast<Replica*>(this)->CatchUp();
@@ -318,8 +322,9 @@ class Replica {
   }
 
   // Recomputes the incrementally maintained probe inputs from scratch — the
-  // batch's uncached-token sum behind EstimateFreeCapacity, and the cache
-  // invariants behind the snapshot's block figures (tests only).
+  // batch's uncached-token sum behind EstimateFreeCapacity, the remaining
+  // reserves a stretch's projection starts from, and the cache invariants
+  // behind the snapshot's block figures (tests only).
   bool CheckInvariants() const;
 
  private:
@@ -384,9 +389,11 @@ class Replica {
 
   // How many steps, counting the pure-decode step just planned, can run as
   // one stretch: every boundary before the last must leave nothing to
-  // admit, no sequence complete and no block to reclaim. 1 = no stretch.
-  // `min_remaining` is the fewest output tokens any sequence still owes.
-  int64_t StretchLength(int64_t min_remaining) const;
+  // admit, no sequence complete and no block to reclaim, and no sequence's
+  // first token may copy a shared tail. 1 = no stretch. Records the
+  // stretch's ledger plan in `stretch_`. `min_remaining` is the fewest
+  // output tokens any sequence still owes.
+  int64_t PlanStretch(int64_t min_remaining);
 
   // The step event: materializes the stretch's earlier boundaries, then
   // finishes the step in flight.
@@ -400,18 +407,31 @@ class Replica {
 
   // Counts a finished step: step totals and the decode-latency EWMA fold.
   void CountStep(double step_us, int decode_count);
+  // Folds a decode step's duration into a decode-latency EWMA.
+  static void FoldDecodeLatency(double step_us, double* ewma_us_per_token,
+                                int64_t* samples);
 
   // --- stable stretches (DESIGN.md §13) ---
-  // Sync's slow path: materializes the boundaries that have run.
+  // Sync's slow path: materializes the boundaries that have run. Per
+  // boundary, the per-step path's FinishStep for a pure decode step that
+  // completes nothing (counts, trace record, memory sample from the plan's
+  // totals) and its plan of the next step; then every sequence's tokens in
+  // one ledger call.
   void CatchUp();
-  // One virtual boundary: the per-step path's FinishStep for a pure decode
-  // step that completes nothing, then its plan of the next step.
-  void FinishStretchStep();
+  // The stretch's step after the one ending at `*end`: it starts there and
+  // prices one more context token per sequence. Updates all three.
+  void NextStretchStep(EventOrder* end, double* us, int64_t* context) const;
   // Ends the stretch at the next boundary (after Sync): cancels its end
   // event and schedules the event the per-step path has pending there,
   // at the same order position. Mutators that change what the next plan
   // would be call it.
   void CutStretch();
+  // The ledger growth of the boundaries that have run but are not
+  // materialized: what value readers add to the ledger (zero outside a
+  // stretch). Advances the cursor over boundaries newly run.
+  const KvController::DecodeGrowth& Projected() const;
+  // Points the cursor at the materialized state (plan, cut, CatchUp).
+  void ResetCursor();
   // End of the step in flight, and the order position of its boundary.
   SimTime StepEnd() const;
   EventOrder StepEndOrder() const {
@@ -434,8 +454,20 @@ class Replica {
   // preemption of the youngest running request (recompute or swap-out).
   void ReclaimMemory();
 
-  // Post-step memory sample, stamped with the finishing step's order.
-  void SampleMemory(const EventOrder& at);
+  // Post-step memory sample, stamped with the finishing step's order, of
+  // the ledger `growth` past its materialized state.
+  void SampleMemory(const EventOrder& at,
+                    const KvController::DecodeGrowth& growth);
+
+  // Value readers over the ledger `growth` past its materialized state.
+  int64_t MemoryUsedTokens(const KvController::DecodeGrowth& growth) const;
+  int64_t ActiveMemoryTokens(const KvController::DecodeGrowth& growth) const;
+  int64_t FragmentationTokens(const KvController::DecodeGrowth& growth) const;
+  int FreeCapacity(const KvController::DecodeGrowth& growth) const;
+  double Utilization(int64_t tokens) const {
+    return static_cast<double>(tokens) /
+           static_cast<double>(config_.kv_capacity_tokens);
+  }
 
   // cache_.Evict with trace attribution: emits one kCacheEvict record per
   // call that removed at least one node. Returns the blocks freed.
@@ -482,8 +514,28 @@ class Replica {
   // starts at a virtual boundary that Sync materializes. `boundary_` is the
   // order position of the next one (StepEndOrder), kept for Sync's check.
   int64_t stretch_steps_ = 0;
+  // Value readers' walk over the boundaries that have run since the last
+  // materialization, each walked once: the memo behind Projected(). It
+  // continues the materialized walk (boundary_, step_us_,
+  // step_context_tokens_, the decode-latency EWMA) and is reset at plan,
+  // cut and materialization. Outside a stretch a probe reads only `left`
+  // and `passed`, which share a cache line with stretch_steps_.
+  struct Cursor {
+    int64_t left = 0;    // Virtual boundaries not passed yet.
+    int64_t passed = 0;  // Passed and not materialized.
+    EventOrder next;     // The next boundary, and the duration and context
+    double step_us = 0;  // tokens of the step ending there.
+    int64_t context = 0;
+    double ewma_us_per_token = 0;  // Decode-latency EWMA and its sample
+    int64_t latency_samples = 0;   // count after the passed boundaries.
+    KvController::DecodeGrowth growth;  // Of the passed boundaries.
+  };
+  mutable Cursor cursor_;
   EventOrder boundary_;
   EventId step_event_ = kInvalidEventId;  // Ends the stretch's last step.
+  // The stretch's ledger plan: one run per running sequence, in batch
+  // order, rebased at every materialization. Reused across stretches.
+  std::vector<KvController::DecodeRun> stretch_;
   bool per_step_;  // The test-only oracle (set_per_step_oracle).
   // Deduplicates watermark-rejection counting: one count per blocked
   // request's episode (keyed by id — the head can rotate under preemption).
@@ -492,6 +544,7 @@ class Replica {
 
   Stats stats_;
   std::vector<std::pair<SimTime, double>> memory_series_;
+
 };
 
 }  // namespace skywalker
