@@ -161,19 +161,15 @@ std::vector<Request> MakeRequests(Rng& rng, int count, double share) {
   return requests;
 }
 
-// One observation line: every stat, the probe payload, ledger totals, the
-// memory series and the cache, printed exactly (hex floats).
+// One observation line: the probe payload, the snapshot, the memory values,
+// every stat, ledger totals, the memory series and the cache, printed
+// exactly (hex floats). The value readers come first: they project a
+// stretch's passed boundaries, and the first reference reader (stats())
+// materializes them.
 void Observe(Simulator& sim, Replica& replica, const std::string& what,
              std::vector<std::string>* lines) {
   std::ostringstream os;
   os << std::hexfloat << sim.now() << ' ' << what;
-  const Replica::Stats& st = replica.stats();
-  os << " stats " << st.enqueued << ' ' << st.completed << ' '
-     << st.prefill_tokens_computed << ' ' << st.cached_tokens_reused << ' '
-     << st.output_tokens_generated << ' ' << st.preemptions << ' '
-     << st.dropped_requests << ' ' << st.engine_steps << ' ' << st.busy_us
-     << ' ' << st.peak_memory_utilization << ' ' << st.peak_running << ' '
-     << st.peak_pending;
   const ProbePayload p = replica.Probe();
   os << " probe " << p.version << ' ' << p.pending << ' ' << p.running << ' '
      << p.free_capacity << ' ' << p.free_blocks << ' ' << p.total_blocks
@@ -182,6 +178,18 @@ void Observe(Simulator& sim, Replica& replica, const std::string& what,
   const Replica::LoadSnapshot snap = replica.Snapshot();
   os << " snap " << snap.cache_blocks << ' ' << snap.evictable_blocks << ' '
      << snap.fragmentation_tokens;
+  os << " mem " << replica.memory_used_tokens() << ' '
+     << replica.active_memory_tokens() << ' '
+     << replica.reserved_future_tokens() << ' '
+     << replica.memory_utilization() << ' '
+     << replica.active_memory_utilization();
+  const Replica::Stats& st = replica.stats();
+  os << " stats " << st.enqueued << ' ' << st.completed << ' '
+     << st.prefill_tokens_computed << ' ' << st.cached_tokens_reused << ' '
+     << st.output_tokens_generated << ' ' << st.preemptions << ' '
+     << st.dropped_requests << ' ' << st.engine_steps << ' ' << st.busy_us
+     << ' ' << st.peak_memory_utilization << ' ' << st.peak_running << ' '
+     << st.peak_pending;
   const KvController& kv = replica.kv();
   os << " kv " << kv.used_blocks() << ' ' << kv.committed_blocks() << ' '
      << kv.seq_resident_tokens() << ' ' << kv.committed_tokens() << ' '
@@ -190,9 +198,7 @@ void Observe(Simulator& sim, Replica& replica, const std::string& what,
      << ' ' << kv.allocator_stats().peak_used_blocks << ' '
      << kv.counters().peak_fragmentation_tokens << ' '
      << kv.counters().preempt_swap << ' ' << kv.counters().swap_ins;
-  os << " mem " << replica.memory_used_tokens() << ' '
-     << replica.active_memory_tokens() << ' '
-     << replica.reserved_future_tokens() << ' ' << replica.BusyFraction();
+  os << " busy " << replica.BusyFraction();
   const auto& series = replica.memory_series();
   os << " series " << series.size();
   if (!series.empty()) {
@@ -217,19 +223,22 @@ struct WorldSpec {
 
 struct WorldLog {
   std::vector<std::string> lines;  // Observations and callbacks, in order.
-  std::string trace;               // SKTRACE1 bytes.
+  std::string trace;               // SKTRACE1 bytes (traced runs).
   std::vector<SimTime> step_ends;  // kEngineStep record times.
   size_t events = 0;
 };
 
 // Arrivals, random probes, boundary probes and faults (Fail/Recover,
 // SetSlowdown, ApplyCacheEvictionPolicy) against one replica, coalesced or
-// on the per-step oracle; an observation after every injected event.
-WorldLog RunWorld(const WorldSpec& spec, bool oracle) {
+// on the per-step oracle, traced or not; an observation after every
+// injected event.
+WorldLog RunWorld(const WorldSpec& spec, bool oracle, bool traced) {
   WorldLog log;
   Simulator sim;
   Tracer tracer(1);
-  sim.SetTracer(&tracer);
+  if (traced) {
+    sim.SetTracer(&tracer);
+  }
   Replica::set_per_step_oracle(oracle);
   Replica replica(&sim, 0, 0, spec.config);
   Replica::set_per_step_oracle(false);
@@ -311,23 +320,27 @@ WorldLog RunWorld(const WorldSpec& spec, bool oracle) {
 }
 
 // Runs the oracle once to find its step boundaries, probes a sample of them
-// in both arms, and requires identical observations and trace bytes.
+// in both arms, and requires identical observations, traced and untraced,
+// and identical trace bytes.
 void ExpectCoalescedMatchesOracle(WorldSpec spec) {
-  const WorldLog first = RunWorld(spec, /*oracle=*/true);
+  const WorldLog first = RunWorld(spec, /*oracle=*/true, /*traced=*/true);
   for (size_t i = 0; i < first.step_ends.size(); i += 7) {
     spec.boundaries.push_back(first.step_ends[i]);
   }
-  const WorldLog oracle = RunWorld(spec, /*oracle=*/true);
-  const WorldLog coalesced = RunWorld(spec, /*oracle=*/false);
-  ASSERT_FALSE(oracle.lines.empty());
-  const size_t n = std::min(oracle.lines.size(), coalesced.lines.size());
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(coalesced.lines[i], oracle.lines[i]) << "observation " << i;
+  for (bool traced : {true, false}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    const WorldLog oracle = RunWorld(spec, /*oracle=*/true, traced);
+    const WorldLog coalesced = RunWorld(spec, /*oracle=*/false, traced);
+    ASSERT_FALSE(oracle.lines.empty());
+    const size_t n = std::min(oracle.lines.size(), coalesced.lines.size());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(coalesced.lines[i], oracle.lines[i]) << "observation " << i;
+    }
+    EXPECT_EQ(coalesced.lines.size(), oracle.lines.size());
+    EXPECT_TRUE(coalesced.trace == oracle.trace) << "trace bytes differ";
+    // The oracle schedules one event per step; coalescing must save some.
+    EXPECT_LT(coalesced.events, oracle.events);
   }
-  EXPECT_EQ(coalesced.lines.size(), oracle.lines.size());
-  EXPECT_TRUE(coalesced.trace == oracle.trace) << "trace bytes differ";
-  // The oracle schedules one event per step; coalescing must save some.
-  EXPECT_LT(coalesced.events, oracle.events);
 }
 
 TEST_P(ReplicaSweepTest, CoalescedMatchesPerStepOracle) {

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "src/obs/trace.h"
 #include "src/replica/replica.h"
 #include "src/sim/simulator.h"
 
@@ -619,6 +620,51 @@ TEST(ReplicaProbeTest, MidStepArrivalCountsAsPending) {
   EXPECT_EQ(probe.pending, 1);
   sim.Run();  // The arrival still admits and completes normally.
   EXPECT_EQ(replica.stats().completed, 2);
+}
+
+TEST(ReplicaProbeTest, MidStretchProbeMaterializesNothing) {
+  // One 200-token decode runs as a stretch of 199 steps after its prefill
+  // step. A probe mid-stretch projects the boundaries that have run and
+  // emits no trace record; the next reference reader materializes them,
+  // emitting one kEngineStep record per passed boundary (DESIGN.md §13.3).
+  Simulator sim;
+  Tracer tracer(1);
+  sim.SetTracer(&tracer);
+  Replica replica(&sim, 0, 0, ReplicaConfig{});
+  Completion c;
+  replica.Enqueue(MakeRequest(1, 64, 200), Record(&sim, &c));
+  sim.RunFor(Seconds(2));  // ~20 ms steps: about half the stretch has run.
+  auto traced_steps = [&tracer] {
+    int64_t steps = 0;
+    for (const TraceRecord& r : tracer.Merged()) {
+      steps += r.type == static_cast<uint16_t>(TraceEventType::kEngineStep);
+    }
+    return steps;
+  };
+  const int64_t records = tracer.size();
+  const ProbePayload probe = replica.Probe();
+  const Replica::LoadSnapshot snap = replica.Snapshot();
+  EXPECT_EQ(tracer.size(), records);
+  // Only the prefill step has run as an event; every decode step since is
+  // a passed virtual boundary, each folded into the projected EWMA.
+  EXPECT_EQ(traced_steps(), 1);
+  EXPECT_GT(probe.latency_samples, 10);
+  EXPECT_LT(probe.latency_samples, 199);
+
+  const Replica::Stats& stats = replica.stats();
+  EXPECT_EQ(traced_steps(), 1 + probe.latency_samples);
+  EXPECT_EQ(stats.engine_steps, 1 + probe.latency_samples);
+  EXPECT_EQ(stats.output_tokens_generated, 1 + probe.latency_samples);
+  // The projection read what materialization then wrote.
+  const ProbePayload after = replica.Probe();
+  EXPECT_EQ(after.free_capacity, probe.free_capacity);
+  EXPECT_EQ(after.free_blocks, probe.free_blocks);
+  EXPECT_EQ(after.latency_samples, probe.latency_samples);
+  EXPECT_EQ(after.ewma_decode_us_per_token, probe.ewma_decode_us_per_token);
+  EXPECT_EQ(replica.Snapshot().fragmentation_tokens, snap.fragmentation_tokens);
+  EXPECT_TRUE(replica.CheckInvariants());
+  sim.Run();
+  EXPECT_GT(c.completed, 0);
 }
 
 TEST(ReplicaProbeTest, MemoryBlockedPendingStaysVisible) {
