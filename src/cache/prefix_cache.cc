@@ -495,52 +495,6 @@ void PrefixCache::TouchAggregates(Node& n, SimTime now) {
   }
 }
 
-void PrefixCache::RebuildAggregates() {
-  // Iterative post-order: initialize each node from its own span on first
-  // visit, fold into the parent on second. Hit history is unknown at policy
-  // entry, so decay restarts from the present with zero credit — the first
-  // few walks after a reswap re-warm the counters.
-  std::vector<std::pair<SlabId, bool>> stack;
-  stack.emplace_back(root_, false);
-  while (!stack.empty()) {
-    const auto [id, visited] = stack.back();
-    Node& n = node(id);
-    if (!visited) {
-      stack.back().second = true;
-      n.sub_blocks = static_cast<int32_t>(n.blocks.size());
-      n.sub_last_access = n.last_access;
-      n.sub_hits = 0.0f;
-      n.sub_hit_stamp = newest_access_;
-      for (const auto& [token, child] : n.children) {
-        (void)token;
-        stack.emplace_back(child, false);
-      }
-      continue;
-    }
-    stack.pop_back();
-    if (id != root_) {
-      Node& p = node(n.parent);
-      p.sub_blocks += n.sub_blocks;
-      if (n.sub_last_access > p.sub_last_access) {
-        p.sub_last_access = n.sub_last_access;
-      }
-    }
-  }
-}
-
-void PrefixCache::SetEvictionPolicy(EvictionPolicy policy) {
-  if (policy == policy_) {
-    return;
-  }
-  policy_ = policy;
-  maintain_aggregates_ = policy == EvictionPolicy::kColdSubtree;
-  if (maintain_aggregates_) {
-    RebuildAggregates();
-  }
-  // Leaving kColdSubtree just stops maintenance; stale aggregate values are
-  // harmless (the LRU path never reads them) and a later re-entry rebuilds.
-}
-
 void PrefixCache::Clear() {
   // Evict everything evictable; pinned paths survive.
   Evict(std::numeric_limits<int64_t>::max());

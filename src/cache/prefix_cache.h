@@ -180,12 +180,8 @@ class PrefixCache {
   size_t active_pins() const { return pins_.live(); }
   int32_t block_size_tokens() const { return block_size_; }
 
+  // Fixed at construction.
   EvictionPolicy eviction_policy() const { return policy_; }
-  // Switches the victim-selection policy mid-run (hot config reswap).
-  // Entering kColdSubtree rebuilds the subtree aggregates with one full
-  // traversal; they are then maintained incrementally. Leaving it stops
-  // maintenance (the LRU-leaf path never reads them).
-  void SetEvictionPolicy(EvictionPolicy policy);
 
   // Cumulative eviction statistics: rounds is the number of Evict() calls
   // that removed at least one node, victims the nodes removed, and
@@ -260,8 +256,8 @@ class PrefixCache {
     SimTime last_access = 0;
     // --- second line: the paged-KV span (cold for walks) ---
     BlockSlice blocks;  // Pages covering the edge, path-aligned.
-    // kColdSubtree aggregates, maintained incrementally while that policy
-    // is active (root included; rebuilt on policy entry):
+    // kColdSubtree aggregates, maintained incrementally when that is the
+    // policy (root included):
     //   sub_blocks      — Σ blocks.size() over this subtree (span refs, so
     //                     a straddled page counts once per covering node);
     //   sub_last_access — upper bound on max last_access in the subtree
@@ -320,8 +316,6 @@ class PrefixCache {
   std::vector<BlockAllocator::CacheHolders> TallyPageHolders() const;
   // Adds `delta` to sub_blocks on every ancestor of `id`, root included.
   void PropagateSubBlocks(SlabId id, int64_t delta);
-  // Recomputes every node's aggregates bottom-up (policy entry, O(nodes)).
-  void RebuildAggregates();
   // Refreshes the access-side aggregates of a path node during a walk.
   void TouchAggregates(Node& n, SimTime now);
 
@@ -330,10 +324,10 @@ class PrefixCache {
 
   int64_t capacity_tokens_;
   int32_t block_size_;
-  EvictionPolicy policy_;
-  // True while aggregates are being maintained (== policy is kColdSubtree);
-  // hoisted into a bool so walk-path checks stay a single flag test.
-  bool maintain_aggregates_ = false;
+  const EvictionPolicy policy_;
+  // Whether aggregates are maintained (== policy is kColdSubtree), hoisted
+  // into a bool so walk-path checks stay a single flag test.
+  const bool maintain_aggregates_;
   // Newest access timestamp ever observed (MatchAndRef/MatchPrefix/Insert).
   // Eviction has no clock parameter, so coldness is judged against this.
   SimTime newest_access_ = 0;

@@ -130,7 +130,7 @@ int Replica::FreeCapacity(const KvController::DecodeGrowth& growth) const {
 Replica::LoadSnapshot Replica::Snapshot() const {
   // Mid-stretch, the passed boundaries only grow the sequence side of the
   // ledger; the cache, the queues and the preemption count are frozen.
-  const KvController::DecodeGrowth& growth = Projected();
+  const KvController::DecodeGrowth growth = Projected();
   LoadSnapshot snap;
   snap.pending = pending_count();
   snap.running = running_count();
@@ -163,12 +163,9 @@ ProbePayload Replica::Probe() {
   payload.free_blocks = snap.free_blocks;
   payload.total_blocks = snap.total_blocks;
   payload.swapped = snap.swapped;
-  // Snapshot advanced the cursor over every boundary that has run.
-  const bool passed = cursor_.passed > 0;
-  payload.ewma_decode_us_per_token = passed ? cursor_.ewma_us_per_token
-                                            : decode_ewma_us_per_token_;
-  payload.latency_samples =
-      passed ? cursor_.latency_samples : latency_samples_;
+  // Snapshot walked every boundary that has run into the EWMA.
+  payload.ewma_decode_us_per_token = decode_ewma_us_per_token_;
+  payload.latency_samples = latency_samples_;
   return payload;
 }
 
@@ -395,7 +392,6 @@ void Replica::MaybeStep() {
   }
   stretch_steps_ = planned - 1;
   boundary_ = StepEndOrder();
-  ResetCursor();
   step_event_ = sim_->ScheduleStep(last_start + StepDelay(last_us), last_start,
                                    region_, step_ordinal_,
                                    [this] { OnStepEvent(); });
@@ -463,22 +459,13 @@ void Replica::OnStepEvent() {
   FinishStep(step_us_, step_decode_count_);
 }
 
-inline void Replica::NextStretchStep(EventOrder* end, double* us,
-                                     int64_t* context) const {
-  const SimTime start = end->at;
-  *context += step_decode_count_;
-  *us = StepUs(0, step_decode_count_, *context);
-  *end = sim_->StepOrder(start + StepDelay(*us), start, region_,
-                         step_ordinal_);
-}
-
-void Replica::CatchUp() {
+void Replica::WalkBoundaries() {
   // Boundary by boundary, FinishStep's bookkeeping for a pure decode step
-  // that completes no sequence, in its order. The ledger is still at the
-  // first boundary's start, so memory samples read the plan's totals.
-  int64_t steps = 0;
-  while (steps < stretch_steps_ && sim_->HasRun(boundary_)) {
-    ++steps;
+  // that completes no sequence, in its order. The ledger is still where
+  // Sync last applied it, so memory samples read the plan's totals.
+  do {
+    ++walked_;
+    --stretch_steps_;
     const EventOrder at = boundary_;
     CountStep(step_us_, step_decode_count_);
     stats_.output_tokens_generated += step_decode_count_;
@@ -487,50 +474,33 @@ void Replica::CatchUp() {
                 step_decode_count_, step_us_);
     }
     KvController::DecodeGrowth growth;  // What a memory sample reads.
-    growth.tokens = steps * step_decode_count_;
-    growth.blocks = kv_.DecodeBlocks(stretch_, steps);
+    growth.tokens = walked_ * step_decode_count_;
+    growth.blocks = kv_.DecodeBlocks(stretch_, walked_);
     SampleMemory(at, growth);
     // MaybeStep's plan of the next step: the same batch, one more context
     // token per sequence.
     step_start_ = at.at;
-    NextStretchStep(&boundary_, &step_us_, &step_context_tokens_);
-  }
-  stretch_steps_ -= steps;
-  // Then every sequence's tokens at once.
-  kv_.OnDecodeSteps(&stretch_, steps);
+    step_context_tokens_ += step_decode_count_;
+    step_us_ = StepUs(0, step_decode_count_, step_context_tokens_);
+    boundary_ = StepEndOrder();
+  } while (stretch_steps_ > 0 && sim_->HasRun(boundary_));
+}
+
+void Replica::ApplyWalked() {
+  kv_.OnDecodeSteps(&stretch_, walked_);
   for (Seq& seq : running_) {
-    seq.generated += steps;
+    seq.generated += walked_;
   }
+  walked_ = 0;
   // Growth is monotone, so the last boundary bounds every earlier one.
   SKYWALKER_CHECK(kv_.ReclaimNeededBlocks() == 0)
       << "PlanStretch let a virtual step outgrow the ledger";
-  ResetCursor();
 }
 
-const KvController::DecodeGrowth& Replica::Projected() const {
-  static const KvController::DecodeGrowth kNone;
-  Cursor& c = cursor_;
-  if (c.left > 0 && sim_->HasRun(c.next)) {
-    do {
-      FoldDecodeLatency(c.step_us, &c.ewma_us_per_token, &c.latency_samples);
-      --c.left;
-      ++c.passed;
-      NextStretchStep(&c.next, &c.step_us, &c.context);
-    } while (c.left > 0 && sim_->HasRun(c.next));
-    c.growth = kv_.ProjectDecode(stretch_, c.passed);
-  }
-  return c.passed > 0 ? c.growth : kNone;
-}
-
-void Replica::ResetCursor() {
-  cursor_.left = stretch_steps_;
-  cursor_.passed = 0;
-  cursor_.next = boundary_;
-  cursor_.step_us = step_us_;
-  cursor_.context = step_context_tokens_;
-  cursor_.ewma_us_per_token = decode_ewma_us_per_token_;
-  cursor_.latency_samples = latency_samples_;
-  cursor_.growth = KvController::DecodeGrowth{};
+KvController::DecodeGrowth Replica::Projected() const {
+  Walk();
+  return walked_ > 0 ? kv_.ProjectDecode(stretch_, walked_)
+                     : KvController::DecodeGrowth{};
 }
 
 void Replica::CutStretch() {
@@ -538,7 +508,6 @@ void Replica::CutStretch() {
     return;
   }
   stretch_steps_ = 0;
-  ResetCursor();
   sim_->Cancel(step_event_);
   step_event_ = sim_->ScheduleStep(StepEnd(), step_start_, region_,
                                    step_ordinal_, [this] { OnStepEvent(); });
@@ -553,15 +522,12 @@ void Replica::CountStep(double step_us, int decode_count) {
   // decode stream really experienced — and it surfaces a straggler's
   // slowdown within a few steps, not after whole sequences complete.
   if (decode_count > 0) {
-    FoldDecodeLatency(step_us, &decode_ewma_us_per_token_, &latency_samples_);
+    decode_ewma_us_per_token_ =
+        latency_samples_ == 0
+            ? step_us
+            : 0.25 * step_us + 0.75 * decode_ewma_us_per_token_;
+    ++latency_samples_;
   }
-}
-
-void Replica::FoldDecodeLatency(double step_us, double* ewma_us_per_token,
-                                int64_t* samples) {
-  *ewma_us_per_token =
-      *samples == 0 ? step_us : 0.25 * step_us + 0.75 * *ewma_us_per_token;
-  ++*samples;
 }
 
 void Replica::FinishStep(double step_us, int decode_count) {
@@ -882,13 +848,6 @@ void Replica::SetSlowdown(double factor) {
   Sync();
   CutStretch();  // The stretch priced its steps at the old factor.
   slowdown_ = factor;
-}
-
-void Replica::ApplyCacheEvictionPolicy(EvictionPolicy policy) {
-  Sync();
-  CutStretch();  // Conservative: the next plan may admit or reclaim under it.
-  config_.cache_eviction_policy = policy;
-  cache_.SetEvictionPolicy(policy);
 }
 
 }  // namespace skywalker

@@ -23,10 +23,11 @@
 // only by context growth — pure decode, no completion, no admission to try,
 // no reclaim — MaybeStep plans them all, records what each sequence's
 // ledger does over them, and schedules one event at the end of the last
-// one. Value readers (Probe, Snapshot, the memory getters) evaluate that
-// plan at the step boundaries the simulator has run past; reference readers
-// and mutators first materialize those boundaries in one pass (Sync). Every
-// observable matches the per-step path.
+// one. Every reader first walks the step boundaries the simulator has run
+// past, once each; only the KV ledger waits. Value readers (Probe,
+// Snapshot, the memory getters) add the plan's growth at the walked
+// boundaries to it, and reference readers and mutators apply it (Sync).
+// Every observable matches the per-step path.
 //
 // Prompt KV is published to the prefix cache when prefill completes (SGLang
 // inserts computed KV into its radix tree immediately, so concurrent
@@ -133,10 +134,10 @@ struct ProbePayload {
   int64_t free_blocks = 0;
   int64_t total_blocks = 0;
   int64_t swapped = 0;
-  // EWMA over completed requests of (decode wall time) / (tokens decoded) —
-  // the per-token service latency a straggler inflates, whatever its load.
+  // EWMA over decode steps of the step's wall time — the per-token service
+  // latency a straggler inflates, whatever its load.
   double ewma_decode_us_per_token = 0.0;
-  int64_t latency_samples = 0;  // Completions folded into the EWMA.
+  int64_t latency_samples = 0;  // Decode steps folded into the EWMA.
 };
 
 class Replica {
@@ -236,13 +237,14 @@ class Replica {
   int EstimateFreeCapacity() const;
 
   // One-call probe payload: queue depths plus paged-memory headroom. Mid-
-  // stretch it projects the passed boundaries and materializes nothing.
+  // stretch it walks the passed boundaries and adds their ledger growth to
+  // the ledger without applying it.
   LoadSnapshot Snapshot() const;
 
   // The heartbeat-probe RPC body: stamps the next probe version and
-  // attaches the decode-latency EWMA, projected like Snapshot. Non-const on
-  // purpose — probing advances the version counter, and keeping it here
-  // gives the payload exactly one construction site.
+  // attaches the decode-latency EWMA, which the walk has folded up to now.
+  // Non-const on purpose — probing advances the version counter, and
+  // keeping it here gives the payload exactly one construction site.
   ProbePayload Probe();
 
   // KV held by *running* requests (pinned cache paths + private tokens).
@@ -303,21 +305,17 @@ class Replica {
   void SetSlowdown(double factor);
   double slowdown() const { return slowdown_; }
 
-  // Hot-reswaps the prefix cache's eviction policy. Entering kColdSubtree
-  // rebuilds the subtree aggregates in one traversal.
-  void ApplyCacheEvictionPolicy(EvictionPolicy policy);
-
-  // Materializes every stable-stretch step boundary the simulator has run
-  // past (Simulator::HasRun) in one pass, bringing the replica to the state
-  // the per-step path would have at this point of the event order; a
-  // virtual step's trace records are emitted here. Mutators and the
-  // reference-returning readers (stats, kv, cache, memory_series) call it
-  // first; value readers project instead. It changes no observable, so it
-  // is const. Call it before exporting a trace, so every step finished by
-  // the deadline is in it.
+  // Walks every stable-stretch step boundary the simulator has run past,
+  // then applies the walked boundaries' growth to the KV ledger, bringing
+  // the replica to the state the per-step path would have at this point of
+  // the event order. Mutators and the reference-returning readers (stats,
+  // kv, cache, memory_series) call it first; value readers only walk. It
+  // changes no observable, so it is const. Call it before exporting a
+  // trace, so every step finished by the deadline is in it.
   void Sync() const {
-    if (stretch_steps_ > 0 && sim_->HasRun(boundary_)) {
-      const_cast<Replica*>(this)->CatchUp();
+    Walk();
+    if (walked_ > 0) {
+      const_cast<Replica*>(this)->ApplyWalked();
     }
   }
 
@@ -395,8 +393,8 @@ class Replica {
   // output tokens any sequence still owes.
   int64_t PlanStretch(int64_t min_remaining);
 
-  // The step event: materializes the stretch's earlier boundaries, then
-  // finishes the step in flight.
+  // The step event: syncs the stretch's earlier boundaries, then finishes
+  // the step in flight.
   void OnStepEvent();
 
   // Applies the effects of the step that just finished. `step_us` is the
@@ -407,31 +405,32 @@ class Replica {
 
   // Counts a finished step: step totals and the decode-latency EWMA fold.
   void CountStep(double step_us, int decode_count);
-  // Folds a decode step's duration into a decode-latency EWMA.
-  static void FoldDecodeLatency(double step_us, double* ewma_us_per_token,
-                                int64_t* samples);
 
   // --- stable stretches (DESIGN.md §13) ---
-  // Sync's slow path: materializes the boundaries that have run. Per
-  // boundary, the per-step path's FinishStep for a pure decode step that
-  // completes nothing (counts, trace record, memory sample from the plan's
-  // totals) and its plan of the next step; then every sequence's tokens in
+  // Every reader's first step: walks the stretch boundaries the simulator
+  // has run past (Simulator::HasRun), once each. Const for the readers'
+  // sake, like Sync.
+  void Walk() const {
+    if (stretch_steps_ > 0 && sim_->HasRun(boundary_)) {
+      const_cast<Replica*>(this)->WalkBoundaries();
+    }
+  }
+  // Walk's slow path. Per boundary, the per-step path's FinishStep for a
+  // pure decode step that completes nothing (count and EWMA fold, output
+  // tokens, trace record, memory sample from the plan's totals) and its
+  // plan of the next step. The ledger waits: it counts in `walked_`.
+  void WalkBoundaries();
+  // Sync's second half: every sequence's tokens of the walked boundaries in
   // one ledger call.
-  void CatchUp();
-  // The stretch's step after the one ending at `*end`: it starts there and
-  // prices one more context token per sequence. Updates all three.
-  void NextStretchStep(EventOrder* end, double* us, int64_t* context) const;
+  void ApplyWalked();
   // Ends the stretch at the next boundary (after Sync): cancels its end
   // event and schedules the event the per-step path has pending there,
   // at the same order position. Mutators that change what the next plan
   // would be call it.
   void CutStretch();
-  // The ledger growth of the boundaries that have run but are not
-  // materialized: what value readers add to the ledger (zero outside a
-  // stretch). Advances the cursor over boundaries newly run.
-  const KvController::DecodeGrowth& Projected() const;
-  // Points the cursor at the materialized state (plan, cut, CatchUp).
-  void ResetCursor();
+  // Walks, then returns the ledger growth of the walked boundaries: what
+  // value readers add to the ledger (zero when none waits).
+  KvController::DecodeGrowth Projected() const;
   // End of the step in flight, and the order position of its boundary.
   SimTime StepEnd() const;
   EventOrder StepEndOrder() const {
@@ -455,11 +454,11 @@ class Replica {
   void ReclaimMemory();
 
   // Post-step memory sample, stamped with the finishing step's order, of
-  // the ledger `growth` past its materialized state.
+  // the ledger `growth` past its applied state.
   void SampleMemory(const EventOrder& at,
                     const KvController::DecodeGrowth& growth);
 
-  // Value readers over the ledger `growth` past its materialized state.
+  // Value readers over the ledger `growth` past its applied state.
   int64_t MemoryUsedTokens(const KvController::DecodeGrowth& growth) const;
   int64_t ActiveMemoryTokens(const KvController::DecodeGrowth& growth) const;
   int64_t FragmentationTokens(const KvController::DecodeGrowth& growth) const;
@@ -511,30 +510,16 @@ class Replica {
   int step_decode_count_ = 0;
   int64_t step_context_tokens_ = 0;
   // Steps of the stable stretch still to run after the one in flight; each
-  // starts at a virtual boundary that Sync materializes. `boundary_` is the
-  // order position of the next one (StepEndOrder), kept for Sync's check.
+  // starts at a virtual boundary that Walk passes. `boundary_` is the order
+  // position of the next one (StepEndOrder), kept for Walk's check.
   int64_t stretch_steps_ = 0;
-  // Value readers' walk over the boundaries that have run since the last
-  // materialization, each walked once: the memo behind Projected(). It
-  // continues the materialized walk (boundary_, step_us_,
-  // step_context_tokens_, the decode-latency EWMA) and is reset at plan,
-  // cut and materialization. Outside a stretch a probe reads only `left`
-  // and `passed`, which share a cache line with stretch_steps_.
-  struct Cursor {
-    int64_t left = 0;    // Virtual boundaries not passed yet.
-    int64_t passed = 0;  // Passed and not materialized.
-    EventOrder next;     // The next boundary, and the duration and context
-    double step_us = 0;  // tokens of the step ending there.
-    int64_t context = 0;
-    double ewma_us_per_token = 0;  // Decode-latency EWMA and its sample
-    int64_t latency_samples = 0;   // count after the passed boundaries.
-    KvController::DecodeGrowth growth;  // Of the passed boundaries.
-  };
-  mutable Cursor cursor_;
+  // Boundaries walked whose ledger growth Sync has not applied. Beside
+  // stretch_steps_, so a probe outside a stretch reads no further line.
+  int64_t walked_ = 0;
   EventOrder boundary_;
   EventId step_event_ = kInvalidEventId;  // Ends the stretch's last step.
   // The stretch's ledger plan: one run per running sequence, in batch
-  // order, rebased at every materialization. Reused across stretches.
+  // order, rebased whenever Sync applies it. Reused across stretches.
   std::vector<KvController::DecodeRun> stretch_;
   bool per_step_;  // The test-only oracle (set_per_step_oracle).
   // Deduplicates watermark-rejection counting: one count per blocked

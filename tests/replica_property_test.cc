@@ -163,9 +163,9 @@ std::vector<Request> MakeRequests(Rng& rng, int count, double share) {
 
 // One observation line: the probe payload, the snapshot, the memory values,
 // every stat, ledger totals, the memory series and the cache, printed
-// exactly (hex floats). The value readers come first: they project a
-// stretch's passed boundaries, and the first reference reader (stats())
-// materializes them.
+// exactly (hex floats). The value readers come first: the probe walks a
+// stretch's passed boundaries, and they add the walked boundaries' growth
+// to the KV ledger, which the first reference reader (stats()) applies.
 void Observe(Simulator& sim, Replica& replica, const std::string& what,
              std::vector<std::string>* lines) {
   std::ostringstream os;
@@ -229,9 +229,8 @@ struct WorldLog {
 };
 
 // Arrivals, random probes, boundary probes and faults (Fail/Recover,
-// SetSlowdown, ApplyCacheEvictionPolicy) against one replica, coalesced or
-// on the per-step oracle, traced or not; an observation after every
-// injected event.
+// SetSlowdown) against one replica, coalesced or on the per-step oracle,
+// traced or not; an observation after every injected event.
 WorldLog RunWorld(const WorldSpec& spec, bool oracle, bool traced) {
   WorldLog log;
   Simulator sim;
@@ -296,14 +295,6 @@ WorldLog RunWorld(const WorldSpec& spec, bool oracle, bool traced) {
   sim.ScheduleAt(slow + when(0.5, 2), [&replica, &observe] {
     replica.SetSlowdown(1.0);
     observe("unslow");
-  });
-  sim.ScheduleAt(when(0, 4), [&replica, &observe] {
-    replica.ApplyCacheEvictionPolicy(EvictionPolicy::kColdSubtree);
-    observe("coldsubtree");
-  });
-  sim.ScheduleAt(when(4, 8), [&replica, &observe] {
-    replica.ApplyCacheEvictionPolicy(EvictionPolicy::kLruLeaf);
-    observe("lruleaf");
   });
   sim.Run();
   observe("end");

@@ -498,23 +498,6 @@ TEST(ReplicaPagedTest, SnapshotReportsHeadroomSignals) {
 
 // --- Cache eviction policy -----------------------------------------------
 
-TEST(ReplicaEvictionTest, CacheEvictionPolicyIsHotSwappable) {
-  Simulator sim;
-  ReplicaConfig config;
-  config.kv_capacity_tokens = 4096;
-  config.kv_block_size_tokens = 16;
-  Replica replica(&sim, 0, 0, config);
-  Completion c;
-  replica.Enqueue(MakeRequest(1, 256, 64), Record(&sim, &c));
-  sim.RunFor(Milliseconds(500));
-  replica.ApplyCacheEvictionPolicy(EvictionPolicy::kColdSubtree);
-  EXPECT_EQ(replica.cache().eviction_policy(), EvictionPolicy::kColdSubtree);
-  EXPECT_TRUE(replica.cache().CheckInvariants());  // Aggregates rebuilt.
-  sim.Run();
-  EXPECT_EQ(replica.stats().completed, 1);
-  EXPECT_TRUE(replica.kv().CheckConsistency());
-}
-
 TEST(ReplicaEvictionTest, ColdSubtreeReplicaDrainsSaturatedLoad) {
   // End-to-end: a paged replica under sustained pressure with the new
   // eviction policy completes everything and keeps the unified ledger
@@ -622,17 +605,20 @@ TEST(ReplicaProbeTest, MidStepArrivalCountsAsPending) {
   EXPECT_EQ(replica.stats().completed, 2);
 }
 
-TEST(ReplicaProbeTest, MidStretchProbeMaterializesNothing) {
+TEST(ReplicaProbeTest, MidStretchProbeWalksBoundariesOnce) {
   // One 200-token decode runs as a stretch of 199 steps after its prefill
-  // step. A probe mid-stretch projects the boundaries that have run and
-  // emits no trace record; the next reference reader materializes them,
-  // emitting one kEngineStep record per passed boundary (DESIGN.md §13.3).
+  // step. A probe mid-stretch walks the boundaries that have run, once
+  // each: one kEngineStep record and one EWMA sample per boundary. Only
+  // the KV ledger waits for a reference reader (DESIGN.md §13.3). Paged,
+  // with an unaligned prompt, so the ledger's pages and slack move.
   Simulator sim;
   Tracer tracer(1);
   sim.SetTracer(&tracer);
-  Replica replica(&sim, 0, 0, ReplicaConfig{});
+  ReplicaConfig config;
+  config.kv_block_size_tokens = 16;
+  Replica replica(&sim, 0, 0, config);
   Completion c;
-  replica.Enqueue(MakeRequest(1, 64, 200), Record(&sim, &c));
+  replica.Enqueue(MakeRequest(1, 70, 200), Record(&sim, &c));
   sim.RunFor(Seconds(2));  // ~20 ms steps: about half the stretch has run.
   auto traced_steps = [&tracer] {
     int64_t steps = 0;
@@ -641,27 +627,41 @@ TEST(ReplicaProbeTest, MidStretchProbeMaterializesNothing) {
     }
     return steps;
   };
-  const int64_t records = tracer.size();
+  // Only the prefill step has run as an event.
+  ASSERT_EQ(traced_steps(), 1);
   const ProbePayload probe = replica.Probe();
-  const Replica::LoadSnapshot snap = replica.Snapshot();
-  EXPECT_EQ(tracer.size(), records);
-  // Only the prefill step has run as an event; every decode step since is
-  // a passed virtual boundary, each folded into the projected EWMA.
-  EXPECT_EQ(traced_steps(), 1);
-  EXPECT_GT(probe.latency_samples, 10);
-  EXPECT_LT(probe.latency_samples, 199);
+  const int64_t walked = traced_steps() - 1;
+  EXPECT_GT(walked, 10);
+  EXPECT_LT(walked, 199);
+  // The prefill step decoded nothing, so every sample is a walked boundary.
+  EXPECT_EQ(probe.latency_samples, walked);
 
+  // A second probe at the same instant walks nothing and reads the same.
+  const int64_t records = tracer.size();
+  const ProbePayload again = replica.Probe();
+  EXPECT_EQ(tracer.size(), records);
+  EXPECT_EQ(again.version, probe.version + 1);
+  EXPECT_EQ(again.pending, probe.pending);
+  EXPECT_EQ(again.running, probe.running);
+  EXPECT_EQ(again.free_capacity, probe.free_capacity);
+  EXPECT_EQ(again.free_blocks, probe.free_blocks);
+  EXPECT_EQ(again.total_blocks, probe.total_blocks);
+  EXPECT_EQ(again.swapped, probe.swapped);
+  EXPECT_EQ(again.ewma_decode_us_per_token, probe.ewma_decode_us_per_token);
+  EXPECT_EQ(again.latency_samples, probe.latency_samples);
+  const Replica::LoadSnapshot snap = replica.Snapshot();
+
+  // stats() applies the ledger and emits nothing: the walk counted.
   const Replica::Stats& stats = replica.stats();
-  EXPECT_EQ(traced_steps(), 1 + probe.latency_samples);
-  EXPECT_EQ(stats.engine_steps, 1 + probe.latency_samples);
-  EXPECT_EQ(stats.output_tokens_generated, 1 + probe.latency_samples);
-  // The projection read what materialization then wrote.
-  const ProbePayload after = replica.Probe();
-  EXPECT_EQ(after.free_capacity, probe.free_capacity);
-  EXPECT_EQ(after.free_blocks, probe.free_blocks);
-  EXPECT_EQ(after.latency_samples, probe.latency_samples);
-  EXPECT_EQ(after.ewma_decode_us_per_token, probe.ewma_decode_us_per_token);
-  EXPECT_EQ(replica.Snapshot().fragmentation_tokens, snap.fragmentation_tokens);
+  EXPECT_EQ(tracer.size(), records);
+  EXPECT_EQ(stats.engine_steps, 1 + walked);
+  EXPECT_EQ(stats.output_tokens_generated, 1 + walked);
+  // What the probe added to the ledger is what the ledger then applied.
+  const Replica::LoadSnapshot applied = replica.Snapshot();
+  EXPECT_EQ(applied.free_capacity, probe.free_capacity);
+  EXPECT_EQ(applied.free_blocks, probe.free_blocks);
+  EXPECT_EQ(applied.fragmentation_tokens, snap.fragmentation_tokens);
+  EXPECT_GT(applied.fragmentation_tokens, 0);
   EXPECT_TRUE(replica.CheckInvariants());
   sim.Run();
   EXPECT_GT(c.completed, 0);
