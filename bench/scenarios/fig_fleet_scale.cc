@@ -79,14 +79,7 @@ MetricRow RunFleetCase(const FleetCase& c, const ScenarioOptions& options) {
   timing.threads = result.num_threads;
   timing.wall_seconds = result.run_wall_seconds;
   timing.windows = result.windows;
-  for (const ShardedSimulator::ShardTiming& shard : result.shard_timing) {
-    ShardWallTime wall;
-    wall.busy_seconds = shard.busy_seconds;
-    wall.barrier_seconds = shard.barrier_seconds;
-    wall.executed_events = shard.executed_events;
-    wall.mailbox_in = shard.mailbox_in;
-    timing.per_shard.push_back(wall);
-  }
+  timing.per_shard = result.shard_timing;
   ShardTimingRegistry::Instance().Record(std::move(timing));
 
   MetricRow row = RunMetricRow(c.label, result, c.total_replicas);

@@ -107,18 +107,6 @@ double MetricsCollector::ForwardedFraction() const {
                           static_cast<double>(total);
 }
 
-std::map<ReplicaId, int64_t> MetricsCollector::PerReplicaCounts() const {
-  std::map<ReplicaId, int64_t> counts;
-  for (const auto& o : outcomes_) {
-    if (InWindow(o)) {
-      ++counts[o.replica];
-    }
-  }
-  return counts;
-}
-
-void MetricsCollector::Clear() { outcomes_.clear(); }
-
 MetricRow& MetricRow::Set(std::string key, double value) {
   for (auto& [k, v] : metrics) {
     if (k == key) {
@@ -148,15 +136,6 @@ const std::vector<std::string>& StandardExperimentMetricKeys() {
       metric_keys::kE2eP99,         metric_keys::kCacheHitRate,
       metric_keys::kForwardRate,    metric_keys::kImbalance,
       metric_keys::kCompleted,      metric_keys::kCostUsdPerHour,
-  };
-  return keys;
-}
-
-const std::vector<std::string>& KvMemoryMetricKeys() {
-  static const std::vector<std::string> keys = {
-      metric_keys::kPreemptions,          metric_keys::kSwapOuts,
-      metric_keys::kSwapIns,              metric_keys::kSwapTransferSec,
-      metric_keys::kKvFragmentationPct,   metric_keys::kKvWatermarkRejections,
   };
   return keys;
 }

@@ -20,9 +20,13 @@
 
 namespace skywalker {
 
+// Virtual nodes per unit of weight on every balancer's ring: CH's replica
+// ring and SkyWalker's replica and peer-LB rings.
+inline constexpr int kRingVnodesPerWeight = 128;
+
 class HashRing {
  public:
-  explicit HashRing(int vnodes_per_weight = 128);
+  explicit HashRing(int vnodes_per_weight = kRingVnodesPerWeight);
 
   // Adds a target with the given weight (>= 1). Adding an existing target
   // is a no-op.

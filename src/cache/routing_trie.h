@@ -37,6 +37,10 @@ namespace skywalker {
 using TargetId = int32_t;
 inline constexpr TargetId kInvalidTarget = -1;
 
+// Token capacity of every balancer's routing trie: SGL's per-worker trie
+// and SkyWalker's replica and regional snapshot tries.
+inline constexpr int64_t kBalancerTrieCapacityTokens = 4'000'000;
+
 class RoutingTrie {
  public:
   explicit RoutingTrie(int64_t capacity_tokens);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 
 namespace skywalker {
 
@@ -91,18 +90,6 @@ double Distribution::max() const {
   return samples_.back();
 }
 
-double Distribution::stddev() const {
-  if (samples_.size() < 2) {
-    return 0;
-  }
-  double m = mean();
-  double acc = 0;
-  for (double x : samples_) {
-    acc += (x - m) * (x - m);
-  }
-  return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
-}
-
 double Distribution::Percentile(double p) const {
   if (samples_.empty()) {
     return 0;
@@ -117,15 +104,6 @@ double Distribution::Percentile(double p) const {
   size_t hi = std::min(lo + 1, samples_.size() - 1);
   double frac = rank - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-std::string Distribution::Summary() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "count=%zu mean=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f",
-                count(), mean(), Percentile(50), Percentile(90), Percentile(99),
-                max());
-  return buf;
 }
 
 void Distribution::EnsureSorted() const {
@@ -227,16 +205,6 @@ double Histogram::Quantile(double q) const {
     cumulative += counts_[i];
   }
   return max_;
-}
-
-std::string Histogram::Summary() const {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      "count=%llu mean=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f",
-      static_cast<unsigned long long>(count_), mean(), Quantile(0.5),
-      Quantile(0.9), Quantile(0.99), max());
-  return buf;
 }
 
 void BinnedSeries::Add(size_t bin, double value) {

@@ -49,15 +49,11 @@ class Distribution {
   double sum() const;
   double min() const;
   double max() const;
-  double stddev() const;
 
   // Exact percentile with linear interpolation; `p` in [0, 100].
   double Percentile(double p) const;
 
   double Median() const { return Percentile(50); }
-
-  // "count=.. mean=.. p50=.. p90=.. p99=.. max=.." one-liner.
-  std::string Summary() const;
 
   // Read-only access for CDF exports.
   const std::vector<double>& samples() const { return samples_; }
@@ -121,9 +117,6 @@ class Histogram {
   // counts()[i] covers (bounds()[i-1], bounds()[i]]; the final entry is the
   // overflow bucket (counts().size() == bounds().size() + 1).
   const std::vector<uint64_t>& counts() const { return counts_; }
-
-  // "count=.. mean=.. p50=.. p90=.. p99=.. max=.." one-liner.
-  std::string Summary() const;
 
  private:
   std::vector<double> bounds_;

@@ -92,15 +92,6 @@ double Rng::LogNormal(double mu, double sigma) {
   return std::exp(Normal(mu, sigma));
 }
 
-double Rng::Pareto(double x_m, double alpha) {
-  assert(alpha > 0);
-  double u;
-  do {
-    u = NextDouble();
-  } while (u <= 0.0);
-  return x_m / std::pow(u, 1.0 / alpha);
-}
-
 int64_t Rng::Geometric(double p) {
   assert(p > 0.0 && p <= 1.0);
   if (p >= 1.0) {

@@ -52,9 +52,6 @@ class Rng {
   // lengths (matches the long-tail CDF in Fig. 4a of the paper).
   double LogNormal(double mu, double sigma);
 
-  // Pareto with scale x_m and shape alpha (> 0).
-  double Pareto(double x_m, double alpha);
-
   // Geometric number of trials until first success (>= 1), success prob p.
   int64_t Geometric(double p);
 

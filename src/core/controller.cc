@@ -27,8 +27,6 @@ void Controller::Start() {
   probe_task_->StartWithDelay(0);
 }
 
-void Controller::Stop() { probe_task_->Stop(); }
-
 void Controller::AddReplica(SkyWalkerLb* lb, Replica* replica) {
   lb->AttachReplica(replica);
 }

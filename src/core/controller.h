@@ -43,7 +43,6 @@ class Controller {
   void ManageLb(SkyWalkerLb* lb);
 
   void Start();
-  void Stop();
 
   // Adds a replica to the LB serving `lb->region()`; wires rings/tries.
   void AddReplica(SkyWalkerLb* lb, Replica* replica);

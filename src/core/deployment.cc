@@ -55,13 +55,6 @@ void Deployment::Start() {
   controller_->Start();
 }
 
-void Deployment::Stop() {
-  for (auto& lb : lbs_) {
-    lb->Stop();
-  }
-  controller_->Stop();
-}
-
 SkyWalkerLb* Deployment::LbInRegion(RegionId region) {
   for (auto& lb : lbs_) {
     if (lb->region() == region) {

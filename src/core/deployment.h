@@ -46,7 +46,6 @@ class Deployment {
 
   // Starts LB probe loops and the controller.
   void Start();
-  void Stop();
 
   FrontendResolver* resolver() { return &resolver_; }
   Controller* controller() { return controller_.get(); }

@@ -16,10 +16,8 @@ SkyWalkerLb::SkyWalkerLb(Simulator* sim, Network* net, LbId id,
       id_(id),
       region_(region),
       config_(config),
-      replica_ring_(config.ring_vnodes),
-      lb_ring_(config.ring_vnodes),
-      replica_trie_(config.replica_trie_capacity),
-      snapshot_trie_(config.snapshot_trie_capacity),
+      replica_trie_(kBalancerTrieCapacityTokens),
+      snapshot_trie_(kBalancerTrieCapacityTokens),
       engine_(sim, net, region, config.engine, /*selector=*/this,
               EngineCallbacks()) {}
 
@@ -69,12 +67,6 @@ void SkyWalkerLb::AddPeer(SkyWalkerLb* peer) {
   lb_ring_.AddTarget(peer->id());
 }
 
-void SkyWalkerLb::RemovePeer(LbId peer_id) {
-  peers_.erase(peer_id);
-  lb_ring_.RemoveTarget(peer_id);
-  snapshot_trie_.RemoveTarget(peer_id);
-}
-
 std::vector<Replica*> SkyWalkerLb::ManagedReplicas() const {
   std::vector<Replica*> out;
   out.reserve(engine_.num_replicas());
@@ -90,8 +82,6 @@ void SkyWalkerLb::Start() {
   sim_->SetCurrentRegion(region_);
   engine_.Start();
 }
-
-void SkyWalkerLb::Stop() { engine_.Stop(); }
 
 void SkyWalkerLb::ApplyRuntimeConfig(const RuntimeConfig& config) {
   config_.engine = config.dispatch;

@@ -72,11 +72,6 @@ struct SkyWalkerConfig {
   DispatchConfig engine = SkyWalkerEngineDefaults();
   RoutingRuntimeConfig routing;
 
-  // --- structurally static knobs (fixed at construction) ---
-  int64_t replica_trie_capacity = 4'000'000;
-  int64_t snapshot_trie_capacity = 4'000'000;
-  int ring_vnodes = 128;
-
   // Optional constraint on forwarding pairs (GDPR, §7). Null allows all.
   // A predicate, not a value — stays out of the serializable snapshot.
   std::function<bool(RegionId from, RegionId to)> forward_allowed;
@@ -125,11 +120,9 @@ class SkyWalkerLb : public Frontend,
   void AttachReplica(Replica* replica);
   void DetachReplica(ReplicaId replica_id);
   void AddPeer(SkyWalkerLb* peer);
-  void RemovePeer(LbId peer_id);
   std::vector<Replica*> ManagedReplicas() const;
 
   void Start();
-  void Stop();
 
   // --- HealthSource: the one availability authority for this LB ---
   HealthStatus Status() const override { return status_; }

@@ -197,7 +197,7 @@ Json TimingJson(const std::vector<ScenarioRunResult>& results,
       cj.Set("wall_seconds", cell.wall_seconds);
       cj.Set("windows", static_cast<double>(cell.windows));
       Json per_shard = Json::Array();
-      for (const ShardWallTime& shard : cell.per_shard) {
+      for (const ShardedSimulator::ShardTiming& shard : cell.per_shard) {
         Json sj = Json::Object();
         sj.Set("busy_seconds", shard.busy_seconds);
         sj.Set("barrier_seconds", shard.barrier_seconds);

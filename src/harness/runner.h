@@ -13,6 +13,7 @@
 
 #include "src/common/json.h"
 #include "src/harness/scenario.h"
+#include "src/sim/sharded_simulator.h"
 
 namespace skywalker {
 
@@ -50,15 +51,6 @@ struct ScenarioRunResult {
   size_t cells = 0;
 };
 
-// Per-shard wall-time split for one simulation shard: time spent executing
-// events vs. waiting at window barriers (conservative-lookahead sync).
-struct ShardWallTime {
-  double busy_seconds = 0;
-  double barrier_seconds = 0;
-  uint64_t executed_events = 0;
-  uint64_t mailbox_in = 0;  // Cross-shard messages delivered to the shard.
-};
-
 // Shard-level timing for one scenario cell that ran on a ShardedSimulator.
 // Cells publish these via ShardTimingRegistry from inside their run()
 // closure (cells execute on the shared pool, so a side channel — not the
@@ -70,7 +62,7 @@ struct CellShardTiming {
   int threads = 0;
   double wall_seconds = 0;   // Whole-cell simulation wall time.
   uint64_t windows = 0;      // Lookahead windows executed.
-  std::vector<ShardWallTime> per_shard;
+  std::vector<ShardedSimulator::ShardTiming> per_shard;
   // Scenario-specific counters serialized onto the cell object verbatim
   // (e.g. the eviction-churn micro's "evictions" / "pages_per_eviction",
   // ISSUE 8). Keys must not collide with the fixed fields above.

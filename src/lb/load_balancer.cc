@@ -21,8 +21,6 @@ void LoadBalancer::AttachReplica(Replica* replica) {
 
 void LoadBalancer::Start() { engine_.Start(); }
 
-void LoadBalancer::Stop() { engine_.Stop(); }
-
 void LoadBalancer::HandleRequest(Request req, RequestCallbacks callbacks) {
   Queued queued;
   queued.req = std::move(req);

@@ -29,9 +29,6 @@ struct LbConfig {
 
   // --- SGL cache-aware policy knobs (policy-owned, not engine state) ---
 
-  // Capacity of the policy-owned routing trie (SGL policy).
-  int64_t routing_trie_capacity = 4'000'000;
-
   // SGL cache-aware threshold: route by prefix only when the best match
   // covers at least this fraction of the prompt.
   double sgl_match_threshold = 0.5;
@@ -62,7 +59,6 @@ class LoadBalancer : public Frontend {
 
   // Starts the probe loop (no-op for kBlind).
   void Start();
-  void Stop();
 
   // Frontend:
   RegionId region() const override { return region_; }

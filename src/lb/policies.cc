@@ -29,9 +29,6 @@ ReplicaId LeastLoadSelector::SelectReplica(const Queued& /*queued*/,
   return candidates.LeastLoadedAvailable();
 }
 
-ConsistentHashSelector::ConsistentHashSelector(int vnodes_per_replica)
-    : ring_(vnodes_per_replica) {}
-
 void ConsistentHashSelector::OnReplicaAttached(Replica* replica) {
   ring_.AddTarget(replica->id());
 }
@@ -51,7 +48,7 @@ ReplicaId ConsistentHashSelector::SelectReplica(
 SglRouterSelector::SglRouterSelector(const LbConfig& config)
     : match_threshold_(config.sgl_match_threshold),
       tree_decay_tokens_(config.sgl_tree_decay_tokens),
-      trie_(config.routing_trie_capacity) {}
+      trie_(kBalancerTrieCapacityTokens) {}
 
 void SglRouterSelector::OnReplicaDetached(ReplicaId replica_id) {
   trie_.RemoveTarget(replica_id);

@@ -45,8 +45,6 @@ class LeastLoadSelector : public ReplicaSelector {
 
 class ConsistentHashSelector : public ReplicaSelector {
  public:
-  explicit ConsistentHashSelector(int vnodes_per_replica = 128);
-
   ReplicaId SelectReplica(const Queued& queued,
                           const CandidateView& candidates) override;
   void OnReplicaAttached(Replica* replica) override;
@@ -96,14 +94,9 @@ class LeastLoadLb : public LoadBalancer {
 class ConsistentHashLb : public LoadBalancer {
  public:
   ConsistentHashLb(Simulator* sim, Network* net, LbId id, RegionId region,
-                   const LbConfig& config, int vnodes_per_replica = 128)
+                   const LbConfig& config)
       : LoadBalancer(sim, net, id, region, config,
-                     std::make_unique<ConsistentHashSelector>(
-                         vnodes_per_replica)) {}
-
-  // Historical alias: the selector now maintains its ring from attach
-  // notifications, so this is plain AttachReplica.
-  void AttachReplicaToRing(Replica* replica) { AttachReplica(replica); }
+                     std::make_unique<ConsistentHashSelector>()) {}
 };
 
 class SglRouterLb : public LoadBalancer {

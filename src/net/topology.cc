@@ -72,26 +72,6 @@ Topology Topology::ThreeContinents() {
   return t;
 }
 
-Topology Topology::FiveRegions() {
-  Topology t;
-  RegionId use1 = t.AddRegion("us-east-1", Milliseconds(1));
-  RegionId usw = t.AddRegion("us-west", Milliseconds(1));
-  RegionId euw = t.AddRegion("eu-west", Milliseconds(1));
-  RegionId euc = t.AddRegion("eu-central", Milliseconds(1));
-  RegionId use2 = t.AddRegion("us-east-2", Milliseconds(1));
-  t.SetLatency(use1, usw, Milliseconds(30));
-  t.SetLatency(use1, euw, Milliseconds(38));
-  t.SetLatency(use1, euc, Milliseconds(45));
-  t.SetLatency(use1, use2, Milliseconds(6));
-  t.SetLatency(usw, euw, Milliseconds(65));
-  t.SetLatency(usw, euc, Milliseconds(72));
-  t.SetLatency(usw, use2, Milliseconds(25));
-  t.SetLatency(euw, euc, Milliseconds(10));
-  t.SetLatency(euw, use2, Milliseconds(42));
-  t.SetLatency(euc, use2, Milliseconds(48));
-  return t;
-}
-
 Topology Topology::FourRegions() {
   Topology t;
   RegionId use = t.AddRegion("us-east", Milliseconds(1));

@@ -323,16 +323,6 @@ ReplicaId DispatchEngine::LeastLoadedAvailableLinear() const {
   return best;
 }
 
-std::vector<ReplicaId> DispatchEngine::AvailableReplicas() const {
-  std::vector<ReplicaId> out;
-  for (const ReplicaState& state : replicas_) {
-    if (IsAvailable(state)) {
-      out.push_back(state.replica->id());
-    }
-  }
-  return out;
-}
-
 std::vector<int> DispatchEngine::OutstandingSnapshot() const {
   std::vector<int> out;
   out.reserve(replicas_.size());

@@ -320,7 +320,6 @@ class DispatchEngine {
   // O(1) reads of the incrementally maintained availability counters.
   bool AnyAvailable() const { return available_count_ > 0; }
   int AvailableCount() const { return available_count_; }
-  std::vector<ReplicaId> AvailableReplicas() const;
 
   // Replicas currently in kEjected (max-ejection-fraction accounting).
   int EjectedCount() const { return ejected_count_; }

@@ -106,7 +106,7 @@ TEST(ConsistentHashLbTest, SameKeySameReplica) {
   LbConfig config;
   ConsistentHashLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
-    lb.AttachReplicaToRing(replica.get());
+    lb.AttachReplica(replica.get());
   }
   lb.Start();
   int completed = 0;
@@ -132,7 +132,7 @@ TEST(ConsistentHashLbTest, DifferentKeysSpread) {
   LbConfig config;
   ConsistentHashLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
-    lb.AttachReplicaToRing(replica.get());
+    lb.AttachReplica(replica.get());
   }
   lb.Start();
   int completed = 0;
