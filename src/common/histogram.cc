@@ -54,11 +54,6 @@ void Distribution::Merge(const Distribution& other) {
   sorted_ = false;
 }
 
-void Distribution::Clear() {
-  samples_.clear();
-  sorted_ = true;
-}
-
 double Distribution::mean() const {
   if (samples_.empty()) {
     return 0;

@@ -41,7 +41,6 @@ class Distribution {
  public:
   void Add(double x);
   void Merge(const Distribution& other);
-  void Clear();
 
   size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }

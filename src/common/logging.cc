@@ -6,18 +6,8 @@
 namespace skywalker {
 namespace {
 
-LogLevel g_level = LogLevel::kWarning;
-std::function<SimTime()>* GlobalClock() {
-  static std::function<SimTime()> clock;
-  return &clock;
-}
-
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "D";
-    case LogLevel::kInfo:
-      return "I";
     case LogLevel::kWarning:
       return "W";
     case LogLevel::kError:
@@ -30,13 +20,6 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
-
-void SetLogClock(std::function<SimTime()> clock) {
-  *GlobalClock() = std::move(clock);
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -47,12 +30,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
       base = p + 1;
     }
   }
-  stream_ << "[" << LevelName(level) << " ";
-  const auto& clock = *GlobalClock();
-  if (clock) {
-    stream_ << "t=" << FormatDuration(clock()) << " ";
-  }
-  stream_ << base << ":" << line << "] ";
+  stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
 }
 
 LogMessage::~LogMessage() {

@@ -1,37 +1,23 @@
-// Leveled logging with an optional simulated-time prefix.
+// Error logging and always-on invariant checks.
 //
 // Usage:
-//   SKYWALKER_LOG(INFO) << "replica " << id << " admitted " << n;
+//   SKYWALKER_LOG(Error) << "no healthy LB to absorb replicas of LB " << id;
+//   SKYWALKER_CHECK(n >= 0) << "negative count " << n;
 //
-// The global level defaults to kWarning so benchmark output stays clean;
-// tests and examples raise it as needed.
+// Every message goes to stderr; a failed check then aborts.
 
 #ifndef SKYWALKER_COMMON_LOGGING_H_
 #define SKYWALKER_COMMON_LOGGING_H_
 
-#include <functional>
 #include <sstream>
-#include <string>
-
-#include "src/common/sim_time.h"
 
 namespace skywalker {
 
 enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
+  kWarning,
+  kError,
+  kFatal,
 };
-
-// Global minimum level; messages below it are compiled but not emitted.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// Installs a clock so log lines carry simulated timestamps. Pass nullptr to
-// revert to wall-clock-free output.
-void SetLogClock(std::function<SimTime()> clock);
 
 namespace internal {
 
@@ -50,25 +36,14 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-// Swallows the stream when the level is disabled.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
-};
-
 }  // namespace internal
 }  // namespace skywalker
 
 #define SKYWALKER_LOG(severity)                                              \
-  (::skywalker::LogLevel::k##severity < ::skywalker::GetLogLevel())          \
-      ? (void)0                                                              \
-      : ::skywalker::internal::LogVoidify() &                                \
-            ::skywalker::internal::LogMessage(                               \
-                ::skywalker::LogLevel::k##severity, __FILE__, __LINE__)      \
-                .stream()
+  ::skywalker::internal::LogVoidify() &                                      \
+      ::skywalker::internal::LogMessage(::skywalker::LogLevel::k##severity,  \
+                                        __FILE__, __LINE__)                  \
+          .stream()
 
 // Always-on invariant check (independent of NDEBUG); logs and aborts.
 #define SKYWALKER_CHECK(condition)                                           \

@@ -88,9 +88,6 @@ void Controller::HandleFailure(ManagedLb& entry) {
     entry.displaced.emplace_back(replica, backup);
     ++stats_.replicas_reassigned;
   }
-  SKYWALKER_LOG(Info) << "controller moved " << replicas.size()
-                      << " replicas from failed LB " << failed->id()
-                      << " to LB " << backup->id();
   if (config_.auto_recovery_delay > 0) {
     LbId failed_id = failed->id();
     sim_->ScheduleAfter(config_.auto_recovery_delay,
@@ -113,7 +110,6 @@ bool Controller::RecoverLb(LbId lb_id) {
   entry.displaced.clear();
   entry.failover_active = false;
   ++stats_.recoveries_completed;
-  SKYWALKER_LOG(Info) << "controller recovered LB " << lb_id;
   return true;
 }
 

@@ -18,27 +18,9 @@ SkyWalkerLb::SkyWalkerLb(Simulator* sim, Network* net, LbId id,
       config_(config),
       replica_trie_(kBalancerTrieCapacityTokens),
       snapshot_trie_(kBalancerTrieCapacityTokens),
-      engine_(sim, net, region, config.engine, /*selector=*/this,
-              EngineCallbacks()) {}
+      engine_(sim, net, region, config.engine, /*selector=*/this) {}
 
 SkyWalkerLb::~SkyWalkerLb() = default;
-
-HostCallbacks SkyWalkerLb::EngineCallbacks() {
-  // The cross-region half of the balancer, bound hook by hook. The lambdas
-  // capture `this` only; none runs before construction completes.
-  HostCallbacks callbacks;
-  callbacks.should_dispatch = [this] { return Serving(); };
-  callbacks.on_queue_head = [this](Queued& head) { return OnQueueHead(head); };
-  callbacks.on_unplaced = [this](Queued& head) { return OnUnplaced(head); };
-  callbacks.on_local_dispatch = [this](const Queued& queued,
-                                       ReplicaId replica_id) {
-    OnLocalDispatch(queued, replica_id);
-  };
-  callbacks.on_probe_tick = [this] { OnProbeTick(); };
-  callbacks.on_after_replica_probes = [this] { OnAfterReplicaProbes(); };
-  callbacks.on_replica_probe_result = [this] { OnReplicaProbeResult(); };
-  return callbacks;
-}
 
 void SkyWalkerLb::AttachReplica(Replica* replica) {
   engine_.AttachReplica(replica);
@@ -89,7 +71,7 @@ void SkyWalkerLb::ApplyRuntimeConfig(const RuntimeConfig& config) {
   engine_.ApplyConfig(config.dispatch);
   config_version_ = config.version;
   if (config.version > 0) {
-    ++config_swaps_;  // The version-0 initial snapshot is not a swap.
+    ++stats_.config_swaps;  // The version-0 initial snapshot is not a swap.
   }
 }
 
@@ -143,13 +125,13 @@ SkyWalkerLb::PeerState* SkyWalkerLb::FindPeer(LbId lbid) {
 void SkyWalkerLb::HandleRequest(Request req, RequestCallbacks callbacks) {
   if (!Serving()) {
     // Connection refused; the client re-resolves DNS and retries.
-    ++errors_reported_;
+    ++stats_.errors_reported;
     if (callbacks.on_error) {
       callbacks.on_error();
     }
     return;
   }
-  ++received_client_;
+  ++stats_.received_client;
   Queued queued;
   queued.req = std::move(req);
   queued.callbacks = std::move(callbacks);
@@ -159,13 +141,13 @@ void SkyWalkerLb::HandleRequest(Request req, RequestCallbacks callbacks) {
 void SkyWalkerLb::HandleForwarded(Request req, RequestCallbacks callbacks,
                                   RegionId origin_lb_region) {
   if (!Serving()) {
-    ++errors_reported_;
+    ++stats_.errors_reported;
     if (callbacks.on_error) {
       callbacks.on_error();
     }
     return;
   }
-  ++received_forwarded_;
+  ++stats_.received_forwarded;
   Queued queued;
   queued.req = std::move(req);
   queued.callbacks = std::move(callbacks);
@@ -320,7 +302,7 @@ void SkyWalkerLb::Forward(Queued queued, LbId peer_id) {
   SKYWALKER_CHECK(state != nullptr);
   SkyWalkerLb* peer = state->peer;
   ++state->forwards_since_probe;
-  ++forwarded_out_;
+  ++stats_.forwarded_out;
 
   if (config_.routing.policy == RoutingPolicyKind::kPrefixTree) {
     // Regional snapshot update (§4.1): remember what this region offloaded
@@ -360,7 +342,6 @@ void SkyWalkerLb::OnReplicaProbeResult() {
 void SkyWalkerLb::OnAfterReplicaProbes() {
   // Peer LB availability: (available replicas, queue size, overload bit).
   for (auto& [lbid, state] : peers_) {
-    ++peer_probes_sent_;
     SkyWalkerLb* peer = state.peer;
     RegionId peer_region = peer->region();
     LbId peer_id = lbid;
@@ -388,7 +369,7 @@ void SkyWalkerLb::OnAfterReplicaProbes() {
 void SkyWalkerLb::Fail() {
   status_ = HealthStatus::kFailed;
   engine_.Stop();
-  errors_reported_ += engine_.FlushQueueWithError();
+  stats_.errors_reported += engine_.FlushQueueWithError();
 }
 
 void SkyWalkerLb::Recover() {
@@ -400,25 +381,6 @@ void SkyWalkerLb::Recover() {
     state.forwards_since_probe = 0;
   }
   engine_.Start();
-}
-
-SkyWalkerLb::Stats SkyWalkerLb::stats() const {
-  Stats stats;
-  stats.received_client = received_client_;
-  stats.received_forwarded = received_forwarded_;
-  stats.dispatched_local = engine_.stats().dispatched;
-  stats.forwarded_out = forwarded_out_;
-  stats.probes_sent = engine_.stats().probes_sent + peer_probes_sent_;
-  stats.errors_reported = errors_reported_;
-  stats.max_queue_len = engine_.stats().max_queue_len;
-  stats.queue_wait_sec = engine_.stats().queue_wait_sec;
-  stats.request_timeouts = engine_.stats().request_timeouts;
-  stats.probe_misses = engine_.stats().probe_misses;
-  stats.ejections = engine_.stats().ejections;
-  stats.recoveries = engine_.stats().recoveries;
-  stats.late_completions = engine_.stats().late_completions;
-  stats.config_swaps = config_swaps_;
-  return stats;
 }
 
 }  // namespace skywalker

@@ -5,8 +5,8 @@
 // pushing by pending requests (§3.3), and the passive health machinery of
 // DESIGN.md §10 — is the shared dispatch engine in src/routing/; this class
 // carries only the cross-region half and plugs into the engine as its
-// ReplicaSelector (local placement policy) and HostCallbacks (forwarding
-// hooks). It implements:
+// ReplicaSelector: SelectReplica is the local placement policy, and the
+// queue and probe-loop hooks are the forwarding half. It implements:
 //
 //  * Two-layer cross-region routing (§3.1): requests are placed on local
 //    replicas whenever any is available; otherwise they are forwarded to an
@@ -46,7 +46,6 @@
 
 #include "src/cache/hash_ring.h"
 #include "src/cache/routing_trie.h"
-#include "src/common/histogram.h"
 #include "src/common/sim_time.h"
 #include "src/core/runtime_config.h"
 #include "src/net/network.h"
@@ -91,21 +90,13 @@ class SkyWalkerLb : public Frontend,
                     public HealthSource,
                     private ReplicaSelector {
  public:
+  // The cross-region half's counters; the local-placement and resilience
+  // counters live in engine().stats().
   struct Stats {
     int64_t received_client = 0;
     int64_t received_forwarded = 0;
-    int64_t dispatched_local = 0;
     int64_t forwarded_out = 0;
-    int64_t probes_sent = 0;
     int64_t errors_reported = 0;
-    int64_t max_queue_len = 0;
-    Distribution queue_wait_sec;  // Time spent in the LB queue.
-    // Resilience counters (engine half; zero unless outlier detection on).
-    int64_t request_timeouts = 0;
-    int64_t probe_misses = 0;
-    int64_t ejections = 0;
-    int64_t recoveries = 0;
-    int64_t late_completions = 0;
     int64_t config_swaps = 0;  // Mid-run RuntimeConfig applications.
   };
 
@@ -165,19 +156,12 @@ class SkyWalkerLb : public Frontend,
 
   LbId id() const { return id_; }
   const SkyWalkerConfig& config() const { return config_; }
-  // Assembled from the shared engine's counters plus the cross-region ones
-  // this class tracks; returned by value.
-  Stats stats() const;
+  const Stats& stats() const { return stats_; }
   size_t num_replicas() const { return engine_.num_replicas(); }
   size_t num_peers() const { return peers_.size(); }
   int64_t config_version() const { return config_version_; }
 
-  // LB-tracked outstanding per local replica (imbalance metrics).
-  std::vector<int> OutstandingSnapshot() const {
-    return engine_.OutstandingSnapshot();
-  }
-
-  // Engine health introspection (tests, scenario assertions).
+  // The local half: engine counters and health (harness, tests).
   const DispatchEngine& engine() const { return engine_; }
 
  private:
@@ -197,14 +181,14 @@ class SkyWalkerLb : public Frontend,
   void OnReplicaAttached(Replica* replica) override;
   void OnReplicaDetached(ReplicaId replica_id) override;
 
-  // --- the cross-region half, bound into the engine's HostCallbacks ---
-  HostCallbacks EngineCallbacks();
-  HeadAction OnQueueHead(Queued& head);
-  HeadAction OnUnplaced(Queued& head);
-  void OnLocalDispatch(const Queued& queued, ReplicaId replica_id);
-  void OnProbeTick();
-  void OnAfterReplicaProbes();
-  void OnReplicaProbeResult();
+  // --- ReplicaSelector: the cross-region half (HANDLEREQUEST, PROBELB) ---
+  bool ShouldDispatch() const override { return Serving(); }
+  HeadAction OnQueueHead(Queued& head) override;
+  HeadAction OnUnplaced(Queued& head) override;
+  void OnLocalDispatch(const Queued& queued, ReplicaId replica_id) override;
+  void OnProbeTick() override;
+  void OnAfterReplicaProbes() override;
+  void OnReplicaProbeResult() override;
 
   bool PeerAvailable(const PeerState& state) const;
 
@@ -224,7 +208,7 @@ class SkyWalkerLb : public Frontend,
   SkyWalkerConfig config_;
   HealthStatus status_ = HealthStatus::kHealthy;
   int64_t config_version_ = 0;
-  int64_t config_swaps_ = 0;
+  Stats stats_;
 
   std::map<LbId, PeerState> peers_;
 
@@ -235,13 +219,6 @@ class SkyWalkerLb : public Frontend,
 
   DispatchEngine engine_;
   ConfigSubscription config_subscription_;
-
-  // Cross-region stat counters (engine counts the local-placement half).
-  int64_t received_client_ = 0;
-  int64_t received_forwarded_ = 0;
-  int64_t forwarded_out_ = 0;
-  int64_t peer_probes_sent_ = 0;
-  int64_t errors_reported_ = 0;
 
   // Last simulated time at which some local replica was available.
   SimTime last_local_avail_ = 0;

@@ -488,13 +488,13 @@ RunResult Run(const RunSpec& spec) {
   }
   if (deployment != nullptr) {
     for (const auto& lb : deployment->lbs()) {
-      SkyWalkerLb::Stats lb_stats = lb->stats();
-      result.request_timeouts += lb_stats.request_timeouts;
-      result.probe_misses += lb_stats.probe_misses;
-      result.ejections += lb_stats.ejections;
-      result.recoveries += lb_stats.recoveries;
-      result.late_completions += lb_stats.late_completions;
-      result.config_swaps += lb_stats.config_swaps;
+      const DispatchEngine::Stats& engine = lb->engine().stats();
+      result.request_timeouts += engine.request_timeouts;
+      result.probe_misses += engine.probe_misses;
+      result.ejections += engine.ejections;
+      result.recoveries += engine.recoveries;
+      result.late_completions += engine.late_completions;
+      result.config_swaps += lb->stats().config_swaps;
     }
     result.failovers = deployment->controller()->stats().failovers_handled;
   }

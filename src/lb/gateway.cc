@@ -149,16 +149,10 @@ void GatewayLb::Route(RegionId endpoint_region, Request req,
       std::make_shared<RequestCallbacks>(std::move(callbacks));
 
   Replica::Handlers handlers;
-  handlers.on_first_token = [this, outcome, shared_callbacks,
-                             response_latency](const Request& /*r*/,
-                                               int64_t cached) {
+  handlers.on_first_token = [this, outcome, response_latency](
+                                const Request& /*r*/, int64_t cached) {
     outcome->cached_prompt_tokens = cached;
     outcome->first_token_time = sim_->now() + response_latency;
-    if (shared_callbacks->on_first_token) {
-      sim_->ScheduleAfter(response_latency, [shared_callbacks, outcome] {
-        shared_callbacks->on_first_token(*outcome);
-      });
-    }
   };
   ReplicaId rid = replica->id();
   RegionId cluster_region = cluster->region;

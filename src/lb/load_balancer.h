@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/common/sim_time.h"
 #include "src/net/network.h"
@@ -68,11 +67,6 @@ class LoadBalancer : public Frontend {
   const LbConfig& config() const { return config_; }
   const Stats& stats() const { return engine_.stats(); }
   size_t queue_length() const { return engine_.queue_size(); }
-
-  // Current LB-tracked outstanding per replica (for imbalance metrics).
-  std::vector<int> OutstandingSnapshot() const {
-    return engine_.OutstandingSnapshot();
-  }
 
  protected:
   DispatchEngine* engine() { return &engine_; }

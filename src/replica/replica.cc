@@ -77,14 +77,6 @@ int64_t Replica::memory_used_tokens() const {
   return MemoryUsedTokens(Projected());
 }
 
-int64_t Replica::fragmentation_tokens() const {
-  return FragmentationTokens(Projected());
-}
-
-int Replica::EstimateFreeCapacity() const {
-  return FreeCapacity(Projected());
-}
-
 int64_t Replica::MemoryUsedTokens(
     const KvController::DecodeGrowth& growth) const {
   return cache_.size_tokens() + kv_.seq_resident_tokens() + growth.tokens;

@@ -130,7 +130,7 @@ struct ProbePayload {
   int64_t version = 0;
   int pending = 0;        // Accepted, not in the batch (incl. swapped).
   int running = 0;
-  int free_capacity = 0;  // EstimateFreeCapacity().
+  int free_capacity = 0;  // Admission headroom (see Replica::FreeCapacity).
   int64_t free_blocks = 0;
   int64_t total_blocks = 0;
   int64_t swapped = 0;
@@ -172,7 +172,7 @@ class Replica {
   struct LoadSnapshot {
     int pending = 0;        // Accepted, not in the batch (incl. swapped).
     int running = 0;
-    int free_capacity = 0;  // EstimateFreeCapacity().
+    int free_capacity = 0;  // Admission headroom (see FreeCapacity).
     // Blocks a new admission could claim right now: raw free pages plus
     // pages that would drain if every unpinned cache node were evicted
     // (a warm LRU cache keeps raw free blocks at ~0), minus committed
@@ -224,17 +224,6 @@ class Replica {
   // (token positions are disjoint even where they share a boundary page).
   int64_t memory_used_tokens() const;
   double memory_utilization() const;
-
-  // Allocated-but-unoccupied page slots across the whole pool — the exact
-  // figure: pages shared between the cache and a sequence count once, with
-  // both sides' tokens occupying them.
-  int64_t fragmentation_tokens() const;
-
-  // Engine-reported admission headroom: how many more requests of typical
-  // size the continuous batch could admit right now, bounded by both batch
-  // slots and KV memory. Heartbeat probes report this alongside the pending
-  // count so balancers can bound their optimistic pushes between probes.
-  int EstimateFreeCapacity() const;
 
   // One-call probe payload: queue depths plus paged-memory headroom. Mid-
   // stretch it walks the passed boundaries and adds their ledger growth to
@@ -320,7 +309,7 @@ class Replica {
   }
 
   // Recomputes the incrementally maintained probe inputs from scratch — the
-  // batch's uncached-token sum behind EstimateFreeCapacity, the remaining
+  // batch's uncached-token sum behind FreeCapacity, the remaining
   // reserves a stretch's projection starts from, and the cache invariants
   // behind the snapshot's block figures (tests only).
   bool CheckInvariants() const;
@@ -461,7 +450,14 @@ class Replica {
   // Value readers over the ledger `growth` past its applied state.
   int64_t MemoryUsedTokens(const KvController::DecodeGrowth& growth) const;
   int64_t ActiveMemoryTokens(const KvController::DecodeGrowth& growth) const;
+  // Allocated-but-unoccupied page slots across the whole pool — the exact
+  // figure: pages shared between the cache and a sequence count once, with
+  // both sides' tokens occupying them.
   int64_t FragmentationTokens(const KvController::DecodeGrowth& growth) const;
+  // Engine-reported admission headroom: how many more requests of typical
+  // size the continuous batch could admit right now, bounded by both batch
+  // slots and KV memory. Heartbeat probes report this alongside the pending
+  // count so balancers can bound their optimistic pushes between probes.
   int FreeCapacity(const KvController::DecodeGrowth& growth) const;
   double Utilization(int64_t tokens) const {
     return static_cast<double>(tokens) /
@@ -496,7 +492,7 @@ class Replica {
   std::deque<Seq> pending_;
   std::vector<Seq> running_;  // Admission order (oldest first).
   // Σ uncached_len() over running_, updated wherever running_ changes, so
-  // EstimateFreeCapacity (every probe) is O(1).
+  // FreeCapacity (every probe) is O(1).
   int64_t running_uncached_tokens_ = 0;
   std::deque<SwappedSeq> swapped_;  // Swap-out order (oldest first).
   std::vector<RestoringSeq> restoring_;

@@ -59,14 +59,12 @@ ReplicaId CandidateView::LeastLoadedAmong(
 
 DispatchEngine::DispatchEngine(Simulator* sim, Network* net, RegionId region,
                                const DispatchConfig& config,
-                               ReplicaSelector* selector,
-                               HostCallbacks callbacks)
+                               ReplicaSelector* selector)
     : sim_(sim),
       net_(net),
       region_(region),
       config_(config),
-      selector_(selector),
-      callbacks_(std::move(callbacks)) {
+      selector_(selector) {
   SKYWALKER_CHECK(selector_ != nullptr) << "engine needs a replica selector";
   verify_selection_ = config_.verify_selection;
   probe_task_ = std::make_unique<PeriodicTask>(sim_, config_.probe_interval,
@@ -347,25 +345,16 @@ void DispatchEngine::Enqueue(Queued queued) {
   TryDispatch();
 }
 
-void DispatchEngine::RecordDequeue(SimTime lb_arrival) {
-  stats_.queue_wait_sec.Add(ToSeconds(sim_->now() - lb_arrival));
-}
-
 void DispatchEngine::TryDispatch() {
-  while ((!callbacks_.should_dispatch || callbacks_.should_dispatch()) &&
-         !queue_.empty()) {
+  while (selector_->ShouldDispatch() && !queue_.empty()) {
     Queued& head = queue_.front();
-    const SimTime lb_arrival = head.lb_arrival;
-    if (callbacks_.on_queue_head) {
-      HeadAction action = callbacks_.on_queue_head(head);
-      if (action == HeadAction::kStall) {
-        return;
-      }
-      if (action == HeadAction::kTaken) {
-        RecordDequeue(lb_arrival);
-        queue_.pop_front();
-        continue;
-      }
+    const HeadAction action = selector_->OnQueueHead(head);
+    if (action == HeadAction::kStall) {
+      return;
+    }
+    if (action == HeadAction::kTaken) {
+      queue_.pop_front();
+      continue;
     }
     ReplicaId target = selector_->SelectReplica(head, CandidateView(this));
     if (target != kInvalidReplica) {
@@ -390,9 +379,7 @@ void DispatchEngine::TryDispatch() {
       DispatchTo(std::move(queued), target);
       continue;
     }
-    if (callbacks_.on_unplaced &&
-        callbacks_.on_unplaced(head) == HeadAction::kTaken) {
-      RecordDequeue(lb_arrival);
+    if (selector_->OnUnplaced(head) == HeadAction::kTaken) {
       queue_.pop_front();
       continue;
     }
@@ -443,15 +430,12 @@ void DispatchEngine::DispatchTo(Queued queued, ReplicaId replica_id) {
   ++state->pushes_since_probe;
   TouchReplica(*state);
   ++stats_.dispatched;
-  RecordDequeue(queued.lb_arrival);
   if (Tracer* t = sim_->tracer()) {
     EmitTrace(t, sim_->now(), TraceEventType::kDispatch, region_, replica_id,
               static_cast<int64_t>(queued.req.id), 0, 0,
               static_cast<double>(sim_->now() - queued.lb_arrival));
   }
-  if (callbacks_.on_local_dispatch) {
-    callbacks_.on_local_dispatch(queued, replica_id);
-  }
+  selector_->OnLocalDispatch(queued, replica_id);
 
   const RegionId client_region = queued.req.client_region;
   const RegionId replica_region = replica->region();
@@ -484,22 +468,18 @@ void DispatchEngine::DispatchTo(Queued queued, ReplicaId replica_id) {
   const bool guarded =
       config_.outlier.enabled && config_.outlier.request_timeout > 0;
   Simulator* replica_sim = net_->SimForRegion(replica_region);
+  // The handlers run on the *replica's* shard (the replica invokes them), so
+  // times come from the replica-side clock and client callbacks travel back
+  // through the network; in plain mode both reduce to the seed behavior (one
+  // simulator, Deliver == ScheduleAfter). The first token only stamps the
+  // outcome the client receives on completion.
   Replica::Handlers handlers;
+  handlers.on_first_token = [ctx, response_latency, replica_sim](
+                                const Request& /*req*/, int64_t cached) {
+    ctx->outcome.cached_prompt_tokens = cached;
+    ctx->outcome.first_token_time = replica_sim->now() + response_latency;
+  };
   if (!guarded) {
-    // The handlers below run on the *replica's* shard (the replica invokes
-    // them), so times come from the replica-side clock and client callbacks
-    // travel back through the network; in plain mode both reduce to the seed
-    // behavior (one simulator, Deliver == ScheduleAfter).
-    handlers.on_first_token = [this, ctx, response_latency, replica_sim,
-                               replica_region, client_region](
-                                  const Request& /*req*/, int64_t cached) {
-      ctx->outcome.cached_prompt_tokens = cached;
-      ctx->outcome.first_token_time = replica_sim->now() + response_latency;
-      if (ctx->callbacks.on_first_token) {
-        net_->Deliver(replica_region, client_region, response_latency,
-                      [ctx] { ctx->callbacks.on_first_token(ctx->outcome); });
-      }
-    };
     handlers.on_complete = [this, ctx, response_latency, replica_sim,
                             replica_region, client_region,
                             replica_id](const Request& /*req*/,
@@ -559,26 +539,6 @@ void DispatchEngine::DispatchTo(Queued queued, ReplicaId replica_id) {
           TryDispatch();
         });
 
-    handlers.on_first_token = [this, ctx, response_latency, first_hop,
-                               remainder, replica_sim, replica_region,
-                               client_region](const Request& /*req*/,
-                                              int64_t cached) {
-      ctx->outcome.cached_prompt_tokens = cached;
-      ctx->outcome.first_token_time = replica_sim->now() + response_latency;
-      net_->Deliver(replica_region, region_, first_hop,
-                    [this, ctx, remainder, client_region] {
-                      if (ctx->timed_out) {
-                        return;  // Client already saw the error.
-                      }
-                      if (ctx->callbacks.on_first_token) {
-                        net_->Deliver(region_, client_region, remainder,
-                                      [ctx] {
-                                        ctx->callbacks.on_first_token(
-                                            ctx->outcome);
-                                      });
-                      }
-                    });
-    };
     handlers.on_complete = [this, ctx, response_latency, first_hop, remainder,
                             replica_sim, replica_region, client_region,
                             replica_id](const Request& /*req*/,
@@ -702,16 +662,12 @@ void DispatchEngine::ApplyProbeResponse(ReplicaId replica_id, int64_t epoch,
               payload.version, payload.pending,
               payload.ewma_decode_us_per_token);
   }
-  if (callbacks_.on_replica_probe_result) {
-    callbacks_.on_replica_probe_result();
-  }
+  selector_->OnReplicaProbeResult();
   TryDispatch();
 }
 
 void DispatchEngine::ProbeAll() {
-  if (callbacks_.on_probe_tick) {
-    callbacks_.on_probe_tick();
-  }
+  selector_->OnProbeTick();
   if (config_.outlier.enabled) {
     EvaluateOutliers();
   }
@@ -790,9 +746,7 @@ void DispatchEngine::ProbeAll() {
                             });
           });
     }
-    if (callbacks_.on_after_replica_probes) {
-      callbacks_.on_after_replica_probes();
-    }
+    selector_->OnAfterReplicaProbes();
     return;
   }
   for (ReplicaState& state : replicas_) {
@@ -828,9 +782,7 @@ void DispatchEngine::ProbeAll() {
                           });
     }
   }
-  if (callbacks_.on_after_replica_probes) {
-    callbacks_.on_after_replica_probes();
-  }
+  selector_->OnAfterReplicaProbes();
 }
 
 int64_t DispatchEngine::FlushQueueWithError() {

@@ -15,7 +15,7 @@
 //                              empty pending queue (SP-P, the paper's
 //                              proposal), with an optimistic push-slack bound
 //                              between probes (DESIGN.md §5.3).
-//  * The FCFS queue with head-of-line blocking and queue-wait statistics.
+//  * The FCFS queue with head-of-line blocking.
 //  * The probe loop: LB -> replica (read the ProbePayload) -> LB round trips
 //    every probe_interval.
 //  * Dispatch mechanics: outcome assembly, response-path latency (including
@@ -27,12 +27,12 @@
 //    with bounded max-ejection fraction and half-open recovery. Entirely
 //    inert unless DispatchConfig::outlier.enabled.
 //
-// Placement policy plugs in through ReplicaSelector::SelectReplica over a
-// CandidateView; the cross-region half of a balancer (peer probing,
-// forwarding, stickiness, overload advertisement — src/core) plugs in
-// through the HostCallbacks struct — a documented, narrow surface where
-// every hook has a neutral default (a default-constructed HostCallbacks is
-// a purely local balancer).
+// A balancer plugs in through one interface, ReplicaSelector: placement
+// through SelectReplica over a CandidateView, and the cross-region half of
+// a balancer (peer probing, forwarding, stickiness, overload advertisement
+// — src/core) through its queue and probe-loop hooks. Every hook has a
+// neutral default, so a selector that overrides only SelectReplica is a
+// purely local balancer.
 //
 // Replica state lives in a flat vector with an id -> index side map, so the
 // per-dispatch hot path (availability scans, outstanding updates) is O(1)
@@ -52,12 +52,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/common/sim_time.h"
 #include "src/net/network.h"
 #include "src/replica/replica.h"
@@ -155,45 +153,12 @@ struct Queued {
   RegionId origin_lb_region = kInvalidRegion;
 };
 
-// What a host's queue-head hooks tell the engine to do with the head.
+// What a selector's queue-head hooks tell the engine to do with the head.
 enum class HeadAction {
-  kPlaceLocal,  // Proceed to local placement via the selector.
-  kTaken,       // Host consumed the request (moved it out); pop and
+  kPlaceLocal,  // Proceed to local placement via SelectReplica.
+  kTaken,       // The hook consumed the request (moved it out); pop and
                 // continue with the next queue head.
   kStall,       // Stop dispatching; the head stays queued.
-};
-
-// The cross-region half of a balancer (src/core) plugs into the engine
-// through these hooks. Every member has a neutral default when null, so a
-// default-constructed HostCallbacks is a purely local balancer; adding a
-// hook is a change to this struct and its call site, nothing else.
-struct HostCallbacks {
-  // Gate on every dispatch iteration (e.g. LB health). Null = always true.
-  std::function<bool()> should_dispatch;
-
-  // Pre-placement intercept for the queue head (e.g. sticky remote
-  // affinity). kTaken means the hook moved the request out of `head`.
-  // Null = kPlaceLocal.
-  std::function<HeadAction(Queued& head)> on_queue_head;
-
-  // Local placement failed for `head` (no available replica accepted by
-  // the selector). The hook may consume it (cross-region forwarding) by
-  // moving it out and returning kTaken; kStall keeps it queued.
-  // kPlaceLocal is treated as kStall. Null = kStall.
-  std::function<HeadAction(Queued& head)> on_unplaced;
-
-  // A request was committed to a local replica (record placement in
-  // policy state, refresh last-local-availability, ...). Null = no-op.
-  std::function<void(const Queued& queued, ReplicaId replica_id)>
-      on_local_dispatch;
-
-  // Probe-loop extension points: start of a probe tick (before replica
-  // probes go out), after replica probes were sent (peer probing), and
-  // each time a replica probe response lands (before the engine's
-  // TryDispatch). Null = no-op.
-  std::function<void()> on_probe_tick;
-  std::function<void()> on_after_replica_probes;
-  std::function<void()> on_replica_probe_result;
 };
 
 class DispatchEngine;
@@ -231,21 +196,51 @@ class CandidateView {
   const DispatchEngine* engine_;
 };
 
-// Placement policy: chooses a replica for the queue head, or kInvalidReplica
-// to keep it queued. Implementations must only return available replicas
-// (per CandidateView::IsAvailable). A non-invalid return commits the
-// dispatch, so selectors may update their routing state (trie/ring/counters)
-// before returning.
+// A balancer's policy, the engine's one plug-in interface. Only
+// SelectReplica is required; every hook below has a neutral default.
 class ReplicaSelector {
  public:
   virtual ~ReplicaSelector() = default;
 
+  // Chooses a replica for the queue head, or kInvalidReplica to keep it
+  // queued. Implementations must only return available replicas (per
+  // CandidateView::IsAvailable). A non-invalid return commits the dispatch,
+  // so selectors may update their routing state (trie/ring/counters) before
+  // returning.
   virtual ReplicaId SelectReplica(const Queued& queued,
                                   const CandidateView& candidates) = 0;
 
   // Registry lifecycle notifications (keep rings/tries in sync).
   virtual void OnReplicaAttached(Replica* /*replica*/) {}
   virtual void OnReplicaDetached(ReplicaId /*replica_id*/) {}
+
+  // Gate on every dispatch iteration (e.g. LB health).
+  virtual bool ShouldDispatch() const { return true; }
+
+  // Pre-placement intercept for the queue head (e.g. sticky remote
+  // affinity). kTaken means the hook moved the request out of `head`.
+  virtual HeadAction OnQueueHead(Queued& /*head*/) {
+    return HeadAction::kPlaceLocal;
+  }
+
+  // Local placement failed for `head` (SelectReplica found no replica). The
+  // hook may consume it (cross-region forwarding) by moving it out and
+  // returning kTaken; kStall keeps it queued. kPlaceLocal is treated as
+  // kStall.
+  virtual HeadAction OnUnplaced(Queued& /*head*/) { return HeadAction::kStall; }
+
+  // A request was committed to a local replica (record placement in policy
+  // state, refresh last-local-availability, ...).
+  virtual void OnLocalDispatch(const Queued& /*queued*/,
+                               ReplicaId /*replica_id*/) {}
+
+  // Probe-loop extension points: start of a probe tick (before replica
+  // probes go out), after replica probes were sent (peer probing), and
+  // each time a replica probe response lands (before the engine's
+  // TryDispatch).
+  virtual void OnProbeTick() {}
+  virtual void OnAfterReplicaProbes() {}
+  virtual void OnReplicaProbeResult() {}
 };
 
 // The policy-agnostic dispatch machinery. One instance per balancer.
@@ -257,7 +252,6 @@ class DispatchEngine {
     int64_t completed = 0;
     int64_t probes_sent = 0;
     int64_t max_queue_len = 0;
-    Distribution queue_wait_sec;  // Time spent in the FCFS queue.
     // Resilience counters (all zero unless outlier detection is enabled).
     int64_t request_timeouts = 0;   // Dispatched, never answered in time.
     int64_t probe_misses = 0;       // Heartbeats that timed out.
@@ -266,12 +260,9 @@ class DispatchEngine {
     int64_t late_completions = 0;   // Replies landing after their timeout.
   };
 
-  // `selector` is borrowed and must outlive the engine. `callbacks` hooks
-  // may capture the owning balancer; null members take their neutral
-  // defaults.
+  // `selector` is borrowed and must outlive the engine.
   DispatchEngine(Simulator* sim, Network* net, RegionId region,
-                 const DispatchConfig& config, ReplicaSelector* selector,
-                 HostCallbacks callbacks = {});
+                 const DispatchConfig& config, ReplicaSelector* selector);
   ~DispatchEngine();
 
   DispatchEngine(const DispatchEngine&) = delete;
@@ -383,7 +374,6 @@ class DispatchEngine {
   // enabled: expire ejections into half-open, compare probed decode-latency
   // EWMAs against the fleet median, apply verdicts under the ejection clamp.
   void EvaluateOutliers();
-  void RecordDequeue(SimTime lb_arrival);
 
   bool ProbeLoopNeeded() const {
     return config_.push_mode != PushMode::kBlind || config_.outlier.enabled;
@@ -428,7 +418,6 @@ class DispatchEngine {
   RegionId region_;
   DispatchConfig config_;
   ReplicaSelector* selector_;
-  HostCallbacks callbacks_;
 
   // Flat registry: hot-path scans iterate `replicas_`; `index_` maps
   // ReplicaId -> position (swap-remove keeps it dense on detach).

@@ -44,8 +44,8 @@ struct Request {
   int64_t output_tokens() const { return static_cast<int64_t>(output.size()); }
 };
 
-// Everything the experiment harness needs to know about one finished (or
-// first-token) request. Timestamps are client-observed (network included).
+// Everything the experiment harness needs to know about one finished
+// request. Timestamps are client-observed (network included).
 struct RequestOutcome {
   RequestId id = 0;
   UserId user_id = 0;
@@ -63,9 +63,8 @@ struct RequestOutcome {
 };
 
 struct RequestCallbacks {
-  // Both fire at the client (response-path network latency applied by the
-  // serving system). on_first_token carries a partially filled outcome.
-  std::function<void(const RequestOutcome&)> on_first_token;
+  // Fires at the client (response-path network latency applied by the
+  // serving system) with the outcome, first-token time included.
   std::function<void(const RequestOutcome&)> on_complete;
   // The serving side rejected or dropped the request (e.g. LB failure).
   // Clients re-resolve DNS and retry.

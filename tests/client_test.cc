@@ -42,9 +42,6 @@ class ScriptedFrontend : public Frontend {
     outcome.first_token_time = first;
     outcome.completion_time = done;
     sim_->ScheduleAt(done, [callbacks, outcome] {
-      if (callbacks.on_first_token) {
-        callbacks.on_first_token(outcome);
-      }
       if (callbacks.on_complete) {
         callbacks.on_complete(outcome);
       }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/core/skywalker_lb.h"
 #include "src/lb/policies.h"
 #include "src/net/network.h"
+#include "src/obs/trace.h"
 #include "src/routing/dispatch_engine.h"
 #include "src/sim/simulator.h"
 
@@ -265,14 +267,17 @@ struct EngineBench {
   FirstAvailableSelector selector;
   std::unique_ptr<DispatchEngine> engine;
 
+  // `policy` (borrowed, must outlive the bench) replaces the
+  // first-available selector.
   explicit EngineBench(int num_replicas,
                        const DispatchConfig& config = DispatchConfig{},
-                       const ReplicaConfig& rconfig = ReplicaConfig{}) {
+                       const ReplicaConfig& rconfig = ReplicaConfig{},
+                       ReplicaSelector* policy = nullptr) {
     Topology topology;
     topology.AddRegion("local", Milliseconds(1));
     net = std::make_unique<Network>(&sim, topology);
-    engine = std::make_unique<DispatchEngine>(&sim, net.get(), 0, config,
-                                              &selector);
+    engine = std::make_unique<DispatchEngine>(
+        &sim, net.get(), 0, config, policy != nullptr ? policy : &selector);
     for (int i = 0; i < num_replicas; ++i) {
       replicas.push_back(
           std::make_unique<Replica>(&sim, i, 0, rconfig));
@@ -285,6 +290,19 @@ struct EngineBench {
     queued.req = std::move(req);
     queued.callbacks = std::move(callbacks);
     engine->Enqueue(std::move(queued));
+  }
+
+  // Submits `req`, runs until it completes, and returns the replica that
+  // served it.
+  ReplicaId Serve(Request req) {
+    ReplicaId served = kInvalidReplica;
+    RequestCallbacks callbacks;
+    callbacks.on_complete = [&served](const RequestOutcome& outcome) {
+      served = outcome.replica;
+    };
+    Submit(std::move(req), std::move(callbacks));
+    sim.RunFor(Seconds(60));
+    return served;
   }
 };
 
@@ -412,25 +430,79 @@ TEST(DispatchEngineTest, FreeBlockGateRoutesAroundMemoryFullReplica) {
   EXPECT_EQ(control.replicas[0]->stats().enqueued, 3 + 1);
 }
 
-TEST(DispatchEngineTest, QueueWaitStatsTrackHeadOfLineBlocking) {
+TEST(DispatchEngineTest, DispatchTraceRecordsHeadOfLineWait) {
   DispatchConfig config;
   config.push_mode = PushMode::kSelectivePending;
   config.push_slack = 1;
+  Tracer tracer(1);
   EngineBench bench(1, config);
+  bench.sim.SetTracer(&tracer);
   int completed = 0;
   bench.Submit(MakeRequest(1, 16, 2), CountCompletions(&completed));
   bench.Submit(MakeRequest(2, 16, 2, "k", 1000), CountCompletions(&completed));
   // Second request waits for the probe loop, which is not running: only one
-  // dispatch, one queue-wait sample (zero wait).
+  // dispatch so far.
   bench.sim.RunFor(Seconds(1));
   EXPECT_EQ(bench.engine->stats().dispatched, 1);
-  EXPECT_EQ(bench.engine->stats().queue_wait_sec.count(), 1u);
   bench.engine->Start();
   bench.sim.RunFor(Seconds(600));
   EXPECT_EQ(completed, 2);
-  EXPECT_EQ(bench.engine->stats().queue_wait_sec.count(), 2u);
-  // The blocked request's recorded wait spans the probe delay.
-  EXPECT_GT(bench.engine->stats().queue_wait_sec.max(), 0.5);
+  // Each dispatch record carries its request's queue wait (x, in us): none
+  // for the first request, the probe delay for the blocked one.
+  std::map<int64_t, double> wait_us;
+  for (const TraceRecord& record : tracer.Merged()) {
+    if (record.type == static_cast<uint16_t>(TraceEventType::kDispatch)) {
+      wait_us[record.request] = record.x;
+    }
+  }
+  ASSERT_EQ(wait_us.size(), 2u);
+  EXPECT_EQ(wait_us[1], 0.0);
+  EXPECT_GT(wait_us[2], 0.5e6);
+}
+
+// Detaching the replica a key hashed to moves that key to another replica
+// and leaves every other key where it was.
+TEST(DispatchEngineTest, ConsistentHashDetachMovesOnlyTheDetachedKeys) {
+  ConsistentHashSelector selector;
+  EngineBench bench(4, DispatchConfig{}, ReplicaConfig{}, &selector);
+  std::vector<std::string> keys;
+  std::map<std::string, ReplicaId> before;
+  for (int i = 0; i < 16; ++i) {
+    keys.push_back("user-" + std::to_string(i));
+    before[keys.back()] =
+        bench.Serve(MakeRequest(static_cast<RequestId>(i), 16, 2, keys.back(),
+                                static_cast<Token>(i) * 100));
+  }
+  const ReplicaId detached = before[keys[0]];
+  ASSERT_NE(detached, kInvalidReplica);
+  ASSERT_TRUE(bench.engine->DetachReplica(detached));
+  for (int i = 0; i < 16; ++i) {
+    const std::string& key = keys[static_cast<size_t>(i)];
+    const ReplicaId after =
+        bench.Serve(MakeRequest(static_cast<RequestId>(100 + i), 16, 2, key,
+                                static_cast<Token>(i) * 100));
+    ASSERT_NE(after, kInvalidReplica) << key;
+    EXPECT_NE(after, detached) << key;
+    if (before[key] != detached) {
+      EXPECT_EQ(after, before[key]) << key;
+    }
+  }
+}
+
+// A prompt whose cached prefix lived on a detached replica is placed
+// elsewhere, and its repeats then follow it to the new replica.
+TEST(DispatchEngineTest, SglDetachReroutesThePrompt) {
+  LbConfig lb_config;
+  SglRouterSelector selector(lb_config);
+  EngineBench bench(3, DispatchConfig{}, ReplicaConfig{}, &selector);
+  const ReplicaId first = bench.Serve(MakeRequest(1, 64, 2));
+  ASSERT_NE(first, kInvalidReplica);
+  EXPECT_EQ(bench.Serve(MakeRequest(2, 64, 2)), first);  // Prefix affinity.
+  ASSERT_TRUE(bench.engine->DetachReplica(first));
+  const ReplicaId moved = bench.Serve(MakeRequest(3, 64, 2));
+  ASSERT_NE(moved, kInvalidReplica);
+  EXPECT_NE(moved, first);
+  EXPECT_EQ(bench.Serve(MakeRequest(4, 64, 2)), moved);
 }
 
 }  // namespace

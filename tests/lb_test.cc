@@ -305,8 +305,7 @@ TEST(LoadBalancerTest, OutcomeTimestampsIncludeNetworkPath) {
   req.submit_time = sim.now();
   RequestOutcome observed;
   RequestCallbacks callbacks;
-  callbacks.on_first_token = [&](const RequestOutcome& o) { observed = o; };
-  callbacks.on_complete = [&](const RequestOutcome&) {};
+  callbacks.on_complete = [&](const RequestOutcome& o) { observed = o; };
   // Model the client->LB trip explicitly as SubmitViaNetwork would.
   net.Send(ap, us, [&lb, req, callbacks]() mutable {
     lb.HandleRequest(std::move(req), std::move(callbacks));

@@ -545,7 +545,7 @@ TEST(ReplicaProbeTest, EwmaOnlyFoldsStepsThatDecoded) {
 }
 
 TEST(ReplicaProbeTest, FreeCapacityRunningSumMatchesBatchLoop) {
-  // EstimateFreeCapacity reads a running sum of (prompt - cached) over the
+  // FreeCapacity reads a running sum of (prompt - cached) over the
   // batch; Replica::CheckInvariants recomputes it with the loop it
   // replaced. Step event by event through admissions, completions,
   // recompute or swap preemptions, swap-ins, and a mid-flight crash, in

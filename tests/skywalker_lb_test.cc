@@ -79,7 +79,7 @@ TEST(SkyWalkerLbTest, ServesLocallyWhenAvailable) {
   EXPECT_FALSE(last.forwarded);
   EXPECT_EQ(last.hops, 1);
   EXPECT_EQ(last.served_region, 0);
-  EXPECT_EQ(bench.lb_a->stats().dispatched_local, 1);
+  EXPECT_EQ(bench.lb_a->engine().stats().dispatched, 1);
   EXPECT_EQ(bench.lb_a->stats().forwarded_out, 0);
 }
 
