@@ -578,6 +578,22 @@ void Replica::FinishStep(double step_us, int decode_count) {
   MaybeStep();
 }
 
+template <typename Fn>
+void Replica::TracingEvictions(Fn&& mutate) {
+  const PrefixCache::EvictionStats before = cache_.eviction_stats();
+  mutate();
+  if (Tracer* t = sim_->tracer()) {
+    const PrefixCache::EvictionStats& after = cache_.eviction_stats();
+    if (after.victims > before.victims) {
+      EmitTrace(t, sim_->now(), TraceEventType::kCacheEvict, region_, id_, -1,
+                after.victims - before.victims,
+                after.freed_blocks - before.freed_blocks,
+                static_cast<double>(
+                    static_cast<int>(cache_.eviction_policy())));
+    }
+  }
+}
+
 void Replica::OnPrefillComplete(Seq& seq) {
   seq.prefill_done = true;
   // The final prefill chunk's forward pass produces the first output token.
@@ -596,8 +612,10 @@ void Replica::OnPrefillComplete(Seq& seq) {
     // straddling the prompt boundary stays shared between the cache's tail
     // node and this sequence (cached_len keeps the admission-time value for
     // reporting; it reflects the compute actually saved).
-    cache_.Insert(seq.req.prompt, sim_->now(), &kv_.table(seq.kv),
-                  seq.kv_base);
+    TracingEvictions([&] {
+      cache_.Insert(seq.req.prompt, sim_->now(), &kv_.table(seq.kv),
+                    seq.kv_base);
+    });
     if (seq.pin != kInvalidPin) {
       cache_.Unref(seq.pin);
     }
@@ -653,7 +671,9 @@ void Replica::CompleteSeq(Seq& seq) {
     full.insert(full.end(), seq.req.output.begin(), seq.req.output.end());
     // The generated suffix publishes the same way the prompt did: by
     // reference transfer from the sequence's path-aligned table.
-    cache_.Insert(full, sim_->now(), &kv_.table(seq.kv), seq.kv_base);
+    TracingEvictions([&] {
+      cache_.Insert(full, sim_->now(), &kv_.table(seq.kv), seq.kv_base);
+    });
     if (seq.pin != kInvalidPin) {
       cache_.Unref(seq.pin);
       seq.pin = kInvalidPin;
@@ -768,18 +788,8 @@ int64_t Replica::EvictCache(int64_t blocks) {
   if (blocks <= 0) {
     return 0;
   }
-  const PrefixCache::EvictionStats before = cache_.eviction_stats();
-  const int64_t freed = cache_.Evict(blocks);
-  if (Tracer* t = sim_->tracer()) {
-    const PrefixCache::EvictionStats& after = cache_.eviction_stats();
-    if (after.victims > before.victims) {
-      EmitTrace(t, sim_->now(), TraceEventType::kCacheEvict, region_, id_, -1,
-                after.victims - before.victims,
-                after.freed_blocks - before.freed_blocks,
-                static_cast<double>(
-                    static_cast<int>(cache_.eviction_policy())));
-    }
-  }
+  int64_t freed = 0;
+  TracingEvictions([&] { freed = cache_.Evict(blocks); });
   return freed;
 }
 
@@ -810,7 +820,7 @@ void Replica::Crash() {
   restoring_.clear();
   pending_.clear();
   watermark_reject_id_valid_ = false;
-  cache_.Clear();
+  TracingEvictions([&] { cache_.Clear(); });
 }
 
 bool Replica::CheckInvariants() const {

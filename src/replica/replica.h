@@ -464,8 +464,12 @@ class Replica {
            static_cast<double>(config_.kv_capacity_tokens);
   }
 
-  // cache_.Evict with trace attribution: emits one kCacheEvict record per
-  // call that removed at least one node. Returns the blocks freed.
+  // Every cache mutation that can evict — Evict, an over-capacity Insert,
+  // Clear — runs through TracingEvictions, which emits one kCacheEvict
+  // record when `mutate` removed at least one node.
+  template <typename Fn>
+  void TracingEvictions(Fn&& mutate);
+  // cache_.Evict under TracingEvictions; returns the blocks freed.
   int64_t EvictCache(int64_t blocks);
 
   Simulator* sim_;

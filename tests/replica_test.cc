@@ -524,6 +524,31 @@ TEST(ReplicaEvictionTest, ColdSubtreeReplicaDrainsSaturatedLoad) {
   EXPECT_TRUE(replica.kv().CheckConsistency());
 }
 
+TEST(ReplicaEvictionTest, CrashEvictionsAreTraced) {
+  // Every path that evicts from the prefix cache — a crash's Clear here —
+  // emits kCacheEvict records, so their victims add up to the cache's own
+  // count.
+  Simulator sim;
+  Tracer tracer(1);
+  sim.SetTracer(&tracer);
+  Replica replica(&sim, 0, 0, ReplicaConfig{});
+  Completion a, b;
+  replica.Enqueue(MakeRequest(1, 64, 4), Record(&sim, &a));
+  replica.Enqueue(MakeRequest(2, 64, 4, 10000), Record(&sim, &b));
+  sim.Run();
+  ASSERT_GT(b.completed, 0);
+  ASSERT_GT(replica.cache().size_tokens(), 0);
+  replica.Crash();
+  int64_t traced_victims = 0;
+  for (const TraceRecord& r : tracer.Merged()) {
+    if (r.type == static_cast<uint16_t>(TraceEventType::kCacheEvict)) {
+      traced_victims += r.a;
+    }
+  }
+  EXPECT_GT(replica.cache().eviction_stats().victims, 0);
+  EXPECT_EQ(traced_victims, replica.cache().eviction_stats().victims);
+}
+
 // --- Probe payload -------------------------------------------------------
 
 TEST(ReplicaProbeTest, EwmaOnlyFoldsStepsThatDecoded) {
