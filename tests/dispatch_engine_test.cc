@@ -490,7 +490,9 @@ TEST(DispatchEngineTest, ConsistentHashDetachMovesOnlyTheDetachedKeys) {
 }
 
 // A prompt whose cached prefix lived on a detached replica is placed
-// elsewhere, and its repeats then follow it to the new replica.
+// elsewhere, and its repeats then follow it to the new replica. The router
+// forgets the detached worker's tree estimate: attached again, it is the
+// emptiest worker and takes the next new prompt.
 TEST(DispatchEngineTest, SglDetachReroutesThePrompt) {
   LbConfig lb_config;
   SglRouterSelector selector(lb_config);
@@ -503,6 +505,13 @@ TEST(DispatchEngineTest, SglDetachReroutesThePrompt) {
   ASSERT_NE(moved, kInvalidReplica);
   EXPECT_NE(moved, first);
   EXPECT_EQ(bench.Serve(MakeRequest(4, 64, 2)), moved);
+  // A new prompt fills the other worker, so both attached workers now hold
+  // a tree of the same estimated size.
+  const ReplicaId other = bench.Serve(MakeRequest(5, 64, 2, "k", 2000));
+  EXPECT_NE(other, first);
+  EXPECT_NE(other, moved);
+  bench.engine->AttachReplica(bench.replicas[static_cast<size_t>(first)].get());
+  EXPECT_EQ(bench.Serve(MakeRequest(6, 64, 2, "k", 4000)), first);
 }
 
 }  // namespace
