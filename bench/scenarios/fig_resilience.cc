@@ -15,8 +15,8 @@
 //    derived `gray_goodput_gain_x` is the on/off goodput ratio.
 //  * flash_crowd — a second client cohort lands on region 0 mid-window
 //    (diurnal shift); reports how goodput and forwarding absorb it.
-//  * reswap / reswap_shards4 — a RuntimeConfig snapshot (push mode, routing
-//    policy, probe cadence) is published mid-run through the ConfigStore.
+//  * reswap / reswap_shards4 — every regional LB adopts a RuntimeConfig
+//    snapshot (push mode, routing policy, probe cadence) mid-run.
 //    The pair runs identical specs on 1 shard / 1 thread and 4 shards / 8
 //    threads with full traces; `reswap_determinism_ok` certifies the swap
 //    is bit-identical under parallel execution.
@@ -262,8 +262,8 @@ MetricRow RunReswap(const std::string& label, int num_shards, int num_threads,
   spec.num_threads = num_threads;
   spec.collect_trace = true;
 
-  // The published snapshot flips the push discipline, routing policy, τ,
-  // and probe cadence at once — a worst-case knob swap.
+  // The snapshot flips the push discipline, routing policy, τ, and probe
+  // cadence at once — a worst-case knob swap.
   RuntimeConfig next = spec.system.skywalker.runtime();
   next.dispatch.push_mode = PushMode::kBlind;
   next.dispatch.probe_interval = Milliseconds(200);

@@ -27,16 +27,6 @@ void Controller::Start() {
   probe_task_->StartWithDelay(0);
 }
 
-void Controller::AddReplica(SkyWalkerLb* lb, Replica* replica) {
-  lb->AttachReplica(replica);
-}
-
-void Controller::RemoveReplica(ReplicaId replica_id) {
-  for (auto& [lbid, entry] : lbs_) {
-    entry.lb->DetachReplica(replica_id);
-  }
-}
-
 bool Controller::IsFailedOver(LbId lb_id) const {
   auto it = lbs_.find(lb_id);
   return it != lbs_.end() && it->second.failover_active;

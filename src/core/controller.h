@@ -4,9 +4,6 @@
 // which temporarily treats them as local replicas; once the failed LB
 // recovers, the replicas transfer back. Multiple concurrent LB failures are
 // tolerated.
-//
-// The controller also supports elastic replica management (AddReplica /
-// RemoveReplica), used by deployment reconfiguration tests.
 
 #ifndef SKYWALKER_CORE_CONTROLLER_H_
 #define SKYWALKER_CORE_CONTROLLER_H_
@@ -43,11 +40,6 @@ class Controller {
   void ManageLb(SkyWalkerLb* lb);
 
   void Start();
-
-  // Adds a replica to the LB serving `lb->region()`; wires rings/tries.
-  void AddReplica(SkyWalkerLb* lb, Replica* replica);
-  // Removes a replica from whichever LB currently manages it.
-  void RemoveReplica(ReplicaId replica_id);
 
   // Explicit recovery entry point (also used by the auto-recovery timer).
   // Returns false if the LB was not in a failed state.

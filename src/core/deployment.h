@@ -24,13 +24,10 @@ struct DeploymentSpec {
   // replicas_per_region[i] replicas are provisioned in topology region i.
   std::vector<int> replicas_per_region;
   ReplicaConfig replica_config;
+  // Every LB starts with this; a mid-run change is one scheduled
+  // SkyWalkerLb::ApplyRuntimeConfig call per LB (RunSpec::config_updates).
   SkyWalkerConfig lb_config;
   ControllerConfig controller_config;
-  // Optional runtime-config store (ISSUE 7). When set, every LB subscribes
-  // at build time: the store's current snapshot overrides lb_config's
-  // mutable halves, and later PublishAt calls reswap knobs mid-run. Must
-  // outlive the deployment. Null = static configs, the seed behavior.
-  ConfigStore* config_store = nullptr;
 };
 
 class Deployment {

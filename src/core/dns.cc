@@ -8,7 +8,7 @@ Frontend* NearestFrontendResolver::Resolve(RegionId client_region) {
   Frontend* best = nullptr;
   SimDuration best_latency = std::numeric_limits<SimDuration>::max();
   for (Frontend* frontend : frontends_) {
-    // Frontend::healthy() is backed by HealthSource::Serving() on real LBs:
+    // Frontend::healthy() is backed by SkyWalkerLb::Serving() on real LBs:
     // DNS keeps resolving to degraded regions (the engine rides those out)
     // and skips only hard-failed ones.
     if (!frontend->healthy()) {

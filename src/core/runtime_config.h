@@ -1,23 +1,12 @@
-// Runtime configuration snapshots (DESIGN.md §10, ISSUE 7).
+// Runtime configuration snapshots (DESIGN.md §10.1).
 //
-// Every knob a balancer can change mid-run lives in one immutable, versioned
+// Every knob a SkyWalker balancer can change mid-run lives in one
 // RuntimeConfig value: the engine half (DispatchConfig — push mode, probe
 // interval, slack, gates, outlier detection) and the cross-region routing
-// half (RoutingRuntimeConfig — policy, thresholds, forwarding). A
-// ConfigStore holds the current snapshot and fans updates out to
-// ConfigSubscription watchers, xDS-style (cf. envoy's *subscription*
-// idiom): subscribers get the current snapshot synchronously at subscribe
-// time and every later snapshot as a scheduled event.
-//
-// Determinism contract: PublishAt is *setup-time* API. It schedules one
-// delivery event per subscriber on that subscriber's own simulator with the
-// subscriber's region as the event's keyed origin, so under region-sharded
-// execution every LB observes the swap at the same simulated instant, in a
-// position of its event order that is a pure function of its own region's
-// history — bit-identical across shard and thread counts. Calling PublishAt
-// from inside a running event handler of a *different* shard would violate
-// that contract (it would schedule into a foreign shard mid-window); the
-// harness therefore publishes from setup code only.
+// half (RoutingRuntimeConfig — policy, thresholds, forwarding). A mid-run
+// update is a RunSpec::config_updates entry: Run schedules one
+// SkyWalkerLb::ApplyRuntimeConfig call per LB at the update's time, on that
+// LB's own simulator and keyed to its region (src/harness/run.h).
 //
 // Knobs that are structurally static — trie/ring capacities (allocated
 // once), the forward_allowed predicate (not a value), replica hardware
@@ -26,14 +15,11 @@
 #ifndef SKYWALKER_CORE_RUNTIME_CONFIG_H_
 #define SKYWALKER_CORE_RUNTIME_CONFIG_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
 
 #include "src/common/sim_time.h"
 #include "src/routing/dispatch_engine.h"
-#include "src/sim/simulator.h"
 
 namespace skywalker {
 
@@ -48,12 +34,6 @@ struct RoutingRuntimeConfig {
 
   // τ: small queue buffer for newly arriving requests (Listing 1, line 12).
   size_t queue_tau = 4;
-
-  // A region advertises itself as overloaded (and refuses inbound offloads)
-  // when the EWMA of its available-replica fraction falls below this.
-  // Point-in-time probe snapshots flap at saturation; the EWMA separates
-  // "briefly busy" from "no real headroom".
-  double overload_avail_ewma_threshold = 0.25;
 
   // Flap damping: forward only after local replicas have been continuously
   // unavailable for this long. Saturated replicas flap between full and
@@ -85,77 +65,10 @@ struct RoutingRuntimeConfig {
   int64_t short_prompt_threshold = 0;
 };
 
-// One immutable knob snapshot. Copy freely; never mutate a published one.
+// One knob snapshot, applied by value.
 struct RuntimeConfig {
-  // Stamped by ConfigStore::PublishAt (0 = the construction-time initial).
-  int64_t version = 0;
   DispatchConfig dispatch;
   RoutingRuntimeConfig routing;
-};
-
-class ConfigStore;
-
-// RAII watcher handle: destroying it detaches the callback (updates already
-// scheduled for delivery are dropped at fire time). Move-only.
-class ConfigSubscription {
- public:
-  ConfigSubscription() = default;
-  ~ConfigSubscription();
-
-  ConfigSubscription(ConfigSubscription&& other) noexcept = default;
-  ConfigSubscription& operator=(ConfigSubscription&& other) noexcept;
-
-  ConfigSubscription(const ConfigSubscription&) = delete;
-  ConfigSubscription& operator=(const ConfigSubscription&) = delete;
-
-  bool active() const { return subscriber_ != nullptr; }
-  void Cancel();
-
- private:
-  friend class ConfigStore;
-  struct Subscriber {
-    Simulator* sim = nullptr;
-    RegionId region = kInvalidRegion;
-    std::function<void(const RuntimeConfig&)> callback;
-    bool alive = false;
-  };
-  explicit ConfigSubscription(std::shared_ptr<Subscriber> subscriber)
-      : subscriber_(std::move(subscriber)) {}
-
-  std::shared_ptr<Subscriber> subscriber_;
-};
-
-// Holds the current RuntimeConfig snapshot and fans published updates out to
-// subscribers as keyed, per-subscriber-shard events. One per deployment.
-class ConfigStore {
- public:
-  explicit ConfigStore(RuntimeConfig initial);
-
-  ConfigStore(const ConfigStore&) = delete;
-  ConfigStore& operator=(const ConfigStore&) = delete;
-
-  const RuntimeConfig& current() const { return *current_; }
-  int64_t version() const { return current_->version; }
-  int64_t publishes() const { return publishes_; }
-
-  // Registers a watcher owned by `region`, whose events run on `sim` (that
-  // region's shard simulator). The callback fires synchronously once with
-  // the current snapshot, then once per PublishAt at the published time.
-  ConfigSubscription Subscribe(
-      Simulator* sim, RegionId region,
-      std::function<void(const RuntimeConfig&)> callback);
-
-  // Schedules snapshot `next` to take effect at simulated time `at`
-  // (stamping its version). Setup-time API — see the determinism contract
-  // in the file header. Publishes must be issued in nondecreasing `at`
-  // order so `current()` tracks the latest scheduled snapshot.
-  void PublishAt(SimTime at, RuntimeConfig next);
-
- private:
-  std::shared_ptr<const RuntimeConfig> current_;
-  int64_t next_version_ = 1;
-  int64_t publishes_ = 0;
-  std::vector<std::shared_ptr<ConfigSubscription::Subscriber>> subscribers_;
 };
 
 }  // namespace skywalker

@@ -9,6 +9,16 @@
 
 namespace skywalker {
 
+namespace {
+
+// Overload advertisement (DESIGN.md §4b): a region refuses inbound offloads
+// while the EWMA of its available-replica fraction (OnProbeTick) is below
+// this. Point-in-time probe snapshots flap at saturation; the EWMA separates
+// "briefly busy" from "no real headroom".
+constexpr double kOverloadAvailEwmaThreshold = 0.25;
+
+}  // namespace
+
 SkyWalkerLb::SkyWalkerLb(Simulator* sim, Network* net, LbId id,
                          RegionId region, const SkyWalkerConfig& config)
     : sim_(sim),
@@ -69,16 +79,7 @@ void SkyWalkerLb::ApplyRuntimeConfig(const RuntimeConfig& config) {
   config_.engine = config.dispatch;
   config_.routing = config.routing;
   engine_.ApplyConfig(config.dispatch);
-  config_version_ = config.version;
-  if (config.version > 0) {
-    ++stats_.config_swaps;  // The version-0 initial snapshot is not a swap.
-  }
-}
-
-void SkyWalkerLb::SubscribeTo(ConfigStore* store) {
-  config_subscription_ = store->Subscribe(
-      sim_, region_,
-      [this](const RuntimeConfig& config) { ApplyRuntimeConfig(config); });
+  ++stats_.config_swaps;
 }
 
 bool SkyWalkerLb::PeerAvailable(const PeerState& state) const {
@@ -103,11 +104,20 @@ bool SkyWalkerLb::PeerAvailable(const PeerState& state) const {
          effective_queue <= config_.routing.queue_tau;
 }
 
+bool SkyWalkerLb::PeerEligible(TargetId id) const {
+  auto it = peers_.find(id);
+  if (it == peers_.end() || !PeerAvailable(it->second)) {
+    return false;
+  }
+  return !config_.forward_allowed ||
+         config_.forward_allowed(region_, it->second.peer->region());
+}
+
 bool SkyWalkerLb::IsOverloaded() const {
   if (!Serving()) {
     return true;
   }
-  return avail_fraction_ewma_ < config_.routing.overload_avail_ewma_threshold;
+  return avail_fraction_ewma_ < kOverloadAvailEwmaThreshold;
 }
 
 int SkyWalkerLb::AvailableReplicaCount() const {
@@ -193,17 +203,7 @@ ReplicaId SkyWalkerLb::SelectReplica(const Queued& queued,
 }
 
 LbId SkyWalkerLb::StickyRemotePeer(const Queued& queued) {
-  auto avail = [this](TargetId id) {
-    auto it = peers_.find(id);
-    if (it == peers_.end() || !PeerAvailable(it->second)) {
-      return false;
-    }
-    if (config_.forward_allowed &&
-        !config_.forward_allowed(region_, it->second.peer->region())) {
-      return false;
-    }
-    return true;
-  };
+  auto avail = [this](TargetId id) { return PeerEligible(id); };
   RoutingTrie::Match match = snapshot_trie_.MatchBest(queued.req.prompt, avail);
   if (match.candidates.empty() || queued.req.prompt.empty()) {
     return kInvalidLb;
@@ -216,17 +216,7 @@ LbId SkyWalkerLb::StickyRemotePeer(const Queued& queued) {
 }
 
 LbId SkyWalkerLb::SelectPeer(const Queued& queued) {
-  auto avail = [this](TargetId id) {
-    auto it = peers_.find(id);
-    if (it == peers_.end() || !PeerAvailable(it->second)) {
-      return false;
-    }
-    if (config_.forward_allowed &&
-        !config_.forward_allowed(region_, it->second.peer->region())) {
-      return false;
-    }
-    return true;
-  };
+  auto avail = [this](TargetId id) { return PeerEligible(id); };
 
   if (config_.routing.policy == RoutingPolicyKind::kConsistentHash) {
     uint64_t key = HashString(queued.req.routing_key);
@@ -325,7 +315,8 @@ void SkyWalkerLb::Forward(Queued queued, LbId peer_id) {
 }
 
 void SkyWalkerLb::OnProbeTick() {
-  // Track smoothed local headroom for the overload advertisement.
+  // Track smoothed local headroom for the overload advertisement
+  // (kOverloadAvailEwmaThreshold).
   if (engine_.num_replicas() > 0) {
     double fraction = static_cast<double>(AvailableReplicaCount()) /
                       static_cast<double>(engine_.num_replicas());

@@ -30,11 +30,11 @@
 //    which (from-region, to-region) forwarding pairs are allowed (e.g. GDPR
 //    policies).
 //
-// Health (ISSUE 7): the LB is a HealthSource — the controller's failover
-// detection, DNS resolution, and peer availability all read Status()/
-// Serving() instead of private booleans. Mutable knobs live in the two
-// RuntimeConfig halves (engine + routing) and reswap mid-run via
-// ApplyRuntimeConfig / a ConfigStore subscription.
+// Health: Status()/Serving() are the LB's one availability authority — the
+// controller's failover detection, DNS resolution, and peer availability
+// all read them. Mutable knobs live in the two RuntimeConfig halves
+// (engine + routing) and reswap mid-run through ApplyRuntimeConfig, which
+// Run schedules for each RunSpec::config_updates entry.
 
 #ifndef SKYWALKER_CORE_SKYWALKER_LB_H_
 #define SKYWALKER_CORE_SKYWALKER_LB_H_
@@ -66,8 +66,8 @@ inline DispatchConfig SkyWalkerEngineDefaults() {
 }
 
 struct SkyWalkerConfig {
-  // The two mutable halves of a RuntimeConfig snapshot (ISSUE 7): every
-  // knob here can reswap mid-run through ApplyRuntimeConfig.
+  // The two mutable halves of a RuntimeConfig snapshot: every knob here can
+  // reswap mid-run through ApplyRuntimeConfig.
   DispatchConfig engine = SkyWalkerEngineDefaults();
   RoutingRuntimeConfig routing;
 
@@ -75,7 +75,7 @@ struct SkyWalkerConfig {
   // A predicate, not a value — stays out of the serializable snapshot.
   std::function<bool(RegionId from, RegionId to)> forward_allowed;
 
-  // The initial snapshot a deployment seeds its ConfigStore with.
+  // This config's knobs as a snapshot (the base a config update edits).
   RuntimeConfig runtime() const {
     RuntimeConfig config;
     config.dispatch = engine;
@@ -84,11 +84,7 @@ struct SkyWalkerConfig {
   }
 };
 
-class ConfigStore;
-
-class SkyWalkerLb : public Frontend,
-                    public HealthSource,
-                    private ReplicaSelector {
+class SkyWalkerLb : public Frontend, private ReplicaSelector {
  public:
   // The cross-region half's counters; the local-placement and resilience
   // counters live in engine().stats().
@@ -115,8 +111,9 @@ class SkyWalkerLb : public Frontend,
 
   void Start();
 
-  // --- HealthSource: the one availability authority for this LB ---
-  HealthStatus Status() const override { return status_; }
+  // --- health: the one availability authority for this LB ---
+  HealthStatus Status() const { return status_; }
+  bool Serving() const { return CanServe(status_); }
 
   // --- Frontend ---
   RegionId region() const override { return region_; }
@@ -128,16 +125,13 @@ class SkyWalkerLb : public Frontend,
   void HandleForwarded(Request req, RequestCallbacks callbacks,
                        RegionId origin_lb_region);
 
-  // --- runtime config (ISSUE 7) ---
+  // --- runtime config ---
   // Adopts a new snapshot: engine knobs swap via DispatchEngine::ApplyConfig
   // (probe loop re-arms as needed), routing knobs take effect on the next
   // decision that reads them. Structural state (tries, rings, peers,
-  // queue, outstanding counts) carries over untouched.
+  // queue, outstanding counts) carries over untouched. Every call counts
+  // as one config swap.
   void ApplyRuntimeConfig(const RuntimeConfig& config);
-  // Watches `store`: applies its current snapshot now (synchronously) and
-  // every published update at its publish time. The subscription lives as
-  // long as this LB (or until the store dies with the deployment).
-  void SubscribeTo(ConfigStore* store);
 
   // --- peer-visible probe state (PROBELB in Listing 1) ---
   int AvailableReplicaCount() const;
@@ -159,7 +153,6 @@ class SkyWalkerLb : public Frontend,
   const Stats& stats() const { return stats_; }
   size_t num_replicas() const { return engine_.num_replicas(); }
   size_t num_peers() const { return peers_.size(); }
-  int64_t config_version() const { return config_version_; }
 
   // The local half: engine counters and health (harness, tests).
   const DispatchEngine& engine() const { return engine_; }
@@ -191,6 +184,8 @@ class SkyWalkerLb : public Frontend,
   void OnReplicaProbeResult() override;
 
   bool PeerAvailable(const PeerState& state) const;
+  // A known, available peer this region may forward to (forward_allowed).
+  bool PeerEligible(TargetId id) const;
 
   // SELECTCANDIDATE over peer LBs.
   LbId SelectPeer(const Queued& queued);
@@ -207,7 +202,6 @@ class SkyWalkerLb : public Frontend,
   RegionId region_;
   SkyWalkerConfig config_;
   HealthStatus status_ = HealthStatus::kHealthy;
-  int64_t config_version_ = 0;
   Stats stats_;
 
   std::map<LbId, PeerState> peers_;
@@ -218,7 +212,6 @@ class SkyWalkerLb : public Frontend,
   RoutingTrie snapshot_trie_;
 
   DispatchEngine engine_;
-  ConfigSubscription config_subscription_;
 
   // Last simulated time at which some local replica was available.
   SimTime last_local_avail_ = 0;

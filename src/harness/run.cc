@@ -160,8 +160,7 @@ std::string_view SystemKindName(SystemKind kind) {
 }
 
 std::unique_ptr<ServingSystem> ServingSystem::Build(Network* net,
-                                                    const SystemSpec& spec,
-                                                    bool runtime_config) {
+                                                    const SystemSpec& spec) {
   const Topology& topology = net->topology();
   const auto num_regions = static_cast<RegionId>(topology.num_regions());
   SKYWALKER_CHECK(spec.replicas_per_region.size() == topology.num_regions())
@@ -181,13 +180,6 @@ std::unique_ptr<ServingSystem> ServingSystem::Build(Network* net,
       dspec.lb_config.routing.policy = RoutingPolicyKind::kPrefixTree;
     } else {
       dspec.lb_config.routing.enable_forwarding = false;
-    }
-    // Created only when something will be published: subscription delivery
-    // alone must not perturb the static fast path.
-    if (runtime_config) {
-      system->config_store_ =
-          std::make_unique<ConfigStore>(dspec.lb_config.runtime());
-      dspec.config_store = system->config_store_.get();
     }
     system->deployment_ = Deployment::Build(
         net->SimForRegion(spec.controller.home_region), net, dspec);
@@ -311,16 +303,23 @@ RunResult Run(const RunSpec& spec) {
   }
 
   // --- serving system ---
-  auto system = ServingSystem::Build(net.get(), system_spec,
-                                     !spec.config_updates.empty());
+  auto system = ServingSystem::Build(net.get(), system_spec);
   Deployment* deployment = system->deployment();
-  // Setup-time publishes (after Build so every LB is subscribed; see the
-  // determinism contract in src/core/runtime_config.h).
+  // --- config updates: one ApplyRuntimeConfig event per LB on its region's
+  // shard, keyed to its region, so every LB swaps at the same simulated
+  // instant whatever the shard and thread counts (DESIGN.md §10.1) ---
   for (const ConfigUpdate& update : spec.config_updates) {
-    SKYWALKER_CHECK(system->config_store() != nullptr)
+    SKYWALKER_CHECK(deployment != nullptr)
         << "config updates need a SkyWalker kind, not "
         << SystemKindName(system_spec.kind);
-    system->config_store()->PublishAt(update.at, update.config);
+    auto config = std::make_shared<const RuntimeConfig>(update.config);
+    for (const auto& owned : deployment->lbs()) {
+      SkyWalkerLb* lb = owned.get();
+      Simulator* region_sim = net->SimForRegion(lb->region());
+      region_sim->SetCurrentRegion(lb->region());
+      region_sim->ScheduleAt(
+          update.at, [lb, config] { lb->ApplyRuntimeConfig(*config); });
+    }
   }
 
   // --- per-region metric collectors (each written only by its shard) ---

@@ -66,11 +66,8 @@ struct SystemSpec {
 // live on that region's simulator (net->SimForRegion).
 class ServingSystem {
  public:
-  // `runtime_config`: SkyWalker kinds get a ConfigStore seeded with their
-  // LB config, for mid-run PublishAt.
   static std::unique_ptr<ServingSystem> Build(Network* net,
-                                              const SystemSpec& spec,
-                                              bool runtime_config = false);
+                                              const SystemSpec& spec);
   ~ServingSystem();
 
   void Start();
@@ -81,11 +78,9 @@ class ServingSystem {
   // Token-weighted prefix-cache hit rate across all replicas.
   double AggregateCacheHitRate() const;
 
-  // Non-null only for the matching system kind (and, for the store, only
-  // when built with runtime_config).
+  // Non-null only for the matching system kind.
   Deployment* deployment() { return deployment_.get(); }
   GatewayLb* gateway() { return gateway_.get(); }
-  ConfigStore* config_store() { return config_store_.get(); }
 
  private:
   ServingSystem() = default;
@@ -93,7 +88,6 @@ class ServingSystem {
   std::vector<std::unique_ptr<Replica>> owned_replicas_;
   std::vector<Replica*> replica_ptrs_;
 
-  std::unique_ptr<ConfigStore> config_store_;     // Outlives deployment_.
   std::unique_ptr<Deployment> deployment_;        // SkyWalker variants.
   std::unique_ptr<LoadBalancer> baseline_lb_;     // RR/LL/CH/SGL.
   std::unique_ptr<GatewayLb> gateway_;            // GKE Gateway.
@@ -122,8 +116,9 @@ struct Fault {
   double factor = 1.0;  // kReplicaSlowdown only.
 };
 
-// A RuntimeConfig snapshot published mid-run through the deployment's
-// ConfigStore (SkyWalker kinds only).
+// A RuntimeConfig snapshot every regional LB adopts at `at` (SkyWalker kinds
+// only). Like a fault, it is injected as one event per LB on that LB's
+// region's simulator, so sharded runs stay deterministic.
 struct ConfigUpdate {
   SimTime at = 0;
   RuntimeConfig config;

@@ -25,17 +25,6 @@ struct LbConfig {
   // detection), in the shared DispatchConfig vocabulary. Baselines default
   // to blind pushing; paper §4.1 probes every 100 ms.
   DispatchConfig engine;
-
-  // --- SGL cache-aware policy knobs (policy-owned, not engine state) ---
-
-  // SGL cache-aware threshold: route by prefix only when the best match
-  // covers at least this fraction of the prompt.
-  double sgl_match_threshold = 0.5;
-
-  // SGL fallback bookkeeping: once a worker's approximate tree-size estimate
-  // exceeds this (≈ its KV budget), all estimates decay, mirroring worker
-  // eviction.
-  int64_t sgl_tree_decay_tokens = 49152;
 };
 
 class LoadBalancer : public Frontend {

@@ -6,6 +6,19 @@
 
 namespace skywalker {
 
+namespace {
+
+// SGL cache-aware threshold: route by prefix only when the best match covers
+// at least this fraction of the prompt.
+constexpr double kSglMatchThreshold = 0.5;
+
+// SGL fallback bookkeeping: once a worker's approximate tree-size estimate
+// exceeds this (≈ its KV budget), all estimates decay, mirroring worker
+// eviction.
+constexpr int64_t kSglTreeDecayTokens = 49152;
+
+}  // namespace
+
 ReplicaId RoundRobinSelector::SelectReplica(const Queued& /*queued*/,
                                             const CandidateView& candidates) {
   const size_t n = candidates.size();
@@ -45,10 +58,7 @@ ReplicaId ConsistentHashSelector::SelectReplica(
   return target == kInvalidTarget ? kInvalidReplica : target;
 }
 
-SglRouterSelector::SglRouterSelector(const LbConfig& config)
-    : match_threshold_(config.sgl_match_threshold),
-      tree_decay_tokens_(config.sgl_tree_decay_tokens),
-      trie_(kBalancerTrieCapacityTokens) {}
+SglRouterSelector::SglRouterSelector() : trie_(kBalancerTrieCapacityTokens) {}
 
 void SglRouterSelector::OnReplicaDetached(ReplicaId replica_id) {
   trie_.RemoveTarget(replica_id);
@@ -66,7 +76,7 @@ ReplicaId SglRouterSelector::SelectReplica(const Queued& queued,
           ? 0.0
           : static_cast<double>(match.match_len) /
                 static_cast<double>(queued.req.prompt.size());
-  if (ratio >= match_threshold_ && !match.candidates.empty()) {
+  if (ratio >= kSglMatchThreshold && !match.candidates.empty()) {
     chosen = match.candidates.front();  // Freshest cache wins.
   } else {
     // Cache-aware fallback (SGLang v0.4): the available worker with the
@@ -92,7 +102,7 @@ ReplicaId SglRouterSelector::SelectReplica(const Queued& queued,
         static_cast<int64_t>(queued.req.prompt.size()) - match.match_len;
     // Mimic the router-side mirror of worker eviction: decay everyone once
     // any estimate crosses the per-worker KV budget.
-    if (approx_tree_tokens_[chosen] > tree_decay_tokens_) {
+    if (approx_tree_tokens_[chosen] > kSglTreeDecayTokens) {
       for (auto& [rid, tokens] : approx_tree_tokens_) {
         tokens /= 2;
       }

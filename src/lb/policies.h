@@ -56,15 +56,13 @@ class ConsistentHashSelector : public ReplicaSelector {
 
 class SglRouterSelector : public ReplicaSelector {
  public:
-  explicit SglRouterSelector(const LbConfig& config);
+  SglRouterSelector();
 
   ReplicaId SelectReplica(const Queued& queued,
                           const CandidateView& candidates) override;
   void OnReplicaDetached(ReplicaId replica_id) override;
 
  private:
-  const double match_threshold_;
-  const int64_t tree_decay_tokens_;
   RoutingTrie trie_;
   // SGLang's cache-aware fallback balances by approximate per-worker tree
   // size (cache footprint), not by in-flight load — a deliberate fidelity
@@ -104,7 +102,7 @@ class SglRouterLb : public LoadBalancer {
   SglRouterLb(Simulator* sim, Network* net, LbId id, RegionId region,
               const LbConfig& config)
       : LoadBalancer(sim, net, id, region, config,
-                     std::make_unique<SglRouterSelector>(config)) {}
+                     std::make_unique<SglRouterSelector>()) {}
 };
 
 }  // namespace skywalker

@@ -98,10 +98,9 @@ struct ReplicaConfig {
   // Admission keeps this many blocks free as decode headroom.
   int64_t kv_watermark_blocks = 0;
   // What preemption does to its victim: recompute (seed behavior) or
-  // swap-to-host with modeled PCIe transfer latency.
+  // swap-to-host with modeled PCIe transfer latency (KvConfig's
+  // swap_us_per_token).
   PreemptPolicy kv_preempt_policy = PreemptPolicy::kRecompute;
-  // PCIe transfer model for kSwap, us per token each direction.
-  double kv_swap_us_per_token = 5.2;
 
   // Victim selection for the prefix cache under memory pressure (ISSUE 8).
   // kLruLeaf is the behavior-frozen seed policy; kColdSubtree evicts whole
@@ -114,7 +113,6 @@ struct ReplicaConfig {
     config.block_size_tokens = kv_block_size_tokens;
     config.watermark_blocks = kv_watermark_blocks;
     config.preempt_policy = kv_preempt_policy;
-    config.swap_us_per_token = kv_swap_us_per_token;
     return config;
   }
 };

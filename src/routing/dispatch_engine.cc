@@ -1,6 +1,7 @@
 #include "src/routing/dispatch_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -8,6 +9,12 @@
 #include "src/obs/trace.h"
 
 namespace skywalker {
+
+namespace {
+
+std::atomic<bool> g_selection_oracle{false};
+
+}  // namespace
 
 // --- CandidateView -----------------------------------------------------
 
@@ -64,15 +71,19 @@ DispatchEngine::DispatchEngine(Simulator* sim, Network* net, RegionId region,
       net_(net),
       region_(region),
       config_(config),
-      selector_(selector) {
+      selector_(selector),
+      selection_oracle_(g_selection_oracle.load(std::memory_order_relaxed)) {
   SKYWALKER_CHECK(selector_ != nullptr) << "engine needs a replica selector";
-  verify_selection_ = config_.verify_selection;
   probe_task_ = std::make_unique<PeriodicTask>(sim_, config_.probe_interval,
                                                [this] { ProbeAll(); });
   RebuildSelectionIndex();
 }
 
 DispatchEngine::~DispatchEngine() = default;
+
+void DispatchEngine::set_selection_oracle(bool on) {
+  g_selection_oracle.store(on, std::memory_order_relaxed);
+}
 
 void DispatchEngine::AttachReplica(Replica* replica) {
   if (index_.count(replica->id()) > 0) {
@@ -138,7 +149,6 @@ void DispatchEngine::ResetProbeState() {
 
 void DispatchEngine::ApplyConfig(const DispatchConfig& next) {
   config_ = next;
-  verify_selection_ = config_.verify_selection;
   if (Tracer* t = sim_->tracer()) {
     EmitTrace(t, sim_->now(), TraceEventType::kConfigSwap, region_,
               kInvalidReplica, -1, static_cast<int64_t>(config_.push_mode));
@@ -296,7 +306,7 @@ ReplicaId DispatchEngine::LeastLoadedAvailable() const {
     std::pop_heap(heap_.begin(), heap_.end(), EntryGreater);
     heap_.pop_back();
   }
-  if (verify_selection_) {
+  if (selection_oracle_) {
     const ReplicaId oracle = LeastLoadedAvailableLinear();
     SKYWALKER_CHECK(best == oracle)
         << "selection index diverged from linear scan: indexed=" << best
@@ -406,7 +416,7 @@ void DispatchEngine::NoteReplicaFailure(ReplicaState& state) {
   }
   if (state.health.RecordFailure(config_.outlier) &&
       EjectionAllowed(EjectedCount(), replicas_.size(),
-                      config_.outlier.max_ejection_fraction)) {
+                      kMaxEjectionFraction)) {
     EjectReplica(state);
   }
 }
@@ -602,7 +612,7 @@ void DispatchEngine::EvaluateOutliers() {
       ewmas.push_back(state.probed.ewma_decode_us_per_token);
     }
   }
-  if (static_cast<int>(ewmas.size()) < outlier.min_latency_hosts) {
+  if (static_cast<int>(ewmas.size()) < kMinLatencyHosts) {
     return;
   }
   std::nth_element(ewmas.begin(), ewmas.begin() + ewmas.size() / 2,
@@ -622,7 +632,7 @@ void DispatchEngine::EvaluateOutliers() {
     switch (state.health.EvaluateLatency(outlier, is_outlier, fresh_sample)) {
       case LatencyVerdict::kWantsEject:
         if (EjectionAllowed(EjectedCount(), replicas_.size(),
-                            outlier.max_ejection_fraction)) {
+                            kMaxEjectionFraction)) {
           EjectReplica(state, /*latency_outlier=*/true);
         }
         break;

@@ -45,7 +45,7 @@
 // AnyAvailable, AvailableCount, and EjectedCount are O(log R) amortized /
 // O(1) instead of O(R) scans, with tie-breaking fixed to the lowest replica
 // position so decisions are provably identical to the retained linear scan
-// (the debug-mode differential oracle, see set_verify_selection).
+// (the test-only differential oracle, see set_selection_oracle).
 
 #ifndef SKYWALKER_ROUTING_DISPATCH_ENGINE_H_
 #define SKYWALKER_ROUTING_DISPATCH_ENGINE_H_
@@ -101,12 +101,6 @@ struct DispatchConfig {
   // outlier.enabled, keeping default-config runs byte-identical to the
   // pre-resilience engine.
   OutlierConfig outlier;
-
-  // Debug oracle (ISSUE 10): every LeastLoadedAvailable answer is checked
-  // against the retained linear scan (fatal on divergence). Config-level so
-  // whole fleets — including sharded multi-threaded runs — can flip it on in
-  // tests; far too slow for benchmarks.
-  bool verify_selection = false;
 };
 
 // Engine-tracked state for one managed replica, refreshed by the probe loop.
@@ -321,7 +315,7 @@ class DispatchEngine {
   // decision as the linear scan. O(log R) amortized.
   ReplicaId LeastLoadedAvailable() const;
   // The retained linear scan — the differential oracle the index is
-  // verified against (property test + verify mode below).
+  // verified against (property test + set_selection_oracle below).
   ReplicaId LeastLoadedAvailableLinear() const;
   // Rebuilds the index from scratch. Only needed after out-of-band
   // mutations of ReplicaState through the mutable FindReplica (tests);
@@ -331,9 +325,12 @@ class DispatchEngine {
   // — the O(log R) alternative to RefreshSelectionIndex when the caller
   // knows exactly which replica changed (tests, microbenchmarks).
   void NoteReplicaMutated(ReplicaId id);
-  // Debug-mode differential oracle: when on, every indexed query is
-  // cross-checked against the linear scan and CHECK-fails on divergence.
-  void set_verify_selection(bool on) { verify_selection_ = on; }
+  // Test-only differential oracle: engines constructed while this is on
+  // cross-check every LeastLoadedAvailable answer against the linear scan
+  // and CHECK-fail on divergence. Process-wide so whole fleets built by Run
+  // (sharded, multi-threaded) take it; set it before building them. Far too
+  // slow for benchmarks.
+  static void set_selection_oracle(bool on);
 
   // Per-engine selection counters for the timing sidecar (never part of
   // deterministic results): indexed queries answered and index entries
@@ -438,7 +435,7 @@ class DispatchEngine {
   std::vector<uint8_t> ejected_bit_;
   int available_count_ = 0;
   int ejected_count_ = 0;
-  bool verify_selection_ = false;
+  const bool selection_oracle_;  // See set_selection_oracle.
   mutable int64_t selection_queries_ = 0;
   int64_t index_touches_ = 0;
 };

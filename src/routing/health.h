@@ -1,7 +1,6 @@
 // Health vocabulary shared by the dispatch engine, the controller, and DNS
-// (DESIGN.md §10): a five-state per-target health status, the HealthSource
-// interface that replaces the scattered boolean `healthy()` hooks, and the
-// passive outlier-ejection state machine the engine runs per replica
+// (DESIGN.md §10): a five-state per-target health status and the passive
+// outlier-ejection state machine the engine runs per replica
 // (consecutive-failure and latency-outlier ejection with a bounded
 // max-ejection fraction, cf. Envoy's upstream outlier detection).
 //
@@ -53,16 +52,6 @@ inline bool CanServe(HealthStatus status) {
   return status != HealthStatus::kEjected && status != HealthStatus::kFailed;
 }
 
-// One authority for "can this target take traffic": the engine's
-// availability test, the controller's failover detection, and DNS resolution
-// all read it instead of keeping private booleans.
-class HealthSource {
- public:
-  virtual ~HealthSource() = default;
-  virtual HealthStatus Status() const = 0;
-  bool Serving() const { return CanServe(Status()); }
-};
-
 // Passive outlier-detection knobs (all inert at the defaults: `enabled`
 // gates every code path, so default-config runs are byte-identical to the
 // pre-resilience engine).
@@ -89,15 +78,6 @@ struct OutlierConfig {
   // degrades it (load-deprioritized). <= 0 disables latency detection.
   double latency_factor = 3.0;
   int latency_strikes_to_eject = 3;
-  // Latency detection needs at least this many eligible replicas reporting
-  // samples before a median is meaningful.
-  int min_latency_hosts = 3;
-
-  // At most this fraction of the fleet may be ejected at once; one ejection
-  // is always allowed when the fraction is > 0 (small fleets must still be
-  // able to shed their one straggler). Failures past the clamp leave the
-  // replica degraded instead of ejected.
-  double max_ejection_fraction = 0.5;
 
   // Ejection duration: base * min(ejection_count, max_ejection_backoff),
   // Envoy-style linear backoff for repeat offenders.
@@ -109,6 +89,15 @@ struct OutlierConfig {
   // many requests deep.
   double degraded_load_penalty = 8.0;
 };
+
+// Latency detection needs at least this many eligible replicas reporting
+// samples before a median is meaningful.
+inline constexpr int kMinLatencyHosts = 3;
+
+// At most this fraction of the fleet may be ejected at once (the engine's
+// EjectionAllowed argument). Failures past the clamp leave the replica
+// degraded instead of ejected.
+inline constexpr double kMaxEjectionFraction = 0.5;
 
 // Max-ejection-fraction clamp: may one more target be ejected? The first
 // ejection is always allowed (fraction > 0), so a two-replica region can

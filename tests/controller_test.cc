@@ -112,9 +112,9 @@ TEST(ControllerTest, AddAndRemoveReplicaAtRuntime) {
   ControllerBench bench;
   SkyWalkerLb* us = bench.deployment->LbInRegion(0);
   Replica extra(&bench.sim, 99, 0, ReplicaConfig{});
-  bench.deployment->controller()->AddReplica(us, &extra);
+  us->AttachReplica(&extra);
   EXPECT_EQ(us->num_replicas(), 3u);
-  bench.deployment->controller()->RemoveReplica(99);
+  us->DetachReplica(99);
   EXPECT_EQ(us->num_replicas(), 2u);
 }
 

@@ -494,8 +494,7 @@ TEST(DispatchEngineTest, ConsistentHashDetachMovesOnlyTheDetachedKeys) {
 // forgets the detached worker's tree estimate: attached again, it is the
 // emptiest worker and takes the next new prompt.
 TEST(DispatchEngineTest, SglDetachReroutesThePrompt) {
-  LbConfig lb_config;
-  SglRouterSelector selector(lb_config);
+  SglRouterSelector selector;
   EngineBench bench(3, DispatchConfig{}, ReplicaConfig{}, &selector);
   const ReplicaId first = bench.Serve(MakeRequest(1, 64, 2));
   ASSERT_NE(first, kInvalidReplica);

@@ -2,14 +2,18 @@
 // blackout loses no request forever once request timeouts + retries are on,
 // passive latency ejection fires against a gray straggler and does not cost
 // goodput, and a mid-run RuntimeConfig reswap is bit-identical across shard
-// and thread counts.
+// and thread counts and traced once per LB.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/harness/run.h"
+#include "src/obs/registry.h"
+#include "src/obs/trace.h"
 
 namespace skywalker {
 namespace {
@@ -98,7 +102,7 @@ TEST(ResilienceTest, BlackoutWithoutResilienceStrandsInFlightRequests) {
 
 TEST(ResilienceTest, GrayStragglerGetsLatencyEjected) {
   // Enough clients that the straggler takes traffic and at least
-  // min_latency_hosts replicas report decode samples; enough drain that its
+  // kMinLatencyHosts replicas report decode samples; enough drain that its
   // 8x-held victims finish inside the run.
   RunSpec base = SmallFleet(/*clients_per_region=*/4);
   base.num_shards = 4;
@@ -131,21 +135,24 @@ TEST(ResilienceTest, GrayStragglerGetsLatencyEjected) {
 }
 
 // A worst-case knob swap (push discipline, routing policy, τ, probe cadence
-// all at once) published mid-run must leave the outcome stream bit-identical
-// across the plain reference, 1 shard, and 4 shards / multi-threaded runs.
+// all at once) at t = 4 s.
+ConfigUpdate WorstCaseReswap(const RunSpec& spec) {
+  ConfigUpdate update;
+  update.at = Seconds(4);
+  update.config = spec.system.skywalker.runtime();
+  update.config.dispatch.push_mode = PushMode::kBlind;
+  update.config.dispatch.probe_interval = Milliseconds(200);
+  update.config.routing.policy = RoutingPolicyKind::kConsistentHash;
+  update.config.routing.queue_tau = 8;
+  return update;
+}
+
+// The reswap must leave the outcome stream bit-identical across the plain
+// reference, 1 shard, and 4 shards / multi-threaded runs.
 TEST(ResilienceTest, MidRunReswapIsDeterministicAcrossShardsAndThreads) {
   RunSpec base = SmallFleet();
   base.collect_trace = true;
-
-  RuntimeConfig next = base.system.skywalker.runtime();
-  next.dispatch.push_mode = PushMode::kBlind;
-  next.dispatch.probe_interval = Milliseconds(200);
-  next.routing.policy = RoutingPolicyKind::kConsistentHash;
-  next.routing.queue_tau = 8;
-  ConfigUpdate update;
-  update.at = Seconds(4);
-  update.config = next;
-  base.config_updates.push_back(update);
+  base.config_updates.push_back(WorstCaseReswap(base));
 
   struct Variant {
     int num_shards;
@@ -170,6 +177,51 @@ TEST(ResilienceTest, MidRunReswapIsDeterministicAcrossShardsAndThreads) {
           << "shards=" << v.num_shards << " threads=" << v.num_threads;
       EXPECT_EQ(result.config_swaps, reference_swaps);
     }
+  }
+}
+
+// Every LB applies the update exactly once, at its time: one config_swap
+// record per region, as many as the LBs count, and the trace-derived
+// config_swaps counters agree. An LB starts with its config, so nothing is
+// traced as a swap at t = 0.
+TEST(ResilienceTest, MidRunReswapIsTracedOncePerLb) {
+  for (const int num_shards : {0, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(num_shards));
+    RunSpec spec = SmallFleet();
+    spec.num_shards = num_shards;
+    const ConfigUpdate update = WorstCaseReswap(spec);
+    spec.config_updates.push_back(update);
+    const size_t num_regions = spec.topology.num_regions();
+    Tracer tracer(static_cast<int32_t>(num_regions));
+    spec.tracer = &tracer;
+
+    RunResult result = skywalker::Run(spec);
+    const std::vector<TraceRecord> records = tracer.Merged();
+    std::vector<int64_t> swaps_per_region(num_regions, 0);
+    int64_t swaps = 0;
+    for (const TraceRecord& record : records) {
+      if (record.type != static_cast<uint16_t>(TraceEventType::kConfigSwap)) {
+        continue;
+      }
+      EXPECT_EQ(record.time, update.at);
+      ASSERT_GE(record.region, 0);
+      ASSERT_LT(static_cast<size_t>(record.region), num_regions);
+      ++swaps_per_region[static_cast<size_t>(record.region)];
+      ++swaps;
+    }
+    EXPECT_EQ(swaps_per_region, std::vector<int64_t>(num_regions, 1));
+    EXPECT_EQ(result.config_swaps, 4);
+    EXPECT_EQ(swaps, result.config_swaps);
+
+    MetricsRegistry registry;
+    BuildMetricsFromTrace(records, Seconds(1), &registry);
+    int64_t metric_swaps = 0;
+    for (size_t r = 0; r < num_regions; ++r) {
+      metric_swaps +=
+          registry.GetCounter("config_swaps", "region=" + std::to_string(r))
+              ->value();
+    }
+    EXPECT_EQ(metric_swaps, result.config_swaps);
   }
 }
 

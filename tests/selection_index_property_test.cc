@@ -12,11 +12,11 @@
 //      answer compared to the oracle after every single operation — ties
 //      included, since both sides break ties toward the lowest registry
 //      position.
-//   2. Full fleet runs with DispatchConfig::verify_selection, which makes
-//      every production LeastLoadedAvailable call SKYWALKER_CHECK against
-//      the oracle inside real traffic — probes, admissions, completions,
-//      ejections, mid-run config reswaps — across {1,4} shards x {1,8}
-//      threads, plus trace bit-identity against the plain reference.
+//   2. Full fleet runs with DispatchEngine::set_selection_oracle on, which
+//      makes every production LeastLoadedAvailable call SKYWALKER_CHECK
+//      against the oracle inside real traffic — probes, admissions,
+//      completions, ejections, mid-run config reswaps — across {1,4} shards
+//      x {1,8} threads, plus trace bit-identity against the plain reference.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +34,17 @@
 
 namespace skywalker {
 namespace {
+
+// Turns the engine's selection oracle on for every engine built in its
+// scope, and off again when the scope ends.
+class SelectionOracleScope {
+ public:
+  SelectionOracleScope() { DispatchEngine::set_selection_oracle(true); }
+  ~SelectionOracleScope() { DispatchEngine::set_selection_oracle(false); }
+
+  SelectionOracleScope(const SelectionOracleScope&) = delete;
+  SelectionOracleScope& operator=(const SelectionOracleScope&) = delete;
+};
 
 // The engine wants a selector; these tests query selection directly and
 // never dispatch, so it can decline everything.
@@ -181,13 +192,13 @@ void ExpectIndexedMatchesOracle(Fleet& fleet) {
 }
 
 TEST(SelectionIndexPropertyTest, MatchesLinearOracleUnderRandomTraces) {
+  const SelectionOracleScope oracle;
   for (const int fleet_size : {1, 2, 3, 8, 33, 128}) {
     for (uint64_t seed = 1; seed <= 8; ++seed) {
       SCOPED_TRACE("fleet_size=" + std::to_string(fleet_size) +
                    " seed=" + std::to_string(seed));
       Rng rng(seed * 7919 + static_cast<uint64_t>(fleet_size));
       Fleet fleet(fleet_size, RandomConfig(rng));
-      fleet.engine->set_verify_selection(true);
       ExpectIndexedMatchesOracle(fleet);
       const int steps = 400;
       for (int step = 0; step < steps; ++step) {
@@ -204,9 +215,7 @@ TEST(SelectionIndexPropertyTest, MatchesLinearOracleUnderRandomTraces) {
         } else if (op < 94) {
           // Mid-run config reswap: availability predicate and load scoring
           // both change under the index.
-          DispatchConfig next = RandomConfig(rng);
-          next.verify_selection = true;
-          fleet.engine->ApplyConfig(next);
+          fleet.engine->ApplyConfig(RandomConfig(rng));
         } else if (op < 97 && fleet.attached.size() > 1) {
           // Registry churn: detach swap-removes a position, invalidating
           // every stamp; attach rebuilds.
@@ -228,8 +237,8 @@ TEST(SelectionIndexPropertyTest, HeapCompactionPreservesAgreement) {
   DispatchConfig config;
   config.push_mode = PushMode::kSelectiveOutstanding;
   config.max_outstanding_per_replica = 8;
+  const SelectionOracleScope oracle;
   Fleet fleet(5, config);
-  fleet.engine->set_verify_selection(true);
   Rng rng(42);
   for (int step = 0; step < 5000; ++step) {
     const ReplicaId id = static_cast<ReplicaId>(rng.UniformInt(0, 4));
@@ -251,10 +260,7 @@ RunSpec VerifiedFleet() {
   spec.warmup = Seconds(2);
   spec.measure = Seconds(6);
   spec.collect_trace = true;
-  // Every production selection in every region's engine re-answers via the
-  // linear oracle and dies on divergence.
   DispatchConfig& engine = spec.system.skywalker.engine;
-  engine.verify_selection = true;
   engine.outlier.enabled = true;
 
   // A replica outage + recovery drives real ejection/recovery transitions
@@ -270,8 +276,8 @@ RunSpec VerifiedFleet() {
   recover.at = Seconds(5);
   spec.faults.push_back(recover);
 
-  // Mid-run reswap (keeps verification on): push mode and slack change
-  // under live queues, forcing a full index rebuild while requests flow.
+  // Mid-run reswap: push mode and slack change under live queues, forcing
+  // a full index rebuild while requests flow.
   ConfigUpdate update;
   update.at = Seconds(4);
   update.config.dispatch = engine;
@@ -282,6 +288,9 @@ RunSpec VerifiedFleet() {
 }
 
 TEST(SelectionIndexPropertyTest, FleetVerifiedAcrossShardsAndThreads) {
+  // Every production selection in every region's engine re-answers via the
+  // linear oracle and dies on divergence.
+  const SelectionOracleScope oracle;
   RunSpec reference_spec = VerifiedFleet();
   reference_spec.num_shards = 0;  // Plain Simulator reference.
   RunResult reference = skywalker::Run(reference_spec);
