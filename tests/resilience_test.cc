@@ -198,7 +198,6 @@ TEST(ResilienceTest, MidRunReswapIsTracedOncePerLb) {
     RunResult result = skywalker::Run(spec);
     const std::vector<TraceRecord> records = tracer.Merged();
     std::vector<int64_t> swaps_per_region(num_regions, 0);
-    int64_t swaps = 0;
     for (const TraceRecord& record : records) {
       if (record.type != static_cast<uint16_t>(TraceEventType::kConfigSwap)) {
         continue;
@@ -207,11 +206,9 @@ TEST(ResilienceTest, MidRunReswapIsTracedOncePerLb) {
       ASSERT_GE(record.region, 0);
       ASSERT_LT(static_cast<size_t>(record.region), num_regions);
       ++swaps_per_region[static_cast<size_t>(record.region)];
-      ++swaps;
     }
     EXPECT_EQ(swaps_per_region, std::vector<int64_t>(num_regions, 1));
     EXPECT_EQ(result.config_swaps, 4);
-    EXPECT_EQ(swaps, result.config_swaps);
 
     MetricsRegistry registry;
     BuildMetricsFromTrace(records, Seconds(1), &registry);

@@ -37,13 +37,9 @@ namespace {
 
 // Turns the engine's selection oracle on for every engine built in its
 // scope, and off again when the scope ends.
-class SelectionOracleScope {
- public:
+struct SelectionOracleScope {
   SelectionOracleScope() { DispatchEngine::set_selection_oracle(true); }
   ~SelectionOracleScope() { DispatchEngine::set_selection_oracle(false); }
-
-  SelectionOracleScope(const SelectionOracleScope&) = delete;
-  SelectionOracleScope& operator=(const SelectionOracleScope&) = delete;
 };
 
 // The engine wants a selector; these tests query selection directly and
