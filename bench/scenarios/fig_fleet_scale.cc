@@ -79,6 +79,8 @@ MetricRow RunFleetCase(const FleetCase& c, const ScenarioOptions& options) {
   timing.threads = result.num_threads;
   timing.wall_seconds = result.run_wall_seconds;
   timing.windows = result.windows;
+  timing.straggler_seconds = result.straggler_seconds;
+  timing.handshake_seconds = result.handshake_seconds;
   timing.per_shard = result.shard_timing;
   ShardTimingRegistry::Instance().Record(std::move(timing));
 

@@ -503,6 +503,8 @@ RunResult Run(const RunSpec& spec) {
   if (sharded != nullptr) {
     result.shard_timing = sharded->Timing();
     result.windows = sharded->windows();
+    result.straggler_seconds = sharded->straggler_seconds();
+    result.handshake_seconds = sharded->handshake_seconds();
     result.num_shards = sharded->num_shards();
     result.num_threads = sharded->num_threads();
   }

@@ -199,6 +199,8 @@ struct RunResult {
   double run_wall_seconds = 0;
   std::vector<ShardedSimulator::ShardTiming> shard_timing;  // Sharded only.
   uint64_t windows = 0;
+  double straggler_seconds = 0;  // See ShardedSimulator::straggler_seconds.
+  double handshake_seconds = 0;  // See ShardedSimulator::handshake_seconds.
   int num_shards = 0;  // 0 for the plain reference.
   int num_threads = 0;
 };

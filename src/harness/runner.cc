@@ -185,7 +185,8 @@ Json TimingJson(const std::vector<ScenarioRunResult>& results,
   doc.Set("scenarios", std::move(scenarios));
   // Shard-level breakdowns for cells that ran on a ShardedSimulator: busy vs
   // barrier-wait wall time per shard (the load-balance picture for the
-  // conservative-lookahead windows).
+  // conservative-lookahead windows), and the windows' wall time beyond the
+  // mean busy thread split into straggler and handshake seconds.
   if (!timing.shard_cells.empty()) {
     Json cells = Json::Array();
     for (const CellShardTiming& cell : timing.shard_cells) {
@@ -196,6 +197,8 @@ Json TimingJson(const std::vector<ScenarioRunResult>& results,
       cj.Set("threads", cell.threads);
       cj.Set("wall_seconds", cell.wall_seconds);
       cj.Set("windows", static_cast<double>(cell.windows));
+      cj.Set("straggler_seconds", cell.straggler_seconds);
+      cj.Set("handshake_seconds", cell.handshake_seconds);
       Json per_shard = Json::Array();
       for (const ShardedSimulator::ShardTiming& shard : cell.per_shard) {
         Json sj = Json::Object();

@@ -62,6 +62,10 @@ struct CellShardTiming {
   int threads = 0;
   double wall_seconds = 0;   // Whole-cell simulation wall time.
   uint64_t windows = 0;      // Lookahead windows executed.
+  // The windows' wall time beyond the mean thread's busy time, split into
+  // straggler and handshake (ShardedSimulator::straggler_seconds).
+  double straggler_seconds = 0;
+  double handshake_seconds = 0;
   std::vector<ShardedSimulator::ShardTiming> per_shard;
   // Scenario-specific counters serialized onto the cell object verbatim
   // (e.g. the eviction-churn micro's "evictions" / "pages_per_eviction",

@@ -9,7 +9,6 @@ LoadBalancer::LoadBalancer(Simulator* sim, Network* net, LbId id,
                            std::unique_ptr<ReplicaSelector> selector)
     : id_(id),
       region_(region),
-      config_(config),
       selector_(std::move(selector)),
       engine_(sim, net, region, config.engine, selector_.get()) {}
 

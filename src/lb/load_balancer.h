@@ -53,7 +53,6 @@ class LoadBalancer : public Frontend {
   void HandleRequest(Request req, RequestCallbacks callbacks) override;
 
   LbId id() const { return id_; }
-  const LbConfig& config() const { return config_; }
   const Stats& stats() const { return engine_.stats(); }
   size_t queue_length() const { return engine_.queue_size(); }
 
@@ -65,7 +64,6 @@ class LoadBalancer : public Frontend {
  private:
   LbId id_;
   RegionId region_;
-  LbConfig config_;
   std::unique_ptr<ReplicaSelector> selector_;
   DispatchEngine engine_;
 };

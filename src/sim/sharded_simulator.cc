@@ -18,6 +18,18 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// One spin-wait step: tells the core a spin loop is running, so it yields
+// pipeline resources to a sibling hyperthread.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
+
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(const Topology& topology, int num_shards,
@@ -50,8 +62,7 @@ ShardedSimulator::ShardedSimulator(const Topology& topology, int num_shards,
   // Per-pair lookahead: for each ordered shard pair (src, dst), the min
   // src->dst one-way latency over region pairs straddling them, discounted
   // by the jitter bound (jittered latency can be as low as
-  // floor(latency * (1 - j))). The global lookahead_ is their minimum —
-  // identical to the pre-ISSUE-10 single bound.
+  // floor(latency * (1 - j))).
   pair_lookahead_.assign(static_cast<size_t>(num_shards) *
                              static_cast<size_t>(num_shards),
                          kSimTimeMax);
@@ -68,11 +79,6 @@ ShardedSimulator::ShardedSimulator(const Topology& topology, int num_shards,
       slot = std::min(slot, topology_.Latency(a, b));
     }
   }
-  if (num_shards == 1) {
-    lookahead_ = kSimTimeMax;
-    return;
-  }
-  lookahead_ = kSimTimeMax;
   for (int src = 0; src < num_shards; ++src) {
     for (int dst = 0; dst < num_shards; ++dst) {
       if (src == dst) {
@@ -85,21 +91,20 @@ ShardedSimulator::ShardedSimulator(const Topology& topology, int num_shards,
           std::floor(static_cast<double>(slot) * (1.0 - jitter_fraction)));
       SKYWALKER_CHECK(slot >= 1)
           << "cross-shard latency too small for a lookahead window";
-      lookahead_ = std::min(lookahead_, slot);
     }
   }
 }
 
 ShardedSimulator::~ShardedSimulator() {
-  if (!pool_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      quit_ = true;
-    }
-    start_cv_.notify_all();
-    for (std::thread& worker : pool_) {
-      worker.join();
-    }
+  if (pool_.empty()) {
+    return;
+  }
+  // No round is in flight (RunUntil has returned), so every worker is
+  // spinning, yielding or parked on the current generation.
+  quit_ = true;
+  Publish();
+  for (std::thread& worker : pool_) {
+    worker.join();
   }
 }
 
@@ -152,38 +157,42 @@ size_t ShardedSimulator::RunUntil(SimTime deadline) {
   if (num_shards() == 1) {
     const auto t0 = std::chrono::steady_clock::now();
     shards_[0]->RunUntil(deadline);
-    busy_seconds_[0] += SecondsSince(t0);
-    parallel_seconds_ += SecondsSince(t0);
-    ++windows_;
+    const double busy = SecondsSince(t0);
+    busy_seconds_[0] += busy;
+    AccountRound(busy, busy, busy);
     frontier_[0] = deadline + 1;
     return executed_events() - before;
   }
-  RunRounds(deadline);
+  // SimTime is integral, so events with at <= deadline are exactly those
+  // with at < deadline + 1 — the final (possibly partial) round.
+  const SimTime stop = deadline + 1;
+  if (num_threads_ <= 1) {
+    RunSerial(stop);
+  } else if (PlanRound(stop)) {
+    RunPooled(stop);
+  }
   for (auto& sim : shards_) {
     sim->AdvanceTo(deadline);
   }
   return executed_events() - before;
 }
 
-void ShardedSimulator::RunRounds(SimTime deadline) {
+bool ShardedSimulator::PlanRound(SimTime stop) {
   const int S = num_shards();
-  // SimTime is integral, so events with at <= deadline are exactly those
-  // with at < deadline + 1 — the final (possibly partial) round.
-  const SimTime stop = deadline + 1;
   for (;;) {
     SimTime low = stop;
     for (int s = 0; s < S; ++s) {
       low = std::min(low, frontier_[static_cast<size_t>(s)]);
     }
     if (low >= stop) {
-      break;  // Every shard has covered [0, deadline].
+      return false;  // Every shard has covered [0, stop).
     }
 
     // Each shard advances to the min over its incoming edges. Targets are
     // monotone (minima over frontiers that only grow) and the least
     // frontier gains at least min PairLookahead per round, so the loop
     // terminates.
-    int active = 0;
+    bool any_active = false;
     for (int dst = 0; dst < S; ++dst) {
       SimTime target = stop;
       for (int src = 0; src < S; ++src) {
@@ -198,93 +207,159 @@ void ShardedSimulator::RunRounds(SimTime deadline) {
       const bool busy =
           shards_[static_cast<size_t>(dst)]->NextEventTime() < target;
       active_[static_cast<size_t>(dst)] = busy ? 1 : 0;
-      active += busy ? 1 : 0;
+      any_active = any_active || busy;
     }
-
-    if (active == 0) {
-      // Pure frontier bookkeeping: nothing to run, nothing to drain (mail
-      // only appears while a shard executes).
-      frontier_ = target_;
-      continue;
+    if (any_active) {
+      return true;
     }
-
-    const auto w0 = std::chrono::steady_clock::now();
-    if (active == 1 || num_threads_ <= 1) {
-      // A lone busy shard (or serial mode) runs inline: no handshake, no
-      // wakeup. The pool — if spawned — is parked on start_cv_, so the
-      // main thread may touch shard state freely.
-      for (int s = 0; s < S; ++s) {
-        if (!active_[static_cast<size_t>(s)]) {
-          continue;
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        shards_[static_cast<size_t>(s)]->RunBefore(
-            target_[static_cast<size_t>(s)]);
-        busy_seconds_[static_cast<size_t>(s)] += SecondsSince(t0);
-      }
-    } else {
-      EnsurePool();
-      // target_ / active_ writes above happen-before the epoch bump under
-      // pool_mu_, which workers acquire before reading them.
-      {
-        std::lock_guard<std::mutex> lock(pool_mu_);
-        done_ = 0;
-        ++epoch_;
-      }
-      start_cv_.notify_all();
-      {
-        std::unique_lock<std::mutex> lock(pool_mu_);
-        const int workers = static_cast<int>(pool_.size());
-        done_cv_.wait(lock, [this, workers] { return done_ == workers; });
-      }
-    }
-    parallel_seconds_ += SecondsSince(w0);
-    ++windows_;
-    // Mailboxes were written under the round and are read here after the
-    // barrier handshake (mutex-ordered), so the drain needs no extra locks.
-    DrainMailboxes();
+    // Pure frontier bookkeeping: nothing to run, nothing to drain (mail
+    // only appears while a shard executes).
     frontier_ = target_;
   }
+}
+
+void ShardedSimulator::AccountRound(double wall, double busy_max,
+                                    double busy_sum) {
+  // Clock reads on different threads can land a hair apart; the round
+  // lasted at least as long as its slowest thread was busy.
+  wall = std::max(wall, busy_max);
+  parallel_seconds_ += wall;
+  straggler_seconds_ +=
+      std::max(0.0, busy_max - busy_sum / static_cast<double>(num_threads_));
+  handshake_seconds_ += wall - busy_max;
+  ++windows_;
+}
+
+double ShardedSimulator::RunActiveShards(int first, int stride) {
+  double busy = 0;
+  for (int s = first; s < num_shards(); s += stride) {
+    if (!active_[static_cast<size_t>(s)]) {
+      continue;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    shards_[static_cast<size_t>(s)]->RunBefore(
+        target_[static_cast<size_t>(s)]);
+    const double seconds = SecondsSince(t0);
+    busy_seconds_[static_cast<size_t>(s)] += seconds;
+    busy += seconds;
+  }
+  return busy;
+}
+
+void ShardedSimulator::RunSerial(SimTime stop) {
+  while (PlanRound(stop)) {
+    const auto w0 = std::chrono::steady_clock::now();
+    const double busy = RunActiveShards(0, 1);
+    DrainMailboxes();
+    frontier_ = target_;
+    AccountRound(SecondsSince(w0), busy, busy);
+  }
+}
+
+void ShardedSimulator::RunPooled(SimTime stop) {
+  EnsurePool();
+  stop_ = stop;
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    run_done_ = false;
+  }
+  round_start_ = std::chrono::steady_clock::now();
+  Publish();
+  // The one park per call: the pool runs every round, including the last
+  // drain, before it sets run_done_.
+  std::unique_lock<std::mutex> lock(pool_mu_);
+  done_cv_.wait(lock, [this] { return run_done_; });
 }
 
 void ShardedSimulator::EnsurePool() {
   if (!pool_.empty()) {
     return;
   }
-  const int S = num_shards();
-  const int W = num_threads_;
-  pool_.reserve(static_cast<size_t>(W));
-  for (int w = 0; w < W; ++w) {
-    pool_.emplace_back([this, w, W, S] {
-      uint64_t seen = 0;
-      for (;;) {
-        {
-          std::unique_lock<std::mutex> lock(pool_mu_);
-          start_cv_.wait(lock,
-                         [this, seen] { return quit_ || epoch_ > seen; });
-          if (quit_) {
-            return;
-          }
-          seen = epoch_;
-        }
-        for (int s = w; s < S; s += W) {
-          if (!active_[static_cast<size_t>(s)]) {
-            continue;
-          }
-          const auto t0 = std::chrono::steady_clock::now();
-          shards_[static_cast<size_t>(s)]->RunBefore(
-              target_[static_cast<size_t>(s)]);
-          busy_seconds_[static_cast<size_t>(s)] += SecondsSince(t0);
-        }
-        {
-          std::lock_guard<std::mutex> lock(pool_mu_);
-          if (++done_ == W) {
-            done_cv_.notify_one();
-          }
-        }
-      }
-    });
+  worker_busy_.resize(static_cast<size_t>(num_threads_));
+  pool_.reserve(static_cast<size_t>(num_threads_));
+  for (int w = 0; w < num_threads_; ++w) {
+    pool_.emplace_back([this, w] { WorkerLoop(w); });
   }
+}
+
+void ShardedSimulator::WorkerLoop(int worker) {
+  uint64_t seen = 0;
+  for (;;) {
+    seen = AwaitRound(seen);
+    if (quit_) {
+      return;
+    }
+    worker_busy_[static_cast<size_t>(worker)].seconds =
+        RunActiveShards(worker, num_threads_);
+    // acq_rel: the last arriver's increment reads the release sequence of
+    // every earlier one, so it sees every worker's round.
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        num_threads_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      FinishRound();
+    }
+  }
+}
+
+void ShardedSimulator::FinishRound() {
+  double busy_max = 0;
+  double busy_sum = 0;
+  for (const WorkerBusy& worker : worker_busy_) {
+    busy_max = std::max(busy_max, worker.seconds);
+    busy_sum += worker.seconds;
+  }
+  DrainMailboxes();
+  frontier_ = target_;
+  const bool more = PlanRound(stop_);
+  const auto now = std::chrono::steady_clock::now();
+  AccountRound(
+      std::chrono::duration<double>(now - round_start_).count(), busy_max,
+      busy_sum);
+  if (more) {
+    round_start_ = now;
+    Publish();
+    return;
+  }
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  run_done_ = true;
+  done_cv_.notify_one();
+}
+
+void ShardedSimulator::Publish() {
+  // seq_cst pairs with AwaitRound's park: either the parking worker's
+  // re-check sees the new generation, or this load sees it parked.
+  generation_.fetch_add(1, std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst) > 0) {
+    // Taking the mutex waits out a worker between its re-check and its
+    // wait, so the notify cannot fall before the wait.
+    { std::lock_guard<std::mutex> lock(pool_mu_); }
+    wake_cv_.notify_all();
+  }
+}
+
+uint64_t ShardedSimulator::AwaitRound(uint64_t seen) {
+  for (int i = 0; i < kSpinPauses; ++i) {
+    const uint64_t generation = generation_.load(std::memory_order_acquire);
+    if (generation != seen) {
+      return generation;
+    }
+    CpuRelax();
+  }
+  const auto yield_start = std::chrono::steady_clock::now();
+  do {
+    std::this_thread::yield();
+    const uint64_t generation = generation_.load(std::memory_order_acquire);
+    if (generation != seen) {
+      return generation;
+    }
+  } while (std::chrono::steady_clock::now() - yield_start < kYieldFor);
+  std::unique_lock<std::mutex> lock(pool_mu_);
+  parked_.fetch_add(1, std::memory_order_seq_cst);
+  wake_cv_.wait(lock, [this, seen] {
+    return generation_.load(std::memory_order_seq_cst) != seen;
+  });
+  parked_.fetch_sub(1, std::memory_order_relaxed);
+  return generation_.load(std::memory_order_acquire);
 }
 
 size_t ShardedSimulator::executed_events() const {

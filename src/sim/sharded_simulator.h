@@ -14,21 +14,33 @@
 // the whole fleet (the pre-ISSUE-10 scheme ran every shard to the single
 // global minimum). Frontiers are monotone (each new target is a min over
 // frontiers that only grew) and live (the least-advanced shard strictly
-// gains at least min L per round). At the round barrier the main thread
-// drains the per-(src,dst) shard mailboxes into the destination queues —
-// CHECKing mail.at >= target[dst] — and the next round starts. Shards with
-// no event before their target skip execution entirely, and rounds with at
-// most one busy shard run inline on the coordinating thread instead of
-// waking the worker pool.
+// gains at least min L per round). Shards with no event before their
+// target skip execution entirely.
+//
+// With more than one thread, the rounds run on a persistent worker pool
+// that synchronizes itself: RunUntil plans the first round, hands the
+// deadline to the workers and parks once until the pool reports the
+// deadline covered; it runs no shard itself, which keeps the
+// simulation's allocations out of the malloc arena the caller builds its
+// next run with (DESIGN.md §12.2). Worker w runs its statically owned
+// shards (w, w+W, ...) and arrives at an atomic counter. The last worker
+// to arrive does the serial step: it drains the per-(src,dst) mailboxes
+// into the destination queues in a fixed order — CHECKing
+// mail.at >= target[dst] — advances the frontiers, plans the next round,
+// and publishes it by bumping an atomic generation. Waiting workers spin
+// with a CPU pause, then yield, then park on a condition variable
+// (kSpinPauses, kYieldFor). With one thread the same rounds run inline on
+// the calling thread.
 //
 // Determinism is structural, not scheduling-dependent: every event carries
 // an order (time, origin region, scheduling time, per-origin key) — see
 // event_queue.h — so each shard's execution order, and therefore each
 // region's observable behavior, is a pure function of per-region histories.
-// Shard count and thread count change only which queue an event waits in,
-// never the order regions observe. Mailbox drain order (ascending source
-// shard) is fixed for reproducible queue internals, though any drain order
-// yields the same execution: the heap orders by the carried key.
+// Shard count, thread count and which worker happens to drain change only
+// which queue an event waits in, never the order regions observe. Mailbox
+// drain order (ascending source shard) is fixed for reproducible queue
+// internals, though any drain order yields the same execution: the heap
+// orders by the carried key.
 //
 // Restrictions in sharded mode (single-shard/plain mode is unaffected):
 //  * cross-region interaction must flow through Network::Send /
@@ -39,6 +51,8 @@
 #ifndef SKYWALKER_SIM_SHARDED_SIMULATOR_H_
 #define SKYWALKER_SIM_SHARDED_SIMULATOR_H_
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -55,11 +69,11 @@ namespace skywalker {
 class ShardedSimulator {
  public:
   // Fixed shard assignment: region r -> shard r % num_shards (part of the
-  // determinism contract; see DESIGN.md §7.2). `num_threads` caps the
-  // worker pool (0 = one thread per shard; 1 = serial windows, same
-  // results). `jitter_fraction` must be an upper bound on the Network
-  // jitter so the lookahead window stays conservative under jittered
-  // latencies.
+  // determinism contract; see DESIGN.md §7.2). `num_threads` sizes the
+  // worker pool, capped at the shard count (0 = one thread per shard; 1 =
+  // serial rounds on the calling thread, same results). `jitter_fraction`
+  // must be an upper bound on the Network jitter so the lookahead window
+  // stays conservative under jittered latencies.
   ShardedSimulator(const Topology& topology, int num_shards,
                    int num_threads = 0, double jitter_fraction = 0.0);
   ~ShardedSimulator();
@@ -70,12 +84,6 @@ class ShardedSimulator {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int num_threads() const { return num_threads_; }
   const Topology& topology() const { return topology_; }
-
-  // The global conservative lookahead: min cross-shard one-way latency,
-  // discounted by the jitter bound. kSimTimeMax with a single shard. Rounds
-  // actually advance against the tighter per-(src,dst) bounds (ISSUE 10);
-  // this is their minimum, kept for telemetry and as the worst-case rate.
-  SimDuration lookahead() const { return lookahead_; }
 
   // The per-pair conservative bound: min src->dst one-way latency over
   // region pairs straddling the two shards, jitter-discounted. kSimTimeMax
@@ -106,15 +114,18 @@ class ShardedSimulator {
 
   // Windowed parallel execution of all shards up to and including
   // `deadline`; every shard clock ends at >= deadline (Simulator::RunUntil
-  // parity). Returns events executed across shards during this call.
+  // parity). With a pool, the calling thread parks until the workers have
+  // covered the deadline. Returns events executed across shards during
+  // this call.
   size_t RunUntil(SimTime deadline);
 
   size_t executed_events() const;
 
   // Per-shard wall-time breakdown of all RunUntil calls so far: busy is
   // in-window event execution on the shard, barrier is the remainder of the
-  // parallel phase (waiting on straggler shards plus mailbox drains).
-  // Nondeterministic; feeds the BENCH_TIMING.json sidecar only.
+  // rounds' wall time (waiting on straggler shards, the barrier itself and
+  // mailbox drains). Nondeterministic; feeds the BENCH_TIMING.json sidecar
+  // and perfbench only.
   struct ShardTiming {
     double busy_seconds = 0;
     double barrier_seconds = 0;
@@ -126,6 +137,14 @@ class ShardedSimulator {
   // shard was already past its target (pure frontier bookkeeping) are not
   // counted — they do no simulation work.
   uint64_t windows() const { return windows_; }
+  // The rounds' wall time split per round into the mean thread's busy
+  // time, the straggler (slowest thread's busy time minus the mean) and
+  // the handshake (round wall time minus the slowest thread's busy time:
+  // wakeups, the barrier, the drain and planning). Summed over rounds,
+  //   sum(busy_seconds) / num_threads() + straggler + handshake
+  // equals the rounds' wall time, busy_seconds[s] + barrier_seconds[s].
+  double straggler_seconds() const { return straggler_seconds_; }
+  double handshake_seconds() const { return handshake_seconds_; }
 
  private:
   struct Mail {
@@ -145,51 +164,91 @@ class ShardedSimulator {
   // guarantee, CHECKed).
   void DrainMailboxes();
 
-  // The per-pair frontier round loop (shared by serial and parallel modes;
-  // see RunUntil).
-  void RunRounds(SimTime deadline);
-  // Lazily spawns the persistent worker pool (first round with >= 2 active
-  // shards and num_threads_ > 1).
+  // Plans the next round toward `stop` (deadline + 1): sets target_ and
+  // active_, skipping rounds with no shard to run. Returns false once every
+  // frontier has reached `stop`.
+  bool PlanRound(SimTime stop);
+  // Adds one executed round to windows_ and the timing split.
+  void AccountRound(double wall, double busy_max, double busy_sum);
+  // Runs the round's active shards among first, first + stride, ...;
+  // returns their summed busy time.
+  double RunActiveShards(int first, int stride);
+  // The rounds inline on the calling thread (num_threads_ == 1).
+  void RunSerial(SimTime stop);
+  // The rounds on the worker pool; the first is already planned.
+  void RunPooled(SimTime stop);
+
+  // Pool side. Spawns the workers on first use.
   void EnsurePool();
+  void WorkerLoop(int worker);
+  // The last arriver's serial step: account, drain, plan, publish or
+  // report the deadline covered.
+  void FinishRound();
+  // Starts the planned round (or the shutdown) on every worker.
+  void Publish();
+  // Returns the first generation other than `seen`: spins, yields, parks.
+  uint64_t AwaitRound(uint64_t seen);
+
+  // A waiting worker first spins this many CPU pauses (about 11 us at the
+  // 21 ns a pause takes on a current Xeon), then yields for at most
+  // kYieldFor, then parks. A spinning worker keeps its core from every
+  // other thread, so the spin stays short: 2048 pauses won no more on
+  // perfbench fleet_sharded, and made full-size skybench --all, whose
+  // cells run beside each other's pools, burn 5 s more CPU and take 25%
+  // longer than 512 did.
+  static constexpr int kSpinPauses = 512;
+  static constexpr std::chrono::microseconds kYieldFor{500};
 
   Topology topology_;
   int num_threads_;
-  SimDuration lookahead_ = 0;
   std::vector<SimDuration> pair_lookahead_;  // Dense S x S; see PairLookahead.
   std::vector<int> shard_of_region_;
   std::vector<std::unique_ptr<Simulator>> shards_;
   // Dense (src, dst) mailbox matrix. A box is written only by the thread
-  // executing its source shard inside a window and drained only by the main
-  // thread at the barrier, so no synchronization beyond the barrier itself
-  // is needed.
+  // executing its source shard inside a round and drained only after every
+  // thread has finished the round (by the last arriver, or inline), so no
+  // synchronization beyond the barrier itself is needed.
   std::vector<std::vector<Mail>> mailboxes_;
   // Per-shard window state. frontier_[s]: everything before it has executed
   // on shard s. target_[s] / active_[s]: the window end and participation
-  // flag for the round in flight, published to workers under pool_mu_.
+  // flag for the round in flight, written by whoever plans the round and
+  // published to workers by the generation bump.
   std::vector<SimTime> frontier_;
   std::vector<SimTime> target_;
   std::vector<uint8_t> active_;
-
-  // Persistent worker pool (parallel mode). Worker w owns shards w, w+W,
-  // ... — static ownership keeps busy_seconds_ single-writer within a
-  // round; the epoch handshake orders inline-round writes from the main
-  // thread against worker rounds. Spawned on first use, joined in the
-  // destructor.
-  std::vector<std::thread> pool_;
-  std::mutex pool_mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  uint64_t epoch_ = 0;
-  int done_ = 0;
-  bool quit_ = false;
+  SimTime stop_ = 0;  // The pooled RunUntil's deadline + 1.
 
   // Timing accounting (telemetry only). busy_seconds_[s] is written solely
-  // by the thread running shard s (single-writer per round, handshake
-  // ordered across rounds); the rest by the main thread.
+  // by the thread running shard s; the rest by whoever finishes a round.
   std::vector<double> busy_seconds_;
   std::vector<uint64_t> mailbox_in_;
   double parallel_seconds_ = 0;
+  double straggler_seconds_ = 0;
+  double handshake_seconds_ = 0;
   uint64_t windows_ = 0;
+
+  // Persistent worker pool (num_threads_ > 1). Worker w owns shards w,
+  // w+W, ... — static ownership keeps busy_seconds_[s] single-writer.
+  // Every write a round makes is ordered before the next round's reads by
+  // the arrival counter (acq_rel) and the generation bump (release/
+  // acquire). parked_ counts workers parked on wake_cv_, so a publish
+  // touches the mutex only when one is; the caller parks on done_cv_ until
+  // run_done_. Spawned on first use, joined in the destructor.
+  struct alignas(64) WorkerBusy {
+    double seconds = 0;  // This worker's busy time in the current round.
+  };
+  std::vector<WorkerBusy> worker_busy_;
+  alignas(64) std::atomic<uint64_t> generation_{0};
+  bool quit_ = false;  // Read by workers right after a new generation.
+  alignas(64) std::atomic<int> arrived_{0};
+  std::atomic<int> parked_{0};
+  std::chrono::steady_clock::time_point round_start_;
+  std::mutex pool_mu_;
+  std::condition_variable wake_cv_;
+  std::condition_variable done_cv_;
+  bool run_done_ = false;
+  // Declared last: the workers use every member above.
+  std::vector<std::thread> pool_;
 };
 
 }  // namespace skywalker

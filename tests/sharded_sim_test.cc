@@ -4,8 +4,12 @@
 // across shard counts, thread counts, and against the plain single-threaded
 // Simulator reference.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,25 +42,39 @@ TEST(ShardedSimulatorTest, ShardCountClampedToRegions) {
   EXPECT_EQ(sim.num_shards(), 4);
 }
 
+// The tightest per-pair bound: the worst-case rate at which rounds advance.
+SimDuration MinPairLookahead(const ShardedSimulator& sim) {
+  SimDuration least = kSimTimeMax;
+  for (int src = 0; src < sim.num_shards(); ++src) {
+    for (int dst = 0; dst < sim.num_shards(); ++dst) {
+      if (src != dst) {
+        least = std::min(least, sim.PairLookahead(src, dst));
+      }
+    }
+  }
+  return least;
+}
+
 TEST(ShardedSimulatorTest, LookaheadIsMinCrossShardLatency) {
   Topology topo = Topology::FourRegions();
   // 4 shards: every inter-region link is cross-shard; min is us-east <->
   // us-west at 33 ms.
   ShardedSimulator four(topo, 4);
-  EXPECT_EQ(four.lookahead(), Milliseconds(33));
+  EXPECT_EQ(MinPairLookahead(four), Milliseconds(33));
   // 2 shards ({0,2} vs {1,3}): the 0<->2 (40 ms) link goes intra-shard but
   // 0<->1 (33 ms) still crosses.
   ShardedSimulator two(topo, 2);
-  EXPECT_EQ(two.lookahead(), Milliseconds(33));
+  EXPECT_EQ(MinPairLookahead(two), Milliseconds(33));
   // Single shard: no cross-shard links, unbounded window.
   ShardedSimulator one(topo, 1);
-  EXPECT_EQ(one.lookahead(), kSimTimeMax);
+  EXPECT_EQ(MinPairLookahead(one), kSimTimeMax);
+  EXPECT_EQ(one.PairLookahead(0, 0), kSimTimeMax);
 }
 
 TEST(ShardedSimulatorTest, JitterBoundDiscountsLookahead) {
   ShardedSimulator sim(Topology::FourRegions(), 4, /*num_threads=*/1,
                        /*jitter_fraction=*/0.1);
-  EXPECT_EQ(sim.lookahead(),
+  EXPECT_EQ(MinPairLookahead(sim),
             static_cast<SimDuration>(Milliseconds(33) * 9 / 10));
 }
 
@@ -110,76 +128,161 @@ TEST(SimulatorTest, StepRestoresRegionScopeFromEvent) {
   EXPECT_EQ(seen, 2);
 }
 
-// Relays a token around all four regions via the network; the arrival log
-// must not depend on sharding or threading.
-std::vector<std::string> RunRelay(int num_shards, int num_threads) {
-  Topology topo = Topology::FourRegions();
-  ShardedSimulator sim(topo, num_shards, num_threads);
-  Network net(&sim);
-  const int kRegions = 4;
-  // Per-region logs: only region r's shard appends to logs[r].
-  std::vector<std::vector<std::string>> logs(kRegions);
-
-  struct Relay {
-    Network* net;
-    std::vector<std::vector<std::string>>* logs;
-    void Hop(RegionId at, int hops_left) {
-      (*logs)[static_cast<size_t>(at)].push_back(
-          std::to_string(net->SimForRegion(at)->now()) + ":" +
-          std::to_string(hops_left));
-      if (hops_left == 0) {
-        return;
-      }
-      RegionId to = (at + 1) % 4;
-      net->Send(at, to, [this, to, hops_left] { Hop(to, hops_left - 1); });
-    }
-  };
-  Relay relay{&net, &logs};
-
-  // Two counter-rotating relays starting from different regions.
-  Simulator* sim0 = net.SimForRegion(0);
-  sim0->SetCurrentRegion(0);
-  sim0->ScheduleAt(0, [&relay] { relay.Hop(0, 40); });
-  Simulator* sim2 = net.SimForRegion(2);
-  sim2->SetCurrentRegion(2);
-  sim2->ScheduleAt(0, [&relay] { relay.Hop(2, 40); });
-
-  sim.RunUntil(Seconds(10));
-  std::vector<std::string> flat;
-  for (const auto& log : logs) {
-    flat.insert(flat.end(), log.begin(), log.end());
+// Two token relays around all four regions via the network, started in
+// regions 0 and 2; the arrival log must not depend on sharding, threading,
+// or how RunUntil calls slice the run.
+class RelayFleet {
+ public:
+  RelayFleet(int num_shards, int num_threads)
+      : sim_(Topology::FourRegions(), num_shards, num_threads), net_(&sim_) {
+    Start(0);
+    Start(2);
   }
-  return flat;
+
+  ShardedSimulator& sim() { return sim_; }
+
+  // Each region's "now:hops_left" arrivals, concatenated in region order.
+  std::vector<std::string> Log() const {
+    std::vector<std::string> flat;
+    for (const auto& log : logs_) {
+      flat.insert(flat.end(), log.begin(), log.end());
+    }
+    return flat;
+  }
+
+ private:
+  void Start(RegionId region) {
+    Simulator* shard = net_.SimForRegion(region);
+    shard->SetCurrentRegion(region);
+    shard->ScheduleAt(0, [this, region] { Hop(region, 40); });
+  }
+
+  void Hop(RegionId at, int hops_left) {
+    logs_[static_cast<size_t>(at)].push_back(
+        std::to_string(net_.SimForRegion(at)->now()) + ":" +
+        std::to_string(hops_left));
+    if (hops_left == 0) {
+      return;
+    }
+    const RegionId to = (at + 1) % 4;
+    net_.Send(at, to, [this, to, hops_left] { Hop(to, hops_left - 1); });
+  }
+
+  ShardedSimulator sim_;
+  Network net_;
+  // Per-region logs: only region r's shard appends to logs_[r].
+  std::vector<std::vector<std::string>> logs_ =
+      std::vector<std::vector<std::string>>(4);
+};
+
+std::vector<std::string> RunRelay(int num_shards, int num_threads) {
+  RelayFleet fleet(num_shards, num_threads);
+  fleet.sim().RunUntil(Seconds(10));
+  return fleet.Log();
 }
 
 TEST(ShardedSimulatorTest, RelayIdenticalAcrossShardsAndThreads) {
   const std::vector<std::string> reference = RunRelay(1, 1);
   ASSERT_FALSE(reference.empty());
+  // {4, 2} is fleet_sharded's setting; {4, 3} gives one worker two shards
+  // and the others one.
   for (auto [shards, threads] : {std::pair<int, int>{2, 1},
                                  {2, 2},
                                  {4, 1},
+                                 {4, 2},
+                                 {4, 3},
                                  {4, 4}}) {
     EXPECT_EQ(RunRelay(shards, threads), reference)
         << "shards=" << shards << " threads=" << threads;
   }
 }
 
-TEST(ShardedSimulatorTest, TimingCoversAllShards) {
-  std::vector<std::string> ignored = RunRelay(2, 2);
-  ShardedSimulator sim(Topology::FourRegions(), 2, 2);
-  Network net(&sim);
-  Simulator* sim0 = net.SimForRegion(0);
-  sim0->SetCurrentRegion(0);
-  sim0->ScheduleAt(0, [] {});
-  sim.RunUntil(Seconds(1));
-  auto timing = sim.Timing();
-  ASSERT_EQ(timing.size(), 2u);
-  EXPECT_GE(sim.windows(), 1u);
-  uint64_t executed = 0;
-  for (const auto& shard : timing) {
-    executed += shard.executed_events;
+// One RunUntil call per pending event time: every call hands a round to
+// the pool and parks until the pool hands the deadline back, so that
+// hand-off runs once per hop instead of once per run.
+TEST(ShardedSimulatorTest, RelayIdenticalInPerEventRunUntilCalls) {
+  const std::vector<std::string> reference = RunRelay(1, 1);
+  for (auto [shards, threads] :
+       {std::pair<int, int>{4, 1}, {4, 2}, {4, 3}, {4, 4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards) +
+                 " threads=" + std::to_string(threads));
+    RelayFleet fleet(shards, threads);
+    ShardedSimulator& sim = fleet.sim();
+    int calls = 0;
+    for (;;) {
+      SimTime next = kSimTimeMax;
+      for (int s = 0; s < sim.num_shards(); ++s) {
+        next = std::min(next, sim.shard(s)->NextEventTime());
+      }
+      if (next >= Seconds(10)) {
+        break;
+      }
+      sim.RunUntil(next);
+      ++calls;
+    }
+    sim.RunUntil(Seconds(10));
+    EXPECT_EQ(fleet.Log(), reference);
+    EXPECT_GT(calls, 40);
+    EXPECT_GE(sim.windows(), static_cast<uint64_t>(calls));
   }
-  EXPECT_EQ(executed, sim.executed_events());
+}
+
+// Destroying a simulator stops its pool wherever the workers wait: right
+// after RunUntil they are still spinning; idle for far longer than the
+// spin and yield bounds, they are parked, and the next RunUntil must wake
+// them.
+TEST(ShardedSimulatorTest, DestroysPoolWhileSpinningOrParked) {
+  const std::vector<std::string> reference = RunRelay(1, 1);
+  for (auto [shards, threads] : {std::pair<int, int>{4, 2}, {4, 4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards) +
+                 " threads=" + std::to_string(threads));
+    auto spinning = std::make_unique<RelayFleet>(shards, threads);
+    spinning->sim().RunUntil(Milliseconds(100));
+    spinning.reset();
+
+    auto parked = std::make_unique<RelayFleet>(shards, threads);
+    parked->sim().RunUntil(Milliseconds(100));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    parked->sim().RunUntil(Seconds(10));
+    EXPECT_EQ(parked->Log(), reference);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    parked.reset();
+  }
+}
+
+// The timing split adds up: the mean thread's busy time plus the straggler
+// plus the handshake is the rounds' wall time, neither part is negative,
+// and every shard's busy plus barrier time is that same wall time — on one
+// shard, in serial rounds, and on the pool with even and uneven ownership.
+TEST(ShardedSimulatorTest, TimingCoversAllShards) {
+  for (auto [shards, threads] :
+       {std::pair<int, int>{1, 1}, {4, 1}, {4, 2}, {4, 3}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards) +
+                 " threads=" + std::to_string(threads));
+    RelayFleet fleet(shards, threads);
+    ShardedSimulator& sim = fleet.sim();
+    sim.RunUntil(Seconds(10));
+    const std::vector<ShardedSimulator::ShardTiming> timing = sim.Timing();
+    ASSERT_EQ(timing.size(), static_cast<size_t>(shards));
+    EXPECT_GE(sim.windows(), 1u);
+    uint64_t executed = 0;
+    double busy = 0;
+    for (const auto& shard : timing) {
+      executed += shard.executed_events;
+      busy += shard.busy_seconds;
+    }
+    EXPECT_EQ(executed, sim.executed_events());
+    EXPECT_GT(busy, 0.0);
+    EXPECT_GE(sim.straggler_seconds(), 0.0);
+    EXPECT_GE(sim.handshake_seconds(), 0.0);
+    const double wall = timing[0].busy_seconds + timing[0].barrier_seconds;
+    for (const auto& shard : timing) {
+      EXPECT_NEAR(shard.busy_seconds + shard.barrier_seconds, wall, 1e-9);
+    }
+    EXPECT_NEAR(busy / sim.num_threads() + sim.straggler_seconds() +
+                    sim.handshake_seconds(),
+                wall, 1e-9);
+  }
 }
 
 // A small four-region fleet with both client kinds: chat clients in regions
