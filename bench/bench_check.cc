@@ -9,6 +9,7 @@
 //                --floors=bench/goldens/fig07_floors.json]
 //               [--timing=bench-results/BENCH_TIMING.json
 //                --timing-floors=bench/goldens/fleet_floors.json]
+//               [--trace-schema=trace-results/TRACE_<scenario>_<cell>.bin]
 //
 // Golden comparison is byte equality: the emitter serializes
 // deterministically (src/common/json.h), so any difference is a real
@@ -337,131 +338,50 @@ int CheckTiming(const std::string& timing_path,
   return failures;
 }
 
-// Every name the tracer can emit; anything else in a trace file is a schema
-// violation. Built by probing the enum's stable id space (ids are on-disk
-// format, so the probe range only ever grows).
-std::vector<std::string> KnownTraceEventNames() {
-  std::vector<std::string> names;
-  for (uint16_t id = 1; id < 64; ++id) {
-    const char* name = skywalker::TraceEventTypeName(
-        static_cast<skywalker::TraceEventType>(id));
-    if (std::strcmp(name, "unknown") != 0) {
-      names.push_back(name);
-    }
-  }
-  return names;
-}
-
-// Validates a trace artifact written by `skybench --trace` (ISSUE 9).
-// Accepts either format: the SKTRACE1 compact binary (checked for known
-// event types and non-decreasing merged timestamps) or the Chrome
-// trace_event JSON (checked for the traceEvents array, the skywalker
-// metadata object, and per-event name/ph/ts shape).
+// Validates a trace written by `skybench --trace` (ISSUE 9): a SKTRACE1
+// compact binary, checked for known event types and non-decreasing merged
+// timestamps. Runs write no other format (`skytrace --chrome` converts).
 int CheckTraceSchema(const std::string& path) {
   auto text = ReadFile(path);
   if (!text) {
     std::fprintf(stderr, "FAIL cannot read %s\n", path.c_str());
     return 1;
   }
-  const std::vector<std::string> known = KnownTraceEventNames();
-  auto known_name = [&known](const std::string& name) {
-    return std::find(known.begin(), known.end(), name) != known.end();
-  };
-
-  if (text->rfind("SKTRACE1", 0) == 0) {
-    std::vector<skywalker::TraceRecord> records;
-    std::vector<std::pair<std::string, std::string>> meta;
-    if (!skywalker::ParseTraceBinary(*text, &records, &meta)) {
-      std::fprintf(stderr, "FAIL %s: malformed SKTRACE1 binary\n",
-                   path.c_str());
-      return 1;
-    }
-    int failures = 0;
-    skywalker::SimTime last = 0;
-    for (size_t i = 0; i < records.size(); ++i) {
-      const skywalker::TraceRecord& r = records[i];
-      const char* name = skywalker::TraceEventTypeName(
-          static_cast<skywalker::TraceEventType>(r.type));
-      if (std::strcmp(name, "unknown") == 0 ||
-          std::strcmp(name, "invalid") == 0) {
-        std::fprintf(stderr, "FAIL %s: record %zu has unknown type %u\n",
-                     path.c_str(), i, r.type);
-        ++failures;
-      }
-      if (r.time < last) {
-        std::fprintf(stderr,
-                     "FAIL %s: record %zu breaks merged time order "
-                     "(%lld < %lld)\n",
-                     path.c_str(), i, static_cast<long long>(r.time),
-                     static_cast<long long>(last));
-        ++failures;
-      }
-      last = r.time;
-      if (failures >= 10) {
-        break;  // Enough evidence.
-      }
-    }
-    if (failures == 0) {
-      std::printf("ok   %s: %zu records, %zu meta entries (binary)\n",
-                  path.c_str(), records.size(), meta.size());
-    }
-    return failures;
-  }
-
-  auto doc = skywalker::Json::Parse(*text);
-  if (!doc || !doc->is_object()) {
-    std::fprintf(stderr, "FAIL %s: unparseable trace JSON\n", path.c_str());
-    return 1;
-  }
-  const skywalker::Json* events = doc->Find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    std::fprintf(stderr, "FAIL %s: no traceEvents array\n", path.c_str());
-    return 1;
-  }
-  const skywalker::Json* meta = doc->Find("skywalker");
-  const skywalker::Json* schema =
-      meta != nullptr ? meta->Find("schema_version") : nullptr;
-  if (schema == nullptr || !schema->is_number() || schema->AsDouble() != 1) {
-    std::fprintf(stderr, "FAIL %s: skywalker.schema_version != 1\n",
+  std::vector<skywalker::TraceRecord> records;
+  std::vector<std::pair<std::string, std::string>> meta;
+  if (!skywalker::ParseTraceBinary(*text, &records, &meta)) {
+    std::fprintf(stderr, "FAIL %s: not a well-formed SKTRACE1 trace\n",
                  path.c_str());
     return 1;
   }
   int failures = 0;
-  size_t index = 0;
-  for (const skywalker::Json& event : events->elements()) {
-    const skywalker::Json* name = event.Find("name");
-    const skywalker::Json* ph = event.Find("ph");
-    const skywalker::Json* ts = event.Find("ts");
-    if (name == nullptr || !name->is_string() ||
-        !known_name(name->AsString())) {
-      std::fprintf(stderr, "FAIL %s: event %zu has unknown name\n",
-                   path.c_str(), index);
-      ++failures;
-    } else if (ph == nullptr || !ph->is_string() ||
-               (ph->AsString() != "X" && ph->AsString() != "C" &&
-                ph->AsString() != "i")) {
-      std::fprintf(stderr, "FAIL %s: event %zu (%s) has bad phase\n",
-                   path.c_str(), index, name->AsString().c_str());
-      ++failures;
-    } else if (ts == nullptr || !ts->is_number()) {
-      std::fprintf(stderr, "FAIL %s: event %zu (%s) missing ts\n",
-                   path.c_str(), index, name->AsString().c_str());
-      ++failures;
-    } else if (ph->AsString() == "X" &&
-               (event.Find("dur") == nullptr ||
-                !event.Find("dur")->is_number())) {
-      std::fprintf(stderr, "FAIL %s: event %zu (%s) slice missing dur\n",
-                   path.c_str(), index, name->AsString().c_str());
+  skywalker::SimTime last = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const skywalker::TraceRecord& r = records[i];
+    const char* name = skywalker::TraceEventTypeName(
+        static_cast<skywalker::TraceEventType>(r.type));
+    if (std::strcmp(name, "unknown") == 0 ||
+        std::strcmp(name, "invalid") == 0) {
+      std::fprintf(stderr, "FAIL %s: record %zu has unknown type %u\n",
+                   path.c_str(), i, r.type);
       ++failures;
     }
-    ++index;
+    if (r.time < last) {
+      std::fprintf(stderr,
+                   "FAIL %s: record %zu breaks merged time order "
+                   "(%lld < %lld)\n",
+                   path.c_str(), i, static_cast<long long>(r.time),
+                   static_cast<long long>(last));
+      ++failures;
+    }
+    last = r.time;
     if (failures >= 10) {
       break;  // Enough evidence.
     }
   }
   if (failures == 0) {
-    std::printf("ok   %s: %zu events validate (chrome json)\n", path.c_str(),
-                index);
+    std::printf("ok   %s: %zu records, %zu meta entries\n", path.c_str(),
+                records.size(), meta.size());
   }
   return failures;
 }
@@ -482,7 +402,7 @@ int main(int argc, char** argv) {
                  "usage: bench_check --goldens=DIR --results=DIR "
                  "[--fig07=FILE --floors=FILE] "
                  "[--timing=FILE --timing-floors=FILE] "
-                 "[--trace-schema=FILE]\n");
+                 "[--trace-schema=TRACE.bin (SKTRACE1)]\n");
     return 2;
   }
   int failures = 0;

@@ -24,6 +24,7 @@
 //    throughput in the BP/swap arm where eviction churn is heaviest.
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -182,11 +183,14 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
     for (const auto& replica : replicas) {
       replica->Sync();  // Trace every engine step finished by the deadline.
     }
-    WriteTraceArtifacts(
-        *tracer, options.trace_dir, "fig07_memory_pressure", mc.label,
-        {{"policy", mc.mode == PushMode::kBlind ? "BP" : "SP-P"},
-         {"preempt",
-          mc.policy == PreemptPolicy::kSwap ? "swap" : "recompute"}});
+    if (!WriteTraceArtifacts(
+            *tracer, options.trace_dir, "fig07_memory_pressure", mc.label,
+            {{"policy", mc.mode == PushMode::kBlind ? "BP" : "SP-P"},
+             {"preempt",
+              mc.policy == PreemptPolicy::kSwap ? "swap" : "recompute"}})) {
+      throw std::runtime_error("cannot write its trace under " +
+                               options.trace_dir);
+    }
   }
 
   MetricRow row;

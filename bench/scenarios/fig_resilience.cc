@@ -22,6 +22,7 @@
 //    is bit-identical under parallel execution.
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,8 +102,9 @@ OutlierConfig ResilienceOn(const ScenarioOptions& options) {
 }
 
 // Lifecycle tracing for one cell (--trace): installs a caller-owned Tracer
-// on the run spec and writes the TRACE_* artifacts after the run. Tracing
-// never perturbs the simulation, so traced cells report the same metrics.
+// on the run spec and writes the TRACE_*.bin file after the run (a failed
+// write fails the cell). Tracing never perturbs the simulation, so traced
+// cells report the same metrics.
 struct CellTrace {
   std::unique_ptr<Tracer> tracer;
 
@@ -116,9 +118,11 @@ struct CellTrace {
 
   void Write(const std::string& label, const ScenarioOptions& options,
              std::vector<std::pair<std::string, std::string>> meta = {}) {
-    if (tracer != nullptr) {
-      WriteTraceArtifacts(*tracer, options.trace_dir, "fig_resilience", label,
-                          std::move(meta));
+    if (tracer != nullptr &&
+        !WriteTraceArtifacts(*tracer, options.trace_dir, "fig_resilience",
+                             label, std::move(meta))) {
+      throw std::runtime_error("cannot write its trace under " +
+                               options.trace_dir);
     }
   }
 };

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -66,11 +67,12 @@ void PrintUsage() {
       "  --smoke                tiny durations for schema/CI checks\n"
       "  --timing               also write BENCH_TIMING.json (wall-clock\n"
       "                         sidecar; excluded from golden comparisons)\n"
-      "  --trace                write TRACE_<scenario>_<cell>.{bin,json}\n"
+      "  --trace                write TRACE_<scenario>_<cell>.bin\n"
       "                         request-lifecycle traces (traceable\n"
       "                         scenarios only, see --list; results are\n"
       "                         unchanged — tracing observes, never\n"
-      "                         perturbs)\n"
+      "                         perturbs; `skytrace --chrome=FILE`\n"
+      "                         converts one for Perfetto)\n"
       "  --trace-dir=DIR        directory for TRACE_* files (default .)\n"
       "  --out=FILE             JSON path (single scenario only)\n"
       "  --out-dir=DIR          directory for BENCH_<scenario>.json "
@@ -262,8 +264,14 @@ int SkybenchMain(int argc, char** argv) {
   }
 
   RunTiming timing;
-  const std::vector<ScenarioRunResult> results =
-      RunScenarios(scenarios, config, &timing);
+  std::vector<ScenarioRunResult> results;
+  try {
+    results = RunScenarios(scenarios, config, &timing);
+  } catch (const std::exception& e) {
+    // A failing cell (e.g. a trace it cannot write) fails the whole run.
+    std::fprintf(stderr, "skybench: %s\n", e.what());
+    return 1;
+  }
 
   int exit_code = 0;
   if (!options.cell_labels.empty()) {

@@ -8,8 +8,12 @@
 //   * the top-K slowest-request timelines with full component breakdowns;
 //   * the per-replica utilization / preemption timeline.
 //
+// It also converts the trace to Chrome trace_event JSON (`--chrome`), for
+// Perfetto or chrome://tracing; runs write only the binary.
+//
 //   skytrace TRACE_fig07_memory_pressure_sat_bp_....bin
 //   skytrace --top=20 --json=ATTRIB.json --metrics=METRICS.json TRACE.bin
+//   skytrace --quiet --chrome=TRACE.json TRACE.bin
 //
 // Everything here is derived state: a pure function of the trace bytes, so
 // output is deterministic and byte-identical across machines.
@@ -34,6 +38,7 @@ struct CliOptions {
   std::string trace_path;
   std::string json_out;     // Attribution report (CI artifact).
   std::string metrics_out;  // Registry snapshot.
+  std::string chrome_out;   // Chrome trace_event JSON of the records.
   int top = 10;
   bool quiet = false;  // Suppress tables; JSON outputs still written.
 };
@@ -47,6 +52,8 @@ void PrintUsage() {
       "  --top=K          slowest-request rows to print (default 10)\n"
       "  --json=FILE      write the machine-readable attribution report\n"
       "  --metrics=FILE   write the derived metrics-registry snapshot\n"
+      "  --chrome=FILE    write the trace as Chrome trace_event JSON\n"
+      "                   (opens in Perfetto / chrome://tracing)\n"
       "  --quiet          suppress tables (JSON outputs still written)\n");
 }
 
@@ -73,6 +80,8 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->json_out = value;
     } else if (ParseFlag(arg, "--metrics", &value)) {
       options->metrics_out = value;
+    } else if (ParseFlag(arg, "--chrome", &value)) {
+      options->chrome_out = value;
     } else if (std::strcmp(arg, "--quiet") == 0) {
       options->quiet = true;
     } else if (std::strcmp(arg, "--help") == 0 ||
@@ -158,6 +167,15 @@ int SkytraceMain(int argc, char** argv) {
   }
 
   int exit_code = 0;
+  auto write_output = [&](const std::string& path,
+                          const std::string& content) {
+    if (!WriteFileBytes(path, content)) {
+      std::fprintf(stderr, "skytrace: failed to write %s\n", path.c_str());
+      exit_code = 1;
+    } else if (!options.quiet) {
+      std::printf("wrote %s\n", path.c_str());
+    }
+  };
   if (!options.json_out.empty()) {
     Json report = AttributionReportJson(records, attributions, options.top);
     Json m = Json::Object();
@@ -165,25 +183,15 @@ int SkytraceMain(int argc, char** argv) {
       m.Set(key, value);
     }
     report.Set("meta", std::move(m));
-    if (!WriteFileBytes(options.json_out, report.Dump())) {
-      std::fprintf(stderr, "skytrace: failed to write %s\n",
-                   options.json_out.c_str());
-      exit_code = 1;
-    } else if (!options.quiet) {
-      std::printf("wrote %s\n", options.json_out.c_str());
-    }
+    write_output(options.json_out, report.Dump());
   }
   if (!options.metrics_out.empty()) {
     MetricsRegistry registry;
     BuildMetricsFromTrace(records, Seconds(1), &registry);
-    if (!WriteFileBytes(options.metrics_out,
-                        registry.Snapshot().Dump())) {
-      std::fprintf(stderr, "skytrace: failed to write %s\n",
-                   options.metrics_out.c_str());
-      exit_code = 1;
-    } else if (!options.quiet) {
-      std::printf("wrote %s\n", options.metrics_out.c_str());
-    }
+    write_output(options.metrics_out, registry.Snapshot().Dump());
+  }
+  if (!options.chrome_out.empty()) {
+    write_output(options.chrome_out, TraceToChromeJson(records, meta));
   }
   return exit_code;
 }

@@ -25,6 +25,20 @@ bool IsSkyWalkerKind(SystemKind kind) {
          kind == SystemKind::kRegionLocal;
 }
 
+// The routing values that define a SkyWalker kind for the whole run:
+// SkyWalker-CH hashes and Region-Local never forwards. Build sets them on
+// the balancers' config and Run on its copy of every config update, so an
+// update cannot turn one kind into another. SkyWalker's policy is not
+// fixed: it starts on prefix trees (Build) and an update may swap it
+// (fig_resilience's reswap cells).
+void FixKindRouting(SystemKind kind, RoutingRuntimeConfig* routing) {
+  if (kind == SystemKind::kSkyWalkerCh) {
+    routing->policy = RoutingPolicyKind::kConsistentHash;
+  } else if (kind == SystemKind::kRegionLocal) {
+    routing->enable_forwarding = false;
+  }
+}
+
 // Canonical outcome order: independent of which shard recorded what when.
 bool OutcomeBefore(const RequestOutcome& a, const RequestOutcome& b) {
   return std::tie(a.completion_time, a.submit_time, a.client_region, a.id) <
@@ -174,13 +188,10 @@ std::unique_ptr<ServingSystem> ServingSystem::Build(Network* net,
     dspec.replica_config = spec.replica_config;
     dspec.lb_config = spec.skywalker;
     dspec.controller_config = spec.controller;
-    if (spec.kind == SystemKind::kSkyWalkerCh) {
-      dspec.lb_config.routing.policy = RoutingPolicyKind::kConsistentHash;
-    } else if (spec.kind == SystemKind::kSkyWalker) {
+    if (spec.kind == SystemKind::kSkyWalker) {
       dspec.lb_config.routing.policy = RoutingPolicyKind::kPrefixTree;
-    } else {
-      dspec.lb_config.routing.enable_forwarding = false;
     }
+    FixKindRouting(spec.kind, &dspec.lb_config.routing);
     system->deployment_ = Deployment::Build(
         net->SimForRegion(spec.controller.home_region), net, dspec);
     for (const auto& replica : system->deployment_->replicas()) {
@@ -312,7 +323,9 @@ RunResult Run(const RunSpec& spec) {
     SKYWALKER_CHECK(deployment != nullptr)
         << "config updates need a SkyWalker kind, not "
         << SystemKindName(system_spec.kind);
-    auto config = std::make_shared<const RuntimeConfig>(update.config);
+    RuntimeConfig fixed = update.config;
+    FixKindRouting(system_spec.kind, &fixed.routing);
+    auto config = std::make_shared<const RuntimeConfig>(fixed);
     for (const auto& owned : deployment->lbs()) {
       SkyWalkerLb* lb = owned.get();
       Simulator* region_sim = net->SimForRegion(lb->region());

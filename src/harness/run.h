@@ -118,7 +118,9 @@ struct Fault {
 
 // A RuntimeConfig snapshot every regional LB adopts at `at` (SkyWalker kinds
 // only). Like a fault, it is injected as one event per LB on that LB's
-// region's simulator, so sharded runs stay deterministic.
+// region's simulator, so sharded runs stay deterministic. The routing values
+// that define the kind win over the update's: SkyWalker-CH keeps hashing and
+// Region-Local keeps forwarding off.
 struct ConfigUpdate {
   SimTime at = 0;
   RuntimeConfig config;

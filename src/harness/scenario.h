@@ -38,8 +38,9 @@ struct ScenarioOptions {
   bool smoke = false;
   // Request-lifecycle tracing (ISSUE 9, DESIGN.md §11). When true, a
   // `traceable` scenario installs a Tracer per cell and writes
-  // TRACE_<scenario>_<cell>.{bin,json} under trace_dir. Tracing observes
-  // without perturbing: metric rows are byte-identical with it on or off.
+  // TRACE_<scenario>_<cell>.bin (SKTRACE1) under trace_dir; a cell whose
+  // trace cannot be written throws. Tracing observes without perturbing:
+  // metric rows are byte-identical with it on or off.
   bool trace = false;
   std::string trace_dir = ".";
 };

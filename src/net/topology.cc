@@ -36,15 +36,6 @@ SimDuration Topology::Latency(RegionId a, RegionId b) const {
   return v >= 0 ? v : kDefaultInterRegionLatency;
 }
 
-StatusOr<RegionId> Topology::FindRegion(std::string_view name) const {
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) {
-      return static_cast<RegionId>(i);
-    }
-  }
-  return NotFoundError("no region named " + std::string(name));
-}
-
 RegionId Topology::Nearest(RegionId from,
                            const std::vector<RegionId>& candidates) const {
   RegionId best = kInvalidRegion;

@@ -412,16 +412,11 @@ bool WriteTraceArtifacts(
   std::replace(label.begin(), label.end(), '/', '_');
   meta.insert(meta.begin(), {{"scenario", scenario}, {"cell", cell}});
   meta.emplace_back("dropped_records", std::to_string(tracer.dropped()));
-  const std::vector<TraceRecord> merged = tracer.Merged();
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);  // Failure surfaces below.
-  const std::filesystem::path base =
-      std::filesystem::path(dir) / ("TRACE_" + scenario + "_" + label);
-  const bool wrote_bin =
-      WriteFileBytes(base.string() + ".bin", TraceToBinary(merged, meta));
-  const bool wrote_json = WriteFileBytes(base.string() + ".json",
-                                         TraceToChromeJson(merged, meta));
-  return wrote_bin && wrote_json;
+  const std::filesystem::path path =
+      std::filesystem::path(dir) / ("TRACE_" + scenario + "_" + label + ".bin");
+  return WriteFileBytes(path, TraceToBinary(tracer.Merged(), meta));
 }
 
 }  // namespace skywalker

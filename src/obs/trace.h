@@ -217,12 +217,14 @@ inline void EmitTrace(Tracer* tracer, const EventOrder& order,
 // for LB-level events). Engine steps become duration ("X") slices, memory
 // samples become counter ("C") series, everything else instants ("i").
 // `meta` keys/values are copied into the "skywalker" object verbatim.
+// Runs never write it: `skytrace --chrome=FILE` converts a SKTRACE1 file.
 std::string TraceToChromeJson(
     const std::vector<TraceRecord>& records,
     const std::vector<std::pair<std::string, std::string>>& meta);
 
 // Compact binary: "SKTRACE1" magic, little-endian header, a metadata blob,
-// then the raw 48-byte records. This is what `skytrace` loads.
+// then the raw 48-byte records. The one format a run writes, and what
+// `skytrace` loads.
 std::string TraceToBinary(
     const std::vector<TraceRecord>& records,
     const std::vector<std::pair<std::string, std::string>>& meta);
@@ -234,10 +236,9 @@ bool ParseTraceBinary(
     std::vector<std::pair<std::string, std::string>>* meta = nullptr);
 
 // Writes TRACE_<scenario>_<cell>.bin (compact binary, the skytrace input)
-// and TRACE_<scenario>_<cell>.json (Chrome trace_event) under `dir`,
-// sanitizing '/' in the cell label to '_'. `scenario` and `cell` are
-// prepended to `meta`. Returns false if either write fails.
-bool WriteTraceArtifacts(
+// under `dir`, sanitizing '/' in the cell label to '_'. `scenario` and
+// `cell` are prepended to `meta`. Returns false if the write fails.
+[[nodiscard]] bool WriteTraceArtifacts(
     const Tracer& tracer, const std::string& dir, const std::string& scenario,
     const std::string& cell,
     std::vector<std::pair<std::string, std::string>> meta = {});

@@ -1,5 +1,5 @@
-// Unit tests for src/common: Status/StatusOr, RNG distributions, hashing,
-// statistics containers, strings and table rendering.
+// Unit tests for src/common: RNG distributions, hashing, statistics
+// containers, strings and table rendering.
 
 #include <gtest/gtest.h>
 
@@ -10,70 +10,11 @@
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
-#include "src/common/status.h"
 #include "src/common/strings.h"
 #include "src/common/table.h"
 
 namespace skywalker {
 namespace {
-
-TEST(StatusTest, OkByDefault) {
-  Status s;
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kOk);
-  EXPECT_EQ(s.ToString(), "OK");
-}
-
-TEST(StatusTest, ErrorCarriesCodeAndMessage) {
-  Status s = NotFoundError("replica 7");
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-  EXPECT_EQ(s.message(), "replica 7");
-  EXPECT_EQ(s.ToString(), "NOT_FOUND: replica 7");
-}
-
-TEST(StatusTest, AllConstructorsMapToCodes) {
-  EXPECT_EQ(InvalidArgumentError("x").code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(AlreadyExistsError("x").code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(FailedPreconditionError("x").code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ResourceExhaustedError("x").code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(UnavailableError("x").code(), StatusCode::kUnavailable);
-  EXPECT_EQ(DeadlineExceededError("x").code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(InternalError("x").code(), StatusCode::kInternal);
-  EXPECT_EQ(UnimplementedError("x").code(), StatusCode::kUnimplemented);
-}
-
-TEST(StatusTest, EqualityComparesCodeAndMessage) {
-  EXPECT_EQ(OkStatus(), OkStatus());
-  EXPECT_EQ(NotFoundError("a"), NotFoundError("a"));
-  EXPECT_FALSE(NotFoundError("a") == NotFoundError("b"));
-  EXPECT_FALSE(NotFoundError("a") == InternalError("a"));
-}
-
-TEST(StatusOrTest, HoldsValue) {
-  StatusOr<int> v = 42;
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, 42);
-  EXPECT_EQ(v.value_or(7), 42);
-}
-
-TEST(StatusOrTest, HoldsError) {
-  StatusOr<int> v = InvalidArgumentError("nope");
-  ASSERT_FALSE(v.ok());
-  EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(v.value_or(7), 7);
-}
-
-Status FailsThenPropagates() {
-  SKYWALKER_RETURN_IF_ERROR(InternalError("inner"));
-  return OkStatus();
-}
-
-TEST(StatusOrTest, ReturnIfErrorMacroPropagates) {
-  EXPECT_EQ(FailsThenPropagates().code(), StatusCode::kInternal);
-}
 
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(123);

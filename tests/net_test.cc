@@ -50,14 +50,6 @@ TEST(TopologyTest, LatenciesSurviveLaterAddRegion) {
   EXPECT_EQ(t.Latency(a, c), Topology::kDefaultInterRegionLatency);
 }
 
-TEST(TopologyTest, FindRegionByName) {
-  Topology t = Topology::ThreeContinents();
-  auto us = t.FindRegion("us-east");
-  ASSERT_TRUE(us.ok());
-  EXPECT_EQ(*us, 0);
-  EXPECT_FALSE(t.FindRegion("mars").ok());
-}
-
 TEST(TopologyTest, NearestPicksLowestLatency) {
   Topology t = Topology::ThreeContinents();
   RegionId us = 0;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,29 +240,80 @@ TEST(TraceExportTest, BinaryRejectsCorruptBuffers) {
   EXPECT_TRUE(ParseTraceBinary(bytes, &parsed));
 }
 
+// One record of every type a tracer emits exports under its own name, with
+// the phase its type requires: engine steps as "X" slices with a duration,
+// memory samples as "C" counters, everything else as "i" instants.
 TEST(TraceExportTest, ChromeJsonIsParseableWithSchema) {
+  constexpr auto kLastType = static_cast<uint16_t>(TraceEventType::kConfigSwap);
+  // No id past the last one names a type, so a new type extends this test.
+  ASSERT_STREQ(TraceEventTypeName(static_cast<TraceEventType>(kLastType + 1)),
+               "unknown");
   std::vector<TraceRecord> records;
-  records.push_back(Rec(10, TraceEventType::kSubmit, 0, -1, 1));
-  records.push_back(
-      Rec(30, TraceEventType::kEngineStep, 0, 2, -1, 8, 1, 20.0));
-  records.push_back(
-      Rec(40, TraceEventType::kMemSample, 0, 2, -1, 100, 3, 0.5));
+  for (uint16_t id = 1; id <= kLastType; ++id) {
+    records.push_back(Rec(100 + 10 * id, static_cast<TraceEventType>(id), 0, 2,
+                          id, 8, 1, 20.0));
+  }
   const std::string json = TraceToChromeJson(records, {{"cell", "x"}});
   auto doc = Json::Parse(json);
   ASSERT_TRUE(doc.has_value());
   const Json* events = doc->Find("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->elements().size(), 3u);
-  EXPECT_EQ(events->elements()[0].Find("ph")->AsString(), "i");
-  // Engine step exports as a duration slice starting x us before the stamp.
-  EXPECT_EQ(events->elements()[1].Find("ph")->AsString(), "X");
-  EXPECT_DOUBLE_EQ(events->elements()[1].Find("ts")->AsDouble(), 10.0);
-  EXPECT_DOUBLE_EQ(events->elements()[1].Find("dur")->AsDouble(), 20.0);
-  EXPECT_EQ(events->elements()[2].Find("ph")->AsString(), "C");
+  ASSERT_EQ(events->elements().size(), records.size());
+  std::set<std::string> names;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const auto type = static_cast<TraceEventType>(records[i].type);
+    SCOPED_TRACE(TraceEventTypeName(type));
+    const Json& event = events->elements()[i];
+    const Json* name = event.Find("name");
+    ASSERT_TRUE(name != nullptr && name->is_string());
+    EXPECT_EQ(name->AsString(), TraceEventTypeName(type));
+    EXPECT_NE(name->AsString(), "unknown");
+    EXPECT_NE(name->AsString(), "invalid");
+    names.insert(name->AsString());
+    const Json* ph = event.Find("ph");
+    ASSERT_TRUE(ph != nullptr && ph->is_string());
+    const Json* ts = event.Find("ts");
+    ASSERT_TRUE(ts != nullptr && ts->is_number());
+    const Json* dur = event.Find("dur");
+    if (type == TraceEventType::kEngineStep) {
+      // The slice starts x us before the step's completion stamp.
+      EXPECT_EQ(ph->AsString(), "X");
+      ASSERT_TRUE(dur != nullptr && dur->is_number());
+      EXPECT_DOUBLE_EQ(dur->AsDouble(), 20.0);
+      EXPECT_DOUBLE_EQ(ts->AsDouble(),
+                       static_cast<double>(records[i].time) - 20.0);
+    } else {
+      EXPECT_EQ(ph->AsString(),
+                type == TraceEventType::kMemSample ? "C" : "i");
+      EXPECT_EQ(dur, nullptr);
+      EXPECT_DOUBLE_EQ(ts->AsDouble(), static_cast<double>(records[i].time));
+    }
+  }
+  EXPECT_EQ(names.size(), records.size());  // Every type has its own name.
   const Json* meta = doc->Find("skywalker");
   ASSERT_NE(meta, nullptr);
   EXPECT_EQ(meta->Find("schema_version")->AsDouble(), 1);
+  EXPECT_EQ(meta->Find("records")->AsDouble(),
+            static_cast<double>(records.size()));
   EXPECT_EQ(meta->Find("cell")->AsString(), "x");
+}
+
+// `skytrace --chrome` converts what it loads from a SKTRACE1 file; the
+// result is the export of the records and metadata the run held.
+TEST(TraceExportTest, ChromeJsonFromBinaryMatchesDirectExport) {
+  std::vector<TraceRecord> records;
+  records.push_back(Rec(10, TraceEventType::kSubmit, 0, -1, 1, 128));
+  records.push_back(
+      Rec(20, TraceEventType::kEngineStep, 1, 3, -1, 64, 2, 1500.5));
+  records.push_back(Rec(30, TraceEventType::kMemSample, 1, 3, -1, 9, 2, 0.25));
+  const std::vector<std::pair<std::string, std::string>> meta = {
+      {"scenario", "fig07"}, {"cell", "sat/bp"}, {"dropped_records", "0"}};
+  std::vector<TraceRecord> parsed;
+  std::vector<std::pair<std::string, std::string>> parsed_meta;
+  ASSERT_TRUE(
+      ParseTraceBinary(TraceToBinary(records, meta), &parsed, &parsed_meta));
+  EXPECT_EQ(TraceToChromeJson(parsed, parsed_meta),
+            TraceToChromeJson(records, meta));
 }
 
 // --- attribution ----------------------------------------------------------

@@ -1,8 +1,9 @@
 // End-to-end resilience tests on the run harness (ISSUE 7): a region
 // blackout loses no request forever once request timeouts + retries are on,
 // passive latency ejection fires against a gray straggler and does not cost
-// goodput, and a mid-run RuntimeConfig reswap is bit-identical across shard
-// and thread counts and traced once per LB.
+// goodput, a mid-run RuntimeConfig reswap is bit-identical across shard
+// and thread counts and traced once per LB, and an update cannot undo the
+// routing that defines SkyWalker-CH or Region-Local.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +20,9 @@ namespace skywalker {
 namespace {
 
 // A small four-region fleet with a post-measure drain long enough for
-// lost-forever accounting to converge (see RunSpec::drain).
-RunSpec SmallFleet(int clients_per_region = 2) {
+// lost-forever accounting to converge (see RunSpec::drain). `clients[r]`
+// chat clients run in region r.
+RunSpec SmallFleet(const std::vector<int>& clients = {2, 2, 2, 2}) {
   RunSpec spec;
   spec.topology = Topology::FourRegions();
   spec.system.replicas_per_region.assign(4, 4);
@@ -32,8 +34,7 @@ RunSpec SmallFleet(int clients_per_region = 2) {
   client.think_time_mean = Milliseconds(500);
   client.program_gap_mean = Seconds(1);
   client.stop_issuing_after = spec.warmup + spec.measure;
-  spec.workload =
-      ChatWorkload(std::vector<int>(4, clients_per_region), client, 1234);
+  spec.workload = ChatWorkload(clients, client, 1234);
   return spec;
 }
 
@@ -104,7 +105,7 @@ TEST(ResilienceTest, GrayStragglerGetsLatencyEjected) {
   // Enough clients that the straggler takes traffic and at least
   // kMinLatencyHosts replicas report decode samples; enough drain that its
   // 8x-held victims finish inside the run.
-  RunSpec base = SmallFleet(/*clients_per_region=*/4);
+  RunSpec base = SmallFleet({4, 4, 4, 4});
   base.num_shards = 4;
   base.num_threads = 4;
   base.drain = Seconds(90);
@@ -176,6 +177,33 @@ TEST(ResilienceTest, MidRunReswapIsDeterministicAcrossShardsAndThreads) {
       EXPECT_EQ(result.trace, reference)
           << "shards=" << v.num_shards << " threads=" << v.num_threads;
       EXPECT_EQ(result.config_swaps, reference_swaps);
+    }
+  }
+}
+
+// An update carries the routing values that define its kind, whatever it
+// says: a no-change update built from the spec's own config keeps
+// SkyWalker-CH hashing and Region-Local not forwarding, so the outcome
+// stream matches the run without it. Region 0's 64 clients overload its 32
+// batch slots, so a Region-Local LB that lost the setting would forward.
+TEST(ResilienceTest, NoChangeUpdateKeepsTheKindsRouting) {
+  for (const SystemKind kind :
+       {SystemKind::kSkyWalkerCh, SystemKind::kRegionLocal}) {
+    SCOPED_TRACE(std::string(SystemKindName(kind)));
+    RunSpec spec = SmallFleet({64, 1, 1, 1});
+    spec.system.kind = kind;
+    spec.collect_trace = true;
+    const RunResult without = skywalker::Run(spec);
+    ConfigUpdate update;
+    update.at = spec.warmup + spec.measure / 2;
+    update.config = spec.system.skywalker.runtime();
+    spec.config_updates.push_back(update);
+    const RunResult with = skywalker::Run(spec);
+    EXPECT_EQ(with.config_swaps, without.config_swaps + 4);
+    ASSERT_FALSE(without.trace.empty());
+    EXPECT_EQ(with.trace, without.trace);
+    if (kind == SystemKind::kRegionLocal) {
+      EXPECT_EQ(with.forwarded_fraction, 0.0);
     }
   }
 }

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "bench/scenarios/scenarios.h"
@@ -153,6 +157,34 @@ TEST_F(SkybenchSchemaTest, CellFilterSkipsFinalizer) {
     ASSERT_TRUE(doc.has_value());
     EXPECT_EQ(doc->Find("summary")->Find("derived"), nullptr);
   }
+}
+
+// A traced cell whose trace cannot be written fails the run, naming the
+// cell, instead of finishing without its trace.
+TEST_F(SkybenchSchemaTest, UnwritableTraceFailsTheRun) {
+  // Nothing can be created under a regular file.
+  const std::string blocker = ::testing::TempDir() + "skybench_trace_blocker";
+  std::ofstream(blocker) << "not a directory";
+  const std::pair<const char*, const char*> cells[] = {
+      {"fig07_memory_pressure", "sat/spp/b16/swap/lruleaf"},
+      {"fig_resilience", "gray_ej_on"}};
+  for (const auto& [name, cell] : cells) {
+    SCOPED_TRACE(name);
+    const Scenario* scenario = ScenarioRegistry::Get().Find(name);
+    ASSERT_NE(scenario, nullptr);
+    RunConfig config = SmokeConfig();
+    config.trace = true;
+    config.trace_dir = blocker + "/traces";
+    config.cell_filter = {cell};
+    try {
+      RunScenarios({scenario}, config);
+      ADD_FAILURE() << "the run succeeded without writing its trace";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(cell), std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(blocker.c_str());
 }
 
 }  // namespace
