@@ -14,9 +14,11 @@ void HashRing::AddTarget(TargetId id, int weight) {
   if (!targets_.insert(id).second) {
     return;
   }
+  // No exact reserve here: growing to exactly the new size on every attach
+  // would copy the whole ring each time, O(R^2) for a fleet of R targets;
+  // push_back's geometric growth keeps building the ring linear.
   size_t count = static_cast<size_t>(vnodes_per_weight_) *
                  static_cast<size_t>(weight);
-  ring_.reserve(ring_.size() + count);
   // Two independent mixing rounds per virtual node; a single combine round
   // leaves visible correlation between successive vnode indices, which
   // skews key ownership by tens of percent.

@@ -36,6 +36,9 @@ PrefixCache::PrefixCache(int64_t capacity_tokens, BlockAllocator* alloc,
     alloc = owned_alloc_.get();
   }
   alloc_ = alloc;
+  named_ = alloc_->named();
+  SKYWALKER_CHECK(named_ || block_size_ == 1)
+      << "a counted pool holds one-token pages";
   if (block_size_ > 1) {
     alloc_->EnableCacheHolders();  // O(1) CountBlocks (paged mode).
   }
@@ -50,18 +53,19 @@ PrefixCache::~PrefixCache() {
   while (!stack.empty()) {
     SlabId id = stack.back();
     stack.pop_back();
-    const Node& n = node(id);
+    Node& n = node(id);
     for (const auto& [token, child] : n.children) {
       (void)token;
       stack.push_back(child);
     }
-    alloc_->ReleaseCacheSpan(n.blocks.data,
-                             static_cast<int64_t>(n.blocks.size()),
-                             n.ref_count > 0);
+    ReleasePages(id, n, n.ref_count > 0);
   }
 }
 
 SlabId PrefixCache::SplitAbove(SlabId id, size_t keep, int64_t start) {
+  // Each half would co-hold part of the window's pages, which one count
+  // cannot say.
+  SKYWALKER_CHECK(!CoHolds(id)) << "split of a co-holding node";
   SlabId top = nodes_.Alloc();
   Node& lower = node(id);
   Node& upper = node(top);
@@ -86,16 +90,18 @@ SlabId PrefixCache::SplitAbove(SlabId id, size_t keep, int64_t start) {
   const int64_t mid = start + static_cast<int64_t>(keep);
   const int64_t upper_len = PageCeil(mid, block_size_) - first;
   const int64_t lower_from = PageFloor(mid, block_size_) - first;
-  upper.blocks = lower.blocks.Prefix(static_cast<size_t>(upper_len));
-  block_pool_.AddRef(upper.blocks);  // One slice view became two.
-  if (mid % block_size_ != 0) {
-    // Both halves carry the original pin count, so the straddle page's new
-    // reference is pinned exactly when the old one was.
-    alloc_->AddCacheRef(lower.blocks[static_cast<size_t>(lower_from)],
-                        lower.ref_count > 0);
-    ++block_refs_;
+  if (named_) {
+    upper.blocks = lower.blocks.Prefix(static_cast<size_t>(upper_len));
+    block_pool_.AddRef(upper.blocks);  // One slice view became two.
+    if (mid % block_size_ != 0) {
+      // Both halves carry the original pin count, so the straddle page's
+      // new reference is pinned exactly when the old one was.
+      alloc_->AddCacheRef(lower.blocks[static_cast<size_t>(lower_from)],
+                          lower.ref_count > 0);
+      ++block_refs_;
+    }
+    lower.blocks = lower.blocks.Suffix(static_cast<size_t>(lower_from));
   }
-  lower.blocks = lower.blocks.Suffix(static_cast<size_t>(lower_from));
 
   *node(lower.parent).children.Find(lower.edge.front()) = top;
   lower.edge = lower.edge.Suffix(keep);  // Keeps the original chunk ref.
@@ -247,40 +253,57 @@ int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
     const int64_t first = PageFloor(matched, block_size_);
     const int64_t last = PageCeil(static_cast<int64_t>(seq.size()),
                                   block_size_);
-    span_scratch_.resize(static_cast<size_t>(last - first));
-    if (donor == nullptr) {
-      // Bare insert: a whole span of fresh pages in one allocator pass.
-      alloc_->AllocateCacheSpan(last - first, span_scratch_.data());
-    } else {
-      const int64_t donor_first = PageFloor(donor_base, block_size_);
-      for (int64_t j = first; j < last; ++j) {
-        BlockId id = kInvalidBlockId;
-        const int64_t di = j - donor_first;
-        if (di >= 0 && di < donor->num_blocks()) {
-          id = donor->blocks()[static_cast<size_t>(di)];
-          alloc_->AddCacheRef(id, /*pinned=*/false);
-        }
-        if (id == kInvalidBlockId) {
-          // Re-publish after eviction: the donor no longer covers this
-          // position; it gets a fresh page (rare corner, single alloc).
-          alloc_->AllocateCacheSpan(1, &id);
-        }
-        span_scratch_[static_cast<size_t>(j - first)] = id;
+    const int64_t pages = last - first;
+    if (!named_) {
+      // One-token pages: the donor covers path positions [donor_base,
+      // donor_base + its tokens), and the leaf co-holds their overlap.
+      int64_t shared = 0;
+      int64_t end = 0;
+      if (donor != nullptr) {
+        end = std::min(last, donor_base + donor->num_blocks());
+        shared = std::max<int64_t>(0, end - std::max(first, donor_base));
       }
+      alloc_->AllocateCount(pages - shared);
+      if (shared > 0) {
+        alloc_->CoHold(donor->holder(), shared, end - donor_base);
+        coheld_leaf_ = leaf;
+      }
+    } else {
+      span_scratch_.resize(static_cast<size_t>(pages));
+      if (donor == nullptr) {
+        // Bare insert: a whole span of fresh pages in one allocator pass.
+        alloc_->AllocateCacheSpan(pages, span_scratch_.data());
+      } else {
+        const int64_t donor_first = PageFloor(donor_base, block_size_);
+        for (int64_t j = first; j < last; ++j) {
+          BlockId id = kInvalidBlockId;
+          const int64_t di = j - donor_first;
+          if (di >= 0 && di < donor->num_blocks()) {
+            id = donor->blocks()[static_cast<size_t>(di)];
+            alloc_->AddCacheRef(id, /*pinned=*/false);
+          }
+          if (id == kInvalidBlockId) {
+            // Re-publish after eviction: the donor no longer covers this
+            // position; it gets a fresh page (rare corner, single alloc).
+            alloc_->AllocateCacheSpan(1, &id);
+          }
+          span_scratch_[static_cast<size_t>(j - first)] = id;
+        }
+      }
+      n.blocks =
+          block_pool_.Intern(span_scratch_.data(), span_scratch_.size());
     }
-    n.blocks = block_pool_.Intern(span_scratch_.data(), span_scratch_.size());
-    block_refs_ += static_cast<int64_t>(span_scratch_.size());
+    block_refs_ += pages;
 
     node(parent).children.Set(n.edge.front(), leaf);
     ++num_nodes_;
     size_tokens_ += added;
     if (maintain_aggregates_) {
-      n.sub_blocks = static_cast<int32_t>(span_scratch_.size());
+      n.sub_blocks = static_cast<int32_t>(pages);
       n.sub_hits = 1.0f;  // The insert itself is the subtree's first access.
       n.sub_last_access = now;
       n.sub_hit_stamp = now;
-      PropagateSubBlocks(leaf,
-                         static_cast<int64_t>(span_scratch_.size()));
+      PropagateSubBlocks(leaf, pages);
     }
   }
   if (size_tokens_ > capacity_tokens_) {
@@ -401,18 +424,14 @@ int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
   --num_nodes_;
   node(n.parent).children.Erase(n.edge.front());
   if (maintain_aggregates_) {
-    PropagateSubBlocks(leaf, -static_cast<int64_t>(n.blocks.size()));
+    PropagateSubBlocks(leaf, -NodePages(n));
   }
   pool_.Release(n.edge);
   // Release the victim's page references. Pages straddling into the parent
   // (or still referenced by a running sequence's table) survive in the
   // allocator until their last holder lets go — the return value counts
   // only what actually hit the free list.
-  const int64_t freed = alloc_->ReleaseCacheSpan(
-      n.blocks.data, static_cast<int64_t>(n.blocks.size()), false);
-  block_refs_ -= static_cast<int64_t>(n.blocks.size());
-  block_pool_.Release(n.blocks);
-  n.blocks = BlockSlice{};
+  const int64_t freed = ReleasePages(leaf, n, false);
   n.edge = TokenSlice{};
   n.parent = kNilSlabId;
   n.last_access = 0;
@@ -444,11 +463,7 @@ int64_t PrefixCache::RemoveSubtree(SlabId id) {
     size_tokens_ -= static_cast<int64_t>(n.edge.size());
     --num_nodes_;
     pool_.Release(n.edge);
-    freed += alloc_->ReleaseCacheSpan(
-        n.blocks.data, static_cast<int64_t>(n.blocks.size()), false);
-    block_refs_ -= static_cast<int64_t>(n.blocks.size());
-    block_pool_.Release(n.blocks);
-    n.blocks = BlockSlice{};
+    freed += ReleasePages(cur, n, false);
     n.edge = TokenSlice{};
     n.parent = kNilSlabId;
     n.last_access = 0;
@@ -459,6 +474,18 @@ int64_t PrefixCache::RemoveSubtree(SlabId id) {
     n.sub_hit_stamp = 0;
     nodes_.Free(cur);
   }
+  return freed;
+}
+
+int64_t PrefixCache::ReleasePages(SlabId id, Node& n, bool pinned) {
+  const int64_t pages = NodePages(n);
+  block_refs_ -= pages;
+  if (!named_) {
+    return alloc_->ReleaseCacheCount(pages, CoHolds(id));
+  }
+  const int64_t freed = alloc_->ReleaseCacheSpan(n.blocks.data, pages, pinned);
+  block_pool_.Release(n.blocks);
+  n.blocks = BlockSlice{};
   return freed;
 }
 
@@ -543,6 +570,26 @@ std::vector<BlockAllocator::CacheHolders> PrefixCache::TallyPageHolders()
 
 PrefixCache::BlockOccupancy PrefixCache::CountBlocksSlow() const {
   BlockOccupancy occ;
+  if (!named_) {
+    // Every node's pages are its edge's own; a page is evictable unless its
+    // node is pinned or a sequence co-holds it.
+    std::vector<SlabId> stack{root_};
+    while (!stack.empty()) {
+      const SlabId id = stack.back();
+      stack.pop_back();
+      const Node& n = node(id);
+      for (const auto& [token, child] : n.children) {
+        (void)token;
+        stack.push_back(child);
+      }
+      occ.held_blocks += NodePages(n);
+      if (n.ref_count == 0) {
+        occ.evictable_blocks +=
+            NodePages(n) - (CoHolds(id) ? alloc_->coheld_blocks() : 0);
+      }
+    }
+    return occ;
+  }
   const std::vector<BlockAllocator::CacheHolders> pages = TallyPageHolders();
   for (size_t id = 0; id < pages.size(); ++id) {
     const BlockAllocator::CacheHolders& h = pages[id];
@@ -583,14 +630,16 @@ bool PrefixCache::CheckInvariants() const {
       if (n.parent != root_ && n.ref_count > node(n.parent).ref_count) {
         ok = false;
       }
-      // The page span covers exactly the edge's path positions, and every
-      // page in it is live in the allocator.
+      // The page span covers exactly the edge's path positions (a counted
+      // pool's nodes hold none), and every page in it is live in the
+      // allocator.
       const int64_t want =
-          PageCeil(end, block_size_) - PageFloor(depth, block_size_);
+          named_ ? PageCeil(end, block_size_) - PageFloor(depth, block_size_)
+                 : 0;
       if (static_cast<int64_t>(n.blocks.size()) != want) {
         ok = false;
       }
-      block_refs += static_cast<int64_t>(n.blocks.size());
+      block_refs += NodePages(n);
       for (size_t i = 0; i < n.blocks.size(); ++i) {
         if (alloc_->ref_count(n.blocks[i]) <= 0) {
           ok = false;
@@ -635,11 +684,12 @@ bool PrefixCache::CheckInvariants() const {
     }
   }
   // Arena accounting: every tree node is live in the slab (plus the root),
-  // every non-root node holds exactly one token-pool reference and one
-  // block-pool reference.
+  // every non-root node holds exactly one token-pool reference and, on a
+  // named pool, one block-pool reference.
   if (nodes_.live() != num_nodes_ + 1 ||
       pool_.live_refs() != static_cast<int64_t>(num_nodes_) ||
-      block_pool_.live_refs() != static_cast<int64_t>(num_nodes_)) {
+      block_pool_.live_refs() !=
+          (named_ ? static_cast<int64_t>(num_nodes_) : 0)) {
     ok = false;
   }
   if (ok && maintain_aggregates_) {
@@ -655,7 +705,7 @@ bool PrefixCache::CheckInvariants() const {
       const Node& n = node(id);
       if (!visited) {
         po.back().second = true;
-        agg[id] = {static_cast<int64_t>(n.blocks.size()), n.last_access};
+        agg[id] = {NodePages(n), n.last_access};
         for (const auto& [token, child] : n.children) {
           (void)token;
           po.emplace_back(child, false);

@@ -44,6 +44,15 @@
 // position is page-aligned, no page is ever shared, and all block
 // quantities equal the seed token counters (coarse compatibility mode).
 //
+// Counted pools (BlockAllocator file comment): on a pool that counts its
+// one-token pages a node holds no span — its pages are the tokens of its
+// edge — and insert, split and eviction are O(1) in the edge length. The
+// cache asks the pool which kind it has. What a count cannot infer is the
+// co-held window: a donor Insert references pages the publishing sequence
+// still holds, so the cache remembers the co-holding leaf and tells the
+// pool when it evicts it; the pages it shares with the sequence survive
+// that eviction, as their named refcounts would.
+//
 // Probe occupancy: in paged mode the tree takes and drops every
 // page reference through the allocator's cache-holder calls, naming the
 // holding node's pin state, and reports each node's pin-count transitions
@@ -151,7 +160,9 @@ class PrefixCache {
   // node takes references on the donor's pages covering the inserted span
   // instead of allocating fresh ones — the publish-is-a-reference-transfer
   // contract of the unified ledger. Positions the donor does not cover
-  // (re-publish after eviction) get fresh pages.
+  // (re-publish after eviction) get fresh pages. On a counted pool the
+  // donor's next release must follow before any other release or split of
+  // the new node (the co-held window).
   int64_t Insert(const TokenSeq& seq, SimTime now,
                  const BlockTable* donor = nullptr, int64_t donor_base = 0);
 
@@ -221,9 +232,10 @@ class PrefixCache {
     return BlockOccupancy{alloc_->cache_held_blocks(),
                           alloc_->cache_evictable_blocks()};
   }
-  // The same figures by full traversal of every node's page span — the
-  // oracle CheckInvariants and the differential tests compare CountBlocks
-  // against. O(page references); allocates.
+  // The same figures by full traversal of every node's page span (of
+  // every node's edge on a counted pool) — the oracle CheckInvariants and
+  // the differential tests compare CountBlocks against. O(page
+  // references); allocates.
   BlockOccupancy CountBlocksSlow() const;
 
   // Cumulative statistics (for cache-hit-rate reporting).
@@ -255,7 +267,8 @@ class PrefixCache {
     int32_t ref_count = 0;
     SimTime last_access = 0;
     // --- second line: the paged-KV span (cold for walks) ---
-    BlockSlice blocks;  // Pages covering the edge, path-aligned.
+    BlockSlice blocks;  // Pages covering the edge, path-aligned (none on a
+                        // counted pool: the pages are the edge's tokens).
     // kColdSubtree aggregates, maintained incrementally when that is the
     // policy (root included):
     //   sub_blocks      — Σ blocks.size() over this subtree (span refs, so
@@ -289,6 +302,19 @@ class PrefixCache {
   // Removes an unpinned leaf, releasing its page references. Returns the
   // pages actually freed in the allocator.
   int64_t RemoveLeaf(SlabId leaf);
+
+  // Pages node `n` holds: its span, or on a counted pool its edge's tokens.
+  int64_t NodePages(const Node& n) const {
+    return named_ ? static_cast<int64_t>(n.blocks.size())
+                  : static_cast<int64_t>(n.edge.size());
+  }
+  // Drops node `id`'s page references (the node is going away). Returns the
+  // pages actually freed in the allocator.
+  int64_t ReleasePages(SlabId id, Node& n, bool pinned);
+  // Whether `id` is the node of the counted pool's open co-held window.
+  bool CoHolds(SlabId id) const {
+    return id == coheld_leaf_ && alloc_->coheld_blocks() > 0;
+  }
 
   // The seed LRU-leaf eviction loop (kLruLeaf, and the kColdSubtree
   // fallback pass): full-tree scan per victim, oldest unpinned leaf first.
@@ -333,6 +359,9 @@ class PrefixCache {
   SimTime newest_access_ = 0;
   std::unique_ptr<BlockAllocator> owned_alloc_;  // Standalone mode only.
   BlockAllocator* alloc_;                        // Shared paged-KV pool.
+  bool named_ = true;  // alloc_->named(): nodes hold page spans.
+  // The leaf of the last donor Insert that co-held pages (CoHolds).
+  SlabId coheld_leaf_ = kNilSlabId;
   Slab<Node, 6> nodes_;  // 64-node chunks: cheap short-lived instances.
   TokenPool pool_;
   BlockPool block_pool_;

@@ -6,12 +6,15 @@
 
 namespace skywalker {
 
-BlockAllocator::BlockAllocator(int64_t capacity_blocks)
-    : capacity_blocks_(capacity_blocks) {
+BlockAllocator::BlockAllocator(int64_t capacity_blocks, bool named)
+    : capacity_blocks_(capacity_blocks), named_(named) {
   SKYWALKER_CHECK(capacity_blocks > 0) << "allocator needs capacity";
 }
 
 void BlockAllocator::Reserve(int64_t blocks) {
+  if (!named_) {
+    return;
+  }
   refs_.reserve(static_cast<size_t>(blocks));
   free_list_.reserve(static_cast<size_t>(blocks));
   if (track_cache_) {
@@ -20,6 +23,7 @@ void BlockAllocator::Reserve(int64_t blocks) {
 }
 
 void BlockAllocator::EnableCacheHolders() {
+  SKYWALKER_CHECK(named_) << "cache-holder counts need named pages";
   if (track_cache_) {
     return;
   }
@@ -104,7 +108,32 @@ void BlockAllocator::PinCacheSpan(const BlockId* ids, int64_t n,
   }
 }
 
+void BlockAllocator::CoHold(PageHolder holder, int64_t n, int64_t end) {
+  SKYWALKER_CHECK(coheld_ == 0) << "one co-held window at a time";
+  SKYWALKER_CHECK(holder != kNoPageHolder && n > 0 && end >= n)
+      << "a co-held window needs a named holder and pages";
+  coheld_ = n;
+  coheld_end_ = end;
+  coheld_holder_ = holder;
+}
+
+int64_t BlockAllocator::ReleaseCacheCount(int64_t n, bool co_holder) {
+  int64_t freed = n;
+  if (co_holder) {
+    // The sequence's reference keeps the co-held pages; its next release
+    // frees them like any other of its pages.
+    SKYWALKER_CHECK(n >= coheld_) << "the co-holder holds its co-held pages";
+    freed -= coheld_;
+    coheld_ = 0;
+  }
+  NoteFreed(freed);
+  return freed;
+}
+
 int64_t BlockAllocator::live_refs() const {
+  if (!named_) {
+    return used_blocks_ + coheld_;
+  }
   int64_t total = 0;
   for (int32_t ref : refs_) {
     total += ref;
@@ -113,6 +142,10 @@ int64_t BlockAllocator::live_refs() const {
 }
 
 bool BlockAllocator::CheckInvariants() const {
+  if (!named_) {
+    return refs_.empty() && free_list_.empty() && !track_cache_ &&
+           used_blocks_ >= 0 && coheld_ >= 0 && coheld_ <= used_blocks_;
+  }
   int64_t live = 0;
   for (int32_t ref : refs_) {
     if (ref < 0) {

@@ -17,10 +17,25 @@
 // restores the invariant after the step. Admission control is the layer
 // that keeps overshoot bounded; the allocator just counts truthfully.
 //
-// With block_size_tokens == 1 the pool degenerates to one token per block
-// and every derived quantity reduces to the seed's token-counter
-// arithmetic — the coarse compatibility mode that keeps historical
-// BENCH_*.json goldens byte-identical (DESIGN.md §9).
+// Named or counted. A pool of one-token pages — the coarse compatibility
+// mode that keeps historical BENCH_*.json goldens byte-identical (DESIGN.md
+// §9) — need not name its pages: a coarse page is one token, its id decides
+// nothing, and no two holders share one between events. A *counted* pool
+// (`named` = false at construction; KvController builds one for one-token
+// pages) keeps no refcounts, ids or free list, only the totals, so every
+// ledger call costs O(1) whatever its token count. Its one shared state is
+// the *co-held window*: a donor PrefixCache::Insert references pages the
+// publishing sequence still holds, until that sequence's next release
+// (ReleaseSeqPrefix at prefill completion, ReleaseSeq at completion). The
+// pool counts those pages and names their sequence (`PageHolder`); the
+// cache names the co-holding node. If the cache evicts that node inside the
+// window, the co-held pages survive it and free at the sequence's release,
+// exactly as the named refcounts would have it, so Evict's freed counts
+// match the named ledger's. CHECKs keep the window simple: one co-holder at
+// a time, its next release covers the co-held pages, and no edge split
+// touches the co-holding node. Named pools (every block size, and one-token
+// pools under KvController::set_named_pages_oracle) stay the reference
+// implementation; forks and truncation exist only there.
 //
 // Cache-holder counts (paged mode): the prefix cache reports
 // which references it holds, so the allocator keeps per page the number of
@@ -31,8 +46,7 @@
 // refcount change re-evaluates its one page in O(1), sequence-side
 // AddRef/Release/CoW on a cache-held page included, which makes the probe's
 // occupancy figures O(1) instead of a radix-tree scan. Coarse mode never
-// enables the counts: its occupancy is the cache's token counters, and
-// per-page arrays at one token per page would cost 8 bytes per KV token.
+// enables the counts: its occupancy is the cache's token counters.
 
 #ifndef SKYWALKER_MEMORY_BLOCK_ALLOCATOR_H_
 #define SKYWALKER_MEMORY_BLOCK_ALLOCATOR_H_
@@ -49,19 +63,29 @@ namespace skywalker {
 using BlockId = int32_t;
 inline constexpr BlockId kInvalidBlockId = -1;
 
+// Names the sequence table holding pages of a counted pool (KvController
+// uses the sequence's SeqId), for the co-held window's checks.
+using PageHolder = int32_t;
+inline constexpr PageHolder kNoPageHolder = -1;
+
 struct BlockAllocatorStats {
-  int64_t allocated = 0;   // Cumulative Allocate() calls.
-  int64_t freed = 0;       // Cumulative blocks returned to the free list.
+  int64_t allocated = 0;   // Cumulative pages allocated.
+  int64_t freed = 0;       // Cumulative pages freed.
   int64_t cow_copies = 0;  // Copy-on-write duplications (BlockTable).
   int64_t peak_used_blocks = 0;
 };
 
 class BlockAllocator {
  public:
-  explicit BlockAllocator(int64_t capacity_blocks);
+  // `named` = false makes a counted pool of one-token pages (file comment).
+  explicit BlockAllocator(int64_t capacity_blocks, bool named = true);
 
   BlockAllocator(const BlockAllocator&) = delete;
   BlockAllocator& operator=(const BlockAllocator&) = delete;
+
+  // Whether pages have ids, refcounts and a free list (every call below up
+  // to Reserve), or are only counted (the counted-pool calls).
+  bool named() const { return named_; }
 
   // Returns a block with ref_count == 1. Never fails (see file comment);
   // callers gate on free_blocks() for admission decisions.
@@ -74,8 +98,7 @@ class BlockAllocator {
   bool Release(BlockId id);
 
   // Release() over ids[0..n), in order, with the cache-holder test hoisted
-  // out of the loop (coarse-mode publish and completion drop one reference
-  // per token).
+  // out of the loop (publish's prefix drop and completion release spans).
   void ReleaseSpan(const BlockId* ids, int64_t n);
 
   // --- references held by prefix-cache node spans -----------------------
@@ -108,14 +131,39 @@ class BlockAllocator {
   void PinCacheSpan(const BlockId* ids, int64_t n, int32_t delta);
 
   // Pre-sizes metadata and the free list so later Allocate/Release cycles
-  // below `blocks` live blocks never allocate heap memory.
+  // below `blocks` live blocks never allocate heap memory. A counted pool
+  // has nothing to size.
   void Reserve(int64_t blocks);
+
+  // --- counted pool (named() == false) -----------------------------------
+  // `n` fresh pages, for a sequence table or a cache node.
+  void AllocateCount(int64_t n);
+
+  // The table of `holder` drops `n` pages. Inside the holder's co-held
+  // window the co-held pages keep the cache's reference and the window
+  // closes. Returns how many pages became free.
+  int64_t ReleaseCount(PageHolder holder, int64_t n);
+
+  // A cache node takes a second reference on `n` pages the table of
+  // `holder` still holds, the last of them at table offset `end` - 1: the
+  // co-held window opens.
+  void CoHold(PageHolder holder, int64_t n, int64_t end);
+
+  // A cache node drops its `n` pages; `co_holder` says it is the node of an
+  // open co-held window, whose co-held pages then stay with the sequence.
+  // Returns how many pages became free.
+  int64_t ReleaseCacheCount(int64_t n, bool co_holder);
+
+  // Pages of the open co-held window (0 when none is open; always 0 on a
+  // named pool).
+  int64_t coheld_blocks() const { return coheld_; }
 
   int64_t capacity_blocks() const { return capacity_blocks_; }
   int64_t used_blocks() const { return used_blocks_; }
   // May be negative during transient overshoot (see file comment).
   int64_t free_blocks() const { return capacity_blocks_ - used_blocks_; }
 
+  // Named pools only.
   int32_t ref_count(BlockId id) const {
     return refs_[static_cast<size_t>(id)];
   }
@@ -140,7 +188,7 @@ class BlockAllocator {
   // Sum of all reference counts (each shared block counted once per holder).
   // O(ids ever allocated) — a test/diagnostics view for the conservation
   // invariant (cache-held + sequence-held refs == live_refs), not a hot-path
-  // quantity.
+  // quantity. A counted pool's is used pages plus co-held pages.
   int64_t live_refs() const;
 
   const BlockAllocatorStats& stats() const { return stats_; }
@@ -149,7 +197,8 @@ class BlockAllocator {
   // Structural soundness: used_blocks matches the number of ids with a
   // positive refcount and the free list holds exactly the zero-ref ids;
   // with cache-holder counts on, 0 <= pinned <= cache refs <= refs on every
-  // page and both running totals match a recount.
+  // page and both running totals match a recount. A counted pool holds no
+  // per-page state and at most its used pages co-held.
   bool CheckInvariants() const;
 
  private:
@@ -173,7 +222,14 @@ class BlockAllocator {
   // Release() for a page whose refcount change cannot move the totals.
   bool ReleaseUncounted(BlockId id);
 
+  // Counts `freed` pages off the used total.
+  void NoteFreed(int64_t freed) {
+    used_blocks_ -= freed;
+    stats_.freed += freed;
+  }
+
   int64_t capacity_blocks_;
+  bool named_;
   std::vector<int32_t> refs_;       // Indexed by BlockId.
   std::vector<BlockId> free_list_;  // LIFO: deterministic, cache-friendly.
   int64_t used_blocks_ = 0;
@@ -183,12 +239,37 @@ class BlockAllocator {
   std::vector<CacheHolders> cache_holders_;
   int64_t cache_held_ = 0;
   int64_t cache_evictable_ = 0;
+  // The co-held window (counted pools): pages, the holder's table offset
+  // one past the last of them, and the holder.
+  int64_t coheld_ = 0;
+  int64_t coheld_end_ = 0;
+  PageHolder coheld_holder_ = kNoPageHolder;
 };
 
-// Allocate/AddRef/Release are defined inline: with block_size_tokens == 1
-// the decode hot loop hits them once per generated token — tens of millions
-// of calls per benchmark cell — and the out-of-line call overhead was
-// measurable (ISSUE 10).
+// Inline: the counted-pool calls run once per decoded token on coarse
+// replicas, and Allocate/AddRef/Release once per page on paged ones (their
+// cross-TU call overhead was measurable when coarse pools named their
+// pages).
+inline void BlockAllocator::AllocateCount(int64_t n) {
+  used_blocks_ += n;
+  stats_.allocated += n;
+  stats_.peak_used_blocks = std::max(stats_.peak_used_blocks, used_blocks_);
+}
+
+inline int64_t BlockAllocator::ReleaseCount(PageHolder holder, int64_t n) {
+  int64_t freed = n;
+  if (coheld_ > 0) {
+    SKYWALKER_CHECK(holder == coheld_holder_)
+        << "a release inside another sequence's co-held window";
+    SKYWALKER_CHECK(n >= coheld_end_)
+        << "the co-holder's release must cover its co-held pages";
+    freed -= coheld_;
+    coheld_ = 0;
+  }
+  NoteFreed(freed);
+  return freed;
+}
+
 inline BlockId BlockAllocator::Allocate() {
   BlockId id;
   if (!free_list_.empty()) {
@@ -222,8 +303,7 @@ inline void BlockAllocator::AddRef(BlockId id) {
   ++refs_[static_cast<size_t>(id)];
 }
 
-// Inline like AddRef: in coarse mode a publish transfers one reference per
-// token.
+// Inline like AddRef: a publish transfers one reference per page.
 inline void BlockAllocator::AddCacheRef(BlockId id, bool pinned) {
   int32_t& ref = refs_[static_cast<size_t>(id)];
   SKYWALKER_CHECK(ref > 0) << "addref dead block";

@@ -14,6 +14,7 @@ void BlockTable::SetSkew(int32_t skew) {
 
 void BlockTable::ForkFrom(BlockAllocator& alloc, const BlockTable& parent,
                           int32_t block_size, int64_t tokens) {
+  SKYWALKER_CHECK(alloc.named()) << "forks need named pages";
   SKYWALKER_CHECK(blocks_.empty() && tokens_ == 0) << "fork into empty table";
   SKYWALKER_CHECK(tokens <= parent.tokens_) << "fork beyond parent";
   skew_ = parent.skew_;
@@ -28,6 +29,7 @@ void BlockTable::ForkFrom(BlockAllocator& alloc, const BlockTable& parent,
 
 int64_t BlockTable::Truncate(BlockAllocator& alloc, int32_t block_size,
                              int64_t tokens) {
+  SKYWALKER_CHECK(alloc.named()) << "truncation needs named pages";
   SKYWALKER_CHECK(tokens >= 0 && tokens <= tokens_) << "truncate range";
   tokens_ -= tokens;
   // Truncation drops from the back: the base (and so the skew) is
@@ -50,6 +52,13 @@ int64_t BlockTable::Truncate(BlockAllocator& alloc, int32_t block_size,
 int64_t BlockTable::ReleasePrefix(BlockAllocator& alloc, int32_t block_size,
                                   int64_t tokens) {
   SKYWALKER_CHECK(tokens >= 0 && tokens <= tokens_) << "prefix range";
+  if (!alloc.named()) {
+    // Even an empty release is the holder's next release, which must close
+    // its co-held window.
+    alloc.ReleaseCount(holder_, tokens);
+    tokens_ -= tokens;
+    return tokens;
+  }
   if (tokens == 0) {
     return 0;
   }
@@ -86,8 +95,12 @@ int64_t BlockTable::ReleasePrefix(BlockAllocator& alloc, int32_t block_size,
 }
 
 int64_t BlockTable::Clear(BlockAllocator& alloc) {
-  int64_t released = static_cast<int64_t>(blocks_.size());
-  alloc.ReleaseSpan(blocks_.data(), released);
+  const int64_t released = num_blocks();
+  if (alloc.named()) {
+    alloc.ReleaseSpan(blocks_.data(), released);
+  } else {
+    alloc.ReleaseCount(holder_, released);
+  }
   blocks_.clear();  // Capacity retained for pooled reuse.
   tokens_ = 0;
   skew_ = 0;

@@ -27,6 +27,13 @@
 // observable per table; the *exact* global figure lives with the replica,
 // which sees both sides of every shared page.
 //
+// On a counted pool (one-token pages, BlockAllocator file comment) a table
+// holds no ids: its pages are its tokens, the skew is zero, and every call
+// is O(1) whatever its token count. The table asks its pool which kind it
+// is. `ForkFrom` and `Truncate`, which only tests and micro_memory call,
+// need named pages. A table's `holder` names it in the counted pool's
+// co-held window; KvController tags each sequence slot with its SeqId.
+//
 // Tables keep their vector capacity across Clear() so pooled reuse
 // (KvController's sequence slots) stays allocation-free in steady state.
 
@@ -44,9 +51,17 @@ namespace skywalker {
 class BlockTable {
  public:
   int64_t num_tokens() const { return tokens_; }
-  int64_t num_blocks() const { return static_cast<int64_t>(blocks_.size()); }
+  // A named table without ids holds no tokens either, and a counted table
+  // never holds ids, so an empty id list means the pages are the tokens.
+  int64_t num_blocks() const {
+    return blocks_.empty() ? tokens_ : static_cast<int64_t>(blocks_.size());
+  }
+  // Named pools only (a counted table's is empty).
   const std::vector<BlockId>& blocks() const { return blocks_; }
   int32_t skew() const { return skew_; }
+
+  PageHolder holder() const { return holder_; }
+  void set_holder(PageHolder holder) { holder_ = holder; }
 
   int64_t padded_tokens(int32_t block_size) const {
     return num_blocks() * block_size;
@@ -93,12 +108,12 @@ class BlockTable {
 
   // Becomes a fork of `parent`'s first `tokens` tokens by taking references
   // on the covering blocks (inheriting the parent's skew). The table must
-  // be empty.
+  // be empty and the pool named.
   void ForkFrom(BlockAllocator& alloc, const BlockTable& parent,
                 int32_t block_size, int64_t tokens);
 
   // Drops the last `tokens` tokens, releasing blocks that become empty.
-  // Returns the number of references released.
+  // Returns the number of references released. Named pools only.
   int64_t Truncate(BlockAllocator& alloc, int32_t block_size, int64_t tokens);
 
   // Drops the first `tokens` tokens (the span just published to the prefix
@@ -117,13 +132,19 @@ class BlockTable {
   int64_t tokens_ = 0;
   int32_t skew_ = 0;
   BlockId cow_exempt_ = kInvalidBlockId;
+  PageHolder holder_ = kNoPageHolder;
 };
 
-// Inline: the decode loop appends one token per generated token per
-// sequence (ISSUE 10 — tens of millions of calls per benchmark cell).
+// Inline: decode appends one token per generated token per sequence, on a
+// counted pool as on a named one.
 inline int64_t BlockTable::Append(BlockAllocator& alloc, int32_t block_size,
                                   int64_t tokens) {
   SKYWALKER_CHECK(tokens >= 0);
+  if (!alloc.named()) {
+    alloc.AllocateCount(tokens);
+    tokens_ += tokens;
+    return tokens;
+  }
   if (tokens == 0) {
     return 0;
   }

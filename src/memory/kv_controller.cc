@@ -1,11 +1,22 @@
 #include "src/memory/kv_controller.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "src/common/logging.h"
 
 namespace skywalker {
+
+namespace {
+
+std::atomic<bool> g_named_pages_oracle{false};
+
+}  // namespace
+
+void KvController::set_named_pages_oracle(bool on) {
+  g_named_pages_oracle.store(on, std::memory_order_relaxed);
+}
 
 KvCounters& operator+=(KvCounters& lhs, const KvCounters& rhs) {
   lhs.preempt_recompute += rhs.preempt_recompute;
@@ -22,7 +33,9 @@ KvCounters& operator+=(KvCounters& lhs, const KvCounters& rhs) {
 KvController::KvController(const KvConfig& config)
     : config_(config),
       total_blocks_(config.capacity_tokens / config.block_size_tokens),
-      alloc_(total_blocks_) {
+      alloc_(total_blocks_,
+             /*named=*/config.block_size_tokens > 1 ||
+                 g_named_pages_oracle.load(std::memory_order_relaxed)) {
   SKYWALKER_CHECK(config.block_size_tokens >= 1) << "block size";
   SKYWALKER_CHECK(config.watermark_blocks >= 0) << "watermark";
   SKYWALKER_CHECK(total_blocks_ > 0) << "capacity below one block";
@@ -42,7 +55,7 @@ KvController::SeqId KvController::AdmitSeq(int64_t prefill_tokens,
     free_slots_.pop_back();
   } else {
     id = static_cast<SeqId>(seqs_.size());
-    seqs_.emplace_back();
+    seqs_.emplace_back().table.set_holder(id);
   }
   SeqEntry& e = seqs_[static_cast<size_t>(id)];
   e.live = true;
@@ -85,15 +98,21 @@ void KvController::OnDecodeSteps(std::vector<DecodeRun>* runs,
   if (steps == 0) {
     return;
   }
+  const bool named = alloc_.named();
   for (const DecodeRun& run : *runs) {
     SeqEntry& e = entry(run.id);
     SetCommitted(e, e.committed_prefill,
                  std::max<int64_t>(0, e.committed_reserve - steps));
+    if (!named) {
+      e.table.Append(alloc_, config_.block_size_tokens, steps);
+    }
   }
-  for (int64_t step = 0; step < steps; ++step) {
-    for (const DecodeRun& run : *runs) {
-      seqs_[static_cast<size_t>(run.id)].table.Append(
-          alloc_, config_.block_size_tokens, 1);
+  if (named) {
+    for (int64_t step = 0; step < steps; ++step) {
+      for (const DecodeRun& run : *runs) {
+        seqs_[static_cast<size_t>(run.id)].table.Append(
+            alloc_, config_.block_size_tokens, 1);
+      }
     }
   }
   seq_tokens_total_ += steps * static_cast<int64_t>(runs->size());

@@ -24,6 +24,10 @@
 // reduces exactly to the seed replica's token arithmetic
 // (need <= capacity - Resident() - CommittedFuture()) — the coarse
 // compatibility mode that keeps historical BENCH goldens byte-identical.
+// A controller built for one-token pages gets a counted pool
+// (BlockAllocator file comment): its tables hold page counts, not ids, so
+// every ledger call is O(1) and a stable stretch's OnDecodeSteps is
+// O(sequences). set_named_pages_oracle gives tests the named pool instead.
 //
 // Preemption policy selects what a reclaim victim costs:
 //   * kRecompute — drop the victim's blocks; it re-prefills from scratch on
@@ -94,6 +98,12 @@ class KvController {
 
   KvController(const KvController&) = delete;
   KvController& operator=(const KvController&) = delete;
+
+  // Test-only reference arm: controllers constructed while this is on give
+  // one-token pages named ids, refcounts and a free list, as every larger
+  // block size has, instead of counting them. Process-wide so whole fleets
+  // built by Run can take it; set it before building them.
+  static void set_named_pages_oracle(bool on);
 
   // The shared page pool. The prefix cache borrows this and charges its
   // per-node spans straight into it — there is exactly one ledger.
@@ -167,9 +177,11 @@ class KvController {
                              int64_t steps) const;
 
   // Materializes `steps` decode steps of `runs`: one entry lookup and one
-  // commitment update per sequence, and pages allocated step-major (each
+  // commitment update per sequence. A named pool allocates step-major (each
   // step appends one token to every sequence in order), so page ids match
-  // `steps` rounds of OnDecodeToken. Re-plans each run from its new state.
+  // `steps` rounds of OnDecodeToken; a counted pool has no ids to order and
+  // appends `steps` tokens per sequence. Re-plans each run from its new
+  // state.
   void OnDecodeSteps(std::vector<DecodeRun>* runs, int64_t steps);
 
   int64_t SeqTokens(SeqId id) const;
@@ -268,7 +280,7 @@ class KvController {
   int64_t CeilBlocks(int64_t tokens) const {
     // Coarse compatibility mode (block_size_tokens == 1, every fleet-scale
     // config) makes ceil the identity; skipping the integer divide matters
-    // at tens of millions of SetCommitted calls per cell (ISSUE 10).
+    // at one SetCommitted call per decoded token.
     if (config_.block_size_tokens == 1) {
       return tokens;
     }
@@ -296,10 +308,10 @@ class KvController {
   KvCounters counters_;
 };
 
-// The per-token ledger operations are defined inline (ISSUE 10): with
-// block_size_tokens == 1 the decode hot loop runs entry lookup + committed
-// adjustment + table append once per generated token — tens of millions of
-// calls per benchmark cell — and the cross-TU call overhead was measurable.
+// The per-token ledger operations are defined inline: the
+// decode loop runs entry lookup + committed adjustment + table append once
+// per generated token of every sequence a step decodes outside a stable
+// stretch, and the cross-TU call overhead was measurable.
 inline KvController::SeqEntry& KvController::entry(SeqId id) {
   SeqEntry& e = seqs_[static_cast<size_t>(id)];
   SKYWALKER_CHECK(e.live) << "dead sequence slot";

@@ -3,13 +3,15 @@
 //
 // The block free list, sequence-slot free list, and block-table vectors all
 // recycle: once warmed to a high-water mark, admit/prefill/decode/release
-// churn and fork/free storms must not touch the heap. Allocations are
+// churn and fork/free storms must not touch the heap, and neither must a
+// counted pool's whole publish/evict cycle. Allocations are
 // counted with a global operator new/delete replacement (standard-
 // sanctioned, composes with ASan); counters are only asserted inside
 // windows the test controls.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <limits>
@@ -195,6 +197,105 @@ TEST(KvMemoryAllocTest, ControllerSeqChurnDoesNotAllocateWhenWarm) {
   EXPECT_EQ(NewCount() - baseline, 0)
       << "controller sequence churn must not allocate at steady state";
   EXPECT_TRUE(kv.CheckConsistency());
+}
+
+TEST(KvMemoryAllocTest, CountedPoolChurnDoesNotAllocateWhenWarm) {
+  // A coarse replica's ledger counts its one-token pages, so pages never
+  // touch the heap; admit, chunked prefill, publish (a donor Insert, then
+  // the prefix drop), single-token and stable-stretch decode, completion
+  // (a donor Insert, then the release) and eviction, some of it inside a
+  // donor's co-held window, must recycle sequence slots, cache nodes and
+  // token chunks once warm.
+  KvConfig config;
+  config.capacity_tokens = 1 << 20;
+  KvController kv(config);
+  ASSERT_FALSE(kv.allocator().named());
+  // A budget below one round's content, so publishes evict.
+  PrefixCache cache(2000, &kv.allocator(), 1);
+
+  constexpr int kSeqs = 32;
+  constexpr int64_t kStretch = 8;
+  constexpr int64_t kOutput = 1 + kStretch + 2;
+  std::vector<TokenSeq> prompts;
+  std::vector<TokenSeq> completions;
+  for (int k = 0; k < kSeqs; ++k) {
+    TokenSeq prompt;
+    for (Token t = 0; t < 300; ++t) {
+      prompt.push_back(t);  // Shared prefix.
+    }
+    for (Token t = 0; t < 50 + k; ++t) {
+      prompt.push_back(10'000 + k * 1'000 + t);
+    }
+    TokenSeq completion = prompt;
+    for (Token t = 0; t < kOutput; ++t) {
+      completion.push_back(900'000 + k * 1'000 + t);
+    }
+    prompts.push_back(std::move(prompt));
+    completions.push_back(std::move(completion));
+  }
+  std::vector<KvController::SeqId> ids(kSeqs);
+  std::vector<PinId> pins(kSeqs);
+  std::vector<int64_t> bases(kSeqs);
+  std::vector<KvController::DecodeRun> runs;
+  runs.reserve(kSeqs);
+
+  SimTime now = 0;
+  auto churn = [&] {
+    for (int k = 0; k < kSeqs; ++k) {
+      const TokenSeq& prompt = prompts[static_cast<size_t>(k)];
+      const int64_t prompt_len = static_cast<int64_t>(prompt.size());
+      const PrefixCache::MatchRef match = cache.MatchAndRef(prompt, ++now);
+      const int64_t base = std::min(match.cached_len, prompt_len - 1);
+      const int64_t prefill = prompt_len - base;
+      const KvController::SeqId id = kv.AdmitSeq(prefill, kOutput);
+      kv.OnPrefillChunk(id, prefill / 2);
+      kv.OnPrefillChunk(id, prefill - prefill / 2);
+      kv.OnDecodeToken(id);  // The final chunk's first output token.
+      // Publish as Replica::OnPrefillComplete does.
+      cache.Insert(prompt, ++now, &kv.table(id), base);
+      cache.Unref(match.pin);
+      const PrefixCache::MatchRef published = cache.MatchAndRef(prompt, ++now);
+      kv.ReleaseSeqPrefix(id, published.cached_len - base);
+      ids[static_cast<size_t>(k)] = id;
+      pins[static_cast<size_t>(k)] = published.pin;
+      bases[static_cast<size_t>(k)] = published.cached_len;
+    }
+    runs.clear();
+    for (KvController::SeqId id : ids) {
+      KvController::DecodeRun run;
+      ASSERT_TRUE(kv.PlanDecode(id, &run));
+      runs.push_back(run);
+    }
+    kv.OnDecodeSteps(&runs, kStretch);
+    for (int k = 0; k < kSeqs; ++k) {
+      const size_t i = static_cast<size_t>(k);
+      kv.OnDecodeToken(ids[i]);
+      kv.OnDecodeToken(ids[i]);
+      // Complete as Replica::CompleteSeq does.
+      cache.Insert(completions[i], ++now, &kv.table(ids[i]), bases[i]);
+      cache.Unref(pins[i]);
+      kv.ReleaseSeq(ids[i]);
+    }
+    cache.Evict(std::numeric_limits<int64_t>::max());
+  };
+  // Warm-up: beyond the pools' high-water marks, the shared prefix's node
+  // is a recycled slab node whose child map must already have spilled to
+  // 32 entries, which takes a few dozen rounds of LIFO reuse.
+  for (int i = 0; i < 80; ++i) {
+    churn();
+  }
+
+  const long long baseline = NewCount();
+  for (int round = 0; round < 200; ++round) {
+    churn();
+  }
+  EXPECT_EQ(NewCount() - baseline, 0)
+      << "counted-pool churn must not allocate at steady state";
+  EXPECT_GT(cache.eviction_stats().victims, 0);
+  EXPECT_EQ(kv.used_blocks(), 0);
+  EXPECT_EQ(kv.live_seqs(), 0);
+  EXPECT_TRUE(kv.CheckConsistency());
+  EXPECT_TRUE(cache.CheckInvariants());
 }
 
 TEST(KvMemoryAllocTest, ReservePreSizesCacheHolderCounts) {

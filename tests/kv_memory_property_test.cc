@@ -26,11 +26,21 @@
 // that the O(1) probe occupancy (PrefixCache::CountBlocks, the allocator's
 // incremental cache-holder totals in paged mode) equals the full-scan
 // oracle CountBlocksSlow.
+//
+// At block size 1 the protocol runs on both kinds of one-token pool: the
+// named pool (KvController::set_named_pages_oracle, the reference, which
+// alone can fork) and the counted pool every coarse replica uses, which
+// must agree with it op for op on every count either can report. The
+// co-held window test pins the one state a count must carry: a donor
+// Insert whose over-capacity eviction removes its own new leaf.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/cache/prefix_cache.h"
@@ -101,7 +111,9 @@ TEST_P(CoarseDifferentialTest, AdmissionAndSeriesMatchSeedAccounting) {
   config.capacity_tokens = trace.capacity;
   config.block_size_tokens = 1;  // Coarse compatibility mode.
   KvController kv(config);
-  // The real cache side: node spans charge kv's allocator directly.
+  // The pool every coarse replica runs on.
+  ASSERT_FALSE(kv.allocator().named());
+  // The real cache side: node pages charge kv's allocator directly.
   PrefixCache cache(trace.capacity, &kv.allocator(), 1);
 
   // Paired sequence handles: ref.running[i] <-> kv_ids[i].
@@ -261,19 +273,26 @@ struct LiveSeq {
   bool published = false;
 };
 
-class UnifiedLedgerPropertyTest
-    : public ::testing::TestWithParam<
-          std::tuple<int32_t, uint64_t, EvictionPolicy, PreemptPolicy>> {};
+// Block size, trace seed, eviction policy, preemption policy.
+using LedgerCase = std::tuple<int32_t, uint64_t, EvictionPolicy, PreemptPolicy>;
 
-TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
-  auto [block_size, seed, policy, preempt] = GetParam();
+// Replays the publish protocol against one ledger (a one-token pool named
+// when `named`; larger pages always are), asserting conservation after
+// every op. `observed` gets one line per op of every figure a named and a
+// counted pool must agree on.
+void ReplayPublishProtocol(const LedgerCase& ledger_case, bool named,
+                           std::vector<std::string>* observed) {
+  auto [block_size, seed, policy, preempt] = ledger_case;
   Rng rng(seed);
   KvConfig config;
   config.capacity_tokens = 8192;
   config.block_size_tokens = block_size;
   config.watermark_blocks = block_size > 1 ? 4 : 0;
   config.preempt_policy = preempt;
+  KvController::set_named_pages_oracle(named);
   KvController kv(config);
+  KvController::set_named_pages_oracle(false);
+  ASSERT_EQ(kv.allocator().named(), named || block_size > 1);
   // The kColdSubtree replays exercise subtree eviction (plus its LRU-leaf
   // fallback) under the full publish protocol: conservation and aggregate
   // soundness (CheckInvariants validates the subtree aggregates whenever
@@ -311,6 +330,23 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
                   (cache.size_tokens() + kv.seq_resident_tokens()),
               0)
         << "op " << step;
+  };
+  int64_t evict_freed = 0;  // The last explicit Evict's return value.
+  auto observe = [&](int step, int op) {
+    const BlockAllocatorStats& a = kv.allocator_stats();
+    const PrefixCache::EvictionStats& e = cache.eviction_stats();
+    const PrefixCache::BlockOccupancy occ = cache.CountBlocks();
+    std::ostringstream os;
+    os << step << " op " << op << " used " << kv.used_blocks() << " refs "
+       << kv.allocator().live_refs() << " alloc " << a.allocated << ' '
+       << a.freed << ' ' << a.peak_used_blocks << " evict " << evict_freed
+       << ' ' << e.rounds << ' ' << e.victims << ' ' << e.freed_blocks
+       << " cache " << cache.size_tokens() << ' ' << cache.num_nodes() << ' '
+       << cache.block_refs() << ' ' << occ.held_blocks << ' '
+       << occ.evictable_blocks << " seqs " << kv.seq_resident_tokens() << ' '
+       << kv.seq_block_refs() << ' ' << kv.committed_tokens() << ' '
+       << kv.live_seqs();
+    observed->push_back(os.str());
   };
 
   auto publish = [&](LiveSeq& s) {
@@ -359,7 +395,8 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
       s.base = cached;
       s.prefill_left = static_cast<int64_t>(s.prompt.size()) - cached;
       if (!kv.CanAdmit(s.prefill_left, reserve)) {
-        cache.Evict(kv.AdmissionDeficitBlocks(s.prefill_left, reserve));
+        evict_freed =
+            cache.Evict(kv.AdmissionDeficitBlocks(s.prefill_left, reserve));
       }
       if (!kv.CanAdmit(s.prefill_left, reserve) && !live.empty()) {
         cache.Unref(s.pin);  // Stay pending (dropped here).
@@ -428,22 +465,28 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
                             &transfer);
       live.push_back(std::move(s));
     } else if (op == 5) {  // Eviction pressure (Evict takes blocks now).
-      cache.Evict(rng.UniformInt(0, 2048) / block_size);
+      evict_freed = cache.Evict(rng.UniformInt(0, 2048) / block_size);
     } else if (op == 6 && !live.empty()) {  // Fork a table, then drop it.
       const LiveSeq& s = live[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
       const int64_t tokens = kv.SeqTokens(s.id);
       if (tokens > 0) {
-        BlockTable fork;
-        fork.ForkFrom(kv.allocator(), kv.table(s.id), block_size,
-                      rng.UniformInt(1, tokens));
-        ASSERT_EQ(cache.block_refs() + kv.seq_block_refs() +
-                      fork.num_blocks(),
-                  kv.allocator().live_refs());
-        fork.Clear(kv.allocator());
+        const int64_t fork_tokens = rng.UniformInt(1, tokens);
+        // Forks need named pages. A fork changes no count, so a counted
+        // pool, drawing the same numbers, replays the same trace.
+        if (kv.allocator().named()) {
+          BlockTable fork;
+          fork.ForkFrom(kv.allocator(), kv.table(s.id), block_size,
+                        fork_tokens);
+          ASSERT_EQ(cache.block_refs() + kv.seq_block_refs() +
+                        fork.num_blocks(),
+                    kv.allocator().live_refs());
+          fork.Clear(kv.allocator());
+        }
       }
     }
     check(step);
+    observe(step, op);
   }
 
   // Drain: complete everything, drop the cache, and the pool must be empty.
@@ -467,6 +510,16 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
   EXPECT_TRUE(cache.CheckInvariants());
 }
 
+// Named pools: every block size, one-token pages through the oracle switch
+// (the only arm that forks at block size 1).
+class UnifiedLedgerPropertyTest
+    : public ::testing::TestWithParam<LedgerCase> {};
+
+TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
+  std::vector<std::string> observed;
+  ReplayPublishProtocol(GetParam(), /*named=*/true, &observed);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Blocks, UnifiedLedgerPropertyTest,
     ::testing::Combine(::testing::Values(int32_t{1}, int32_t{16},
@@ -476,6 +529,148 @@ INSTANTIATE_TEST_SUITE_P(
                                          EvictionPolicy::kColdSubtree),
                        ::testing::Values(PreemptPolicy::kRecompute,
                                          PreemptPolicy::kSwap)));
+
+// Counted one-token pools: conservation on their own, and every count equal
+// to the named pool's after every op of the same trace.
+class CountedLedgerPropertyTest
+    : public ::testing::TestWithParam<LedgerCase> {};
+
+TEST_P(CountedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
+  std::vector<std::string> observed;
+  ReplayPublishProtocol(GetParam(), /*named=*/false, &observed);
+}
+
+TEST_P(CountedLedgerPropertyTest, MatchesNamedPagesOpForOp) {
+  std::vector<std::string> named;
+  std::vector<std::string> counted;
+  ReplayPublishProtocol(GetParam(), /*named=*/true, &named);
+  ASSERT_FALSE(HasFatalFailure());
+  ReplayPublishProtocol(GetParam(), /*named=*/false, &counted);
+  ASSERT_FALSE(HasFatalFailure());
+  ASSERT_EQ(counted.size(), named.size());
+  for (size_t i = 0; i < named.size(); ++i) {
+    ASSERT_EQ(counted[i], named[i]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Coarse, CountedLedgerPropertyTest,
+    ::testing::Combine(::testing::Values(int32_t{1}),
+                       ::testing::Values(11u, 12u, 13u),
+                       ::testing::Values(EvictionPolicy::kLruLeaf,
+                                         EvictionPolicy::kColdSubtree),
+                       ::testing::Values(PreemptPolicy::kRecompute,
+                                         PreemptPolicy::kSwap)));
+
+// --- The co-held window ---------------------------------------------------
+
+TokenSeq Iota(int64_t n, Token base) {
+  TokenSeq seq;
+  for (int64_t i = 0; i < n; ++i) {
+    seq.push_back(base + static_cast<Token>(i));
+  }
+  return seq;
+}
+
+TokenSeq Concat(TokenSeq head, const TokenSeq& tail) {
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
+}
+
+// Two publishes by reference transfer against a 100-token cache budget on a
+// 4096-token pool: a completion whose over-capacity eviction removes its
+// own new leaf, then a prompt publish whose leaf outlives the donor's
+// release. One line per step: Evict's return value (-1 where the step makes
+// no explicit call), eviction_stats(), used pages, live references.
+std::vector<std::string> RunCoHeldWindow(bool named, EvictionPolicy policy) {
+  KvConfig config;
+  config.capacity_tokens = 4096;
+  KvController::set_named_pages_oracle(named);
+  KvController kv(config);
+  KvController::set_named_pages_oracle(false);
+  EXPECT_EQ(kv.allocator().named(), named);
+  PrefixCache cache(100, &kv.allocator(), 1, policy);
+  std::vector<std::string> lines;
+  auto observe = [&](const std::string& what, int64_t evict_freed) {
+    const PrefixCache::EvictionStats& e = cache.eviction_stats();
+    std::ostringstream os;
+    os << what << ": evict " << evict_freed << ' ' << e.rounds << ' '
+       << e.victims << ' ' << e.freed_blocks << " used " << kv.used_blocks()
+       << " refs " << kv.allocator().live_refs();
+    lines.push_back(os.str());
+  };
+
+  // A pinned 60-token prefix both sequences extend.
+  const TokenSeq shared = Iota(60, 0);
+  cache.Insert(shared, 1);
+  const PinId held = cache.MatchAndRef(shared, 2).pin;
+
+  // Sequence 1 holds path positions [60, 121): 60 prompt tokens and its
+  // first output token. Its completion publishes the prompt and 10 output
+  // tokens, so the new leaf spans [60, 130): 61 pages co-held with the
+  // table, 9 fresh. 130 tokens overflow the budget and the new leaf is the
+  // only unpinned leaf, so it goes, freeing only its 9 fresh pages; the
+  // co-held ones free with the donor.
+  const TokenSeq prompt = Concat(shared, Iota(60, 1000));
+  PrefixCache::MatchRef match = cache.MatchAndRef(prompt, 3);
+  EXPECT_EQ(match.cached_len, 60);
+  KvController::SeqId seq = kv.AdmitSeq(60, 16);
+  kv.OnPrefillChunk(seq, 60);
+  kv.OnDecodeToken(seq);
+  observe("admitted", -1);
+  cache.Insert(Concat(prompt, Iota(10, 2000)), 4, &kv.table(seq), 60);
+  observe("insert evicted its leaf", -1);
+  cache.Unref(match.pin);
+  kv.ReleaseSeq(seq);
+  observe("donor released", -1);
+  EXPECT_TRUE(cache.CheckInvariants());
+  EXPECT_TRUE(kv.CheckConsistency());
+
+  // Sequence 2 holds [60, 81); its prompt publish co-holds [60, 80), which
+  // fits the budget. The donor then drops the published span, as
+  // Replica::OnPrefillComplete does, and the cache keeps those pages.
+  const TokenSeq prompt2 = Concat(shared, Iota(20, 3000));
+  match = cache.MatchAndRef(prompt2, 5);
+  seq = kv.AdmitSeq(20, 16);
+  kv.OnPrefillChunk(seq, 20);
+  kv.OnDecodeToken(seq);
+  cache.Insert(prompt2, 6, &kv.table(seq), 60);
+  observe("insert kept its leaf", -1);
+  cache.Unref(match.pin);
+  match = cache.MatchAndRef(prompt2, 7);
+  kv.ReleaseSeqPrefix(seq, match.cached_len - 60);
+  observe("donor dropped the published span", -1);
+  kv.ReleaseSeq(seq);
+  cache.Unref(match.pin);
+  cache.Unref(held);
+  observe("evicted everything", cache.Evict(1 << 20));
+  EXPECT_TRUE(cache.CheckInvariants());
+  EXPECT_TRUE(kv.CheckConsistency());
+  return lines;
+}
+
+class CoHeldWindowTest : public ::testing::TestWithParam<EvictionPolicy> {};
+
+TEST_P(CoHeldWindowTest, CountedPoolMatchesNamedPoolAtEveryStep) {
+  const std::vector<std::string> named = RunCoHeldWindow(true, GetParam());
+  const std::vector<std::string> counted = RunCoHeldWindow(false, GetParam());
+  // The named refcounts' verdicts (both policies fall back to the LRU leaf
+  // scan: nothing is cold).
+  const std::vector<std::string> expected = {
+      "admitted: evict -1 0 0 0 used 121 refs 121",
+      "insert evicted its leaf: evict -1 1 1 9 used 121 refs 121",
+      "donor released: evict -1 1 1 9 used 60 refs 60",
+      "insert kept its leaf: evict -1 1 1 9 used 81 refs 101",
+      "donor dropped the published span: evict -1 1 1 9 used 81 refs 81",
+      "evicted everything: evict 80 2 3 89 used 0 refs 0",
+  };
+  EXPECT_EQ(named, expected);
+  EXPECT_EQ(counted, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, CoHeldWindowTest,
+                         ::testing::Values(EvictionPolicy::kLruLeaf,
+                                           EvictionPolicy::kColdSubtree));
 
 }  // namespace
 }  // namespace skywalker

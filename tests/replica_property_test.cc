@@ -2,8 +2,9 @@
 // request completes exactly once, first-token precedes completion), memory
 // boundedness, and cache-accounting invariants, swept across engine
 // configurations and workload shapes with parameterized gtest — plus the
-// differential check of stable-stretch coalescing against the per-step
-// oracle (DESIGN.md §13).
+// differential checks of stable-stretch coalescing against the per-step
+// oracle (DESIGN.md §13) and of coarse replicas' counted page pools against
+// named ones (DESIGN.md §9).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/memory/kv_controller.h"
 #include "src/obs/trace.h"
 #include "src/replica/replica.h"
 #include "src/sim/simulator.h"
@@ -226,12 +228,15 @@ struct WorldLog {
   std::string trace;               // SKTRACE1 bytes (traced runs).
   std::vector<SimTime> step_ends;  // kEngineStep record times.
   size_t events = 0;
+  PrefixCache::EvictionStats evictions;  // At the end of the run.
 };
 
 // Arrivals, random probes, boundary probes and faults (Fail/Recover,
 // SetSlowdown) against one replica, coalesced or on the per-step oracle,
-// traced or not; an observation after every injected event.
-WorldLog RunWorld(const WorldSpec& spec, bool oracle, bool traced) {
+// traced or not, its one-token pages counted or (`named`) named; an
+// observation after every injected event.
+WorldLog RunWorld(const WorldSpec& spec, bool oracle, bool traced,
+                  bool named = false) {
   WorldLog log;
   Simulator sim;
   Tracer tracer(1);
@@ -239,7 +244,9 @@ WorldLog RunWorld(const WorldSpec& spec, bool oracle, bool traced) {
     sim.SetTracer(&tracer);
   }
   Replica::set_per_step_oracle(oracle);
+  KvController::set_named_pages_oracle(named);
   Replica replica(&sim, 0, 0, spec.config);
+  KvController::set_named_pages_oracle(false);
   Replica::set_per_step_oracle(false);
 
   Rng rng(spec.seed);
@@ -300,6 +307,7 @@ WorldLog RunWorld(const WorldSpec& spec, bool oracle, bool traced) {
   observe("end");
 
   log.events = sim.executed_events();
+  log.evictions = replica.cache().eviction_stats();
   const std::vector<TraceRecord> records = tracer.Merged();
   log.trace = TraceToBinary(records, {});
   for (const TraceRecord& r : records) {
@@ -343,6 +351,47 @@ TEST_P(ReplicaSweepTest, CoalescedMatchesPerStepOracle) {
   ExpectCoalescedMatchesOracle(spec);
 }
 
+// The sweep's coarse configs (paged pools always name their pages), and one
+// whose shared prompts outgrow a 1024-token budget: there a publish
+// overflows the cache inside its co-held window and evicts its own new
+// leaf, on every seed.
+const SweepConfig kCoarseSweeps[] = {
+    SweepConfig{49152, 64, 1024, 0.5},  // Default L4.
+    SweepConfig{4096, 64, 1024, 0.5},   // Memory-starved.
+    SweepConfig{49152, 4, 1024, 0.5},   // Slot-starved.
+    SweepConfig{8192, 16, 128, 0.8},    // Tiny chunks, heavy reuse.
+    SweepConfig{8192, 16, 4096, 0.0},   // No sharing at all.
+    SweepConfig{1024, 8, 128, 0.8},     // Publishes overflow the cache.
+};
+
+class CountedPagesTest : public ReplicaSweepTest {};
+
+// A coarse replica's counted page pool against the named reference: every
+// observation (ledger totals and allocator stats included), the eviction
+// stats and the trace bytes.
+TEST_P(CountedPagesTest, MatchNamedPages) {
+  auto [sweep, seed] = GetParam();
+  WorldSpec spec;
+  spec.config = MakeConfig(sweep);
+  spec.seed = seed;
+  spec.share = sweep.share_probability;
+  const WorldLog named =
+      RunWorld(spec, /*oracle=*/false, /*traced=*/true, /*named=*/true);
+  const WorldLog counted =
+      RunWorld(spec, /*oracle=*/false, /*traced=*/true, /*named=*/false);
+  ASSERT_FALSE(named.lines.empty());
+  const size_t n = std::min(named.lines.size(), counted.lines.size());
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(counted.lines[i], named.lines[i]) << "observation " << i;
+  }
+  EXPECT_EQ(counted.lines.size(), named.lines.size());
+  EXPECT_EQ(counted.evictions.rounds, named.evictions.rounds);
+  EXPECT_EQ(counted.evictions.victims, named.evictions.victims);
+  EXPECT_EQ(counted.evictions.freed_blocks, named.evictions.freed_blocks);
+  EXPECT_TRUE(counted.trace == named.trace) << "trace bytes differ";
+  EXPECT_EQ(counted.events, named.events);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ReplicaSweepTest,
     ::testing::Combine(
@@ -356,6 +405,10 @@ INSTANTIATE_TEST_SUITE_P(
             SweepConfig{4096, 32, 256, 0.6, 16, PreemptPolicy::kSwap},
             SweepConfig{12288, 16, 512, 0.5, 16, PreemptPolicy::kSwap}),
         ::testing::Values(1u, 2u, 3u)));
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CountedPagesTest,
+                         ::testing::Combine(::testing::ValuesIn(kCoarseSweeps),
+                                            ::testing::Values(1u, 2u, 3u)));
 
 // Every step exactly 1 ms and every injected event on the 1 ms grid: each
 // step boundary ties with arrivals, probes and faults, some ordered before

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/run.h"
+#include "src/memory/kv_controller.h"
 #include "src/net/network.h"
 #include "src/net/topology.h"
 #include "src/replica/replica.h"
@@ -346,7 +347,8 @@ void ExpectSameRun(const RunResult& result, const RunResult& reference,
 // traces and summary metrics for every shard/thread combination, including
 // against the plain single-threaded Simulator. The per-step oracle is one
 // more arm (DESIGN.md §13): coalescing engine steps into stable stretches
-// changes only how many events run.
+// changes only how many events run. Named one-token pages are another
+// (DESIGN.md §9): counting them changes nothing a run reports.
 TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
   const RunResult reference = skywalker::Run(SmallFleet());
   ASSERT_GT(reference.completed, 0u);
@@ -377,6 +379,24 @@ TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
     SCOPED_TRACE("per-step oracle, shards=" + std::to_string(shards));
     ExpectSameRun(oracle, reference, /*same_step_path=*/false);
     EXPECT_GT(oracle.executed_events, reference.executed_events);
+  }
+
+  // Named pages, at the default KV budget and at one small enough that the
+  // caches evict (the cache hit rate falls from 0.81 to 0.35).
+  for (int64_t kv_tokens : {int64_t{0}, int64_t{1024}}) {
+    RunSpec run_spec = SmallFleet();
+    run_spec.num_shards = 4;
+    run_spec.num_threads = 4;
+    if (kv_tokens > 0) {
+      run_spec.system.replica_config.kv_capacity_tokens = kv_tokens;
+    }
+    const RunResult counted =
+        kv_tokens > 0 ? skywalker::Run(run_spec) : reference;
+    KvController::set_named_pages_oracle(true);
+    const RunResult named = skywalker::Run(run_spec);
+    KvController::set_named_pages_oracle(false);
+    SCOPED_TRACE("named pages, kv_tokens=" + std::to_string(kv_tokens));
+    ExpectSameRun(named, counted, /*same_step_path=*/true);
   }
 }
 

@@ -3,7 +3,8 @@
 //   1. Lifecycle tracing never perturbs the simulation: a traced fleet run's
 //      per-request outcome stream, summary metrics and event count are
 //      bit-identical to the untraced run's, with coalesced engine steps and
-//      on the per-step oracle alike, and both export the same trace bytes.
+//      on the per-step oracle alike, and both export the same trace bytes —
+//      as does a run whose one-token pages are named rather than counted.
 //   2. Exported trace bytes are bit-identical across shard/thread counts —
 //      {1, 4} shards x {1, 8} threads and the plain reference all produce
 //      the same SKTRACE1 buffer, because records are buffered per region and
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "src/harness/run.h"
+#include "src/memory/kv_controller.h"
 #include "src/obs/trace.h"
 #include "src/replica/replica.h"
 
@@ -153,6 +155,19 @@ TEST(TraceDeterminismTest, TracingNeverPerturbsTheRun) {
   EXPECT_TRUE(trace_bytes[0] == trace_bytes[1])
       << "coalesced and per-step traces differ";
   EXPECT_LT(events[0], events[1]);
+
+  // Named one-token pages, the counted pool's reference (DESIGN.md §9).
+  RunSpec spec = SmallFleet();
+  spec.num_shards = 0;
+  Tracer tracer(kRegions);
+  spec.tracer = &tracer;
+  KvController::set_named_pages_oracle(true);
+  const RunResult named = skywalker::Run(spec);
+  KvController::set_named_pages_oracle(false);
+  EXPECT_GT(named.completed, 0u);
+  EXPECT_EQ(named.executed_events, events[0]);
+  EXPECT_TRUE(TraceToBinary(tracer.Merged(), {}) == trace_bytes[0])
+      << "named-page and counted-page traces differ";
 }
 
 TEST(TraceDeterminismTest, TraceBytesIdenticalAcrossShardsAndThreads) {
