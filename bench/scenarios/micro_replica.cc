@@ -9,7 +9,9 @@
 // standalone with --threads=1 for comparable timings.
 
 #include <chrono>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/scenarios/scenarios.h"
@@ -25,12 +27,12 @@ Request MakeRequest(RequestId id, int64_t prompt_len, int64_t output_len,
   Request req;
   req.id = id;
   req.client_region = 0;
-  for (int64_t i = 0; i < prompt_len; ++i) {
-    req.prompt.push_back(base + static_cast<Token>(i));
-  }
-  for (int64_t i = 0; i < output_len; ++i) {
-    req.output.push_back(base + 1'000'000 + static_cast<Token>(i));
-  }
+  TokenSeq prompt(static_cast<size_t>(prompt_len));
+  std::iota(prompt.begin(), prompt.end(), base);
+  TokenSeq output(static_cast<size_t>(output_len));
+  std::iota(output.begin(), output.end(), base + 1'000'000);
+  req.prompt = std::move(prompt);
+  req.output = std::move(output);
   return req;
 }
 

@@ -124,7 +124,7 @@ SlabId PrefixCache::SplitAbove(SlabId id, size_t keep, int64_t start) {
   return top;
 }
 
-int64_t PrefixCache::WalkAndSplit(const TokenSeq& seq, SimTime now,
+int64_t PrefixCache::WalkAndSplit(TokenSpan seq, SimTime now,
                                   SlabId* deepest) {
   // The walk carries a raw node pointer alongside the id (slab chunks have
   // stable addresses) and derefs ids through a chunk-caching cursor.
@@ -173,7 +173,7 @@ int64_t PrefixCache::WalkAndSplit(const TokenSeq& seq, SimTime now,
   return static_cast<int64_t>(pos);
 }
 
-PrefixCache::MatchRef PrefixCache::MatchAndRef(const TokenSeq& seq,
+PrefixCache::MatchRef PrefixCache::MatchAndRef(TokenSpan seq,
                                                SimTime now) {
   SlabId deepest = root_;
   int64_t len = WalkAndSplit(seq, now, &deepest);
@@ -198,7 +198,7 @@ PrefixCache::MatchRef PrefixCache::MatchAndRef(const TokenSeq& seq,
   return MatchRef{len, id};
 }
 
-int64_t PrefixCache::MatchPrefix(const TokenSeq& seq, SimTime now) {
+int64_t PrefixCache::MatchPrefix(TokenSpan seq, SimTime now) {
   SlabId deepest = root_;
   return WalkAndSplit(seq, now, &deepest);
 }
@@ -228,7 +228,7 @@ void PrefixCache::Unref(PinId pin) {
   pins_.Release(slot);
 }
 
-int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
+int64_t PrefixCache::Insert(TokenSpan seq, SimTime now,
                             const BlockTable* donor, int64_t donor_base) {
   SlabId parent = root_;
   int64_t matched = WalkAndSplit(seq, now, &parent);

@@ -142,10 +142,10 @@ class PrefixCache {
   // Longest cached prefix of `seq`; pins it against eviction. Also refreshes
   // LRU timestamps along the path. Always returns a valid pin (possibly of
   // length zero).
-  MatchRef MatchAndRef(const TokenSeq& seq, SimTime now);
+  MatchRef MatchAndRef(TokenSpan seq, SimTime now);
 
   // Longest cached prefix without pinning (read-only probe; refreshes LRU).
-  int64_t MatchPrefix(const TokenSeq& seq, SimTime now);
+  int64_t MatchPrefix(TokenSpan seq, SimTime now);
 
   // Releases a pin obtained from MatchAndRef. Pin ids are single-use.
   void Unref(PinId pin);
@@ -163,7 +163,7 @@ class PrefixCache {
   // (re-publish after eviction) get fresh pages. On a counted pool the
   // donor's next release must follow before any other release or split of
   // the new node (the co-held window).
-  int64_t Insert(const TokenSeq& seq, SimTime now,
+  int64_t Insert(TokenSpan seq, SimTime now,
                  const BlockTable* donor = nullptr, int64_t donor_base = 0);
 
   // Evicts unpinned entries until at least `blocks` pages have returned to
@@ -290,7 +290,7 @@ class PrefixCache {
   // match boundary is node-aligned. Returns matched length; `*deepest` gets
   // the deepest fully matched node (root if nothing matched). The full
   // matched path is exactly the parent chain of `*deepest`.
-  int64_t WalkAndSplit(const TokenSeq& seq, SimTime now, SlabId* deepest);
+  int64_t WalkAndSplit(TokenSpan seq, SimTime now, SlabId* deepest);
 
   // Splits the edge of `id` (whose edge starts at absolute path depth
   // `start`) at `keep` tokens by inserting a new node ABOVE it: the new

@@ -36,7 +36,7 @@ SlabId RoutingTrie::SplitAbove(SlabId id, size_t keep) {
   return top;
 }
 
-void RoutingTrie::Insert(const TokenSeq& seq, TargetId target) {
+void RoutingTrie::Insert(TokenSpan seq, TargetId target) {
   uint64_t gen = next_gen_++;
   node(root_).targets.Set(target, gen);
   Slab<Node, 6>::Cursor cursor(&nodes_);
@@ -114,7 +114,7 @@ void RoutingTrie::FillAvailable(SlabId id, const TargetPredicate& pred,
   }
 }
 
-RoutingTrie::Match RoutingTrie::MatchBest(const TokenSeq& seq,
+RoutingTrie::Match RoutingTrie::MatchBest(TokenSpan seq,
                                           const TargetPredicate& pred) const {
   Match result;
   SlabId best = root_;

@@ -54,7 +54,7 @@ class RoutingTrie {
   using TargetPredicate = std::function<bool(TargetId)>;
 
   // Records that `target` served a request with prompt `seq`.
-  void Insert(const TokenSeq& seq, TargetId target);
+  void Insert(TokenSpan seq, TargetId target);
 
   struct Match {
     int64_t match_len = 0;               // Depth of the deepest usable node.
@@ -68,7 +68,7 @@ class RoutingTrie {
   // usable node at all (even the first token diverges or no available
   // target anywhere on the path) returns match_len == 0 and the available
   // targets of the root (i.e. every known target that passes `pred`).
-  Match MatchBest(const TokenSeq& seq, const TargetPredicate& pred) const;
+  Match MatchBest(TokenSpan seq, const TargetPredicate& pred) const;
 
   // Forgets a target everywhere (replica teardown / LB failure). Nodes whose
   // target set becomes empty are pruned.

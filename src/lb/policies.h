@@ -50,6 +50,8 @@ class ConsistentHashSelector : public ReplicaSelector {
   void OnReplicaAttached(Replica* replica) override;
   void OnReplicaDetached(ReplicaId replica_id) override;
 
+  const HashRing& ring() const { return ring_; }
+
  private:
   HashRing ring_;
 };

@@ -357,6 +357,10 @@ inline void KvController::OnDecodeToken(SeqId id) {
 // (DESIGN.md §13.3).
 inline int64_t KvController::DecodeBlocks(const std::vector<DecodeRun>& runs,
                                           int64_t steps) const {
+  if (config_.block_size_tokens == 1) {
+    // Every tail_free is 0: each run takes one page per step.
+    return std::max<int64_t>(0, steps) * static_cast<int64_t>(runs.size());
+  }
   int64_t blocks = 0;
   for (const DecodeRun& run : runs) {
     blocks += CeilBlocks(std::max<int64_t>(0, steps - run.tail_free));

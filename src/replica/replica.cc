@@ -15,13 +15,6 @@ namespace {
 
 std::atomic<bool> g_per_step_oracle{false};
 
-// CompleteSeq's published sequence, prompt then output. Its capacity
-// persists, so a completion allocates nothing once it has grown; one per
-// thread (a shard's replicas run on its worker's thread) holds that
-// capacity once, where one per replica held 0.7-1.3 MB more on kv_wall's
-// 16 replicas.
-thread_local TokenSeq t_publish_scratch;
-
 // Event delay of a step: what ScheduleAfter(static_cast<SimDuration>(us))
 // would add to the clock.
 SimDuration StepDelay(double step_us) {
@@ -674,11 +667,11 @@ void Replica::OnPrefillComplete(Seq& seq) {
 
 void Replica::CompleteSeq(Seq& seq) {
   if (config_.enable_prefix_cache) {
-    TokenSeq& full = t_publish_scratch;
-    full.assign(seq.req.prompt.begin(), seq.req.prompt.end());
-    full.insert(full.end(), seq.req.output.begin(), seq.req.output.end());
-    // The generated suffix publishes the same way the prompt did: by
-    // reference transfer from the sequence's path-aligned table.
+    // Prompt ⊕ output: a view of the generator's buffer, where the output
+    // continues the prompt. The generated suffix publishes the same way the
+    // prompt did: by reference transfer from the sequence's path-aligned
+    // table.
+    const SharedTokens full = Concat(seq.req.prompt, seq.req.output);
     TracingEvictions([&] {
       cache_.Insert(full, sim_->now(), &kv_.table(seq.kv), seq.kv_base);
     });

@@ -91,9 +91,16 @@ void DispatchEngine::AttachReplica(Replica* replica) {
   }
   ReplicaState state;
   state.replica = replica;
-  index_.emplace(replica->id(), replicas_.size());
+  const size_t pos = replicas_.size();
+  index_.emplace(replica->id(), pos);
   replicas_.push_back(std::move(state));
-  RebuildSelectionIndex();
+  // Only the new position is indexed; every other entry stays valid.
+  // EntryGreater orders (load, position) totally, so the heap's layout
+  // decides no pick.
+  stamp_.push_back(0);
+  avail_bit_.push_back(0);
+  ejected_bit_.push_back(0);
+  TouchReplica(pos);
   selector_->OnReplicaAttached(replica);
   TryDispatch();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "src/common/strings.h"
 
@@ -44,9 +45,9 @@ ConversationGenerator::ConversationGenerator(
   auto templates = std::make_shared<std::vector<TokenSeq>>();
   templates->reserve(total);
   for (size_t i = 0; i < total; ++i) {
-    TokenSeq t;
-    AppendFresh(&t, rng_.UniformInt(config_.template_len_min,
-                                    config_.template_len_max));
+    TokenSeq t(static_cast<size_t>(rng_.UniformInt(
+        config_.template_len_min, config_.template_len_max)));
+    WriteFresh(t.data(), static_cast<int64_t>(t.size()));
     templates->push_back(std::move(t));
   }
   templates_ = std::move(templates);
@@ -68,10 +69,9 @@ ConversationGenerator::ConversationGenerator(const ConversationGenerator& base,
   next_session_ = static_cast<SessionId>((client_index + 1) * 1'000'000 + 1);
 }
 
-void ConversationGenerator::AppendFresh(TokenSeq* seq, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    seq->push_back(next_token_++);
-  }
+void ConversationGenerator::WriteFresh(Token* out, int64_t n) {
+  std::iota(out, out + n, next_token_);
+  next_token_ += static_cast<Token>(n);
 }
 
 ConversationGenerator::UserProfile ConversationGenerator::MakeUser(
@@ -121,18 +121,34 @@ ConversationGenerator::Conversation ConversationGenerator::MakeConversation(
   int turns = static_cast<int>(rng_.Geometric(1.0 / config_.turns_mean));
   turns = std::clamp(turns, 1, config_.turns_max);
 
-  TokenSeq context;
+  // Every length first, in the order the turns consume them (input, then
+  // output, turn by turn), so the transcript is sized once. Its fresh tail
+  // U1 ⊕ A1 ⊕ ... ⊕ A_T then takes consecutive ids in that same order.
+  TokenSpan tmpl;
   if (conv.template_id >= 0) {
-    context = (*templates_)[static_cast<size_t>(conv.template_id)];
+    tmpl = (*templates_)[static_cast<size_t>(conv.template_id)];
   }
-  conv.turns.reserve(static_cast<size_t>(turns));
+  turn_lens_.clear();
+  size_t total = tmpl.size();
   for (int t = 0; t < turns; ++t) {
-    Turn turn;
-    AppendFresh(&context, lengths_.SampleInputLen(rng_));
-    turn.prompt = context;
-    AppendFresh(&turn.output, lengths_.SampleOutputLen(rng_));
-    context.insert(context.end(), turn.output.begin(), turn.output.end());
-    conv.turns.push_back(std::move(turn));
+    const int64_t input = lengths_.SampleInputLen(rng_);
+    const int64_t output = lengths_.SampleOutputLen(rng_);
+    turn_lens_.push_back(input);
+    turn_lens_.push_back(output);
+    total += static_cast<size_t>(input + output);
+  }
+  auto transcript = std::make_shared<TokenSeq>(total);
+  Token* fresh = std::copy(tmpl.begin(), tmpl.end(), transcript->data());
+  WriteFresh(fresh, static_cast<int64_t>(total - tmpl.size()));
+  const std::shared_ptr<const TokenSeq> buffer = std::move(transcript);
+  conv.turns.resize(static_cast<size_t>(turns));
+  size_t pos = tmpl.size();
+  for (size_t t = 0; t < conv.turns.size(); ++t) {
+    const auto input = static_cast<size_t>(turn_lens_[2 * t]);
+    const auto output = static_cast<size_t>(turn_lens_[2 * t + 1]);
+    conv.turns[t].prompt = SharedTokens(buffer, 0, pos + input);
+    conv.turns[t].output = SharedTokens(buffer, pos + input, output);
+    pos += input + output;
   }
   return conv;
 }
@@ -146,8 +162,8 @@ ConversationGenerator::GenerateTrace(const std::vector<RegionId>& user_regions,
     for (int c = 0; c < conversations_per_user; ++c) {
       Conversation conv = MakeConversation(user);
       for (const Turn& turn : conv.turns) {
-        trace.push_back(
-            TraceRecord{user.user_id, region, conv.session_id, turn.prompt});
+        trace.push_back(TraceRecord{user.user_id, region, conv.session_id,
+                                    TokenSeq(turn.prompt)});
       }
     }
   }

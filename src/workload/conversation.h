@@ -13,6 +13,10 @@
 // All "fresh" content tokens come from a monotonically increasing counter, so
 // the only shared prefixes are the ones constructed deliberately — prefix
 // statistics are exact, not accidental.
+//
+// A conversation is one transcript buffer (template ⊕ U1 ⊕ A1 ⊕ ... ⊕ U_T ⊕
+// A_T), written once at its exact size; every turn's prompt and output are
+// slices of it.
 
 #ifndef SKYWALKER_WORKLOAD_CONVERSATION_H_
 #define SKYWALKER_WORKLOAD_CONVERSATION_H_
@@ -75,8 +79,8 @@ class ConversationGenerator {
                         uint64_t client_index, uint64_t client_seed);
 
   struct Turn {
-    TokenSeq prompt;  // Full context: template + all prior turns + new msg.
-    TokenSeq output;  // Assistant reply (ground truth for the simulator).
+    SharedTokens prompt;  // Full context: template + prior turns + new msg.
+    SharedTokens output;  // Assistant reply (ground truth for the simulator).
   };
 
   struct Conversation {
@@ -111,8 +115,8 @@ class ConversationGenerator {
   const ConversationWorkloadConfig& config() const { return config_; }
 
  private:
-  // Appends `n` fresh (globally unique) tokens to `seq`.
-  void AppendFresh(TokenSeq* seq, int64_t n);
+  // Writes `n` fresh tokens (the next ids of the counter) at `out`.
+  void WriteFresh(Token* out, int64_t n);
 
   // Chooses a template id for a new conversation of `user`; -1 for none.
   int PickTemplate(const UserProfile& user);
@@ -131,6 +135,7 @@ class ConversationGenerator {
   UserId next_user_ = 1;
   SessionId next_session_ = 1;
   std::map<UserId, int> user_last_template_;
+  std::vector<int64_t> turn_lens_;  // MakeConversation's length draws.
 };
 
 }  // namespace skywalker

@@ -7,6 +7,11 @@
 // in the request lets the replica simulator produce the exact continuation
 // that the client then folds into the next conversation turn, which is what
 // makes KV prefix reuse across turns exact.
+//
+// Both are slices of the generator's buffer (SharedTokens, src/cache/
+// tokens.h): a generated request's output continues its prompt in that
+// buffer, so copying a request, forwarding it and publishing prompt ⊕ output
+// at completion copy no tokens.
 
 #ifndef SKYWALKER_WORKLOAD_REQUEST_H_
 #define SKYWALKER_WORKLOAD_REQUEST_H_
@@ -35,8 +40,8 @@ struct Request {
   UserId user_id = 0;
   SessionId session_id = 0;
   RegionId client_region = kInvalidRegion;
-  TokenSeq prompt;
-  TokenSeq output;          // Ground truth; see file comment.
+  SharedTokens prompt;
+  SharedTokens output;      // Ground truth; see file comment.
   std::string routing_key;  // Consistent-hashing key (user or session id).
   SimTime submit_time = 0;  // Stamped when the client sends the request.
 

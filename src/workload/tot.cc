@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -58,10 +60,17 @@ int64_t ToTGenerator::ThoughtLen() {
   return std::clamp<int64_t>(len, 4, config_.thought_len_max);
 }
 
-void ToTGenerator::AppendFresh(TokenSeq* seq, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    seq->push_back(next_token_++);
-  }
+void ToTGenerator::FillNode(Node* node, const SharedTokens& context,
+                            int64_t question, int64_t thought) {
+  const size_t prompt_len = context.size() + static_cast<size_t>(question);
+  auto buffer =
+      std::make_shared<TokenSeq>(prompt_len + static_cast<size_t>(thought));
+  Token* fresh = std::copy(context.begin(), context.end(), buffer->data());
+  std::iota(fresh, buffer->data() + buffer->size(), next_token_);
+  next_token_ += static_cast<Token>(question + thought);
+  node->prompt = SharedTokens(buffer, 0, prompt_len);
+  node->output = SharedTokens(std::move(buffer), prompt_len,
+                              static_cast<size_t>(thought));
 }
 
 ToTGenerator::Tree ToTGenerator::MakeTree() {
@@ -71,12 +80,13 @@ ToTGenerator::Tree ToTGenerator::MakeTree() {
       StrFormat("question-%ld", static_cast<long>(tree.session_id));
   tree.levels.resize(static_cast<size_t>(config_.depth));
 
-  // Root.
+  // Root: the question, then its thought (drawn in that order).
+  tree.nodes.reserve(static_cast<size_t>(config_.RequestsPerTree()));
   Node root;
   root.level = 0;
   root.parent = -1;
-  AppendFresh(&root.prompt, JitteredLen(config_.question_len_mean));
-  AppendFresh(&root.output, ThoughtLen());
+  const int64_t question = JitteredLen(config_.question_len_mean);
+  FillNode(&root, SharedTokens(), question, ThoughtLen());
   tree.nodes.push_back(std::move(root));
   tree.levels[0].push_back(0);
 
@@ -87,10 +97,8 @@ ToTGenerator::Tree ToTGenerator::MakeTree() {
         child.level = level;
         child.parent = parent_idx;
         const Node& parent = tree.nodes[static_cast<size_t>(parent_idx)];
-        child.prompt = parent.prompt;
-        child.prompt.insert(child.prompt.end(), parent.output.begin(),
-                            parent.output.end());
-        AppendFresh(&child.output, ThoughtLen());
+        FillNode(&child, Concat(parent.prompt, parent.output), 0,
+                 ThoughtLen());
         int idx = static_cast<int>(tree.nodes.size());
         tree.nodes.push_back(std::move(child));
         tree.levels[static_cast<size_t>(level)].push_back(idx);

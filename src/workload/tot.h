@@ -6,6 +6,10 @@
 // question plus all ancestor thoughts, so nodes share prefixes up to their
 // lowest common ancestor; siblings within a level run concurrently — the
 // burstiness that breaks consistent hashing in Fig. 8d.
+//
+// Each node is one buffer, written once at its exact size: its parent's
+// prompt and thought (the root's question instead), then its own thought.
+// The node's prompt and output are slices of it.
 
 #ifndef SKYWALKER_WORKLOAD_TOT_H_
 #define SKYWALKER_WORKLOAD_TOT_H_
@@ -51,8 +55,8 @@ class ToTGenerator {
   struct Node {
     int level = 0;
     int parent = -1;   // Index into Tree::nodes; -1 for the root.
-    TokenSeq prompt;   // Question + ancestor thoughts.
-    TokenSeq output;   // This node's thought (ground truth).
+    SharedTokens prompt;  // Question + ancestor thoughts.
+    SharedTokens output;  // This node's thought (ground truth).
   };
 
   struct Tree {
@@ -69,7 +73,10 @@ class ToTGenerator {
  private:
   int64_t JitteredLen(int64_t mean);
   int64_t ThoughtLen();
-  void AppendFresh(TokenSeq* seq, int64_t n);
+  // Fills `node`'s buffer: `context`, then `question` fresh prompt tokens,
+  // then `thought` fresh output tokens.
+  void FillNode(Node* node, const SharedTokens& context, int64_t question,
+                int64_t thought);
 
   ToTConfig config_;
   Rng rng_;

@@ -232,8 +232,8 @@ TEST(SubmitViaNetworkTest, StampsSubmitTimeAndAppliesLatency) {
   Request req;
   req.id = 1;
   req.client_region = a;
-  req.prompt = {1, 2};
-  req.output = {3};
+  req.prompt = TokenSeq{1, 2};
+  req.output = TokenSeq{3};
   SubmitViaNetwork(&net, a, &frontend, req, {});
   sim.Run();
   ASSERT_TRUE(frontend.got);

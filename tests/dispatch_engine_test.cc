@@ -27,12 +27,16 @@ Request MakeRequest(RequestId id, int64_t prompt_len, int64_t output_len,
   req.id = id;
   req.client_region = 0;
   req.routing_key = key;
+  TokenSeq prompt;
   for (int64_t i = 0; i < prompt_len; ++i) {
-    req.prompt.push_back(base + static_cast<Token>(i));
+    prompt.push_back(base + static_cast<Token>(i));
   }
+  TokenSeq output;
   for (int64_t i = 0; i < output_len; ++i) {
-    req.output.push_back(500000 + base + static_cast<Token>(i));
+    output.push_back(500000 + base + static_cast<Token>(i));
   }
+  req.prompt = std::move(prompt);
+  req.output = std::move(output);
   return req;
 }
 
@@ -461,7 +465,9 @@ TEST(DispatchEngineTest, DispatchTraceRecordsHeadOfLineWait) {
 }
 
 // Detaching the replica a key hashed to moves that key to another replica
-// and leaves every other key where it was.
+// and leaves every other key where it was. The ring itself loses the
+// detached target's virtual nodes: lookups skip detached ids anyway, so
+// only the ring's size shows the removal.
 TEST(DispatchEngineTest, ConsistentHashDetachMovesOnlyTheDetachedKeys) {
   ConsistentHashSelector selector;
   EngineBench bench(4, DispatchConfig{}, ReplicaConfig{}, &selector);
@@ -475,7 +481,13 @@ TEST(DispatchEngineTest, ConsistentHashDetachMovesOnlyTheDetachedKeys) {
   }
   const ReplicaId detached = before[keys[0]];
   ASSERT_NE(detached, kInvalidReplica);
+  const size_t targets = selector.ring().num_targets();
+  const size_t vnodes = selector.ring().num_vnodes();
+  ASSERT_EQ(targets, 4u);
   ASSERT_TRUE(bench.engine->DetachReplica(detached));
+  EXPECT_EQ(selector.ring().num_targets(), targets - 1);
+  EXPECT_EQ(selector.ring().num_vnodes(), vnodes - vnodes / targets);
+  EXPECT_FALSE(selector.ring().Contains(detached));
   for (int i = 0; i < 16; ++i) {
     const std::string& key = keys[static_cast<size_t>(i)];
     const ReplicaId after =

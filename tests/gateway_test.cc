@@ -51,12 +51,16 @@ Request MakeRequest(RequestId id, RegionId client_region, int64_t prompt_len,
   Request req;
   req.id = id;
   req.client_region = client_region;
+  TokenSeq prompt;
   for (int64_t i = 0; i < prompt_len; ++i) {
-    req.prompt.push_back(base + static_cast<Token>(i));
+    prompt.push_back(base + static_cast<Token>(i));
   }
+  TokenSeq output;
   for (int64_t i = 0; i < output_len; ++i) {
-    req.output.push_back(700000 + base + static_cast<Token>(i));
+    output.push_back(700000 + base + static_cast<Token>(i));
   }
+  req.prompt = std::move(prompt);
+  req.output = std::move(output);
   return req;
 }
 

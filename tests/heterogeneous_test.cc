@@ -136,12 +136,16 @@ struct ShortPromptBench {
     req.id = id;
     req.client_region = 0;
     req.routing_key = "k";
+    TokenSeq prompt;
     for (int64_t i = 0; i < prompt_len; ++i) {
-      req.prompt.push_back(base + static_cast<Token>(i));
+      prompt.push_back(base + static_cast<Token>(i));
     }
+    TokenSeq output;
     for (int i = 0; i < 8; ++i) {
-      req.output.push_back(800000 + base + i);
+      output.push_back(800000 + base + i);
     }
+    req.prompt = std::move(prompt);
+    req.output = std::move(output);
     lb->HandleRequest(std::move(req), {});
   }
 };

@@ -66,21 +66,25 @@ TEST_P(ReplicaSweepTest, ConservationAndInvariants) {
     Request req;
     req.id = static_cast<RequestId>(i + 1);
     req.client_region = 0;
+    TokenSeq prompt;
     if (!prior_prompts.empty() && rng.Bernoulli(sweep.share_probability)) {
       // Extend a previous request's prompt (conversation-style reuse).
       const TokenSeq& base = prior_prompts[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(prior_prompts.size()) - 1))];
-      req.prompt = base;
+      prompt = base;
     }
     int64_t extra = rng.UniformInt(8, 400);
     for (int64_t k = 0; k < extra; ++k) {
-      req.prompt.push_back(fresh++);
+      prompt.push_back(fresh++);
     }
+    TokenSeq output;
     int64_t out = rng.UniformInt(1, 120);
     for (int64_t k = 0; k < out; ++k) {
-      req.output.push_back(fresh++);
+      output.push_back(fresh++);
     }
-    prior_prompts.push_back(req.prompt);
+    prior_prompts.push_back(prompt);
+    req.prompt = std::move(prompt);
+    req.output = std::move(output);
 
     Replica::Handlers handlers;
     handlers.on_first_token = [&first_token, &sim](const Request& r,
@@ -145,19 +149,23 @@ std::vector<Request> MakeRequests(Rng& rng, int count, double share) {
     Request req;
     req.id = static_cast<RequestId>(i + 1);
     req.client_region = 0;
+    TokenSeq prompt;
     if (!prior_prompts.empty() && rng.Bernoulli(share)) {
-      req.prompt = prior_prompts[static_cast<size_t>(
+      prompt = prior_prompts[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(prior_prompts.size()) - 1))];
     }
     const int64_t extra = rng.UniformInt(8, 400);
     for (int64_t k = 0; k < extra; ++k) {
-      req.prompt.push_back(fresh++);
+      prompt.push_back(fresh++);
     }
+    TokenSeq output;
     const int64_t out = rng.UniformInt(1, 160);
     for (int64_t k = 0; k < out; ++k) {
-      req.output.push_back(fresh++);
+      output.push_back(fresh++);
     }
-    prior_prompts.push_back(req.prompt);
+    prior_prompts.push_back(prompt);
+    req.prompt = std::move(prompt);
+    req.output = std::move(output);
     requests.push_back(std::move(req));
   }
   return requests;
@@ -456,19 +464,23 @@ TEST_P(ReplicaProbeOracleTest, ProbeFreeBlocksMatchesScanOracle) {
     Request req;
     req.id = static_cast<RequestId>(i + 1);
     req.client_region = 0;
+    TokenSeq prompt;
     if (!prior_prompts.empty() && rng.Bernoulli(0.6)) {
-      req.prompt = prior_prompts[static_cast<size_t>(
+      prompt = prior_prompts[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(prior_prompts.size()) - 1))];
     }
     const int64_t extra = rng.UniformInt(8, 300);
     for (int64_t k = 0; k < extra; ++k) {
-      req.prompt.push_back(fresh++);
+      prompt.push_back(fresh++);
     }
+    TokenSeq output;
     const int64_t out = rng.UniformInt(1, 200);
     for (int64_t k = 0; k < out; ++k) {
-      req.output.push_back(fresh++);
+      output.push_back(fresh++);
     }
-    prior_prompts.push_back(req.prompt);
+    prior_prompts.push_back(prompt);
+    req.prompt = std::move(prompt);
+    req.output = std::move(output);
     sim.ScheduleAfter(static_cast<SimDuration>(rng.Exponential(1.0) * 2e5),
                       [&replica, req = std::move(req)]() mutable {
                         replica.Enqueue(std::move(req), {});
@@ -555,8 +567,8 @@ TEST(ReplicaEdgeCaseTest, SingleTokenOutput) {
   int completed = 0;
   Request req;
   req.id = 1;
-  req.prompt = {1, 2, 3};
-  req.output = {4};
+  req.prompt = TokenSeq{1, 2, 3};
+  req.output = TokenSeq{4};
   Replica::Handlers handlers;
   handlers.on_complete = [&](const Request&, int64_t) { ++completed; };
   replica.Enqueue(std::move(req), std::move(handlers));
@@ -571,10 +583,12 @@ TEST(ReplicaEdgeCaseTest, PromptLargerThanPrefillChunk) {
   Replica replica(&sim, 0, 0, config);
   SimTime first = -1;
   Request req;
+  TokenSeq prompt;
   for (Token t = 0; t < 1000; ++t) {
-    req.prompt.push_back(t);
+    prompt.push_back(t);
   }
-  req.output = {5000, 5001};
+  req.prompt = std::move(prompt);
+  req.output = TokenSeq{5000, 5001};
   req.id = 1;
   Replica::Handlers handlers;
   handlers.on_first_token = [&](const Request&, int64_t) { first = sim.now(); };
@@ -593,10 +607,12 @@ TEST(ReplicaEdgeCaseTest, HugePromptForceAdmitted) {
   Replica replica(&sim, 0, 0, config);
   int completed = 0;
   Request req;
+  TokenSeq prompt;
   for (Token t = 0; t < 2000; ++t) {
-    req.prompt.push_back(t);
+    prompt.push_back(t);
   }
-  req.output = {9000};
+  req.prompt = std::move(prompt);
+  req.output = TokenSeq{9000};
   req.id = 1;
   Replica::Handlers handlers;
   handlers.on_complete = [&](const Request&, int64_t) { ++completed; };

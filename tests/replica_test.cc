@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "src/obs/trace.h"
 #include "src/replica/replica.h"
 #include "src/sim/simulator.h"
+#include "src/workload/conversation.h"
 
 namespace skywalker {
 namespace {
@@ -18,12 +20,16 @@ Request MakeRequest(RequestId id, int64_t prompt_len, int64_t output_len,
   Request req;
   req.id = id;
   req.client_region = 0;
+  TokenSeq prompt;
   for (int64_t i = 0; i < prompt_len; ++i) {
-    req.prompt.push_back(prompt_base + static_cast<Token>(i));
+    prompt.push_back(prompt_base + static_cast<Token>(i));
   }
+  TokenSeq output;
   for (int64_t i = 0; i < output_len; ++i) {
-    req.output.push_back(1'000'000 + prompt_base + static_cast<Token>(i));
+    output.push_back(1'000'000 + prompt_base + static_cast<Token>(i));
   }
+  req.prompt = std::move(prompt);
+  req.output = std::move(output);
   return req;
 }
 
@@ -94,8 +100,10 @@ TEST(ReplicaTest, PrefixCacheCutsPrefillTime) {
 
   // Same prompt extended slightly: should hit the cache for 516 tokens.
   Request follow = MakeRequest(2, 512, 4);
-  follow.prompt.push_back(9999);
-  follow.prompt.push_back(9998);
+  TokenSeq extended = follow.prompt;
+  extended.push_back(9999);
+  extended.push_back(9998);
+  follow.prompt = std::move(extended);
   Completion second;
   replica.Enqueue(follow, Record(&sim, &second));
   sim.Run();
@@ -196,11 +204,12 @@ TEST(ReplicaTest, SharedPrefixAdmitsMoreConcurrency) {
       Token base = shared ? 0 : static_cast<Token>(i) * 100000;
       Request req = MakeRequest(static_cast<RequestId>(i), 600, 60, base);
       if (shared) {
-        req.output.clear();
+        TokenSeq output;
         for (int64_t k = 0; k < 60; ++k) {
-          req.output.push_back(5'000'000 + static_cast<Token>(i) * 1000 +
-                               static_cast<Token>(k));
+          output.push_back(5'000'000 + static_cast<Token>(i) * 1000 +
+                           static_cast<Token>(k));
         }
+        req.output = std::move(output);
       }
       replica.Enqueue(req, Record(&sim, &done[static_cast<size_t>(i)]));
     }
@@ -213,6 +222,77 @@ TEST(ReplicaTest, SharedPrefixAdmitsMoreConcurrency) {
   EXPECT_EQ(disjoint.completed, 24);
   EXPECT_GT(shared.peak_running, disjoint.peak_running);
   EXPECT_GT(shared.cached_tokens_reused, disjoint.cached_tokens_reused);
+}
+
+// Completion publishes prompt ⊕ output as a view when the output continues
+// the prompt in one buffer (generated requests) and as a fresh
+// concatenation when the two are separate vectors. Both must leave the same
+// cache behind, through evictions, on coarse and paged KV.
+TEST(ReplicaTest, PublishIsTheSameForSplitAndContiguousTokens) {
+  struct Outcome {
+    std::vector<int64_t> cached;  // Per completion, in completion order.
+    int64_t size_tokens = 0;
+    size_t nodes = 0;
+    int64_t block_refs = 0;
+    PrefixCache::EvictionStats evictions;
+  };
+  auto run = [](int32_t block, bool split) {
+    Simulator sim;
+    ReplicaConfig config;
+    config.kv_capacity_tokens = 4096;
+    config.kv_block_size_tokens = block;
+    Replica replica(&sim, 0, 0, config);
+    ConversationGenerator gen(ConversationWorkloadConfig::Arena(), 1, 17);
+    std::vector<ConversationGenerator::Conversation> convs;
+    for (int u = 0; u < 6; ++u) {
+      convs.push_back(gen.MakeConversation(gen.MakeUser(0)));
+    }
+    Outcome out;
+    // Each conversation's next turn follows its previous turn's completion.
+    std::function<void(size_t, size_t)> issue = [&](size_t c, size_t t) {
+      const ConversationGenerator::Turn& turn = convs[c].turns[t];
+      Request req;
+      req.id = static_cast<RequestId>(c * 100 + t + 1);
+      req.prompt = turn.prompt;
+      req.output = turn.output;
+      if (split) {
+        req.prompt = TokenSeq(turn.prompt);
+        req.output = TokenSeq(turn.output);
+      }
+      EXPECT_EQ(req.output.Continues(req.prompt), !split);
+      Replica::Handlers handlers;
+      handlers.on_complete = [&, c, t](const Request&, int64_t cached) {
+        out.cached.push_back(cached);
+        if (t + 1 < convs[c].turns.size()) {
+          sim.ScheduleAfter(Milliseconds(10), [&, c, t] { issue(c, t + 1); });
+        }
+      };
+      replica.Enqueue(std::move(req), std::move(handlers));
+    };
+    for (size_t c = 0; c < convs.size(); ++c) {
+      issue(c, 0);
+    }
+    sim.Run();
+    out.size_tokens = replica.cache().size_tokens();
+    out.nodes = replica.cache().num_nodes();
+    out.block_refs = replica.cache().block_refs();
+    out.evictions = replica.cache().eviction_stats();
+    return out;
+  };
+  for (int32_t block : {1, 16}) {
+    SCOPED_TRACE("block=" + std::to_string(block));
+    const Outcome contiguous = run(block, /*split=*/false);
+    const Outcome split = run(block, /*split=*/true);
+    ASSERT_GT(contiguous.evictions.victims, 0);
+    EXPECT_EQ(split.cached, contiguous.cached);
+    EXPECT_EQ(split.size_tokens, contiguous.size_tokens);
+    EXPECT_EQ(split.nodes, contiguous.nodes);
+    EXPECT_EQ(split.block_refs, contiguous.block_refs);
+    EXPECT_EQ(split.evictions.rounds, contiguous.evictions.rounds);
+    EXPECT_EQ(split.evictions.victims, contiguous.evictions.victims);
+    EXPECT_EQ(split.evictions.freed_blocks,
+              contiguous.evictions.freed_blocks);
+  }
 }
 
 TEST(ReplicaTest, DisabledCacheNeverReuses) {

@@ -400,6 +400,34 @@ TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
   }
 }
 
+// SmallFleet forwards nothing, so no request crosses shard threads there.
+// Here region 0 carries 24 chat clients against two 4-slot replicas and
+// forwards part of its load to the other regions: a forwarded request
+// carries its shared token slices to another shard's thread, and the run
+// must still match the plain Simulator bit for bit.
+TEST(FleetDeterminismTest, ForwardingBitIdenticalAcrossShardsAndThreads) {
+  auto spec = [] {
+    RunSpec run_spec = SmallFleet();
+    run_spec.workload.groups[0].count = 24;
+    run_spec.system.replica_config.max_running_requests = 4;
+    return run_spec;
+  };
+  const RunResult reference = skywalker::Run(spec());
+  ASSERT_GT(reference.completed, 0u);
+  EXPECT_GT(reference.forwarded_fraction, 0.0);
+  for (int shards : {1, 2, 4}) {
+    for (int threads : {1, 4}) {
+      RunSpec run_spec = spec();
+      run_spec.num_shards = shards;
+      run_spec.num_threads = threads;
+      const RunResult result = skywalker::Run(run_spec);
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      ExpectSameRun(result, reference, /*same_step_path=*/true);
+    }
+  }
+}
+
 // Repeated identical runs must agree exactly (no hidden global state, e.g.
 // the request-id atomic, leaks into results).
 TEST(FleetDeterminismTest, RepeatedRunsIdentical) {

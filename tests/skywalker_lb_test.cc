@@ -55,12 +55,16 @@ Request MakeRequest(RequestId id, int64_t prompt_len, int64_t output_len,
   req.id = id;
   req.client_region = client_region;
   req.routing_key = key;
+  TokenSeq prompt;
   for (int64_t i = 0; i < prompt_len; ++i) {
-    req.prompt.push_back(base + static_cast<Token>(i));
+    prompt.push_back(base + static_cast<Token>(i));
   }
+  TokenSeq output;
   for (int64_t i = 0; i < output_len; ++i) {
-    req.output.push_back(900000 + base + static_cast<Token>(i));
+    output.push_back(900000 + base + static_cast<Token>(i));
   }
+  req.prompt = std::move(prompt);
+  req.output = std::move(output);
   return req;
 }
 
@@ -197,10 +201,12 @@ TEST(SkyWalkerLbTest, PrefixTrieKeepsConversationsSticky) {
     req.client_region = 0;
     req.routing_key = "conv";
     req.prompt = context;
+    TokenSeq output;
     for (int k = 0; k < 40; ++k) {
-      req.output.push_back(10000 + turn * 100 + k);
+      output.push_back(10000 + turn * 100 + k);
     }
-    context.insert(context.end(), req.output.begin(), req.output.end());
+    context.insert(context.end(), output.begin(), output.end());
+    req.output = std::move(output);
     bench.lb_a->HandleRequest(req, callbacks);
     bench.sim.RunFor(Seconds(120));  // Complete the turn first.
   }

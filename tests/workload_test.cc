@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 
+#include "src/cache/tokens.h"
+#include "src/common/hash.h"
 #include "src/workload/conversation.h"
 #include "src/workload/diurnal.h"
 #include "src/workload/length_model.h"
@@ -14,6 +18,85 @@
 
 namespace skywalker {
 namespace {
+
+// Order-dependent checksum of every prompt and output of `gen`'s first
+// `count` conversations for one region-1 user.
+uint64_t ConversationChecksum(ConversationGenerator* gen, int count) {
+  const auto user = gen->MakeUser(1);
+  uint64_t sum = 0;
+  for (int c = 0; c < count; ++c) {
+    const auto conv = gen->MakeConversation(user);
+    for (const auto& turn : conv.turns) {
+      sum = HashCombine(sum, HashTokens(turn.prompt));
+      sum = HashCombine(sum, HashTokens(turn.output));
+    }
+  }
+  return sum;
+}
+
+// The same over every node of `gen`'s first `count` trees.
+uint64_t TreeChecksum(ToTGenerator* gen, int count) {
+  uint64_t sum = 0;
+  for (int c = 0; c < count; ++c) {
+    const auto tree = gen->MakeTree();
+    for (const auto& node : tree.nodes) {
+      sum = HashCombine(sum, HashTokens(node.prompt));
+      sum = HashCombine(sum, HashTokens(node.output));
+    }
+  }
+  return sum;
+}
+
+TEST(SharedTokensTest, CopiesAndContiguousConcatShareTheBuffer) {
+  auto buffer = std::make_shared<TokenSeq>(TokenSeq{1, 2, 3, 4, 5, 6, 7});
+  const SharedTokens prompt(buffer, 0, 4);
+  const SharedTokens output(buffer, 4, 3);
+  const SharedTokens copy = prompt;
+  EXPECT_EQ(copy.data(), prompt.data());
+  EXPECT_EQ(copy.size(), 4u);
+  const SharedTokens full = Concat(prompt, output);
+  EXPECT_EQ(full.data(), buffer->data());
+  EXPECT_EQ(TokenSeq(full), *buffer);
+}
+
+TEST(SharedTokensTest, NonContiguousConcatJoinsBothInOrder) {
+  const SharedTokens a = TokenSeq{1, 2, 3};
+  const SharedTokens b = TokenSeq{7, 8};
+  const SharedTokens joined = Concat(a, b);
+  EXPECT_EQ(TokenSeq(joined), (TokenSeq{1, 2, 3, 7, 8}));
+  EXPECT_NE(joined.data(), a.data());
+  // Two slices of one buffer with a gap between them do not continue.
+  auto buffer = std::make_shared<TokenSeq>(TokenSeq{1, 2, 3, 4, 5});
+  const SharedTokens gapped =
+      Concat(SharedTokens(buffer, 0, 2), SharedTokens(buffer, 3, 2));
+  EXPECT_EQ(TokenSeq(gapped), (TokenSeq{1, 2, 4, 5}));
+}
+
+TEST(SharedTokensTest, TokenSeqConversionsRoundTrip) {
+  const TokenSeq seq{4, 5, 6};
+  const SharedTokens shared = seq;
+  EXPECT_EQ(TokenSeq(shared), seq);
+  const TokenSpan from_seq = seq;
+  const TokenSpan from_shared = shared;
+  EXPECT_EQ(from_seq.data(), seq.data());
+  EXPECT_EQ(from_shared.data(), shared.data());
+  EXPECT_EQ(HashTokens(shared), HashTokens(seq));
+  EXPECT_TRUE(TokenSeq(SharedTokens()).empty());
+}
+
+// Pins the generated token ids, and with them the order of the RNG draws
+// and of the id assignment, for a base and a forked conversation generator
+// and for both ToT constructors.
+TEST(WorkloadTokensTest, GeneratedTokensArePinned) {
+  ConversationGenerator base(ConversationWorkloadConfig::WildChat(), 4, 42);
+  ConversationGenerator fork(base, /*client_index=*/2, /*client_seed=*/99);
+  EXPECT_EQ(ConversationChecksum(&base, 5), 0x95f274c7895601baull);
+  EXPECT_EQ(ConversationChecksum(&fork, 5), 0xa4eb68f090fedd50ull);
+  ToTGenerator plain(ToTConfig{}, 5);
+  ToTGenerator client(ToTConfig{}, 5, /*client_index=*/3);
+  EXPECT_EQ(TreeChecksum(&plain, 3), 0x5bf7d7e5a2181e31ull);
+  EXPECT_EQ(TreeChecksum(&client, 3), 0xa797fa0afb1b0037ull);
+}
 
 TEST(LengthModelTest, SamplesRespectBounds) {
   LengthModel model;
@@ -111,8 +194,8 @@ TEST(ConversationTest, TurnPromptsAreExactPrefixExtensions) {
   auto conv = gen.MakeConversation(user);
   ASSERT_GE(conv.turns.size(), 1u);
   for (size_t t = 1; t < conv.turns.size(); ++t) {
-    const TokenSeq& prev = conv.turns[t - 1].prompt;
-    const TokenSeq& cur = conv.turns[t].prompt;
+    const TokenSeq prev = conv.turns[t - 1].prompt;
+    const TokenSeq cur = conv.turns[t].prompt;
     ASSERT_GT(cur.size(), prev.size());
     // prev prompt + prev output is a prefix of the current prompt.
     EXPECT_EQ(CommonPrefixLen(prev, cur), prev.size());
@@ -122,6 +205,35 @@ TEST(ConversationTest, TurnPromptsAreExactPrefixExtensions) {
                      conv.turns[t - 1].output.end());
     EXPECT_EQ(CommonPrefixLen(prev_full, cur), expected_prefix);
   }
+}
+
+// A conversation is one transcript: every turn's prompt and output slice
+// the same buffer, each output continues its prompt, and turn k+1's prompt
+// starts with turn k's prompt, then its output.
+TEST(ConversationTest, TurnsSliceOneTranscript) {
+  ConversationGenerator gen(ConversationWorkloadConfig::WildChat(), 4, 42);
+  const auto user = gen.MakeUser(0);
+  int multi_turn = 0;
+  for (int c = 0; c < 20; ++c) {
+    const auto conv = gen.MakeConversation(user);
+    ASSERT_GE(conv.turns.size(), 1u);
+    const auto& first = conv.turns.front();
+    for (size_t t = 0; t < conv.turns.size(); ++t) {
+      const auto& turn = conv.turns[t];
+      // Every prompt starts the transcript; every output continues its
+      // prompt in the same buffer.
+      EXPECT_EQ(turn.prompt.data(), first.prompt.data());
+      EXPECT_TRUE(turn.output.Continues(turn.prompt));
+      if (t + 1 < conv.turns.size()) {
+        const TokenSeq next = conv.turns[t + 1].prompt;
+        const TokenSeq context = Concat(turn.prompt, turn.output);
+        ASSERT_GT(next.size(), context.size());
+        EXPECT_TRUE(std::equal(context.begin(), context.end(), next.begin()));
+      }
+    }
+    multi_turn += conv.turns.size() > 1 ? 1 : 0;
+  }
+  EXPECT_GT(multi_turn, 0);
 }
 
 TEST(ConversationTest, UsersAndSessionsGetUniqueIds) {
@@ -252,14 +364,30 @@ TEST(ToTTest, TreeStructureIsSound) {
   }
 }
 
+// A node is one buffer: its prompt is its parent's prompt, then the
+// parent's thought, and its own thought continues that prompt.
+TEST(ToTTest, ChildPromptIsParentPromptThenThought) {
+  ToTGenerator gen(ToTConfig{}, 5);
+  const auto tree = gen.MakeTree();
+  for (const auto& node : tree.nodes) {
+    EXPECT_TRUE(node.output.Continues(node.prompt));
+    if (node.parent < 0) {
+      continue;
+    }
+    const auto& parent = tree.nodes[static_cast<size_t>(node.parent)];
+    EXPECT_EQ(TokenSeq(node.prompt),
+              TokenSeq(Concat(parent.prompt, parent.output)));
+  }
+}
+
 TEST(ToTTest, SiblingsShareFullPrompt) {
   ToTGenerator gen(ToTConfig{}, 5);
   auto tree = gen.MakeTree();
   // Level-1 nodes share the root prompt+output entirely.
   const auto& a = tree.nodes[static_cast<size_t>(tree.levels[1][0])];
   const auto& b = tree.nodes[static_cast<size_t>(tree.levels[1][1])];
-  EXPECT_EQ(a.prompt, b.prompt);
-  EXPECT_NE(a.output, b.output);
+  EXPECT_EQ(TokenSeq(a.prompt), TokenSeq(b.prompt));
+  EXPECT_NE(TokenSeq(a.output), TokenSeq(b.output));
 }
 
 TEST(ToTTest, TreesAreTokenDisjoint) {
