@@ -159,7 +159,9 @@ inline int64_t BlockTable::Append(BlockAllocator& alloc, int32_t block_size,
     alloc.NoteCowCopy();
     ++allocated;
   }
-  const int64_t avail = tail_free(block_size);
+  // The first page of an empty table has only block_size - skew free
+  // slots: its skew slots count as used.
+  const int64_t avail = blocks_.empty() ? -skew_ : tail_free(block_size);
   int64_t remaining = tokens - (avail < tokens ? avail : tokens);
   while (remaining > 0) {
     blocks_.push_back(alloc.Allocate());

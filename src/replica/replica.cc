@@ -836,7 +836,8 @@ bool Replica::CheckInvariants() const {
     reserve += ReserveRemaining(restoring.seq);
   }
   return uncached == running_uncached_tokens_ &&
-         reserve == kv_.committed_reserve_tokens() && cache_.CheckInvariants();
+         reserve == kv_.committed_reserve_tokens() && cache_.CheckInvariants() &&
+         kv_.CheckConsistency();
 }
 
 void Replica::Fail() {

@@ -138,6 +138,41 @@ TEST(BlockTableTest, SkewPathAlignsTheFirstBlock) {
   EXPECT_EQ(alloc.used_blocks(), 0);
 }
 
+TEST(BlockTableTest, SkewedFirstAppendCountsTheSkewSlots) {
+  // A table at path position 10 has 6 free slots in its first page, so 7
+  // tokens cross into a second page; a 30-token swap-in restore at skew 10
+  // needs ceil(40 / 16) = 3 pages.
+  BlockAllocator alloc(64);
+  BlockTable table;
+  table.SetSkew(10);
+  EXPECT_EQ(table.Append(alloc, 16, 7), 2);
+  EXPECT_EQ(table.tail_free(16), 15);
+  EXPECT_EQ(table.fragmentation_tokens(16), 15);
+  table.Clear(alloc);
+  table.SetSkew(10);
+  EXPECT_EQ(table.Append(alloc, 16, 30), 3);
+  EXPECT_EQ(table.Append(alloc, 16, 8), 0);  // Fills the third page.
+  EXPECT_EQ(table.num_blocks(), 3);
+  table.Clear(alloc);
+  EXPECT_EQ(alloc.used_blocks(), 0);
+
+  KvConfig config;
+  config.capacity_tokens = 1024;
+  config.block_size_tokens = 16;
+  KvController kv(config);
+  SimDuration transfer = 0;
+  const KvController::SeqId id = kv.BeginSwapIn(30, 0, 8, 10, &transfer);
+  EXPECT_EQ(kv.table(id).num_blocks(), 3);
+  EXPECT_TRUE(kv.CheckConsistency());
+  const KvController::SeqId fresh = kv.AdmitSeq(7, 8, /*skew=*/10);
+  kv.OnPrefillChunk(fresh, 7);
+  EXPECT_EQ(kv.table(fresh).num_blocks(), 2);
+  EXPECT_TRUE(kv.CheckConsistency());
+  kv.ReleaseSeq(id);
+  kv.ReleaseSeq(fresh);
+  EXPECT_EQ(kv.used_blocks(), 0);
+}
+
 TEST(BlockTableTest, ReleasePrefixKeepsTheStraddledBoundaryPage) {
   BlockAllocator alloc(64);
   BlockTable table;
