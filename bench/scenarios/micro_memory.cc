@@ -1,7 +1,7 @@
-// Microbenchmarks for the paged KV memory subsystem (src/memory/, ISSUE 4):
-// allocator churn, copy-on-write fork/free storms, radix-cache page churn,
-// probe occupancy (scan vs incremental counts), eviction policies, and the
-// swap-vs-recompute preemption policies under an overloaded replica.
+// Microbenchmarks for the paged KV memory subsystem (src/memory/):
+// allocator churn, radix-cache page churn, probe occupancy (scan vs
+// incremental counts), eviction policies, and the swap-vs-recompute
+// preemption policies under an overloaded replica.
 //
 // ns_per_op is wall clock (deterministic = false); the checksums are
 // deterministic and double as a cheap behavior pin. As with the other micro
@@ -65,17 +65,17 @@ Scenario MakeMicroMemoryScenario() {
   scenario.name = "micro_memory";
   scenario.title = "Paged-KV memory subsystem microbenchmarks";
   scenario.description =
-      "ns per allocator append/truncate churn op, CoW fork/free storms, "
-      "cache page churn, probe occupancy (radix scan vs incremental "
-      "counts), eviction churn, and end-to-end replica overload under "
-      "recompute vs swap preemption.";
+      "ns per allocator append/prefix-release churn op, cache page churn, "
+      "probe occupancy (radix scan vs incremental counts), eviction churn, "
+      "and end-to-end replica overload under recompute vs swap "
+      "preemption.";
   scenario.metric_keys = {"ns_per_op", "iterations", "checksum"};
   scenario.deterministic = false;  // Wall-clock metrics.
   scenario.plan = [](const ScenarioOptions& options) {
     ScenarioPlan plan;
 
-    // Steady-state allocator churn: grow a table, shrink it, repeat — the
-    // decode/evict cycle the replica drives every step.
+    // Steady-state allocator churn: grow a table, drop its front the way
+    // publish does, repeat — the decode/publish cycle the replica drives.
     for (int32_t block_size : {int32_t{1}, int32_t{16}, int32_t{32}}) {
       const std::string label = "alloc_churn/b" + std::to_string(block_size);
       const int64_t iterations = options.smoke ? 20'000 : 2'000'000;
@@ -87,7 +87,8 @@ Scenario MakeMicroMemoryScenario() {
             for (int64_t i = 0; i < iterations; ++i) {
               table.Append(alloc, block_size, 7 + (i & 63));
               if (table.num_tokens() > 48'000) {
-                table.Truncate(alloc, block_size, table.num_tokens() - 1024);
+                table.ReleasePrefix(alloc, block_size,
+                                    table.num_tokens() - 1024);
               }
             }
             double checksum =
@@ -97,42 +98,6 @@ Scenario MakeMicroMemoryScenario() {
             table.Clear(alloc);
             return std::vector<MetricRow>{
                 MicroRow(label, ElapsedNs(start), iterations, checksum)};
-          }});
-    }
-
-    // CoW fork/free storm: many children fork a shared parent prefix, each
-    // diverges (copy-on-write at the partial tail), then frees — the
-    // beam/parallel-sampling pattern.
-    {
-      const std::string label = "cow_fork_storm";
-      const int64_t iterations = options.smoke ? 500 : 20'000;
-      plan.cells.push_back(ScenarioCell{
-          label, [label, iterations] {
-            constexpr int32_t kBs = 16;
-            BlockAllocator alloc(1 << 20);
-            BlockTable parent;
-            parent.Append(alloc, kBs, 4096 + 5);  // Partial tail: CoW bait.
-            std::vector<BlockTable> children(64);
-            const auto start = std::chrono::steady_clock::now();
-            for (int64_t i = 0; i < iterations; ++i) {
-              for (size_t c = 0; c < children.size(); ++c) {
-                children[c].ForkFrom(alloc, parent, kBs,
-                                     parent.num_tokens() -
-                                         static_cast<int64_t>(c % 7));
-                children[c].Append(alloc, kBs, 3 + static_cast<int64_t>(c % 5));
-              }
-              for (BlockTable& child : children) {
-                child.Clear(alloc);
-              }
-            }
-            double checksum =
-                static_cast<double>(alloc.stats().cow_copies) +
-                static_cast<double>(alloc.used_blocks()) * 1e-3;
-            parent.Clear(alloc);
-            return std::vector<MetricRow>{MicroRow(
-                label, ElapsedNs(start),
-                iterations * static_cast<int64_t>(children.size()),
-                checksum)};
           }});
     }
 

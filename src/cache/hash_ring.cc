@@ -96,26 +96,4 @@ TargetId HashRing::LookupAvailable(
   return kInvalidTarget;
 }
 
-std::vector<TargetId> HashRing::LookupN(uint64_t key_hash, size_t n) const {
-  std::vector<TargetId> out;
-  if (ring_.empty() || n == 0) {
-    return out;
-  }
-  EnsureSorted();
-  auto start = std::lower_bound(
-      ring_.begin(), ring_.end(), key_hash,
-      [](const VNode& v, uint64_t h) { return v.point < h; });
-  size_t begin = start == ring_.end()
-                     ? 0
-                     : static_cast<size_t>(start - ring_.begin());
-  std::set<TargetId> seen;
-  for (size_t i = 0; i < ring_.size() && out.size() < n; ++i) {
-    const VNode& v = ring_[(begin + i) % ring_.size()];
-    if (seen.insert(v.target).second) {
-      out.push_back(v.target);
-    }
-  }
-  return out;
-}
-
 }  // namespace skywalker

@@ -48,9 +48,6 @@ class HashRing {
   TargetId LookupAvailable(uint64_t key_hash,
                            const std::function<bool(TargetId)>& pred) const;
 
-  // The first `n` distinct targets clockwise (replica set for a key).
-  std::vector<TargetId> LookupN(uint64_t key_hash, size_t n) const;
-
  private:
   struct VNode {
     uint64_t point;

@@ -19,25 +19,6 @@ void RunningStat::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  size_t total = count_ + other.count_;
-  double na = static_cast<double>(count_);
-  double nb = static_cast<double>(other.count_);
-  mean_ += delta * nb / (na + nb);
-  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ = total;
-}
-
 double RunningStat::variance() const {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
 }
@@ -46,11 +27,6 @@ double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 void Distribution::Add(double x) {
   samples_.push_back(x);
-  sorted_ = false;
-}
-
-void Distribution::Merge(const Distribution& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
   sorted_ = false;
 }
 
@@ -141,24 +117,6 @@ void Histogram::Add(double x) {
   size_t i = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), x) - bounds_.begin());
   ++counts_[i];
-}
-
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) {
-    return;  // Empty-merge: a fresh/cleared histogram adds nothing.
-  }
-  if (count_ == 0) {
-    *this = other;  // Adopt bounds and counts wholesale.
-    return;
-  }
-  assert(bounds_ == other.bounds_ && "merging histograms with unequal grids");
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 void Histogram::Clear() {

@@ -16,7 +16,6 @@ namespace skywalker {
 class RunningStat {
  public:
   void Add(double x);
-  void Merge(const RunningStat& other);
 
   size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
@@ -40,7 +39,6 @@ class RunningStat {
 class Distribution {
  public:
   void Add(double x);
-  void Merge(const Distribution& other);
 
   size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
@@ -66,9 +64,9 @@ class Distribution {
 
 // Fixed-bucket histogram with explicit upper bounds (strictly increasing)
 // plus an implicit overflow bucket. Unlike Distribution it stores counts,
-// not samples, so it is mergeable across shards/replicas at O(buckets) and
-// its memory is independent of sample volume — the representation the
-// metrics registry (src/obs/registry.h) tags per replica/region/policy.
+// not samples, so its memory is independent of sample volume — the
+// representation the metrics registry (src/obs/registry.h) tags per
+// replica/region/policy.
 //
 // Quantiles interpolate linearly inside the covering bucket, clamped to the
 // exact observed [min, max] so degenerate shapes stay truthful:
@@ -78,14 +76,11 @@ class Distribution {
 //     bucket bound no sample reached;
 //   * overflow bucket        -> quantiles in it return values in
 //     [last bound, max], never infinity.
-// Merge requires identical bucket bounds, except that a histogram with no
-// observations (notably a default-constructed one) merges as a no-op /
-// bound-adopting copy — so reducing a vector of per-shard histograms never
-// trips on an untouched element. tests/histogram_test.cc pins these edges.
+// tests/histogram_test.cc pins these edges.
 class Histogram {
  public:
-  // No bounds: everything lands in the overflow bucket (still mergeable,
-  // still exact for count/sum/min/max, quantiles clamp to [min, max]).
+  // No bounds: everything lands in the overflow bucket (still exact for
+  // count/sum/min/max, quantiles clamp to [min, max]).
   Histogram() = default;
   // `upper_bounds` must be strictly increasing.
   explicit Histogram(std::vector<double> upper_bounds);
@@ -95,9 +90,6 @@ class Histogram {
   static Histogram Exponential(double first, double factor, int count);
 
   void Add(double x);
-  // Adds `other`'s counts bucket-wise. Either side may be empty (see above);
-  // otherwise the bounds must match exactly.
-  void Merge(const Histogram& other);
   void Clear();
 
   uint64_t count() const { return count_; }

@@ -153,22 +153,4 @@ int64_t Rng::Zipf(int64_t n, double s) {
   return 1;  // Statistically unreachable; bounded loop for safety.
 }
 
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  assert(!weights.empty());
-  double total = 0;
-  for (double w : weights) {
-    total += w;
-  }
-  assert(total > 0);
-  double target = NextDouble() * total;
-  double cumulative = 0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    cumulative += weights[i];
-    if (target < cumulative) {
-      return i;
-    }
-  }
-  return weights.size() - 1;
-}
-
 }  // namespace skywalker

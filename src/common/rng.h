@@ -9,8 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 namespace skywalker {
 
@@ -61,20 +59,6 @@ class Rng {
 
   // Zipf-distributed rank in [1, n] with exponent s (rejection sampling).
   int64_t Zipf(int64_t n, double s);
-
-  // Samples an index in [0, weights.size()) proportionally to weights.
-  // Requires a non-empty vector with a positive sum.
-  size_t WeightedIndex(const std::vector<double>& weights);
-
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    for (size_t i = v.size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   uint64_t s_[4];

@@ -8,7 +8,6 @@
 #define SKYWALKER_COMMON_SIM_TIME_H_
 
 #include <cstdint>
-#include <string>
 
 namespace skywalker {
 
@@ -41,9 +40,6 @@ constexpr double ToSeconds(SimDuration d) { return static_cast<double>(d) / 1e6;
 constexpr double ToMilliseconds(SimDuration d) {
   return static_cast<double>(d) / 1e3;
 }
-
-// Renders a duration with an adaptive unit, e.g. "1.500s", "300.0ms", "42us".
-std::string FormatDuration(SimDuration d);
 
 }  // namespace skywalker
 

@@ -55,22 +55,4 @@ std::string Table::ToAscii() const {
   return os.str();
 }
 
-std::string Table::ToCsv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) {
-        os << ",";
-      }
-      os << row[c];
-    }
-    os << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) {
-    emit(row);
-  }
-  return os.str();
-}
-
 }  // namespace skywalker

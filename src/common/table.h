@@ -1,4 +1,4 @@
-// ASCII table / CSV rendering for benchmark output. Every figure bench prints
+// ASCII table rendering for benchmark output. Every figure bench prints
 // its rows through this so output is uniform and machine-parsable.
 
 #ifndef SKYWALKER_COMMON_TABLE_H_
@@ -20,7 +20,6 @@ class Table {
   static std::string Num(double v, int precision = 2);
 
   std::string ToAscii() const;
-  std::string ToCsv() const;
 
   size_t num_rows() const { return rows_.size(); }
 

@@ -27,11 +27,6 @@ void Controller::Start() {
   probe_task_->StartWithDelay(0);
 }
 
-bool Controller::IsFailedOver(LbId lb_id) const {
-  auto it = lbs_.find(lb_id);
-  return it != lbs_.end() && it->second.failover_active;
-}
-
 SkyWalkerLb* Controller::NearestHealthyLb(RegionId region, LbId exclude) {
   SkyWalkerLb* best = nullptr;
   SimDuration best_latency = std::numeric_limits<SimDuration>::max();

@@ -52,9 +52,6 @@ class Controller {
   };
   const Stats& stats() const { return stats_; }
 
-  // True while `lb_id`'s replicas are hosted by another LB.
-  bool IsFailedOver(LbId lb_id) const;
-
  private:
   struct ManagedLb {
     SkyWalkerLb* lb = nullptr;

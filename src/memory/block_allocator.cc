@@ -11,24 +11,12 @@ BlockAllocator::BlockAllocator(int64_t capacity_blocks, bool named)
   SKYWALKER_CHECK(capacity_blocks > 0) << "allocator needs capacity";
 }
 
-void BlockAllocator::Reserve(int64_t blocks) {
-  if (!named_) {
-    return;
-  }
-  refs_.reserve(static_cast<size_t>(blocks));
-  free_list_.reserve(static_cast<size_t>(blocks));
-  if (track_cache_) {
-    cache_holders_.reserve(static_cast<size_t>(blocks));
-  }
-}
-
 void BlockAllocator::EnableCacheHolders() {
   SKYWALKER_CHECK(named_) << "cache-holder counts need named pages";
   if (track_cache_) {
     return;
   }
   track_cache_ = true;
-  cache_holders_.reserve(refs_.capacity());  // Keeps a prior Reserve().
   cache_holders_.resize(refs_.size());
 }
 

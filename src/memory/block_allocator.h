@@ -1,13 +1,13 @@
-// Fixed-size KV page allocator (vLLM-style PagedAttention pool, ISSUE 4).
+// Fixed-size KV page allocator (vLLM-style PagedAttention pool).
 //
 // The GPU's KV budget is carved into pages of `block_size_tokens` tokens;
 // every live token of KV state — shared prefix-cache content and per-
 // sequence private state alike — occupies exactly one slot of exactly one
-// block. Blocks are refcounted so copy-on-write forks (shared prompt
-// prefixes, beam/parallel-sampling style) map to shared references instead
-// of token copies, and a freed block returns to a LIFO free list so
-// steady-state churn (admit/decode/evict/preempt cycles) recycles ids
-// without touching the heap (tests/kv_memory_alloc_test.cc pins this).
+// block. Blocks are refcounted so the radix cache's nodes share pages with
+// each other (a straddled edge split) and with the sequence that published
+// them, and a freed block returns to a LIFO free list so steady-state
+// churn (admit/decode/evict/preempt cycles) recycles ids without touching
+// the heap (tests/kv_memory_alloc_test.cc pins this).
 //
 // Blocks here are *bookkeeping*, not storage — the simulator never holds
 // real KV bytes — so allocation past `capacity_blocks` is permitted and
@@ -35,7 +35,7 @@
 // a time, its next release covers the co-held pages, and no edge split
 // touches the co-holding node. Named pools (every block size, and one-token
 // pools under KvController::set_named_pages_oracle) stay the reference
-// implementation; forks and truncation exist only there.
+// implementation.
 //
 // Cache-holder counts (paged mode): the prefix cache reports
 // which references it holds, so the allocator keeps per page the number of
@@ -43,8 +43,8 @@
 // running totals — pages with a cache reference (`cache_held_blocks`) and
 // pages whose every reference comes from an unpinned cache node
 // (`cache_evictable_blocks`: a full eviction would free them). Every
-// refcount change re-evaluates its one page in O(1), sequence-side
-// AddRef/Release/CoW on a cache-held page included, which makes the probe's
+// refcount change re-evaluates its one page in O(1), a sequence's Release
+// of a cache-held page included, which makes the probe's
 // occupancy figures O(1) instead of a radix-tree scan. Coarse mode never
 // enables the counts: its occupancy is the cache's token counters.
 
@@ -69,9 +69,8 @@ using PageHolder = int32_t;
 inline constexpr PageHolder kNoPageHolder = -1;
 
 struct BlockAllocatorStats {
-  int64_t allocated = 0;   // Cumulative pages allocated.
-  int64_t freed = 0;       // Cumulative pages freed.
-  int64_t cow_copies = 0;  // Copy-on-write duplications (BlockTable).
+  int64_t allocated = 0;  // Cumulative pages allocated.
+  int64_t freed = 0;      // Cumulative pages freed.
   int64_t peak_used_blocks = 0;
 };
 
@@ -84,15 +83,12 @@ class BlockAllocator {
   BlockAllocator& operator=(const BlockAllocator&) = delete;
 
   // Whether pages have ids, refcounts and a free list (every call below up
-  // to Reserve), or are only counted (the counted-pool calls).
+  // to PinCacheSpan), or are only counted (the counted-pool calls).
   bool named() const { return named_; }
 
   // Returns a block with ref_count == 1. Never fails (see file comment);
   // callers gate on free_blocks() for admission decisions.
   BlockId Allocate();
-
-  // Shares an existing block (copy-on-write fork).
-  void AddRef(BlockId id);
 
   // Drops one reference; returns true when the block became free.
   bool Release(BlockId id);
@@ -129,11 +125,6 @@ class BlockAllocator {
   // its references on ids[0..n) change class. Only valid while the counts
   // are enabled.
   void PinCacheSpan(const BlockId* ids, int64_t n, int32_t delta);
-
-  // Pre-sizes metadata and the free list so later Allocate/Release cycles
-  // below `blocks` live blocks never allocate heap memory. A counted pool
-  // has nothing to size.
-  void Reserve(int64_t blocks);
 
   // --- counted pool (named() == false) -----------------------------------
   // `n` fresh pages, for a sequence table or a cache node.
@@ -192,7 +183,6 @@ class BlockAllocator {
   int64_t live_refs() const;
 
   const BlockAllocatorStats& stats() const { return stats_; }
-  void NoteCowCopy() { ++stats_.cow_copies; }
 
   // Structural soundness: used_blocks matches the number of ids with a
   // positive refcount and the free list holds exactly the zero-ref ids;
@@ -247,7 +237,7 @@ class BlockAllocator {
 };
 
 // Inline: the counted-pool calls run once per decoded token on coarse
-// replicas, and Allocate/AddRef/Release once per page on paged ones (their
+// replicas, and Allocate/Release once per page on paged ones (their
 // cross-TU call overhead was measurable when coarse pools named their
 // pages).
 inline void BlockAllocator::AllocateCount(int64_t n) {
@@ -291,19 +281,7 @@ inline BlockId BlockAllocator::Allocate() {
   return id;
 }
 
-inline void BlockAllocator::AddRef(BlockId id) {
-  SKYWALKER_CHECK(refs_[static_cast<size_t>(id)] > 0) << "addref dead block";
-  if (CacheHeld(id)) {
-    // A sequence sharing a cache page makes it unevictable.
-    TallyCachePage(id, -1);
-    ++refs_[static_cast<size_t>(id)];
-    TallyCachePage(id, +1);
-    return;
-  }
-  ++refs_[static_cast<size_t>(id)];
-}
-
-// Inline like AddRef: a publish transfers one reference per page.
+// Inline: a publish transfers one reference per page.
 inline void BlockAllocator::AddCacheRef(BlockId id, bool pinned) {
   int32_t& ref = refs_[static_cast<size_t>(id)];
   SKYWALKER_CHECK(ref > 0) << "addref dead block";
@@ -321,9 +299,9 @@ inline void BlockAllocator::AddCacheRef(BlockId id, bool pinned) {
 
 inline bool BlockAllocator::Release(BlockId id) {
   if (CacheHeld(id)) {
-    // A sequence dropping its claim on a cache page (publish, completion,
-    // CoW): the cache's references keep it live, and it may have just
-    // become evictable.
+    // A sequence dropping its claim on a cache page (publish, completion):
+    // the cache's references keep it live, and it may have just become
+    // evictable.
     TallyCachePage(id, -1);
     --refs_[static_cast<size_t>(id)];
     TallyCachePage(id, +1);

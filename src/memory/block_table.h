@@ -1,38 +1,32 @@
-// Per-sequence KV page table (ISSUE 4/5): the ordered list of blocks
-// holding one logical token span, vLLM block-table style.
+// Per-sequence KV page table: the ordered list of blocks holding one
+// logical token span, vLLM block-table style.
 //
 // A table owns one reference on each of its blocks. Growth fills the
-// partially-used tail block before allocating a new one; a *shared* partial
-// tail (refcount > 1, i.e. a copy-on-write fork boundary) is duplicated
-// first — the CoW copy the paper-adjacent systems pay on fork divergence —
-// so writers never mutate pages a sibling still reads. The one exception is
-// the page a sequence shares with the prefix cache after publishing its
-// prompt (ISSUE 5): the cache owns the page's earlier slots and the
-// sequence extends into the free tail slots, which is slot-disjoint and
-// needs no copy; `set_cow_exempt` marks that page.
+// partially-used tail block before allocating a new one. No two sequence
+// tables share a page (KvController::CheckConsistency asserts it); the one
+// page a table shares at all is the prefix cache's boundary page after
+// publishing its prompt: the cache owns the page's earlier slots and the
+// sequence extends into the free tail slots, which is slot-disjoint, so
+// appending into it allocates nothing.
 //
-// Since ISSUE 5 tables are *path-aligned*: a sequence whose private span
-// starts at token position `base` of its radix path carries
-// `skew = base % block_size`, so its block boundaries coincide with the
-// prefix cache's per-node block spans and publishing a prompt is a
-// reference transfer (the cache AddRefs the very pages the sequence
-// filled), not a copy. `ReleasePrefix` then drops the published front of
-// the table, keeping any straddled boundary page shared with the cache.
-// With block_size == 1 the skew is always zero and every operation reduces
-// to the seed token arithmetic.
-//
-// `ForkFrom` shares a prefix of another table by taking references, which
-// is how prefix reuse maps to block refs instead of token copies. Internal
-// fragmentation (allocated-but-unfilled slots, counting the skewed head) is
-// observable per table; the *exact* global figure lives with the replica,
-// which sees both sides of every shared page.
+// Tables are *path-aligned*: a sequence whose private span starts at token
+// position `base` of its radix path carries `skew = base % block_size`, so
+// its block boundaries coincide with the prefix cache's per-node block
+// spans and publishing a prompt is a reference transfer (the cache takes
+// references on the very pages the sequence filled), not a copy.
+// `ReleasePrefix` then drops the published front of the table, keeping any
+// straddled boundary page shared with the cache. With block_size == 1 the
+// skew is always zero and every operation reduces to the seed token
+// arithmetic. Internal fragmentation (allocated-but-unfilled slots,
+// counting the skewed head) is observable per table; the *exact* global
+// figure lives with the replica, which sees both sides of every shared
+// page.
 //
 // On a counted pool (one-token pages, BlockAllocator file comment) a table
 // holds no ids: its pages are its tokens, the skew is zero, and every call
 // is O(1) whatever its token count. The table asks its pool which kind it
-// is. `ForkFrom` and `Truncate`, which only tests and micro_memory call,
-// need named pages. A table's `holder` names it in the counted pool's
-// co-held window; KvController tags each sequence slot with its SeqId.
+// is. A table's `holder` names it in the counted pool's co-held window;
+// KvController tags each sequence slot with its SeqId.
 //
 // Tables keep their vector capacity across Clear() so pooled reuse
 // (KvController's sequence slots) stays allocation-free in steady state.
@@ -78,13 +72,6 @@ class BlockTable {
   // Only valid on an empty table.
   void SetSkew(int32_t skew);
 
-  // Marks `id` as exempt from the CoW-on-shared-tail rule: the sequence
-  // extends into free slots of a page the prefix cache references (slot-
-  // disjoint, no copy needed). The exemption only matters while the page is
-  // the tail; it is cleared when the table releases the page (prefix drop,
-  // truncate, clear), so a recycled id can never inherit it.
-  void set_cow_exempt(BlockId id) { cow_exempt_ = id; }
-
   // Free slots in the tail block. Skew slots belong to the cached prefix
   // frame, not to this table, and an empty table has no tail block yet, so
   // nothing is available there. Always 0 with block_size == 1.
@@ -92,29 +79,10 @@ class BlockTable {
     return blocks_.empty() ? 0 : num_blocks() * block_size - skew_ - tokens_;
   }
 
-  // Whether the next append copies the tail first: a partial tail shared
-  // with a fork, unless exempt. After that copy, or once the tail fills, the
-  // tail is private, so only the first token of a run of appends can copy.
-  bool TailCopies(const BlockAllocator& alloc, int32_t block_size) const {
-    return tail_free(block_size) > 0 && alloc.ref_count(blocks_.back()) > 1 &&
-           blocks_.back() != cow_exempt_;
-  }
-
-  // Appends `tokens`, allocating blocks as needed. A shared partial tail is
-  // copy-on-write duplicated before being written into (unless exempt, see
-  // above). Returns the net number of blocks allocated (CoW replacement
-  // allocates one without changing the block count).
+  // Appends `tokens`, filling the tail's free slots (a cache-shared
+  // boundary page's included) before allocating blocks. Returns the number
+  // of blocks allocated.
   int64_t Append(BlockAllocator& alloc, int32_t block_size, int64_t tokens);
-
-  // Becomes a fork of `parent`'s first `tokens` tokens by taking references
-  // on the covering blocks (inheriting the parent's skew). The table must
-  // be empty and the pool named.
-  void ForkFrom(BlockAllocator& alloc, const BlockTable& parent,
-                int32_t block_size, int64_t tokens);
-
-  // Drops the last `tokens` tokens, releasing blocks that become empty.
-  // Returns the number of references released. Named pools only.
-  int64_t Truncate(BlockAllocator& alloc, int32_t block_size, int64_t tokens);
 
   // Drops the first `tokens` tokens (the span just published to the prefix
   // cache): releases references on blocks fully before the new start and
@@ -131,7 +99,6 @@ class BlockTable {
   std::vector<BlockId> blocks_;
   int64_t tokens_ = 0;
   int32_t skew_ = 0;
-  BlockId cow_exempt_ = kInvalidBlockId;
   PageHolder holder_ = kNoPageHolder;
 };
 
@@ -149,16 +116,6 @@ inline int64_t BlockTable::Append(BlockAllocator& alloc, int32_t block_size,
     return 0;
   }
   int64_t allocated = 0;
-  if (TailCopies(alloc, block_size)) {
-    // Copy-on-write: the partial tail is shared with a fork; duplicate it
-    // before writing. (Full shared blocks are immutable and stay shared;
-    // the cache-shared boundary page is exempt — extension there fills
-    // slots the cache never reads.)
-    alloc.Release(blocks_.back());
-    blocks_.back() = alloc.Allocate();
-    alloc.NoteCowCopy();
-    ++allocated;
-  }
   // The first page of an empty table has only block_size - skew free
   // slots: its skew slots count as used.
   const int64_t avail = blocks_.empty() ? -skew_ : tail_free(block_size);

@@ -71,26 +71,20 @@ void KvController::ReleaseSeqPrefix(SeqId id, int64_t tokens) {
   seq_tokens_total_ -= tokens;
 }
 
-void KvController::SetCowExempt(SeqId id, BlockId block) {
-  entry(id).table.set_cow_exempt(block);
-}
-
 void KvController::RestoreDecodedTokens(SeqId id, int64_t tokens) {
   SeqEntry& e = entry(id);
   e.table.Append(alloc_, config_.block_size_tokens, tokens);
   seq_tokens_total_ += tokens;
 }
 
-bool KvController::PlanDecode(SeqId id, DecodeRun* run) const {
+KvController::DecodeRun KvController::PlanDecode(SeqId id) const {
   const SeqEntry& e = entry(id);
-  if (e.table.TailCopies(alloc_, config_.block_size_tokens)) {
-    return false;
-  }
-  run->id = id;
-  run->tail_free =
+  DecodeRun run;
+  run.id = id;
+  run.tail_free =
       static_cast<int32_t>(e.table.tail_free(config_.block_size_tokens));
-  run->reserve = e.committed_reserve;
-  return true;
+  run.reserve = e.committed_reserve;
+  return run;
 }
 
 void KvController::OnDecodeSteps(std::vector<DecodeRun>* runs,
@@ -214,12 +208,6 @@ SimDuration KvController::SwapDuration(int64_t tokens) const {
       std::llround(static_cast<double>(tokens) * config_.swap_us_per_token));
 }
 
-void KvController::Reserve(int64_t seqs, int64_t blocks) {
-  seqs_.reserve(static_cast<size_t>(seqs));
-  free_slots_.reserve(static_cast<size_t>(seqs));
-  alloc_.Reserve(blocks);
-}
-
 int64_t KvController::seq_block_refs() const {
   int64_t refs = 0;
   for (const SeqEntry& e : seqs_) {
@@ -236,11 +224,14 @@ bool KvController::CheckConsistency() const {
   int64_t reserve = 0;
   int64_t committed_blocks = 0;
   int64_t live = 0;
+  std::vector<BlockId> seq_pages;  // Named pools: every live table's ids.
   for (const SeqEntry& e : seqs_) {
     if (!e.live) {
       continue;
     }
     ++live;
+    seq_pages.insert(seq_pages.end(), e.table.blocks().begin(),
+                     e.table.blocks().end());
     seq_tokens += e.table.num_tokens();
     prefill += e.committed_prefill;
     reserve += e.committed_reserve;
@@ -254,6 +245,14 @@ bool KvController::CheckConsistency() const {
         !(e.table.num_tokens() == 0 && e.table.num_blocks() == 0)) {
       return false;
     }
+  }
+  // Sequences never share a page with each other: the only page a table
+  // shares is the cache's boundary page, and appends write into it only
+  // because no other sequence reads it.
+  std::sort(seq_pages.begin(), seq_pages.end());
+  if (std::adjacent_find(seq_pages.begin(), seq_pages.end()) !=
+      seq_pages.end()) {
+    return false;
   }
   // The allocator is shared with the prefix cache, so sequence-held pages
   // are a subset of used pages; exact conservation (cache refs + sequence

@@ -132,10 +132,6 @@ class KvController {
   // survive in the allocator; pages only this sequence used are freed.
   void ReleaseSeqPrefix(SeqId id, int64_t tokens);
 
-  // Marks the page the sequence may extend without copy-on-write (the
-  // boundary page shared with the cache after publish; slot-disjoint).
-  void SetCowExempt(SeqId id, BlockId block);
-
   // Re-materializes `tokens` already-generated output tokens into the
   // sequence's table without touching committed future (a recompute-
   // preemption victim's first output token re-appears this way at publish:
@@ -161,9 +157,8 @@ class KvController {
     int64_t reserve_blocks = 0;  // and in committed ceil-blocks.
   };
 
-  // The sequence's run, or false when its first decode token would copy a
-  // shared tail page (a stretch cannot project the copy).
-  bool PlanDecode(SeqId id, DecodeRun* run) const;
+  // The sequence's run.
+  DecodeRun PlanDecode(SeqId id) const;
 
   // Pages `steps` decode steps of `runs` allocate:
   // Σ ceil(max(0, steps - tail_free)), which is steps · runs in coarse mode.
@@ -263,10 +258,8 @@ class KvController {
   // Page references held by live sequence tables (conservation checks).
   int64_t seq_block_refs() const;
 
-  // Pre-sizes slots, tables, and the allocator for allocation-free reuse.
-  void Reserve(int64_t seqs, int64_t blocks);
-
-  // Validates ledger totals against a full rescan (tests / debug).
+  // Validates ledger totals against a full rescan, and on a named pool that
+  // no page id is held by two live sequence tables (tests / debug).
   bool CheckConsistency() const;
 
  private:

@@ -1,7 +1,6 @@
 #include "src/net/topology.h"
 
 #include <cassert>
-#include <limits>
 
 namespace skywalker {
 
@@ -34,20 +33,6 @@ SimDuration Topology::Latency(RegionId a, RegionId b) const {
   assert(b >= 0 && static_cast<size_t>(b) < n);
   SimDuration v = latency_[static_cast<size_t>(a) * n + static_cast<size_t>(b)];
   return v >= 0 ? v : kDefaultInterRegionLatency;
-}
-
-RegionId Topology::Nearest(RegionId from,
-                           const std::vector<RegionId>& candidates) const {
-  RegionId best = kInvalidRegion;
-  SimDuration best_latency = std::numeric_limits<SimDuration>::max();
-  for (RegionId c : candidates) {
-    SimDuration l = Latency(from, c);
-    if (l < best_latency || (l == best_latency && c < best)) {
-      best = c;
-      best_latency = l;
-    }
-  }
-  return best;
 }
 
 Topology Topology::ThreeContinents() {

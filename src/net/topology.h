@@ -36,10 +36,6 @@ class Topology {
   size_t num_regions() const { return names_.size(); }
   const std::string& name(RegionId id) const { return names_.at(id); }
 
-  // Among `candidates`, the region with the lowest latency from `from`
-  // (ties: lower id). Returns kInvalidRegion for an empty candidate list.
-  RegionId Nearest(RegionId from, const std::vector<RegionId>& candidates) const;
-
   // Canonical three-continent topology used throughout the evaluation:
   // us-east, eu-west, ap-southeast with paper-calibrated latencies.
   static Topology ThreeContinents();

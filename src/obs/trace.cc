@@ -228,17 +228,6 @@ std::vector<TraceRecord> Tracer::Merged() const {
   }
 }
 
-void Tracer::Clear() {
-  for (Ring& ring : rings_) {
-    // Keep one slab hot for reuse; release the rest.
-    if (ring.slabs.size() > 1) {
-      ring.slabs.resize(1);
-    }
-    ring.tail_used = 0;
-    ring.dropped = 0;
-  }
-}
-
 namespace {
 
 // Chrome trace "phase" for a record: engine steps have a duration, memory

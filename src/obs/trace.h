@@ -142,9 +142,6 @@ class Tracer {
   // event's order, append index) order.
   std::vector<TraceRecord> Merged() const;
 
-  // Drops all records; keeps slab storage for reuse.
-  void Clear();
-
   static constexpr int64_t kDefaultMaxRecords = 1 << 22;  // 256 MiB/region cap.
   static constexpr size_t kSlabRecords = 4096;
 

@@ -161,22 +161,8 @@ ProbePayload Replica::Probe() {
   return payload;
 }
 
-double Replica::memory_utilization() const {
-  return Utilization(memory_used_tokens());
-}
-
 int64_t Replica::active_memory_tokens() const {
   return ActiveMemoryTokens(Projected());
-}
-
-double Replica::active_memory_utilization() const {
-  return Utilization(active_memory_tokens());
-}
-
-double Replica::BusyFraction() const {
-  Sync();
-  double elapsed = static_cast<double>(sim_->now());
-  return elapsed <= 0 ? 0.0 : stats_.busy_us / elapsed;
 }
 
 void Replica::Admit() {
@@ -411,18 +397,10 @@ int64_t Replica::PlanStretch(int64_t min_remaining) {
       (!pending_.empty() && HasFreeSlot()) || min_remaining <= 1) {
     return 1;
   }
-  // What each sequence's ledger does over the stretch. A first token that
-  // copies a shared tail would break the plan's arithmetic; it cannot
-  // happen (coarse pages hold one token, and the one shared partial tail a
-  // replica makes, the prompt boundary page publish leaves, is CoW-exempt),
-  // but a stretch must not rely on it.
+  // What each sequence's ledger does over the stretch.
   stretch_.clear();
   for (const Seq& seq : running_) {
-    KvController::DecodeRun run;
-    if (!kv_.PlanDecode(seq.kv, &run)) {
-      return 1;
-    }
-    stretch_.push_back(run);
+    stretch_.push_back(kv_.PlanDecode(seq.kv));
   }
   // No sequence completes before the last step.
   int64_t steps = min_remaining;
@@ -637,18 +615,6 @@ void Replica::OnPrefillComplete(Seq& seq) {
     seq.kv_base += current - keep;
     if (seq.generated > generated_in_table) {
       kv_.RestoreDecodedTokens(seq.kv, seq.generated - generated_in_table);
-    }
-    const int32_t block = config_.kv_block_size_tokens;
-    if (block > 1 && seq.prompt_len() % block != 0) {
-      // The page holding the prompt's last token is (typically) shared with
-      // the cache now; decode may extend into its free slots without a
-      // copy — the slots are disjoint from what the cache reads.
-      const int64_t idx =
-          (seq.prompt_len() - 1) / block - seq.kv_base / block;
-      const BlockTable& table = kv_.table(seq.kv);
-      if (idx >= 0 && idx < table.num_blocks()) {
-        kv_.SetCowExempt(seq.kv, table.blocks()[static_cast<size_t>(idx)]);
-      }
     }
   }
 

@@ -221,7 +221,6 @@ class Replica {
   // Resident KV in tokens: cache content plus sequence-private tokens
   // (token positions are disjoint even where they share a boundary page).
   int64_t memory_used_tokens() const;
-  double memory_utilization() const;
 
   // One-call probe payload: queue depths plus paged-memory headroom. Mid-
   // stretch it walks the passed boundaries and adds their ledger growth to
@@ -239,7 +238,6 @@ class Replica {
   // anyway; this is the "KV cache memory utilization" a serving dashboard
   // (and the paper's Fig. 4b) reports.
   int64_t active_memory_tokens() const;
-  double active_memory_utilization() const;
 
   // Output reserve still committed to admitted sequences. Returns to zero
   // whenever the batch drains — completion, abort, and preemption all hand
@@ -263,9 +261,6 @@ class Replica {
     Sync();
     return kv_;
   }
-
-  // Fraction of wall time the engine executed steps since construction.
-  double BusyFraction() const;
 
   // (time, utilization in [0,1]) samples for memory time-series figures.
   const std::vector<std::pair<SimTime, double>>& memory_series() const {

@@ -338,15 +338,6 @@ ReplicaId DispatchEngine::LeastLoadedAvailableLinear() const {
   return best;
 }
 
-std::vector<int> DispatchEngine::OutstandingSnapshot() const {
-  std::vector<int> out;
-  out.reserve(replicas_.size());
-  for (const ReplicaState& state : replicas_) {
-    out.push_back(state.outstanding);
-  }
-  return out;
-}
-
 void DispatchEngine::Enqueue(Queued queued) {
   ++stats_.received;
   queued.lb_arrival = sim_->now();

@@ -338,9 +338,6 @@ class DispatchEngine {
   int64_t selection_queries() const { return selection_queries_; }
   int64_t index_touches() const { return index_touches_; }
 
-  // Current LB-tracked outstanding per replica (imbalance metrics).
-  std::vector<int> OutstandingSnapshot() const;
-
   size_t queue_size() const { return queue_.size(); }
   const Stats& stats() const { return stats_; }
   const DispatchConfig& config() const { return config_; }

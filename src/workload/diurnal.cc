@@ -50,14 +50,6 @@ BinnedSeries DiurnalModel::HourlySeries(size_t region,
   return series;
 }
 
-double DiurnalModel::AggregateRateAt(double utc_hour) const {
-  double total = 0;
-  for (size_t r = 0; r < profiles_.size(); ++r) {
-    total += RateAt(r, utc_hour);
-  }
-  return total;
-}
-
 BinnedSeries DiurnalModel::SampleDay(size_t region, double peak_requests,
                                      Rng& rng) const {
   BinnedSeries expected = HourlySeries(region, peak_requests);

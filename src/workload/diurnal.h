@@ -41,9 +41,6 @@ class DiurnalModel {
   // busiest region bucket equals `peak_requests`.
   BinnedSeries HourlySeries(size_t region, double peak_requests) const;
 
-  // Sum of all regional rates at the given hour.
-  double AggregateRateAt(double utc_hour) const;
-
   size_t num_regions() const { return profiles_.size(); }
   const DiurnalRegionProfile& profile(size_t region) const {
     return profiles_.at(region);

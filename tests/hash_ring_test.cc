@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 
 #include "src/cache/hash_ring.h"
 #include "src/common/rng.h"
@@ -95,19 +94,6 @@ TEST(HashRingTest, LookupAvailableMatchesLookupWhenAllAvailable) {
   for (uint64_t key = 0; key < 500; ++key) {
     EXPECT_EQ(ring.LookupAvailable(Mix64(key), all), ring.Lookup(Mix64(key)));
   }
-}
-
-TEST(HashRingTest, LookupNReturnsDistinctTargets) {
-  HashRing ring;
-  for (TargetId t = 0; t < 5; ++t) {
-    ring.AddTarget(t);
-  }
-  auto set = ring.LookupN(Mix64(7), 3);
-  ASSERT_EQ(set.size(), 3u);
-  std::set<TargetId> distinct(set.begin(), set.end());
-  EXPECT_EQ(distinct.size(), 3u);
-  // First element is the primary owner.
-  EXPECT_EQ(set[0], ring.Lookup(Mix64(7)));
 }
 
 TEST(HashRingTest, BalanceAcrossTargets) {

@@ -1,6 +1,6 @@
-// Bucketed Histogram edge cases (ISSUE 9 satellite): merge identities and
-// the degenerate quantile shapes the registry depends on — empty merges,
-// single-occupied-bucket tails, overflow-bucket clamping. The contract is
+// Bucketed Histogram edge cases: the degenerate quantile shapes the
+// registry depends on — single-occupied-bucket tails, overflow-bucket
+// clamping. The contract is
 // documented on the class (src/common/histogram.h): quantiles interpolate
 // inside the covering bucket but always land inside the exact observed
 // [min, max], so p99 over one bucket never reports a bound no sample hit.
@@ -39,57 +39,6 @@ TEST(HistogramTest, CountSumMinMaxAreExact) {
   // counts(): (..,10], (10,100], (100,1000], overflow.
   const std::vector<uint64_t> expect = {2, 1, 1, 1};
   EXPECT_EQ(h.counts(), expect);
-}
-
-TEST(HistogramTest, MergeWithEmptyIsNoOp) {
-  Histogram a({1.0, 2.0});
-  a.Add(0.5);
-  a.Add(1.5);
-  const uint64_t count_before = a.count();
-  const double sum_before = a.sum();
-
-  // Merging an empty histogram with *no* bounds (default-constructed, the
-  // untouched-reduction-slot case) must not disturb counts or bounds.
-  Histogram empty_default;
-  a.Merge(empty_default);
-  EXPECT_EQ(a.count(), count_before);
-  EXPECT_DOUBLE_EQ(a.sum(), sum_before);
-  EXPECT_EQ(a.bounds().size(), 2u);
-
-  // Merging an empty histogram with *different* bounds is also a no-op:
-  // no observations means nothing to reconcile.
-  Histogram empty_other({5.0, 50.0});
-  a.Merge(empty_other);
-  EXPECT_EQ(a.count(), count_before);
-  EXPECT_EQ(a.bounds().size(), 2u);
-}
-
-TEST(HistogramTest, MergeIntoEmptyAdoptsBounds) {
-  Histogram src({1.0, 2.0, 4.0});
-  src.Add(0.5);
-  src.Add(3.0);
-  Histogram dst;  // Default-constructed: no bounds yet.
-  dst.Merge(src);
-  EXPECT_EQ(dst.count(), 2u);
-  EXPECT_EQ(dst.bounds(), src.bounds());
-  EXPECT_EQ(dst.counts(), src.counts());
-  EXPECT_DOUBLE_EQ(dst.min(), 0.5);
-  EXPECT_DOUBLE_EQ(dst.max(), 3.0);
-}
-
-TEST(HistogramTest, MergeAddsBucketwiseAndTracksExtrema) {
-  Histogram a({10.0, 100.0});
-  a.Add(5.0);
-  a.Add(50.0);
-  Histogram b({10.0, 100.0});
-  b.Add(1.0);
-  b.Add(500.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 500.0);
-  const std::vector<uint64_t> expect = {2, 1, 1};
-  EXPECT_EQ(a.counts(), expect);
 }
 
 TEST(HistogramTest, SingleBucketQuantilesStayWithinObservedRange) {

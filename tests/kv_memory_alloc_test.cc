@@ -1,10 +1,10 @@
-// Steady-state allocation regression test for the paged KV subsystem
-// (ISSUE 4), in the mold of tests/event_queue_alloc_test.cc (PR 3).
+// Steady-state allocation regression test for the paged KV subsystem, in
+// the mold of tests/event_queue_alloc_test.cc.
 //
 // The block free list, sequence-slot free list, and block-table vectors all
-// recycle: once warmed to a high-water mark, admit/prefill/decode/release
-// churn and fork/free storms must not touch the heap, and neither must a
-// counted pool's whole publish/evict cycle. Allocations are
+// recycle: once warmed to a high-water mark, admit/prefill/decode/publish/
+// release churn must not touch the heap, and neither must a counted pool's
+// whole publish/evict cycle. Allocations are
 // counted with a global operator new/delete replacement (standard-
 // sanctioned, composes with ASan); counters are only asserted inside
 // windows the test controls.
@@ -15,7 +15,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <limits>
-#include <memory>
 #include <new>
 #include <vector>
 
@@ -93,10 +92,9 @@ TEST(KvMemoryAllocTest, BlockFreeListSteadyStateDoesNotAllocate) {
   constexpr int32_t kBs = 16;
   constexpr int64_t kBlocks = 1 << 16;
   BlockAllocator alloc(kBlocks);
-  alloc.Reserve(kBlocks);
 
   // Warm-up: grow a table to the high-water mark, then drain — every id is
-  // now on the free list and both vectors hold their capacity.
+  // now on the free list and every vector holds its capacity.
   BlockTable warm;
   warm.Append(alloc, kBs, (kBlocks - 16) * kBs);
   warm.Clear(alloc);
@@ -108,49 +106,18 @@ TEST(KvMemoryAllocTest, BlockFreeListSteadyStateDoesNotAllocate) {
       << "append against warm capacity must not allocate";
   warm.Clear(alloc);
 
-  // Phase 2: append/truncate churn at varying granularity (the replica's
-  // decode/evict steady state).
+  // Phase 2: append / front-drop churn at varying granularity (the
+  // replica's decode/publish steady state; the drop skews the table).
   baseline = NewCount();
   for (int64_t i = 0; i < 200'000; ++i) {
     warm.Append(alloc, kBs, 7 + (i & 63));
     if (warm.num_tokens() > 10'000 * kBs) {
-      warm.Truncate(alloc, kBs, warm.num_tokens() / 2);
+      warm.ReleasePrefix(alloc, kBs, warm.num_tokens() / 2);
     }
   }
   EXPECT_EQ(NewCount() - baseline, 0)
-      << "steady-state append/truncate churn must not allocate";
+      << "steady-state append/prefix-release churn must not allocate";
   warm.Clear(alloc);
-}
-
-TEST(KvMemoryAllocTest, ForkReleaseStormDoesNotAllocateWhenWarm) {
-  constexpr int32_t kBs = 16;
-  BlockAllocator alloc(1 << 16);
-  alloc.Reserve(1 << 16);
-  BlockTable parent;
-  parent.Append(alloc, kBs, 4096 + 5);
-  std::vector<BlockTable> children(64);
-  // Warm one full round so every child's vector reaches capacity.
-  for (BlockTable& child : children) {
-    child.ForkFrom(alloc, parent, kBs, parent.num_tokens());
-    child.Append(alloc, kBs, 64);
-  }
-  for (BlockTable& child : children) {
-    child.Clear(alloc);
-  }
-
-  long long baseline = NewCount();
-  for (int round = 0; round < 2'000; ++round) {
-    for (BlockTable& child : children) {
-      child.ForkFrom(alloc, parent, kBs, parent.num_tokens());
-      child.Append(alloc, kBs, 64);  // CoW tail copy + fresh blocks.
-    }
-    for (BlockTable& child : children) {
-      child.Clear(alloc);
-    }
-  }
-  EXPECT_EQ(NewCount() - baseline, 0)
-      << "CoW fork/free storms must recycle blocks and table capacity";
-  parent.Clear(alloc);
 }
 
 TEST(KvMemoryAllocTest, ControllerSeqChurnDoesNotAllocateWhenWarm) {
@@ -158,9 +125,9 @@ TEST(KvMemoryAllocTest, ControllerSeqChurnDoesNotAllocateWhenWarm) {
   config.capacity_tokens = 1 << 20;
   config.block_size_tokens = 16;
   KvController kv(config);
-  kv.Reserve(128, 1 << 16);
 
-  // Warm: drive every slot and table to the high-water mark once.
+  // Warm: drive every slot, table and the page pool to the high-water mark
+  // once.
   std::vector<KvController::SeqId> ids;
   for (int i = 0; i < 128; ++i) {
     ids.push_back(kv.AdmitSeq(1024, 128));
@@ -262,9 +229,7 @@ TEST(KvMemoryAllocTest, CountedPoolChurnDoesNotAllocateWhenWarm) {
     }
     runs.clear();
     for (KvController::SeqId id : ids) {
-      KvController::DecodeRun run;
-      ASSERT_TRUE(kv.PlanDecode(id, &run));
-      runs.push_back(run);
+      runs.push_back(kv.PlanDecode(id));
     }
     kv.OnDecodeSteps(&runs, kStretch);
     for (int k = 0; k < kSeqs; ++k) {
@@ -298,33 +263,6 @@ TEST(KvMemoryAllocTest, CountedPoolChurnDoesNotAllocateWhenWarm) {
   EXPECT_TRUE(cache.CheckInvariants());
 }
 
-TEST(KvMemoryAllocTest, ReservePreSizesCacheHolderCounts) {
-  // Paged mode keeps per-page cache-holder counts next to the refcounts.
-  // Reserve() sizes them with the refcounts whichever comes first — the
-  // reservation or the cache that turns the counts on — so growing the pool
-  // to the reserved size never touches the heap.
-  constexpr int64_t kBlocks = 1 << 14;
-  for (bool reserve_first : {true, false}) {
-    BlockAllocator alloc(kBlocks);
-    std::unique_ptr<PrefixCache> cache;
-    if (reserve_first) {
-      alloc.Reserve(kBlocks);
-      cache = std::make_unique<PrefixCache>(1 << 20, &alloc, 16);
-    } else {
-      cache = std::make_unique<PrefixCache>(1 << 20, &alloc, 16);
-      alloc.Reserve(kBlocks);
-    }
-    ASSERT_TRUE(alloc.tracks_cache_holders());
-    const long long baseline = NewCount();
-    for (int64_t i = 0; i < kBlocks; ++i) {
-      alloc.Allocate();
-    }
-    EXPECT_EQ(NewCount() - baseline, 0)
-        << "reserve_first=" << reserve_first;
-    EXPECT_TRUE(alloc.CheckInvariants());
-  }
-}
-
 TEST(KvMemoryAllocTest, BlockNativeEvictionSteadyStateDoesNotAllocate) {
   // The ISSUE 5 eviction path: LRU leaf scans, page-span release, and
   // publish/re-insert churn against a shared allocator must recycle nodes,
@@ -334,7 +272,6 @@ TEST(KvMemoryAllocTest, BlockNativeEvictionSteadyStateDoesNotAllocate) {
   // are exercised on every path.
   constexpr int32_t kBs = 16;
   BlockAllocator alloc(1 << 16);
-  alloc.Reserve(1 << 16);
   PrefixCache cache(1 << 20, &alloc, kBs);  // Capacity: never auto-evicts.
 
   // Shared prefix with unaligned length (straddled pages at the branch
@@ -370,8 +307,8 @@ TEST(KvMemoryAllocTest, BlockNativeEvictionSteadyStateDoesNotAllocate) {
     cache.Evict(std::numeric_limits<int64_t>::max());
   };
   // Warm-up: node slab, token/page-span chunk pools, pin slots, child-map
-  // spill capacities, and the pool free lists must all reach their
-  // high-water marks. The page-span pool is the slow one: spans are a few
+  // spill capacities, and the page pool's refcounts, cache-holder counts
+  // and free list must all reach their high-water marks. The page-span pool is the slow one: spans are a few
   // entries each, so its first 16K-entry chunk only seals (forcing the
   // second, steady-state chunk into existence) after ~55 cycles.
   for (int i = 0; i < 80; ++i) {

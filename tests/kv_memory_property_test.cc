@@ -1,5 +1,4 @@
-// Differential + structural property tests for the unified block ledger
-// (ISSUE 4/5).
+// Differential + structural property tests for the unified block ledger.
 //
 // The seed replica accounted memory with bare token counters:
 //   Resident   = cache.size_tokens + Σ running private_tokens
@@ -18,19 +17,20 @@
 // The unified-ledger test then replays the full replica publish protocol
 // (admit with pin + skew, chunked prefill, publish-by-reference-transfer,
 // decode into the shared boundary page, complete, recompute or swap
-// preemption, swap-in, evict, fork) at real block sizes, asserting after
-// every op the unified ledger's block-conservation invariant:
+// preemption, swap-in, evict) at real block sizes, asserting after every op
+// the unified ledger's block-conservation invariant:
 //     cache-held refs + sequence-held refs == allocator refs,
 //     every used page has a holder, free pages have none,
-// plus tree/ledger self-consistency, non-negative exact fragmentation, and
-// that the O(1) probe occupancy (PrefixCache::CountBlocks, the allocator's
+// plus tree/ledger self-consistency (no page in two sequence tables
+// included), non-negative exact fragmentation, and that the O(1) probe
+// occupancy (PrefixCache::CountBlocks, the allocator's
 // incremental cache-holder totals in paged mode) equals the full-scan
 // oracle CountBlocksSlow.
 //
 // At block size 1 the protocol runs on both kinds of one-token pool: the
-// named pool (KvController::set_named_pages_oracle, the reference, which
-// alone can fork) and the counted pool every coarse replica uses, which
-// must agree with it op for op on every count either can report. The
+// named pool (KvController::set_named_pages_oracle, the reference) and the
+// counted pool every coarse replica uses, which must agree with it op for
+// op on every count either can report. The
 // co-held window test pins the one state a count must carry: a donor
 // Insert whose over-capacity eviction removes its own new leaf.
 
@@ -364,19 +364,11 @@ void ReplayPublishProtocol(const LedgerCase& ledger_case, bool named,
     ASSERT_LE(target, current);
     kv.ReleaseSeqPrefix(s.id, current - target);
     s.base += current - target;
-    if (block_size > 1 && prompt_len % block_size != 0) {
-      const int64_t idx =
-          (prompt_len - 1) / block_size - s.base / block_size;
-      if (idx >= 0 && idx < kv.table(s.id).num_blocks()) {
-        kv.SetCowExempt(s.id,
-                        kv.table(s.id).blocks()[static_cast<size_t>(idx)]);
-      }
-    }
     s.published = true;
   };
 
   for (int step = 0; step < 3000; ++step) {
-    const int op = static_cast<int>(rng.UniformInt(0, 7));
+    const int op = static_cast<int>(rng.UniformInt(0, 6));
     if (op == 0 && live.size() < 24) {  // Admit.
       LiveSeq s;
       if (!history.empty() && rng.UniformInt(0, 1) == 0) {
@@ -454,7 +446,7 @@ void ReplayPublishProtocol(const LedgerCase& ledger_case, bool named,
         kv.ReleaseSeq(s.id);
         kv.NoteRecomputePreemption();
       }
-    } else if (op == 7 && !swapped.empty()) {  // Swap-in, oldest first.
+    } else if (op == 6 && !swapped.empty()) {  // Swap-in, oldest first.
       LiveSeq s = std::move(swapped.front());
       swapped.erase(swapped.begin());
       SimDuration transfer = 0;
@@ -466,24 +458,6 @@ void ReplayPublishProtocol(const LedgerCase& ledger_case, bool named,
       live.push_back(std::move(s));
     } else if (op == 5) {  // Eviction pressure (Evict takes blocks now).
       evict_freed = cache.Evict(rng.UniformInt(0, 2048) / block_size);
-    } else if (op == 6 && !live.empty()) {  // Fork a table, then drop it.
-      const LiveSeq& s = live[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
-      const int64_t tokens = kv.SeqTokens(s.id);
-      if (tokens > 0) {
-        const int64_t fork_tokens = rng.UniformInt(1, tokens);
-        // Forks need named pages. A fork changes no count, so a counted
-        // pool, drawing the same numbers, replays the same trace.
-        if (kv.allocator().named()) {
-          BlockTable fork;
-          fork.ForkFrom(kv.allocator(), kv.table(s.id), block_size,
-                        fork_tokens);
-          ASSERT_EQ(cache.block_refs() + kv.seq_block_refs() +
-                        fork.num_blocks(),
-                    kv.allocator().live_refs());
-          fork.Clear(kv.allocator());
-        }
-      }
     }
     check(step);
     observe(step, op);
@@ -510,8 +484,7 @@ void ReplayPublishProtocol(const LedgerCase& ledger_case, bool named,
   EXPECT_TRUE(cache.CheckInvariants());
 }
 
-// Named pools: every block size, one-token pages through the oracle switch
-// (the only arm that forks at block size 1).
+// Named pools: every block size, one-token pages through the oracle switch.
 class UnifiedLedgerPropertyTest
     : public ::testing::TestWithParam<LedgerCase> {};
 

@@ -1,7 +1,7 @@
-// Unit tests for the paged KV memory subsystem (src/memory/, ISSUE 4):
-// BlockAllocator refcounting and free-list recycling, BlockTable growth /
-// copy-on-write forks / truncation, and KvController admission, commitment,
-// watermark, and swap-ledger arithmetic.
+// Unit tests for the paged KV memory subsystem (src/memory/):
+// BlockAllocator refcounting and free-list recycling, BlockTable growth and
+// prefix release, and KvController admission, commitment, watermark, and
+// swap-ledger arithmetic.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@ TEST(BlockAllocatorTest, AllocateReleaseRecyclesIds) {
 TEST(BlockAllocatorTest, RefcountSharingDelaysFree) {
   BlockAllocator alloc(4);
   BlockId a = alloc.Allocate();
-  alloc.AddRef(a);
+  alloc.AddCacheRef(a, /*pinned=*/false);
   EXPECT_EQ(alloc.ref_count(a), 2);
   EXPECT_FALSE(alloc.Release(a));  // Still shared.
   EXPECT_EQ(alloc.used_blocks(), 1);
@@ -73,51 +73,10 @@ TEST(BlockTableTest, BlockSizeOneIsTokenGranular) {
   table.Append(alloc, 1, 100);
   EXPECT_EQ(table.num_blocks(), 100);
   EXPECT_EQ(table.fragmentation_tokens(1), 0);
-  table.Truncate(alloc, 1, 40);
+  EXPECT_EQ(table.ReleasePrefix(alloc, 1, 40), 40);
   EXPECT_EQ(table.num_blocks(), 60);
+  EXPECT_EQ(table.skew(), 0);  // One-token pages never skew.
   EXPECT_EQ(alloc.used_blocks(), 60);
-  table.Clear(alloc);
-}
-
-TEST(BlockTableTest, ForkSharesBlocksAndCowsOnDivergence) {
-  BlockAllocator alloc(64);
-  BlockTable parent;
-  parent.Append(alloc, 16, 40);  // 3 blocks, tail holds 8 tokens.
-  BlockTable child;
-  child.ForkFrom(alloc, parent, 16, 40);
-  EXPECT_EQ(alloc.used_blocks(), 3);  // Fully shared: no new blocks.
-  EXPECT_EQ(alloc.ref_count(parent.blocks()[2]), 2);
-
-  // Divergence: the shared partial tail must be CoW-duplicated; full
-  // shared blocks stay shared.
-  int64_t before_cow = alloc.stats().cow_copies;
-  child.Append(alloc, 16, 4);
-  EXPECT_EQ(alloc.stats().cow_copies, before_cow + 1);
-  EXPECT_EQ(alloc.used_blocks(), 4);
-  EXPECT_NE(child.blocks()[2], parent.blocks()[2]);
-  EXPECT_EQ(child.blocks()[0], parent.blocks()[0]);
-  EXPECT_EQ(alloc.ref_count(parent.blocks()[2]), 1);
-
-  // Parent appending into its (now exclusive) tail needs no CoW.
-  before_cow = alloc.stats().cow_copies;
-  parent.Append(alloc, 16, 4);
-  EXPECT_EQ(alloc.stats().cow_copies, before_cow);
-
-  child.Clear(alloc);
-  EXPECT_EQ(alloc.used_blocks(), 3);  // Parent's blocks survive.
-  parent.Clear(alloc);
-  EXPECT_EQ(alloc.used_blocks(), 0);
-  EXPECT_TRUE(alloc.CheckInvariants());
-}
-
-TEST(BlockTableTest, TruncateReleasesEmptiedBlocksOnly) {
-  BlockAllocator alloc(64);
-  BlockTable table;
-  table.Append(alloc, 16, 48);  // 3 full blocks.
-  EXPECT_EQ(table.Truncate(alloc, 16, 8), 0);  // Tail still half full.
-  EXPECT_EQ(table.num_blocks(), 3);
-  EXPECT_EQ(table.Truncate(alloc, 16, 8), 1);  // Tail emptied.
-  EXPECT_EQ(table.num_blocks(), 2);
   table.Clear(alloc);
 }
 
@@ -200,32 +159,24 @@ TEST(BlockTableTest, ReleasePrefixKeepsTheStraddledBoundaryPage) {
   EXPECT_EQ(alloc.used_blocks(), 0);
 }
 
-TEST(BlockTableTest, CowExemptPageExtendsWithoutCopy) {
-  // The page a sequence shares with the prefix cache after publish: the
-  // cache holds a reference, but decode extends into slot-disjoint space,
-  // so no copy-on-write fires for that page (and only that page).
+TEST(BlockTableTest, AppendFillsTheCacheSharedTailWithoutAllocating) {
+  // After publish the cache references the page holding the prompt's last
+  // token; decode appends into its free slots, which the cache never reads,
+  // so the page is neither copied nor replaced.
   BlockAllocator alloc(64);
   BlockTable table;
-  table.Append(alloc, 16, 20);          // Pages 0,1; tail holds 4 tokens.
-  BlockId shared = table.blocks()[1];
-  alloc.AddRef(shared);                 // "The cache" takes its reference.
-  int64_t before = alloc.stats().cow_copies;
-  table.set_cow_exempt(shared);
-  table.Append(alloc, 16, 4);           // Extends the shared tail: no CoW.
-  EXPECT_EQ(alloc.stats().cow_copies, before);
+  table.Append(alloc, 16, 20);  // Pages 0, 1; the tail holds 4 tokens.
+  const BlockId shared = table.blocks()[1];
+  alloc.AddCacheRef(shared, /*pinned=*/false);  // The cache's reference.
+  EXPECT_EQ(table.Append(alloc, 16, 12), 0);    // Fills the shared tail.
   EXPECT_EQ(table.blocks()[1], shared);
-  // A non-exempt shared partial tail still CoWs.
-  BlockTable other;
-  other.Append(alloc, 16, 20);
-  BlockId forked = other.blocks()[1];
-  alloc.AddRef(forked);
-  other.Append(alloc, 16, 2);
-  EXPECT_EQ(alloc.stats().cow_copies, before + 1);
-  EXPECT_NE(other.blocks()[1], forked);
-  alloc.Release(forked);
-  alloc.Release(shared);
-  other.Clear(alloc);
+  EXPECT_EQ(table.num_blocks(), 2);
+  EXPECT_EQ(alloc.used_blocks(), 2);
+  EXPECT_EQ(alloc.ref_count(shared), 2);
+  EXPECT_EQ(table.Append(alloc, 16, 1), 1);  // Only a full tail allocates.
   table.Clear(alloc);
+  EXPECT_EQ(alloc.used_blocks(), 1);  // The cache's page survives.
+  EXPECT_EQ(alloc.ReleaseCacheSpan(&shared, 1, /*pinned=*/false), 1);
   EXPECT_EQ(alloc.used_blocks(), 0);
   EXPECT_TRUE(alloc.CheckInvariants());
 }

@@ -50,17 +50,6 @@ TEST(TopologyTest, LatenciesSurviveLaterAddRegion) {
   EXPECT_EQ(t.Latency(a, c), Topology::kDefaultInterRegionLatency);
 }
 
-TEST(TopologyTest, NearestPicksLowestLatency) {
-  Topology t = Topology::ThreeContinents();
-  RegionId us = 0;
-  RegionId eu = 1;
-  RegionId ap = 2;
-  EXPECT_EQ(t.Nearest(us, {eu, ap}), eu);
-  EXPECT_EQ(t.Nearest(ap, {us, eu}), us);
-  EXPECT_EQ(t.Nearest(us, {}), kInvalidRegion);
-  EXPECT_EQ(t.Nearest(us, {us, eu, ap}), us);  // Self is nearest.
-}
-
 TEST(TopologyTest, ThreeContinentsWithinPaperEnvelope) {
   Topology t = Topology::ThreeContinents();
   ASSERT_EQ(t.num_regions(), 3u);

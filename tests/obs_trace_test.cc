@@ -184,21 +184,6 @@ TEST(TracerTest, RingCapsDropOldestAndCount) {
   EXPECT_EQ(merged.back().time, static_cast<SimTime>(total - 1));
 }
 
-TEST(TracerTest, ClearKeepsStorageAndResetsCounts) {
-  Tracer tracer(2);
-  for (int i = 0; i < 10; ++i) {
-    EmitTrace(&tracer, i, TraceEventType::kSubmit, i % 2, -1, i);
-  }
-  EXPECT_EQ(tracer.size(), 10);
-  tracer.Clear();
-  EXPECT_EQ(tracer.size(), 0);
-  EXPECT_EQ(tracer.dropped(), 0);
-  EXPECT_TRUE(tracer.Merged().empty());
-  EmitTrace(&tracer, 99, TraceEventType::kComplete, 1, 0, 42);
-  ASSERT_EQ(tracer.size(), 1);
-  EXPECT_EQ(tracer.Merged()[0].request, 42);
-}
-
 // --- exporters ------------------------------------------------------------
 
 TEST(TraceExportTest, BinaryRoundTripsRecordsAndMeta) {

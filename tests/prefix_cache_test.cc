@@ -367,15 +367,17 @@ TEST(PrefixCacheBlockTest, PageSharedByThreeShortEdgesCountsOnce) {
   // none of the three is pinned and no sequence shares it.
   BlockAllocator alloc(64);
   PrefixCache cache(1024, &alloc, 16);
-  cache.Insert(Iota(16), 1);       // One node on page 0.
-  cache.MatchPrefix(Iota(10), 2);  // Split at 10: page 0 straddles.
-  cache.MatchPrefix(Iota(5), 3);   // Split at 5: it straddles again.
+  BlockTable seq;  // The publishing sequence keeps its page.
+  seq.Append(alloc, 16, 16);
+  cache.Insert(Iota(16), 1, &seq, 0);  // One node on the sequence's page 0.
+  cache.MatchPrefix(Iota(10), 2);      // Split at 10: page 0 straddles.
+  cache.MatchPrefix(Iota(5), 3);       // Split at 5: it straddles again.
   const BlockId page = 0;
   EXPECT_EQ(cache.num_nodes(), 3u);
   EXPECT_EQ(alloc.used_blocks(), 1);
-  EXPECT_EQ(alloc.ref_count(page), 3);
+  EXPECT_EQ(alloc.ref_count(page), 4);
   EXPECT_EQ(alloc.cache_holders(page).refs, 3);
-  ExpectOccupancy(cache, 1, 1);
+  ExpectOccupancy(cache, 1, 0);  // The sequence shares it.
   // Pinning [0, 10) pins two of the three references.
   auto ref = cache.MatchAndRef(Iota(10), 4);
   EXPECT_EQ(alloc.cache_holders(page).pinned, 2);
@@ -385,13 +387,12 @@ TEST(PrefixCacheBlockTest, PageSharedByThreeShortEdgesCountsOnce) {
   EXPECT_EQ(cache.num_nodes(), 2u);
   EXPECT_EQ(alloc.cache_holders(page).refs, 2);
   ExpectOccupancy(cache, 1, 0);
-  // A sequence sharing the page keeps it unevictable after the unpin...
-  alloc.AddRef(page);
+  // The sequence sharing the page keeps it unevictable after the unpin...
   cache.Unref(ref.pin);
   EXPECT_EQ(alloc.cache_holders(page).pinned, 0);
   ExpectOccupancy(cache, 1, 0);
   // ...until it lets go.
-  EXPECT_FALSE(alloc.Release(page));
+  EXPECT_EQ(seq.Clear(alloc), 1);
   ExpectOccupancy(cache, 1, 1);
   EXPECT_TRUE(cache.CheckInvariants());
   EXPECT_TRUE(alloc.CheckInvariants());

@@ -190,9 +190,7 @@ void Observe(Simulator& sim, Replica& replica, const std::string& what,
      << snap.fragmentation_tokens;
   os << " mem " << replica.memory_used_tokens() << ' '
      << replica.active_memory_tokens() << ' '
-     << replica.reserved_future_tokens() << ' '
-     << replica.memory_utilization() << ' '
-     << replica.active_memory_utilization();
+     << replica.reserved_future_tokens();
   const Replica::Stats& st = replica.stats();
   os << " stats " << st.enqueued << ' ' << st.completed << ' '
      << st.prefill_tokens_computed << ' ' << st.cached_tokens_reused << ' '
@@ -204,11 +202,10 @@ void Observe(Simulator& sim, Replica& replica, const std::string& what,
   os << " kv " << kv.used_blocks() << ' ' << kv.committed_blocks() << ' '
      << kv.seq_resident_tokens() << ' ' << kv.committed_tokens() << ' '
      << kv.live_seqs() << ' ' << kv.allocator_stats().allocated << ' '
-     << kv.allocator_stats().freed << ' ' << kv.allocator_stats().cow_copies
-     << ' ' << kv.allocator_stats().peak_used_blocks << ' '
+     << kv.allocator_stats().freed << ' '
+     << kv.allocator_stats().peak_used_blocks << ' '
      << kv.counters().peak_fragmentation_tokens << ' '
      << kv.counters().preempt_swap << ' ' << kv.counters().swap_ins;
-  os << " busy " << replica.BusyFraction();
   const auto& series = replica.memory_series();
   os << " series " << series.size();
   if (!series.empty()) {

@@ -355,16 +355,6 @@ TEST(ReplicaTest, CrashDropsAllWork) {
   EXPECT_EQ(replica.memory_used_tokens(), 0);
 }
 
-TEST(ReplicaTest, BusyFractionPositiveUnderLoad) {
-  Simulator sim;
-  Replica replica(&sim, 0, 0, ReplicaConfig{});
-  Completion c;
-  replica.Enqueue(MakeRequest(1, 512, 128), Record(&sim, &c));
-  sim.Run();
-  EXPECT_GT(replica.BusyFraction(), 0.5);
-  EXPECT_LE(replica.BusyFraction(), 1.01);
-}
-
 // --- Reserved-memory lifecycle (ISSUE 4 regression) ----------------------
 
 TEST(ReplicaReserveTest, ReserveReturnedWhenSequenceFinishesEarly) {

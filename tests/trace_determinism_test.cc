@@ -225,24 +225,5 @@ TEST(TraceDeterminismTest, CappedTracerSteadyStateDoesNotAllocate) {
   EXPECT_GT(tracer.dropped(), kCap);
 }
 
-TEST(TraceDeterminismTest, ClearedTracerReusesItsHotSlab) {
-  // Clear keeps one slab per ring hot: a cleared tracer re-emitting up to
-  // one slab's worth of records allocates nothing.
-  Tracer tracer(1);
-  for (size_t i = 0; i < Tracer::kSlabRecords / 2; ++i) {
-    EmitTrace(&tracer, static_cast<SimTime>(i), TraceEventType::kSubmit, 0,
-              -1, static_cast<int64_t>(i));
-  }
-  tracer.Clear();
-  const long long baseline = NewCount();
-  for (size_t i = 0; i < Tracer::kSlabRecords; ++i) {
-    EmitTrace(&tracer, static_cast<SimTime>(i), TraceEventType::kSubmit, 0,
-              -1, static_cast<int64_t>(i));
-  }
-  EXPECT_EQ(NewCount() - baseline, 0)
-      << "re-emitting into a cleared ring's hot slab must not allocate";
-  EXPECT_EQ(tracer.size(), static_cast<int64_t>(Tracer::kSlabRecords));
-}
-
 }  // namespace
 }  // namespace skywalker

@@ -170,7 +170,9 @@ TEST(DiurnalModelTest, AggregationFlattensVariance) {
   }
   BinnedSeries aggregate(24);
   for (int h = 0; h < 24; ++h) {
-    aggregate.Add(static_cast<size_t>(h), model.AggregateRateAt(h + 0.5));
+    for (size_t r = 0; r < model.num_regions(); ++r) {
+      aggregate.Add(static_cast<size_t>(h), model.RateAt(r, h + 0.5));
+    }
   }
   double aggregate_ratio = aggregate.PeakToTroughRatio();
   EXPECT_GT(worst_regional_ratio, 2.5);
