@@ -215,9 +215,9 @@ Scenario MakeAblationHeterogeneousScenario() {
       replicas.push_back(std::make_unique<Replica>(&sim, 2, 0, slow));
       replicas.push_back(std::make_unique<Replica>(&sim, 3, 0, slow));
 
-      LbConfig config;
-      config.engine.push_mode = mode;
-      config.engine.max_outstanding_per_replica = 16;  // SP-O: one cap for all.
+      DispatchConfig config;
+      config.push_mode = mode;
+      config.max_outstanding_per_replica = 16;  // SP-O: one cap for all.
       SglRouterLb lb(&sim, &net, 0, 0, config);
       for (auto& replica : replicas) {
         lb.AttachReplica(replica.get());

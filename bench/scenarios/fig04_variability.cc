@@ -96,8 +96,8 @@ Scenario MakeFig04bRrImbalanceScenario() {
           Replica replica_a(&sim, 0, 0, rconfig);
           Replica replica_b(&sim, 1, 0, rconfig);
 
-          LbConfig lconfig;
-          lconfig.engine.push_mode = PushMode::kBlind;
+          DispatchConfig lconfig;
+          lconfig.push_mode = PushMode::kBlind;
           RoundRobinLb lb(&sim, &net, 0, 0, lconfig);
           lb.AttachReplica(&replica_a);
           lb.AttachReplica(&replica_b);

@@ -113,16 +113,16 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   for (int i = 0; i < kReplicas; ++i) {
     replicas.push_back(std::make_unique<Replica>(&sim, i, 0, rconfig));
   }
-  LbConfig config;
-  config.engine.push_mode = mc.mode;
-  config.engine.max_outstanding_per_replica = 24;
-  config.engine.push_slack = 32;
+  DispatchConfig config;
+  config.push_mode = mc.mode;
+  config.max_outstanding_per_replica = 24;
+  config.push_slack = 32;
   if (mc.mode == PushMode::kSelectivePending) {
     // Free-block-aware routing: skip replicas whose probed admissible-block
     // fraction fell below 1% — i.e. replicas genuinely out of pages, not
     // merely packed to the watermark (kBlind never probes, so the gate only
     // binds for the selective cells).
-    config.engine.min_free_block_fraction = 0.01;
+    config.min_free_block_fraction = 0.01;
   }
   SglRouterLb lb(&sim, &net, 0, 0, config);
   for (auto& replica : replicas) {

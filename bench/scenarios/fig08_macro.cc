@@ -33,7 +33,7 @@ SystemSpec MacroSystemSpec(SystemKind kind,
   spec.kind = kind;
   spec.replicas_per_region = replicas_per_region;
   spec.central_lb_region = 0;  // Single-LB baselines deploy in the US.
-  spec.baseline_lb.engine.push_mode = PushMode::kBlind;
+  spec.baseline_lb.push_mode = PushMode::kBlind;
   // L4 band (paper: 20-50 concurrent requests per replica).
   spec.replica_config.max_running_requests = 32;
   spec.replica_config.kv_capacity_tokens = 40960;

@@ -45,7 +45,7 @@ MetricRow RunPushMode(PushMode mode, const std::string& label,
   // at 128 KiB/token.
   spec.system.replica_config.output_reserve_tokens = 128;
   spec.system.replica_config.kv_capacity_tokens = 32768;
-  DispatchConfig& engine = spec.system.baseline_lb.engine;
+  DispatchConfig& engine = spec.system.baseline_lb;
   engine.push_mode = mode;
   engine.max_outstanding_per_replica = 24;  // SP-O's fixed threshold.
   // Burst bound: big enough to fill a freed batch within one probe window,

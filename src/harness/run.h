@@ -55,7 +55,7 @@ struct SystemSpec {
   ReplicaConfig replica_config;
   SkyWalkerConfig skywalker;    // SkyWalker variants and Region-Local.
   ControllerConfig controller;  // SkyWalker variants and Region-Local.
-  LbConfig baseline_lb;         // RR / LL / CH / SGL.
+  DispatchConfig baseline_lb;   // RR / LL / CH / SGL.
   GatewayConfig gateway;
   // Single-LB baselines are deployed in this region (the paper puts them in
   // the US).

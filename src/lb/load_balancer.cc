@@ -5,12 +5,12 @@
 namespace skywalker {
 
 LoadBalancer::LoadBalancer(Simulator* sim, Network* net, LbId id,
-                           RegionId region, const LbConfig& config,
+                           RegionId region, const DispatchConfig& config,
                            std::unique_ptr<ReplicaSelector> selector)
     : id_(id),
       region_(region),
       selector_(std::move(selector)),
-      engine_(sim, net, region, config.engine, selector_.get()) {}
+      engine_(sim, net, region, config, selector_.get()) {}
 
 LoadBalancer::~LoadBalancer() = default;
 

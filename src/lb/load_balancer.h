@@ -20,21 +20,15 @@
 
 namespace skywalker {
 
-struct LbConfig {
-  // Engine knobs (push mode, probe interval, slack, gates, outlier
-  // detection), in the shared DispatchConfig vocabulary. Baselines default
-  // to blind pushing; paper §4.1 probes every 100 ms.
-  DispatchConfig engine;
-};
-
 class LoadBalancer : public Frontend {
  public:
   using Stats = DispatchEngine::Stats;
 
   // `selector` provides the placement policy; see src/lb/policies.h for the
   // four baselines. The selector is notified of replica attach/detach.
+  // `config` holds the engine knobs; baselines default to blind pushing.
   LoadBalancer(Simulator* sim, Network* net, LbId id, RegionId region,
-               const LbConfig& config,
+               const DispatchConfig& config,
                std::unique_ptr<ReplicaSelector> selector);
   ~LoadBalancer() override;
 

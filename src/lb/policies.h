@@ -9,8 +9,8 @@
 //         with the most free cache space.
 //
 // All four run as a single (typically centralized) LoadBalancer. Their push
-// mode comes from LbConfig — the paper's baselines use blind pushing; the
-// Fig. 9 microbenchmark re-runs SGL with SP-O and SP-P.
+// mode comes from its DispatchConfig — the paper's baselines use blind
+// pushing; the Fig. 9 microbenchmark re-runs SGL with SP-O and SP-P.
 //
 // The *Lb convenience classes bind each selector to a LoadBalancer with the
 // historical constructor signature, so call sites read `RoundRobinLb lb(...)`.
@@ -78,7 +78,7 @@ class SglRouterSelector : public ReplicaSelector {
 class RoundRobinLb : public LoadBalancer {
  public:
   RoundRobinLb(Simulator* sim, Network* net, LbId id, RegionId region,
-               const LbConfig& config)
+               const DispatchConfig& config)
       : LoadBalancer(sim, net, id, region, config,
                      std::make_unique<RoundRobinSelector>()) {}
 };
@@ -86,7 +86,7 @@ class RoundRobinLb : public LoadBalancer {
 class LeastLoadLb : public LoadBalancer {
  public:
   LeastLoadLb(Simulator* sim, Network* net, LbId id, RegionId region,
-              const LbConfig& config)
+              const DispatchConfig& config)
       : LoadBalancer(sim, net, id, region, config,
                      std::make_unique<LeastLoadSelector>()) {}
 };
@@ -94,7 +94,7 @@ class LeastLoadLb : public LoadBalancer {
 class ConsistentHashLb : public LoadBalancer {
  public:
   ConsistentHashLb(Simulator* sim, Network* net, LbId id, RegionId region,
-                   const LbConfig& config)
+                   const DispatchConfig& config)
       : LoadBalancer(sim, net, id, region, config,
                      std::make_unique<ConsistentHashSelector>()) {}
 };
@@ -102,7 +102,7 @@ class ConsistentHashLb : public LoadBalancer {
 class SglRouterLb : public LoadBalancer {
  public:
   SglRouterLb(Simulator* sim, Network* net, LbId id, RegionId region,
-              const LbConfig& config)
+              const DispatchConfig& config)
       : LoadBalancer(sim, net, id, region, config,
                      std::make_unique<SglRouterSelector>()) {}
 };

@@ -72,10 +72,11 @@ enum class PushMode {
   kSelectivePending,
 };
 
-// Engine knobs shared by every balancer; policy-specific knobs stay in the
-// owning stack's config (LbConfig / SkyWalkerConfig). This struct is the
-// `dispatch` half of a RuntimeConfig snapshot (src/core/runtime_config.h)
-// and can be swapped mid-run via DispatchEngine::ApplyConfig.
+// Engine knobs shared by every balancer. The baselines take this struct as
+// their whole config; SkyWalker keeps its policy knobs beside it in
+// SkyWalkerConfig. This struct is the `dispatch` half of a RuntimeConfig
+// snapshot (src/core/runtime_config.h) and can be swapped mid-run via
+// DispatchEngine::ApplyConfig.
 struct DispatchConfig {
   PushMode push_mode = PushMode::kBlind;
 

@@ -49,8 +49,8 @@ struct MixedFleet {
     net = std::make_unique<Network>(&sim, topology);
     replicas.push_back(std::make_unique<Replica>(&sim, 0, 0, FastDevice()));
     replicas.push_back(std::make_unique<Replica>(&sim, 1, 0, SlowDevice()));
-    LbConfig config;
-    config.engine.push_mode = mode;
+    DispatchConfig config;
+    config.push_mode = mode;
     lb = std::make_unique<SglRouterLb>(&sim, net.get(), 0, 0, config);
     for (auto& replica : replicas) {
       lb->AttachReplica(replica.get());

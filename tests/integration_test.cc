@@ -35,7 +35,7 @@ SystemSpec SmallSystem(SystemKind kind) {
   spec.kind = kind;
   spec.replicas_per_region = {2, 1, 1};
   spec.replica_config.kv_capacity_tokens = 16384;
-  spec.baseline_lb.engine.push_mode = PushMode::kBlind;
+  spec.baseline_lb.push_mode = PushMode::kBlind;
   return spec;
 }
 

@@ -55,7 +55,7 @@ RequestCallbacks CountCompletions(int* completed) {
 
 TEST(RoundRobinLbTest, CyclesThroughReplicas) {
   TestBench bench(3);
-  LbConfig config;
+  DispatchConfig config;
   RoundRobinLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -77,7 +77,7 @@ TEST(RoundRobinLbTest, CyclesThroughReplicas) {
 
 TEST(LeastLoadLbTest, PrefersIdleReplica) {
   TestBench bench(2);
-  LbConfig config;
+  DispatchConfig config;
   LeastLoadLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -107,7 +107,7 @@ TEST(LeastLoadLbTest, PrefersIdleReplica) {
 
 TEST(ConsistentHashLbTest, SameKeySameReplica) {
   TestBench bench(4);
-  LbConfig config;
+  DispatchConfig config;
   ConsistentHashLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -133,7 +133,7 @@ TEST(ConsistentHashLbTest, SameKeySameReplica) {
 
 TEST(ConsistentHashLbTest, DifferentKeysSpread) {
   TestBench bench(4);
-  LbConfig config;
+  DispatchConfig config;
   ConsistentHashLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -160,7 +160,7 @@ TEST(ConsistentHashLbTest, DifferentKeysSpread) {
 
 TEST(SglRouterLbTest, RoutesSharedPrefixToSameReplica) {
   TestBench bench(4);
-  LbConfig config;
+  DispatchConfig config;
   SglRouterLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -192,7 +192,7 @@ TEST(SglRouterLbTest, RoutesSharedPrefixToSameReplica) {
 
 TEST(SglRouterLbTest, LowAffinityFallsBackToLeastLoad) {
   TestBench bench(2);
-  LbConfig config;
+  DispatchConfig config;
   SglRouterLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -216,9 +216,9 @@ TEST(PushModeTest, SpoCapsOutstandingPerReplica) {
   ReplicaConfig rconfig;
   rconfig.kv_capacity_tokens = 100000;
   TestBench bench(1, rconfig);
-  LbConfig config;
-  config.engine.push_mode = PushMode::kSelectiveOutstanding;
-  config.engine.max_outstanding_per_replica = 4;
+  DispatchConfig config;
+  config.push_mode = PushMode::kSelectiveOutstanding;
+  config.max_outstanding_per_replica = 4;
   LeastLoadLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   lb.AttachReplica(bench.replicas[0].get());
   lb.Start();
@@ -243,10 +243,10 @@ TEST(PushModeTest, SppQueuesWhenReplicaFull) {
   rconfig.kv_capacity_tokens = 1200;
   rconfig.output_reserve_tokens = 128;
   TestBench bench(1, rconfig);
-  LbConfig config;
-  config.engine.push_mode = PushMode::kSelectivePending;
-  config.engine.push_slack = 2;
-  config.engine.probe_interval = Milliseconds(100);
+  DispatchConfig config;
+  config.push_mode = PushMode::kSelectivePending;
+  config.push_slack = 2;
+  config.probe_interval = Milliseconds(100);
   LeastLoadLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   lb.AttachReplica(bench.replicas[0].get());
   lb.Start();
@@ -270,8 +270,8 @@ TEST(PushModeTest, BlindPushingFloodsReplicaQueue) {
   rconfig.kv_capacity_tokens = 1200;
   rconfig.output_reserve_tokens = 128;
   TestBench bench(1, rconfig);
-  LbConfig config;
-  config.engine.push_mode = PushMode::kBlind;
+  DispatchConfig config;
+  config.push_mode = PushMode::kBlind;
   LeastLoadLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   lb.AttachReplica(bench.replicas[0].get());
   lb.Start();
@@ -299,7 +299,7 @@ TEST(LoadBalancerTest, OutcomeTimestampsIncludeNetworkPath) {
   topology.SetLatency(us, ap, Milliseconds(85));
   Network net(&sim, topology);
   Replica replica(&sim, 0, us, ReplicaConfig{});
-  LbConfig config;
+  DispatchConfig config;
   RoundRobinLb lb(&sim, &net, 0, us, config);
   lb.AttachReplica(&replica);
   lb.Start();
@@ -325,7 +325,7 @@ TEST(LoadBalancerTest, OutcomeTimestampsIncludeNetworkPath) {
 
 TEST(LoadBalancerTest, StatsTrackLifecycle) {
   TestBench bench(2);
-  LbConfig config;
+  DispatchConfig config;
   RoundRobinLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
