@@ -12,6 +12,8 @@
 // canonical seeds, so its headline numbers are comparable across runs and
 // match the historical executables.
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -90,6 +92,18 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   return false;
 }
 
+// A count flag's whole value, an integer in [1, INT_MAX].
+bool ParseCountFlag(const char* name, const std::string& value, int* out) {
+  uint64_t parsed = 0;
+  if (!ParseUnsigned(value, INT_MAX, &parsed) || parsed < 1) {
+    std::fprintf(stderr, "skybench: %s must be an integer >= 1, got '%s'\n",
+                 name, value.c_str());
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -123,17 +137,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         }
       }
     } else if (ParseFlag(arg, "--trials", &value)) {
-      options->trials = std::atoi(value.c_str());
-      if (options->trials < 1) {
-        std::fprintf(stderr, "skybench: --trials must be >= 1\n");
+      if (!ParseCountFlag("--trials", value, &options->trials)) {
         return false;
       }
     } else if (ParseFlag(arg, "--seed", &value)) {
-      options->seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseUnsigned(value, UINT64_MAX, &options->seed)) {
+        std::fprintf(stderr,
+                     "skybench: --seed must be an unsigned 64-bit integer, "
+                     "got '%s'\n",
+                     value.c_str());
+        return false;
+      }
     } else if (ParseFlag(arg, "--threads", &value)) {
-      options->threads = std::atoi(value.c_str());
-      if (options->threads < 1) {
-        std::fprintf(stderr, "skybench: --threads must be >= 1\n");
+      if (!ParseCountFlag("--threads", value, &options->threads)) {
         return false;
       }
     } else if (ParseFlag(arg, "--out", &value)) {

@@ -18,6 +18,8 @@
 // Everything here is derived state: a pure function of the trace bytes, so
 // output is deterministic and byte-identical across machines.
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/common/strings.h"
 #include "src/obs/attribution.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -71,11 +74,14 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     const char* arg = argv[i];
     std::string value;
     if (ParseFlag(arg, "--top", &value)) {
-      options->top = std::atoi(value.c_str());
-      if (options->top < 1) {
-        std::fprintf(stderr, "skytrace: --top must be >= 1\n");
+      uint64_t top = 0;
+      if (!ParseUnsigned(value, INT_MAX, &top) || top < 1) {
+        std::fprintf(stderr,
+                     "skytrace: --top must be an integer >= 1, got '%s'\n",
+                     value.c_str());
         return false;
       }
+      options->top = static_cast<int>(top);
     } else if (ParseFlag(arg, "--json", &value)) {
       options->json_out = value;
     } else if (ParseFlag(arg, "--metrics", &value)) {

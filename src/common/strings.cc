@@ -1,7 +1,9 @@
 #include "src/common/strings.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <system_error>
 #include <utility>
 
 namespace skywalker {
@@ -88,6 +90,20 @@ std::vector<std::string> SuggestClosest(
     out.push_back(std::move(candidate));
   }
   return out;
+}
+
+bool ParseUnsigned(std::string_view text, uint64_t max, uint64_t* value) {
+  // from_chars takes no sign or whitespace for an unsigned type, and
+  // reports overflow instead of saturating.
+  uint64_t parsed = 0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result result =
+      std::from_chars(text.data(), end, parsed);
+  if (result.ec != std::errc() || result.ptr != end || parsed > max) {
+    return false;
+  }
+  *value = parsed;
+  return true;
 }
 
 }  // namespace skywalker

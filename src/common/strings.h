@@ -4,6 +4,7 @@
 #define SKYWALKER_COMMON_STRINGS_H_
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,11 @@ size_t EditDistance(std::string_view a, std::string_view b);
 // the skybench CLI.
 std::vector<std::string> SuggestClosest(
     std::string_view name, const std::vector<std::string>& candidates);
+
+// Parses the whole of `text` as a base-10 integer in [0, max] into *value.
+// False (and *value untouched) for an empty string, a sign, whitespace, any
+// other character, or a value above `max`. Backs the CLIs' numeric flags.
+bool ParseUnsigned(std::string_view text, uint64_t max, uint64_t* value);
 
 }  // namespace skywalker
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
@@ -232,6 +233,37 @@ TEST(StringsTest, SplitAndJoin) {
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[2], "");
   EXPECT_EQ(StrJoin({"x", "y"}, "::"), "x::y");
+}
+
+TEST(StringsTest, ParseUnsignedTakesWholeDecimalStrings) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseUnsigned("0", UINT64_MAX, &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUnsigned("42", 100, &v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(ParseUnsigned("18446744073709551615", UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ParseUnsigned("100", 100, &v));  // The bound is inclusive.
+  EXPECT_EQ(v, 100u);
+}
+
+TEST(StringsTest, ParseUnsignedRejectsMalformedValues) {
+  const uint64_t untouched = 7;
+  for (const char* text :
+       {"",                          // Empty.
+        "abc", "2x", "2junk", "5x",  // Not a number, trailing characters.
+        "-5", "+5", "-0",            // A sign.
+        " 5", "5 ", "0x10", "1e3",   // Whitespace, other bases and forms.
+        "18446744073709551616",      // One past UINT64_MAX.
+        "99999999999999999999999"}) {
+    uint64_t v = untouched;
+    EXPECT_FALSE(ParseUnsigned(text, UINT64_MAX, &v)) << "'" << text << "'";
+    EXPECT_EQ(v, untouched) << "'" << text << "'";
+  }
+  uint64_t v = untouched;
+  EXPECT_FALSE(ParseUnsigned("101", 100, &v));  // Above the bound.
+  EXPECT_FALSE(ParseUnsigned("2147483648", INT32_MAX, &v));
+  EXPECT_EQ(v, untouched);
 }
 
 TEST(StringsTest, StartsWith) {
