@@ -70,6 +70,12 @@ void ConversationClient::IssueTurn() {
   if (sim_->now() > config_.stop_issuing_after) {
     return;
   }
+  Frontend* frontend = resolver_->Resolve(region_);
+  if (frontend == nullptr) {
+    // No healthy frontend; retry after a backoff (DNS re-resolution).
+    sim_->ScheduleAfter(Seconds(1), [this] { IssueTurn(); });
+    return;
+  }
   const auto& turn = current_.turns[next_turn_];
   Request req;
   req.id = config_.request_id_base == 0 ? NextRequestId() : next_request_id_++;
@@ -89,12 +95,6 @@ void ConversationClient::IssueTurn() {
     ++errors_;
     sim_->ScheduleAfter(Milliseconds(500), [this] { IssueTurn(); });
   };
-  Frontend* frontend = resolver_->Resolve(region_);
-  if (frontend == nullptr) {
-    // No healthy frontend; retry after a backoff (DNS re-resolution).
-    sim_->ScheduleAfter(Seconds(1), [this] { IssueTurn(); });
-    return;
-  }
   ++issued_requests_;
   SubmitViaNetwork(net_, region_, frontend, std::move(req),
                    std::move(callbacks));

@@ -138,6 +138,79 @@ TEST(ConversationClientTest, RetriesAfterError) {
   EXPECT_GT(bench.frontend->arrivals.size(), client.completed_requests());
 }
 
+// Resolves to no frontend before `available_at`, as while every balancer is
+// down, and records when each lookup happened.
+class OutageResolver : public FrontendResolver {
+ public:
+  OutageResolver(Simulator* sim, Frontend* frontend, SimTime available_at)
+      : sim_(sim), frontend_(frontend), available_at_(available_at) {}
+
+  Frontend* Resolve(RegionId /*client_region*/) override {
+    lookups.push_back(sim_->now());
+    return sim_->now() < available_at_ ? nullptr : frontend_;
+  }
+
+  std::vector<SimTime> lookups;
+
+ private:
+  Simulator* sim_;
+  Frontend* frontend_;
+  SimTime available_at_;
+};
+
+// The first request a client issues (with per-client request ids) when no
+// frontend resolves before `available_at`; it must go out at `issue_at`
+// and not before.
+template <typename Client, typename Generator>
+Request FirstRequest(Generator make_generator, SimTime available_at,
+                     SimTime issue_at, uint64_t client_seed,
+                     std::vector<SimTime>* lookups) {
+  ClientBench bench;
+  OutageResolver resolver(&bench.sim, bench.frontend.get(), available_at);
+  auto generator = make_generator();
+  ClientConfig config;
+  config.request_id_base = 1000;
+  Client client(&bench.sim, bench.net.get(), &resolver, &generator,
+                &bench.sink, 0, config, client_seed);
+  client.Start();
+  if (issue_at > 0) {
+    bench.sim.RunUntil(issue_at - 1);
+    EXPECT_EQ(client.issued_requests(), 0u);
+  }
+  bench.sim.RunUntil(issue_at + Milliseconds(100));
+  EXPECT_GT(client.issued_requests(), 0u);
+  if (lookups != nullptr) {
+    *lookups = resolver.lookups;
+  }
+  const std::vector<Request>& arrivals = bench.frontend->arrivals;
+  if (arrivals.empty()) {
+    ADD_FAILURE() << "nothing arrived";
+    return Request{};
+  }
+  EXPECT_EQ(arrivals.front().submit_time, issue_at);
+  return arrivals.front();
+}
+
+TEST(ConversationClientTest, RetriesTheSameTurnEverySecondWithoutFrontend) {
+  auto make = [] {
+    return ConversationGenerator(ConversationWorkloadConfig::Arena(), 1, 17);
+  };
+  // Nothing goes out while no frontend resolves; each retry comes 1 s
+  // after the last lookup, and the first that resolves issues the turn.
+  std::vector<SimTime> lookups;
+  const Request after = FirstRequest<ConversationClient>(
+      make, Milliseconds(2500), Seconds(3), 18, &lookups);
+  EXPECT_EQ(lookups, (std::vector<SimTime>{0, Seconds(1), Seconds(2),
+                                           Seconds(3)}));
+  // The turn the client would have issued at once, id included.
+  const Request direct =
+      FirstRequest<ConversationClient>(make, 0, 0, 18, nullptr);
+  EXPECT_EQ(after.id, direct.id);
+  EXPECT_EQ(after.session_id, direct.session_id);
+  EXPECT_EQ(TokenSeq(after.prompt), TokenSeq(direct.prompt));
+  EXPECT_EQ(TokenSeq(after.output), TokenSeq(direct.output));
+}
+
 TEST(ConversationClientTest, StopsIssuingAfterDeadline) {
   ClientBench bench;
   ConversationGenerator gen(ConversationWorkloadConfig::Arena(), 1, 8);
@@ -182,6 +255,25 @@ TEST(ToTClientTest, IssuesLevelsAsBarriers) {
     }
   }
   EXPECT_EQ(level_sizes, (std::vector<size_t>{1, 2, 4}));
+}
+
+TEST(ToTClientTest, RetriesTheSameLevelEverySecondWithoutFrontend) {
+  auto make = [] {
+    ToTConfig tot;
+    tot.depth = 2;
+    tot.branching = 2;
+    return ToTGenerator(tot, 19);
+  };
+  std::vector<SimTime> lookups;
+  const Request after = FirstRequest<ToTClient>(make, Milliseconds(1500),
+                                                Seconds(2), 20, &lookups);
+  EXPECT_EQ(lookups, (std::vector<SimTime>{0, Seconds(1), Seconds(2)}));
+  // The tree's root level, as the client would have issued it at once.
+  const Request direct = FirstRequest<ToTClient>(make, 0, 0, 20, nullptr);
+  EXPECT_EQ(after.id, direct.id);
+  EXPECT_EQ(after.session_id, direct.session_id);
+  EXPECT_EQ(TokenSeq(after.prompt), TokenSeq(direct.prompt));
+  EXPECT_EQ(TokenSeq(after.output), TokenSeq(direct.output));
 }
 
 TEST(ToTClientTest, CompletesTreesBackToBack) {
