@@ -246,9 +246,9 @@ bool KvController::CheckConsistency() const {
       return false;
     }
   }
-  // Sequences never share a page with each other: the only page a table
-  // shares is the cache's boundary page, and appends write into it only
-  // because no other sequence reads it.
+  // No page sits in two sequence tables (the only page a table shares is
+  // the cache's boundary page), so an append writes only into slots no
+  // other holder reads.
   std::sort(seq_pages.begin(), seq_pages.end());
   if (std::adjacent_find(seq_pages.begin(), seq_pages.end()) !=
       seq_pages.end()) {
