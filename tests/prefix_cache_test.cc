@@ -367,7 +367,7 @@ TEST(PrefixCacheBlockTest, PageSharedByThreeShortEdgesCountsOnce) {
   // none of the three is pinned and no sequence shares it.
   BlockAllocator alloc(64);
   PrefixCache cache(1024, &alloc, 16);
-  BlockTable seq;  // The publishing sequence keeps its page.
+  BlockTable seq;  // The publishing sequence keeps its page at first.
   seq.Append(alloc, 16, 16);
   cache.Insert(Iota(16), 1, &seq, 0);  // One node on the sequence's page 0.
   cache.MatchPrefix(Iota(10), 2);      // Split at 10: page 0 straddles.
@@ -377,7 +377,13 @@ TEST(PrefixCacheBlockTest, PageSharedByThreeShortEdgesCountsOnce) {
   EXPECT_EQ(alloc.used_blocks(), 1);
   EXPECT_EQ(alloc.ref_count(page), 4);
   EXPECT_EQ(alloc.cache_holders(page).refs, 3);
-  ExpectOccupancy(cache, 1, 0);  // The sequence shares it.
+  EXPECT_EQ(alloc.cache_holders(page).pinned, 0);
+  // The sequence sharing the page keeps it unevictable...
+  ExpectOccupancy(cache, 1, 0);
+  // ...until it lets go: three unpinned references count as one page.
+  EXPECT_EQ(seq.Clear(alloc), 1);
+  EXPECT_EQ(alloc.ref_count(page), 3);
+  ExpectOccupancy(cache, 1, 1);
   // Pinning [0, 10) pins two of the three references.
   auto ref = cache.MatchAndRef(Iota(10), 4);
   EXPECT_EQ(alloc.cache_holders(page).pinned, 2);
@@ -387,12 +393,9 @@ TEST(PrefixCacheBlockTest, PageSharedByThreeShortEdgesCountsOnce) {
   EXPECT_EQ(cache.num_nodes(), 2u);
   EXPECT_EQ(alloc.cache_holders(page).refs, 2);
   ExpectOccupancy(cache, 1, 0);
-  // The sequence sharing the page keeps it unevictable after the unpin...
+  // The unpin makes it evictable again.
   cache.Unref(ref.pin);
   EXPECT_EQ(alloc.cache_holders(page).pinned, 0);
-  ExpectOccupancy(cache, 1, 0);
-  // ...until it lets go.
-  EXPECT_EQ(seq.Clear(alloc), 1);
   ExpectOccupancy(cache, 1, 1);
   EXPECT_TRUE(cache.CheckInvariants());
   EXPECT_TRUE(alloc.CheckInvariants());
