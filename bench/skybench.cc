@@ -12,7 +12,6 @@
 // canonical seeds, so its headline numbers are comparable across runs and
 // match the historical executables.
 
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -92,18 +91,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   return false;
 }
 
-// A count flag's whole value, an integer in [1, INT_MAX].
-bool ParseCountFlag(const char* name, const std::string& value, int* out) {
-  uint64_t parsed = 0;
-  if (!ParseUnsigned(value, INT_MAX, &parsed) || parsed < 1) {
-    std::fprintf(stderr, "skybench: %s must be an integer >= 1, got '%s'\n",
-                 name, value.c_str());
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -137,7 +124,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         }
       }
     } else if (ParseFlag(arg, "--trials", &value)) {
-      if (!ParseCountFlag("--trials", value, &options->trials)) {
+      if (!ParseCountFlag("skybench", "--trials", value, &options->trials)) {
         return false;
       }
     } else if (ParseFlag(arg, "--seed", &value)) {
@@ -149,7 +136,8 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
     } else if (ParseFlag(arg, "--threads", &value)) {
-      if (!ParseCountFlag("--threads", value, &options->threads)) {
+      if (!ParseCountFlag("skybench", "--threads", value,
+                          &options->threads)) {
         return false;
       }
     } else if (ParseFlag(arg, "--out", &value)) {

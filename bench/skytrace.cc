@@ -18,8 +18,6 @@
 // Everything here is derived state: a pure function of the trace bytes, so
 // output is deterministic and byte-identical across machines.
 
-#include <climits>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,14 +72,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     const char* arg = argv[i];
     std::string value;
     if (ParseFlag(arg, "--top", &value)) {
-      uint64_t top = 0;
-      if (!ParseUnsigned(value, INT_MAX, &top) || top < 1) {
-        std::fprintf(stderr,
-                     "skytrace: --top must be an integer >= 1, got '%s'\n",
-                     value.c_str());
+      if (!ParseCountFlag("skytrace", "--top", value, &options->top)) {
         return false;
       }
-      options->top = static_cast<int>(top);
     } else if (ParseFlag(arg, "--json", &value)) {
       options->json_out = value;
     } else if (ParseFlag(arg, "--metrics", &value)) {

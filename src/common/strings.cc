@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <climits>
 #include <cstdio>
 #include <system_error>
 #include <utility>
@@ -103,6 +104,18 @@ bool ParseUnsigned(std::string_view text, uint64_t max, uint64_t* value) {
     return false;
   }
   *value = parsed;
+  return true;
+}
+
+bool ParseCountFlag(const char* program, const char* flag,
+                    std::string_view text, int* value) {
+  uint64_t parsed = 0;
+  if (!ParseUnsigned(text, INT_MAX, &parsed) || parsed < 1) {
+    std::fprintf(stderr, "%s: %s must be an integer >= 1, got '%.*s'\n",
+                  program, flag, static_cast<int>(text.size()), text.data());
+    return false;
+  }
+  *value = static_cast<int>(parsed);
   return true;
 }
 

@@ -36,6 +36,13 @@ std::vector<std::string> SuggestClosest(
 // other character, or a value above `max`. Backs the CLIs' numeric flags.
 bool ParseUnsigned(std::string_view text, uint64_t max, uint64_t* value);
 
+// A CLI count flag's value: the whole of `text` as an integer in
+// [1, INT_MAX], by ParseUnsigned's rules. Otherwise prints "<program>:
+// <flag> must be an integer >= 1, got '<text>'" to stderr and returns false
+// with *value untouched.
+bool ParseCountFlag(const char* program, const char* flag,
+                    std::string_view text, int* value);
+
 }  // namespace skywalker
 
 #endif  // SKYWALKER_COMMON_STRINGS_H_

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
@@ -264,6 +265,24 @@ TEST(StringsTest, ParseUnsignedRejectsMalformedValues) {
   EXPECT_FALSE(ParseUnsigned("101", 100, &v));  // Above the bound.
   EXPECT_FALSE(ParseUnsigned("2147483648", INT32_MAX, &v));
   EXPECT_EQ(v, untouched);
+}
+
+TEST(StringsTest, ParseCountFlagTakesOneToIntMaxAndNamesTheFlag) {
+  int v = 7;
+  EXPECT_TRUE(ParseCountFlag("prog", "--n", "1", &v));
+  EXPECT_EQ(v, 1);
+  EXPECT_TRUE(ParseCountFlag("prog", "--n", "2147483647", &v));
+  EXPECT_EQ(v, INT32_MAX);
+  for (const char* text : {"", "0", "2x", "-1", "2147483648"}) {
+    int untouched = 7;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(ParseCountFlag("prog", "--n", text, &untouched))
+        << "'" << text << "'";
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              std::string("prog: --n must be an integer >= 1, got '") + text +
+                  "'\n");
+    EXPECT_EQ(untouched, 7) << "'" << text << "'";
+  }
 }
 
 TEST(StringsTest, StartsWith) {
