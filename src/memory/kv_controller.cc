@@ -111,10 +111,7 @@ void KvController::OnDecodeSteps(std::vector<DecodeRun>* runs,
   }
   seq_tokens_total_ += steps * static_cast<int64_t>(runs->size());
   for (DecodeRun& run : *runs) {
-    const SeqEntry& e = seqs_[static_cast<size_t>(run.id)];
-    run.tail_free =
-        static_cast<int32_t>(e.table.tail_free(config_.block_size_tokens));
-    run.reserve = e.committed_reserve;
+    run = PlanDecode(run.id);
   }
 }
 
