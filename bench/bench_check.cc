@@ -16,6 +16,8 @@
 // metric/behavior change — update the goldens deliberately, never in the
 // same breath as the change that moved them. Floors are a JSON object of
 // derived-metric key -> minimum value; keys starting with '_' are notes.
+// A floor or timing-floor field that is present but not a number fails the
+// check, naming the file and the key.
 
 #include <algorithm>
 #include <cstdio>
@@ -40,6 +42,25 @@ std::optional<std::string> ReadFile(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+// The number `key` holds in `entry`, an object of the floors file at `path`:
+// nullopt when the key is absent. A value that is present but not a number
+// counts a failure and names the file and the key.
+std::optional<double> FloorNumber(const skywalker::Json& entry,
+                                  const std::string& key,
+                                  const std::string& path, int* failures) {
+  const skywalker::Json* value = entry.Find(key);
+  if (value == nullptr) {
+    return std::nullopt;
+  }
+  if (!value->is_number()) {
+    std::fprintf(stderr, "FAIL %s: '%s' is not a number\n", path.c_str(),
+                 key.c_str());
+    ++*failures;
+    return std::nullopt;
+  }
+  return value->AsDouble();
 }
 
 std::string FlagValue(int argc, char** argv, const char* name) {
@@ -120,9 +141,15 @@ int CheckFloors(const std::string& fig07_path, const std::string& floors_path) {
     return 1;
   }
   int failures = 0;
-  for (const auto& [key, floor] : floors->items()) {
+  for (const auto& item : floors->items()) {
+    const std::string& key = item.first;
     if (!key.empty() && key[0] == '_') {
       continue;  // Annotation, not a floor.
+    }
+    const std::optional<double> floor =
+        FloorNumber(*floors, key, floors_path, &failures);
+    if (!floor) {
+      continue;  // Not a number: FloorNumber counted the failure.
     }
     const skywalker::Json* value = derived->Find(key);
     if (value == nullptr || !value->is_number()) {
@@ -131,13 +158,13 @@ int CheckFloors(const std::string& fig07_path, const std::string& floors_path) {
       ++failures;
       continue;
     }
-    if (value->AsDouble() < floor.AsDouble()) {
+    if (value->AsDouble() < *floor) {
       std::fprintf(stderr, "FAIL %s = %.4f below floor %.4f\n", key.c_str(),
-                   value->AsDouble(), floor.AsDouble());
+                   value->AsDouble(), *floor);
       ++failures;
     } else {
       std::printf("ok   %s = %.4f (floor %.4f)\n", key.c_str(),
-                  value->AsDouble(), floor.AsDouble());
+                  value->AsDouble(), *floor);
     }
   }
   return failures;
@@ -168,7 +195,8 @@ const skywalker::Json* FindTimingCell(const skywalker::Json& timing,
 // checked on every host.
 int CheckEventCeilings(const skywalker::Json& timing,
                        const skywalker::Json& floors,
-                       const std::string& timing_path) {
+                       const std::string& timing_path,
+                       const std::string& floors_path) {
   const skywalker::Json* cells = floors.Find("cells");
   if (cells == nullptr || !cells->is_array()) {
     return 0;
@@ -176,8 +204,9 @@ int CheckEventCeilings(const skywalker::Json& timing,
   int failures = 0;
   for (const skywalker::Json& entry : cells->elements()) {
     const skywalker::Json* name = entry.Find("cell");
-    const skywalker::Json* ceiling = entry.Find("max_executed_events");
-    if (name == nullptr || ceiling == nullptr) {
+    const std::optional<double> ceiling =
+        FloorNumber(entry, "max_executed_events", floors_path, &failures);
+    if (name == nullptr || !ceiling) {
       continue;  // Malformed entries fail in the wall-clock pass.
     }
     const skywalker::Json* timed = FindTimingCell(timing, name->AsString());
@@ -194,13 +223,13 @@ int CheckEventCeilings(const skywalker::Json& timing,
       const skywalker::Json* executed = shard.Find("executed_events");
       events += executed != nullptr ? executed->AsDouble() : 0.0;
     }
-    if (events > ceiling->AsDouble()) {
+    if (events > *ceiling) {
       std::fprintf(stderr, "FAIL %s executed %.0f events, above ceiling %.0f\n",
-                   name->AsString().c_str(), events, ceiling->AsDouble());
+                   name->AsString().c_str(), events, *ceiling);
       ++failures;
     } else {
       std::printf("ok   %s executed %.0f events (ceiling %.0f)\n",
-                  name->AsString().c_str(), events, ceiling->AsDouble());
+                  name->AsString().c_str(), events, *ceiling);
     }
   }
   return failures;
@@ -227,16 +256,18 @@ int CheckTiming(const std::string& timing_path,
     std::fprintf(stderr, "FAIL unparseable timing/floors JSON\n");
     return 1;
   }
-  const int event_failures = CheckEventCeilings(*timing, *floors, timing_path);
+  int failures = CheckEventCeilings(*timing, *floors, timing_path,
+                                    floors_path);
   const skywalker::Json* host = timing->Find("hardware_concurrency");
-  const skywalker::Json* min_host = floors->Find("min_host_threads");
+  const std::optional<double> min_host =
+      FloorNumber(*floors, "min_host_threads", floors_path, &failures);
   const double host_threads = host != nullptr ? host->AsDouble() : 0;
-  if (min_host != nullptr && host_threads < min_host->AsDouble()) {
+  if (min_host && host_threads < *min_host) {
     std::printf(
         "skip timing floors: host has %.0f hardware thread(s), floors "
         "require >= %.0f (no parallel speedup available)\n",
-        host_threads, min_host->AsDouble());
-    return event_failures;
+        host_threads, *min_host);
+    return failures;
   }
   const skywalker::Json* smoke = timing->Find("smoke");
   const bool is_smoke = smoke != nullptr && smoke->AsBool();
@@ -245,9 +276,8 @@ int CheckTiming(const std::string& timing_path,
   if ((pairs == nullptr || !pairs->is_array()) &&
       (cells == nullptr || !cells->is_array())) {
     std::fprintf(stderr, "FAIL floors file has no 'pairs' or 'cells' array\n");
-    return 1;
+    return failures + 1;
   }
-  int failures = event_failures;
   // Absolute wall-clock ceilings (ISSUE 10): for cells with no single-shard
   // twin to ratio against, the floors file bounds the cell's wall time
   // outright. Keyed per mode so the full-size ceiling is meaningful while
@@ -255,14 +285,15 @@ int CheckTiming(const std::string& timing_path,
   if (cells != nullptr && cells->is_array()) {
     for (const skywalker::Json& entry : cells->elements()) {
       const skywalker::Json* name = entry.Find("cell");
-      const skywalker::Json* ceiling = entry.Find(
-          is_smoke ? "max_wall_seconds_smoke" : "max_wall_seconds");
+      const std::optional<double> ceiling = FloorNumber(
+          entry, is_smoke ? "max_wall_seconds_smoke" : "max_wall_seconds",
+          floors_path, &failures);
       if (name == nullptr) {
         std::fprintf(stderr, "FAIL malformed floors cell entry\n");
         ++failures;
         continue;
       }
-      if (ceiling == nullptr) {
+      if (!ceiling) {
         continue;  // No wall-clock ceiling for this mode.
       }
       const skywalker::Json* timed = FindTimingCell(*timing, name->AsString());
@@ -273,13 +304,13 @@ int CheckTiming(const std::string& timing_path,
         continue;
       }
       const double wall = timed->Find("wall_seconds")->AsDouble();
-      if (wall > ceiling->AsDouble()) {
+      if (wall > *ceiling) {
         std::fprintf(stderr, "FAIL %s wall %.3fs above ceiling %.3fs\n",
-                     name->AsString().c_str(), wall, ceiling->AsDouble());
+                     name->AsString().c_str(), wall, *ceiling);
         ++failures;
       } else {
         std::printf("ok   %s wall %.3fs (ceiling %.3fs)\n",
-                    name->AsString().c_str(), wall, ceiling->AsDouble());
+                    name->AsString().c_str(), wall, *ceiling);
       }
     }
   }
@@ -289,10 +320,12 @@ int CheckTiming(const std::string& timing_path,
   for (const skywalker::Json& pair : pairs->elements()) {
     const skywalker::Json* parallel_name = pair.Find("parallel_cell");
     const skywalker::Json* single_name = pair.Find("single_cell");
-    const skywalker::Json* floor = pair.Find(is_smoke ? "min_speedup_x_smoke"
-                                                      : "min_speedup_x");
-    if (parallel_name == nullptr || single_name == nullptr ||
-        floor == nullptr) {
+    const std::optional<double> floor = FloorNumber(
+        pair, is_smoke ? "min_speedup_x_smoke" : "min_speedup_x", floors_path,
+        &failures);
+    const std::optional<double> min_wall = FloorNumber(
+        pair, "min_single_wall_seconds", floors_path, &failures);
+    if (parallel_name == nullptr || single_name == nullptr || !floor) {
       std::fprintf(stderr, "FAIL malformed floors pair entry\n");
       ++failures;
       continue;
@@ -310,29 +343,27 @@ int CheckTiming(const std::string& timing_path,
     }
     const double parallel_wall = parallel->Find("wall_seconds")->AsDouble();
     const double single_wall = single->Find("wall_seconds")->AsDouble();
-    const skywalker::Json* min_wall = pair.Find("min_single_wall_seconds");
-    if (min_wall != nullptr && single_wall < min_wall->AsDouble()) {
+    if (min_wall && single_wall < *min_wall) {
       std::printf(
           "skip %s vs %s: single-shard wall %.3fs below the %.3fs noise "
           "threshold\n",
           parallel_name->AsString().c_str(), single_name->AsString().c_str(),
-          single_wall, min_wall->AsDouble());
+          single_wall, *min_wall);
       continue;
     }
     const double speedup =
         parallel_wall <= 0 ? 0.0 : single_wall / parallel_wall;
-    if (speedup < floor->AsDouble()) {
+    if (speedup < *floor) {
       std::fprintf(stderr,
                    "FAIL %s speedup %.2fx vs %s below floor %.2fx "
                    "(parallel %.3fs, single %.3fs)\n",
                    parallel_name->AsString().c_str(), speedup,
-                   single_name->AsString().c_str(), floor->AsDouble(),
-                   parallel_wall, single_wall);
+                   single_name->AsString().c_str(), *floor, parallel_wall,
+                   single_wall);
       ++failures;
     } else {
       std::printf("ok   %s speedup %.2fx (floor %.2fx)\n",
-                  parallel_name->AsString().c_str(), speedup,
-                  floor->AsDouble());
+                  parallel_name->AsString().c_str(), speedup, *floor);
     }
   }
   return failures;

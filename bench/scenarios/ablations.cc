@@ -10,8 +10,7 @@
 //                             (DESIGN.md §4a);
 //   ablation_hetero         — §7: selective pushing by pending requests is
 //                             hardware-agnostic; a mixed fast/slow fleet
-//                             self-balances without configuration;
-//   ablation_short_prompt   — §7 request-characteristic-aware policies.
+//                             self-balances without configuration.
 
 #include <algorithm>
 #include <functional>
@@ -286,33 +285,6 @@ Scenario MakeAblationHeterogeneousScenario() {
     return plan;
   };
   return scenario;
-}
-
-Scenario MakeAblationShortPromptScenario() {
-  return SweepScenario(
-      "ablation_short_prompt",
-      "Request-characteristic routing (§7, short prompts)",
-      "Routes prompts below a token threshold by load instead of prefix "
-      "affinity, on a workload with many short one-off prompts.",
-      [](const ScenarioOptions& options) {
-        std::vector<ScenarioCell> cells;
-        for (int64_t threshold : {int64_t{0}, int64_t{64}, int64_t{256}}) {
-          const std::string label =
-              threshold == 0 ? "disabled" : std::to_string(threshold) + " tok";
-          cells.push_back(ScenarioCell{label, [threshold, label, options] {
-            RunSpec spec = AblationRun(1206, options);
-            ConversationWorkloadConfig& conversation =
-                spec.workload.conversation;
-            conversation.lengths.input_mu = 3.4;  // Shorter messages.
-            conversation.turns_mean = 2;
-            spec.system.skywalker.routing.short_prompt_threshold = threshold;
-            MetricRow row = RunMetricRow(label, Run(spec), 6);
-            row.Dim("short_prompt_threshold", std::to_string(threshold));
-            return std::vector<MetricRow>{std::move(row)};
-          }});
-        }
-        return cells;
-      });
 }
 
 }  // namespace skywalker

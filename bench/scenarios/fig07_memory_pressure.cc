@@ -16,12 +16,13 @@
 //  * swap vs recompute: whether paying PCIe transfers beats re-prefilling
 //    under a warm prefix cache;
 //  * the saturation cross (sat/* rows, ISSUE 8): a shrunken per-replica KV
-//    held at the admission wall for the whole window. SP-P's throughput
-//    edge there is modest (~1.05x swap, ~1.01x recompute — the >=1.15x
-//    target did not survive measurement: closed-loop clients throttle
-//    demand at jammed replicas, so BP's misrouting surfaces in TTFT tails
-//    rather than goodput), while kColdSubtree eviction recovers ~5%
-//    throughput in the BP/swap arm where eviction churn is heaviest.
+//    held at the admission wall for the whole window, (BP, SP-P) x
+//    (recompute, swap) at b16. SP-P's throughput edge there is modest
+//    (~1.05x swap, ~1.01x recompute — the >=1.15x target did not survive
+//    measurement: closed-loop clients throttle demand at jammed replicas, so
+//    BP's misrouting surfaces in TTFT tails rather than goodput). The cache
+//    evicts its oldest unpinned leaf first in every cell; the labels keep
+//    their `lruleaf` suffix so rows and trace names stay stable.
 
 #include <memory>
 #include <stdexcept>
@@ -74,10 +75,8 @@ struct MemoryCase {
   // under-sized output reserve and longer thoughts, sized (by sweeping) so
   // every replica holds at the admission wall for the whole measurement
   // window — sustained watermark rejections and preemptions — while compute
-  // stays subsaturated. The policy cross then ablates the cache eviction
-  // policy on top.
+  // stays subsaturated.
   bool saturate = false;
-  EvictionPolicy eviction = EvictionPolicy::kLruLeaf;
 };
 
 // Hand-wired rather than a RunSpec: the fig07 floors hold only on these
@@ -108,7 +107,6 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   // Keep one typical request's worth of blocks free as decode headroom.
   rconfig.kv_watermark_blocks =
       (512 + rconfig.output_reserve_tokens) / mc.block_size;
-  rconfig.cache_eviction_policy = mc.eviction;
   std::vector<std::unique_ptr<Replica>> replicas;
   for (int i = 0; i < kReplicas; ++i) {
     replicas.push_back(std::make_unique<Replica>(&sim, i, 0, rconfig));
@@ -133,8 +131,8 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   SingleFrontendResolver resolver(&lb);
   MetricsCollector metrics;
   // Saturated smoke cells keep a longer window: queueing pushes TTFT past
-  // the base cells' whole 5s warmup, and the prefix-reuse that the eviction
-  // policies compete over only exists once ToT programs reach depth 2+.
+  // the base cells' whole 5s warmup, and the prefix reuse that eviction
+  // competes with only exists once ToT programs reach depth 2+.
   const SimDuration warmup = options.smoke
                                  ? (mc.saturate ? Seconds(10) : Seconds(5))
                                  : Seconds(30);
@@ -201,9 +199,7 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
           mc.policy == PreemptPolicy::kSwap ? "swap" : "recompute");
   if (mc.saturate) {
     row.Dim("saturation", "on");
-    row.Dim("eviction", mc.eviction == EvictionPolicy::kColdSubtree
-                            ? "coldsubtree"
-                            : "lruleaf");
+    row.Dim("eviction", "lruleaf");
   }
   Distribution ttft = metrics.TtftSeconds();
   Distribution e2e = metrics.E2eSeconds();
@@ -256,8 +252,8 @@ Scenario MakeFig07MemoryPressureScenario() {
       "The fig09 workload on the paged memory subsystem: block sizes 16/32, "
       "admission watermark, recompute vs swap preemption, and free-block-"
       "aware routing for the SP-P cells. One cell per (policy, block size, "
-      "preemption) combination, plus an 8-cell saturation cross ablating "
-      "the eviction policy at the memory wall.";
+      "preemption) combination, plus a 4-cell saturation cross at the "
+      "memory wall.";
   scenario.metric_keys = {
       metric_keys::kThroughputTokS,
       metric_keys::kOutputTokS,
@@ -293,27 +289,21 @@ Scenario MakeFig07MemoryPressureScenario() {
         {"spp/b32/swap", PushMode::kSelectivePending, 32,
          PreemptPolicy::kSwap},
     };
-    // Saturation cross: (BP, SP-P) x (recompute, swap) x (kLruLeaf,
-    // kColdSubtree) at b16 under the saturated workload.
+    // Saturation cross: (BP, SP-P) x (recompute, swap) at b16 under the
+    // saturated workload.
     for (PushMode mode : {PushMode::kBlind, PushMode::kSelectivePending}) {
       for (PreemptPolicy policy :
            {PreemptPolicy::kRecompute, PreemptPolicy::kSwap}) {
-        for (EvictionPolicy eviction :
-             {EvictionPolicy::kLruLeaf, EvictionPolicy::kColdSubtree}) {
-          MemoryCase mc;
-          mc.label =
-              std::string("sat/") +
-              (mode == PushMode::kBlind ? "bp" : "spp") + "/b16/" +
-              (policy == PreemptPolicy::kSwap ? "swap" : "recompute") + "/" +
-              (eviction == EvictionPolicy::kColdSubtree ? "coldsubtree"
-                                                        : "lruleaf");
-          mc.mode = mode;
-          mc.block_size = 16;
-          mc.policy = policy;
-          mc.saturate = true;
-          mc.eviction = eviction;
-          cases.push_back(std::move(mc));
-        }
+        MemoryCase mc;
+        mc.label = std::string("sat/") +
+                   (mode == PushMode::kBlind ? "bp" : "spp") + "/b16/" +
+                   (policy == PreemptPolicy::kSwap ? "swap" : "recompute") +
+                   "/lruleaf";
+        mc.mode = mode;
+        mc.block_size = 16;
+        mc.policy = policy;
+        mc.saturate = true;
+        cases.push_back(std::move(mc));
       }
     }
     for (const MemoryCase& mc : cases) {
@@ -345,26 +335,13 @@ Scenario MakeFig07MemoryPressureScenario() {
       report.derived.emplace_back(
           "spp_b16_swap_ttft_p90_over_recompute_x",
           ratio("spp/b16/swap", "spp/b16/recompute", metric_keys::kTtftP90));
-      // Saturated SP-P/BP gap at seed policies — the headline the CI floor
-      // guards:
+      // Saturated SP-P/BP gap — the headline the CI floor guards:
       report.derived.emplace_back("sat_spp_vs_bp_b16_recompute_x",
                                   ratio("sat/spp/b16/recompute/lruleaf",
                                         "sat/bp/b16/recompute/lruleaf"));
       report.derived.emplace_back(
           "sat_spp_vs_bp_b16_swap_x",
           ratio("sat/spp/b16/swap/lruleaf", "sat/bp/b16/swap/lruleaf"));
-      // Cold-subtree eviction matters where eviction churn is heaviest —
-      // under BP, which keeps pushing into jammed replicas. SP-P routes
-      // around the churn (its swap arm takes ~1 preemption to BP's ~12), so
-      // its cells are nearly insensitive to the eviction policy at this
-      // operating point; the SP-P ratio is kept as an inertness check, the
-      // BP ratio carries the CI floor.
-      report.derived.emplace_back(
-          "sat_coldsubtree_vs_lruleaf_bp_swap_x",
-          ratio("sat/bp/b16/swap/coldsubtree", "sat/bp/b16/swap/lruleaf"));
-      report.derived.emplace_back(
-          "sat_coldsubtree_vs_lruleaf_spp_swap_x",
-          ratio("sat/spp/b16/swap/coldsubtree", "sat/spp/b16/swap/lruleaf"));
       report.notes.push_back(
           "Paged-memory re-run of fig09 (paper Fig. 9: SP-P/BP throughput "
           "1.27x): preemption and swap counters must be nonzero under this "
@@ -374,8 +351,7 @@ Scenario MakeFig07MemoryPressureScenario() {
           "sat_* cells (ISSUE 8) hold the shrunken KV at the admission wall "
           "all window. Closed-loop clients bound the SP-P/BP goodput gap "
           "there (~1.05x swap): BP's misrouting shows up as TTFT tail "
-          "inflation, not lost throughput. kColdSubtree's win concentrates "
-          "in the BP/swap arm, where eviction churn is sustained.");
+          "inflation, not lost throughput.");
       return report;
     };
     return plan;

@@ -1,6 +1,6 @@
 // Microbenchmarks for the paged KV memory subsystem (src/memory/):
 // allocator churn, radix-cache page churn, probe occupancy (scan vs
-// incremental counts), eviction policies, and the swap-vs-recompute
+// incremental counts), LRU-leaf eviction churn, and the swap-vs-recompute
 // preemption policies under an overloaded replica.
 //
 // ns_per_op is wall clock (deterministic = false); the checksums are
@@ -226,23 +226,18 @@ Scenario MakeMicroMemoryScenario() {
     // Eviction-churn cell (ISSUE 8): a hot/cold skewed radix tree under
     // sustained pressure. A small set of trunks is re-read constantly (hot)
     // while a churning population of abandoned branches goes cold; every
-    // few inserts the cache is squeezed. kLruLeaf walks the tree once per
-    // leaf victim; kColdSubtree reclaims whole abandoned branches per scan,
-    // so its pages-per-eviction-round is the headline (gated by
-    // micro_memory_floors.json via summary.derived below). Wall time,
-    // eviction rounds, and pages-per-round also land in the
-    // BENCH_TIMING.json sidecar for the perf trajectory.
-    for (EvictionPolicy policy :
-         {EvictionPolicy::kLruLeaf, EvictionPolicy::kColdSubtree}) {
-      const bool cold = policy == EvictionPolicy::kColdSubtree;
-      const std::string label =
-          std::string("evict_churn/") + (cold ? "coldsubtree" : "lruleaf");
+    // few inserts the cache is squeezed, and each eviction round walks the
+    // tree once per leaf victim. Wall time, eviction rounds, and
+    // pages-per-round also land in the BENCH_TIMING.json sidecar for the
+    // perf trajectory.
+    {
+      const std::string label = "evict_churn/lruleaf";
       const int64_t iterations = options.smoke ? 2'000 : 100'000;
       plan.cells.push_back(ScenarioCell{
-          label, [label, policy, iterations] {
+          label, [label, iterations] {
             constexpr int32_t kBs = 16;
             BlockAllocator alloc(1 << 18);
-            PrefixCache cache(64'000, &alloc, kBs, policy);
+            PrefixCache cache(64'000, &alloc, kBs);
             // Eight hot trunks that must stay resident.
             std::vector<TokenSeq> trunks(8);
             for (size_t t = 0; t < trunks.size(); ++t) {
@@ -256,17 +251,13 @@ Scenario MakeMicroMemoryScenario() {
             }
             const auto start = std::chrono::steady_clock::now();
             for (int64_t i = 0; i < iterations; ++i) {
-              // 100 ms per iteration: a branch family goes cold (500 ms
-              // age) five iterations after its last touch, and the 4 s
-              // hit half-life spans ~40 iterations, so the decayed-hits
-              // score has real spread.
+              // 100 ms per iteration.
               now += 100'000;
               cache.MatchPrefix(trunks[static_cast<size_t>(i) % trunks.size()],
                                 now);
               // One abandoned ToT-style branch family: a shared unaligned
-              // family prefix off a trunk, then four leaf variants. The
-              // whole family is one cold subtree (~40 pages); LRU-leaf can
-              // only peel it one variant (~6 pages) per full-tree scan.
+              // family prefix off a trunk, then four leaf variants; LRU-leaf
+              // peels it one variant (~6 pages) per full-tree scan.
               TokenSeq fam = trunks[static_cast<size_t>(i * 7) % trunks.size()];
               const Token base =
                   10'000'000 + static_cast<Token>(i % 397) * 10'000;
@@ -360,10 +351,9 @@ Scenario MakeMicroMemoryScenario() {
       for (const auto& rows : cell_rows) {
         report.rows.insert(report.rows.end(), rows.begin(), rows.end());
       }
-      // The eviction-efficiency ratio is built from deterministic eviction
-      // counters, not wall clock, so it is stable enough to gate in CI
-      // (micro_memory_floors.json); the occupancy speedup is wall clock,
-      // floored far below its measured value.
+      // The occupancy checksum match is deterministic; the occupancy
+      // speedup is wall clock, floored far below its measured value
+      // (micro_memory_floors.json).
       auto metric = [&](const char* label, const char* key) {
         const MetricRow* row = FindRow(report.rows, label);
         const double* v = row == nullptr ? nullptr : row->Find(key);
@@ -371,15 +361,8 @@ Scenario MakeMicroMemoryScenario() {
       };
       auto safe_div = [](double a, double b) { return b <= 0 ? 0.0 : a / b; };
       report.derived.emplace_back(
-          "coldsubtree_vs_lruleaf_pages_per_eviction_x",
-          safe_div(metric("evict_churn/coldsubtree", "pages_per_eviction"),
-                   metric("evict_churn/lruleaf", "pages_per_eviction")));
-      report.derived.emplace_back(
           "evict_churn_lruleaf_rounds",
           metric("evict_churn/lruleaf", "evictions"));
-      report.derived.emplace_back(
-          "evict_churn_coldsubtree_rounds",
-          metric("evict_churn/coldsubtree", "evictions"));
       const double scan_sum = metric("probe_occupancy/scan", "checksum");
       report.derived.emplace_back(
           "occupancy_checksums_match",
@@ -391,9 +374,6 @@ Scenario MakeMicroMemoryScenario() {
           "occupancy_indexed_vs_scan_x",
           safe_div(metric("probe_occupancy/scan", "ns_per_op"),
                    metric("probe_occupancy/indexed", "ns_per_op")));
-      report.notes.push_back(
-          "evict_churn: cold-subtree eviction must reclaim more pages per "
-          "eviction round than LRU-leaf on the hot/cold skewed tree.");
       report.notes.push_back(
           "probe_occupancy: the O(1) cache-holder totals must report the "
           "same held/evictable pages as the radix scan on every probe "

@@ -22,7 +22,6 @@ void RegisterAllScenarios() {
     registry.Register(MakeAblationExploreThresholdScenario());
     registry.Register(MakeAblationMigrationControlScenario());
     registry.Register(MakeAblationHeterogeneousScenario());
-    registry.Register(MakeAblationShortPromptScenario());
     registry.Register(MakeFleetScaleScenario());
     registry.Register(MakeResilienceScenario());
     registry.Register(MakeMicroDatastructuresScenario());

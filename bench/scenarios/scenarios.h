@@ -48,7 +48,6 @@ Scenario MakeAblationPushSlackScenario();
 Scenario MakeAblationExploreThresholdScenario();
 Scenario MakeAblationMigrationControlScenario();
 Scenario MakeAblationHeterogeneousScenario();
-Scenario MakeAblationShortPromptScenario();
 Scenario MakeFleetScaleScenario();
 Scenario MakeResilienceScenario();
 Scenario MakeMicroDatastructuresScenario();

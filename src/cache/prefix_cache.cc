@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -24,11 +22,8 @@ inline int64_t PageCeil(int64_t d, int32_t block_size) {
 }  // namespace
 
 PrefixCache::PrefixCache(int64_t capacity_tokens, BlockAllocator* alloc,
-                         int32_t block_size_tokens, EvictionPolicy policy)
-    : capacity_tokens_(capacity_tokens),
-      block_size_(block_size_tokens),
-      policy_(policy),
-      maintain_aggregates_(policy == EvictionPolicy::kColdSubtree) {
+                         int32_t block_size_tokens, EvictionPolicy)
+    : capacity_tokens_(capacity_tokens), block_size_(block_size_tokens) {
   SKYWALKER_CHECK(block_size_ >= 1) << "block size";
   if (alloc == nullptr) {
     owned_alloc_ = std::make_unique<BlockAllocator>(
@@ -107,20 +102,6 @@ SlabId PrefixCache::SplitAbove(SlabId id, size_t keep, int64_t start) {
   lower.edge = lower.edge.Suffix(keep);  // Keeps the original chunk ref.
   lower.parent = top;
   ++num_nodes_;  // Token count is unchanged; one extra node exists.
-  if (maintain_aggregates_) {
-    // The upper subtree is the lower subtree plus the upper node itself, so
-    // its access aggregates are a copy; the page aggregates move the pages
-    // the upper half took out of the lower half, and a straddled boundary
-    // page (one extra reference) propagates +1 to every ancestor.
-    lower.sub_blocks -= static_cast<int32_t>(lower_from);
-    upper.sub_blocks = lower.sub_blocks + static_cast<int32_t>(upper_len);
-    upper.sub_last_access = lower.sub_last_access;
-    upper.sub_hits = lower.sub_hits;
-    upper.sub_hit_stamp = lower.sub_hit_stamp;
-    if (mid % block_size_ != 0) {
-      PropagateSubBlocks(top, 1);
-    }
-  }
   return top;
 }
 
@@ -132,9 +113,6 @@ int64_t PrefixCache::WalkAndSplit(TokenSpan seq, SimTime now,
   SlabId cur = root_;
   Node* cur_node = &node(cur);
   size_t pos = 0;
-  if (now > newest_access_) {
-    newest_access_ = now;  // Eviction judges coldness against this clock.
-  }
   while (pos < seq.size()) {
     const SlabId* child_slot = cur_node->children.Find(seq[pos]);
     if (child_slot == nullptr) {
@@ -160,11 +138,6 @@ int64_t PrefixCache::WalkAndSplit(TokenSpan seq, SimTime now,
       child_node = &node(child);
     }
     child_node->last_access = now;
-    if (maintain_aggregates_) {
-      // The walked path is exactly the ancestor chain of the access, so
-      // every matched node's subtree was just hit.
-      TouchAggregates(*child_node, now);
-    }
     pos += matched;
     cur = child;
     cur_node = child_node;
@@ -298,13 +271,6 @@ int64_t PrefixCache::Insert(TokenSpan seq, SimTime now,
     node(parent).children.Set(n.edge.front(), leaf);
     ++num_nodes_;
     size_tokens_ += added;
-    if (maintain_aggregates_) {
-      n.sub_blocks = static_cast<int32_t>(pages);
-      n.sub_hits = 1.0f;  // The insert itself is the subtree's first access.
-      n.sub_last_access = now;
-      n.sub_hit_stamp = now;
-      PropagateSubBlocks(leaf, pages);
-    }
   }
   if (size_tokens_ > capacity_tokens_) {
     Evict(PageCeil(size_tokens_ - capacity_tokens_, block_size_));
@@ -314,16 +280,7 @@ int64_t PrefixCache::Insert(TokenSpan seq, SimTime now,
 
 int64_t PrefixCache::Evict(int64_t blocks) {
   const size_t nodes_before = num_nodes_;
-  int64_t freed = 0;
-  if (policy_ == EvictionPolicy::kColdSubtree) {
-    freed = EvictColdSubtrees(blocks);
-  }
-  if (freed < blocks) {
-    // kLruLeaf, and the cold pass's fallback: whatever cold subtrees could
-    // not satisfy (hot tree, or every cold candidate already gone) reclaims
-    // exactly the way the seed policy would.
-    freed += EvictLruLeaves(blocks - freed);
-  }
+  const int64_t freed = EvictLruLeaves(blocks);
   if (num_nodes_ < nodes_before) {
     ++eviction_stats_.rounds;
     eviction_stats_.victims +=
@@ -366,66 +323,12 @@ int64_t PrefixCache::EvictLruLeaves(int64_t blocks) {
   return freed;
 }
 
-int64_t PrefixCache::EvictColdSubtrees(int64_t blocks) {
-  // Collect the *maximal* cold subtree roots: scan from the root and stop
-  // descending at the first candidate — its descendants are covered by it.
-  // Unpinned is guaranteed subtree-wide by ref_count == 0 at the root (a
-  // pin covers a root path, so a pinned descendant would pin the root too).
-  cold_candidates_.clear();
-  std::vector<SlabId>& stack = evict_stack_;
-  stack.clear();
-  stack.push_back(root_);
-  while (!stack.empty()) {
-    SlabId id = stack.back();
-    stack.pop_back();
-    const Node& n = node(id);
-    if (id != root_ && n.ref_count == 0 &&
-        n.sub_last_access + kColdSubtreeAgeUs <= newest_access_) {
-      // Pages reclaimed per expected future hit: a big subtree nobody hits
-      // anymore scores highest; a small but historically hot one scores
-      // lowest. sub_blocks over-counts shared straddle pages, which is the
-      // right bias — straddle-heavy subtrees free fewer pages per node.
-      const double expected_hits =
-          static_cast<double>(DecayedHits(n, newest_access_));
-      cold_candidates_.push_back(ColdCandidate{
-          static_cast<double>(n.sub_blocks) / (1.0 + expected_hits),
-          n.sub_last_access, id});
-      continue;
-    }
-    for (const auto& [token, child] : n.children) {
-      (void)token;
-      stack.push_back(child);
-    }
-  }
-  std::sort(cold_candidates_.begin(), cold_candidates_.end(),
-            [](const ColdCandidate& a, const ColdCandidate& b) {
-              if (a.score != b.score) {
-                return a.score > b.score;
-              }
-              if (a.sub_last_access != b.sub_last_access) {
-                return a.sub_last_access < b.sub_last_access;
-              }
-              return a.id < b.id;  // Total order: determinism under ties.
-            });
-  int64_t freed = 0;
-  for (const ColdCandidate& c : cold_candidates_) {
-    if (freed >= blocks) {
-      break;
-    }
-    freed += RemoveSubtree(c.id);
-  }
-  return freed;
-}
-
 int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
   Node& n = node(leaf);
   assert(n.children.empty() && n.ref_count == 0);
   size_tokens_ -= static_cast<int64_t>(n.edge.size());
   --num_nodes_;
   node(n.parent).children.Erase(n.edge.front());
-  if (maintain_aggregates_) {
-    PropagateSubBlocks(leaf, -NodePages(n));
-  }
   pool_.Release(n.edge);
   // Release the victim's page references. Pages straddling into the parent
   // (or still referenced by a running sequence's table) survive in the
@@ -435,45 +338,7 @@ int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
   n.edge = TokenSlice{};
   n.parent = kNilSlabId;
   n.last_access = 0;
-  n.sub_blocks = 0;  // Recycled slab nodes must not leak stale aggregates.
-  n.sub_hits = 0.0f;
-  n.sub_last_access = 0;
-  n.sub_hit_stamp = 0;
   nodes_.Free(leaf);  // children map already empty; its capacity is kept.
-  return freed;
-}
-
-int64_t PrefixCache::RemoveSubtree(SlabId id) {
-  Node& top = node(id);
-  assert(top.ref_count == 0);
-  node(top.parent).children.Erase(top.edge.front());
-  PropagateSubBlocks(id, -static_cast<int64_t>(top.sub_blocks));
-  // The caller's candidate scan has drained evict_stack_; reuse it.
-  int64_t freed = 0;
-  evict_stack_.clear();
-  evict_stack_.push_back(id);
-  while (!evict_stack_.empty()) {
-    SlabId cur = evict_stack_.back();
-    evict_stack_.pop_back();
-    Node& n = node(cur);
-    for (const auto& [token, child] : n.children) {
-      (void)token;
-      evict_stack_.push_back(child);
-    }
-    size_tokens_ -= static_cast<int64_t>(n.edge.size());
-    --num_nodes_;
-    pool_.Release(n.edge);
-    freed += ReleasePages(cur, n, false);
-    n.edge = TokenSlice{};
-    n.parent = kNilSlabId;
-    n.last_access = 0;
-    n.children.Clear();
-    n.sub_blocks = 0;
-    n.sub_hits = 0.0f;
-    n.sub_last_access = 0;
-    n.sub_hit_stamp = 0;
-    nodes_.Free(cur);
-  }
   return freed;
 }
 
@@ -487,39 +352,6 @@ int64_t PrefixCache::ReleasePages(SlabId id, Node& n, bool pinned) {
   block_pool_.Release(n.blocks);
   n.blocks = BlockSlice{};
   return freed;
-}
-
-float PrefixCache::DecayedHits(const Node& n, SimTime now) {
-  if (n.sub_hits == 0.0f || now <= n.sub_hit_stamp) {
-    return n.sub_hits;
-  }
-  // Whole half-lives only: ldexp is an exact power-of-two scaling, so the
-  // decayed value — and every score derived from it — is bit-identical on
-  // every platform (no libm exp/pow in any golden-visible path).
-  const int64_t halvings =
-      (now - n.sub_hit_stamp) / kColdSubtreeHitHalfLifeUs;
-  if (halvings == 0) {
-    return n.sub_hits;
-  }
-  if (halvings > 127) {
-    return 0.0f;
-  }
-  return std::ldexp(n.sub_hits, -static_cast<int>(halvings));
-}
-
-void PrefixCache::PropagateSubBlocks(SlabId id, int64_t delta) {
-  for (SlabId cur = node(id).parent; cur != kNilSlabId;
-       cur = node(cur).parent) {
-    node(cur).sub_blocks += static_cast<int32_t>(delta);
-  }
-}
-
-void PrefixCache::TouchAggregates(Node& n, SimTime now) {
-  n.sub_hits = DecayedHits(n, now) + 1.0f;
-  n.sub_hit_stamp = now;
-  if (now > n.sub_last_access) {
-    n.sub_last_access = now;
-  }
 }
 
 void PrefixCache::Clear() {
@@ -691,45 +523,6 @@ bool PrefixCache::CheckInvariants() const {
       block_pool_.live_refs() !=
           (named_ ? static_cast<int64_t>(num_nodes_) : 0)) {
     ok = false;
-  }
-  if (ok && maintain_aggregates_) {
-    // Aggregate soundness, bottom-up: sub_blocks is the exact span-reference
-    // total of the subtree; sub_last_access is an upper bound that must
-    // cover the subtree's true newest access (folding the computed true
-    // max, not the child's own bound, keeps the check tight).
-    std::unordered_map<SlabId, std::pair<int64_t, SimTime>> agg;
-    std::vector<std::pair<SlabId, bool>> po;
-    po.emplace_back(root_, false);
-    while (!po.empty()) {
-      const auto [id, visited] = po.back();
-      const Node& n = node(id);
-      if (!visited) {
-        po.back().second = true;
-        agg[id] = {NodePages(n), n.last_access};
-        for (const auto& [token, child] : n.children) {
-          (void)token;
-          po.emplace_back(child, false);
-        }
-        continue;
-      }
-      po.pop_back();
-      const auto [sub_blocks, max_access] = agg[id];
-      // The root's access aggregate is newest_access_ itself (walks touch
-      // only path children), and the root is never an eviction candidate,
-      // so the bound is only required below it.
-      if (sub_blocks != n.sub_blocks ||
-          (id != root_ && n.sub_last_access < max_access)) {
-        ok = false;
-      }
-      if (id == root_ && newest_access_ < max_access) {
-        ok = false;  // The coldness clock must cover every real access.
-      }
-      if (id != root_) {
-        auto& parent_agg = agg[n.parent];
-        parent_agg.first += sub_blocks;
-        parent_agg.second = std::max(parent_agg.second, max_access);
-      }
-    }
   }
   return ok;
 }

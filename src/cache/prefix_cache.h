@@ -89,35 +89,13 @@ inline constexpr PinId kInvalidPin = -1;
 using BlockSlice = PoolSlice<BlockId>;
 using BlockPool = ChunkPool<BlockId>;
 
-// Victim selection under memory pressure (ISSUE 8).
-//
-//  * kLruLeaf (default): the behavior-frozen seed policy — repeatedly scan
-//    the whole tree for the least-recently-accessed unpinned leaf and evict
-//    it. O(nodes) per victim; byte-identical to every committed golden.
-//  * kColdSubtree: maintain per-node subtree aggregates (pages owned, max
-//    last-access, decayed hit count) incrementally and, on pressure, evict
-//    whole *cold* subtrees — maximal unpinned subtrees whose newest access
-//    is older than kColdSubtreeAgeUs — ranked by pages-reclaimed-per-
-//    expected-future-hit. One ledger release per subtree node, one ancestor
-//    aggregate fix-up per subtree, O(victims) amortized instead of a full
-//    rescan per leaf. Anything the cold pass cannot satisfy falls back to
-//    the LRU-leaf scan, so reclaim always makes the same progress the seed
-//    policy guarantees.
+// Victim selection under memory pressure: the oldest unpinned leaf first,
+// as SGLang's RadixAttention evicts (paper §2.1). The enum has that one
+// value; ReplicaConfig and the constructor still carry it because the
+// benchmark passes ReplicaConfig::cache_eviction_policy through.
 enum class EvictionPolicy : uint8_t {
   kLruLeaf,
-  kColdSubtree,
 };
-
-// A subtree is cold when its newest access is at least this much older than
-// the newest access the cache has seen anywhere (sim microseconds). Half a
-// second is several probe intervals and tens of engine steps: long enough
-// that an active conversation tree is never a victim, short enough that
-// abandoned ToT branches turn cold within a few steps.
-inline constexpr SimDuration kColdSubtreeAgeUs = 500'000;
-// Half-life of the per-subtree decayed hit count (sim microseconds). Decay
-// is quantized to whole half-lives (exact power-of-two scaling via ldexp),
-// so scoring is bit-deterministic across platforms and libm versions.
-inline constexpr SimDuration kColdSubtreeHitHalfLifeUs = 4'000'000;
 
 class PrefixCache {
  public:
@@ -128,7 +106,7 @@ class PrefixCache {
   explicit PrefixCache(int64_t capacity_tokens,
                        BlockAllocator* alloc = nullptr,
                        int32_t block_size_tokens = 1,
-                       EvictionPolicy policy = EvictionPolicy::kLruLeaf);
+                       EvictionPolicy = EvictionPolicy::kLruLeaf);
   ~PrefixCache();
 
   PrefixCache(const PrefixCache&) = delete;
@@ -172,7 +150,7 @@ class PrefixCache {
   // the return value from a block deficit directly instead of re-reading
   // the ledger after every eviction round (ISSUE 8; with block_size == 1 a
   // block is a token and this is exactly the seed token-based eviction).
-  // Victim selection follows eviction_policy(); page references shared with
+  // Victims go oldest unpinned leaf first; page references shared with
   // pinned paths or live sequences are dropped but free nothing, which the
   // return value reflects truthfully.
   int64_t Evict(int64_t blocks);
@@ -190,9 +168,6 @@ class PrefixCache {
   size_t num_nodes() const { return num_nodes_; }
   size_t active_pins() const { return pins_.live(); }
   int32_t block_size_tokens() const { return block_size_; }
-
-  // Fixed at construction.
-  EvictionPolicy eviction_policy() const { return policy_; }
 
   // Cumulative eviction statistics: rounds is the number of Evict() calls
   // that removed at least one node, victims the nodes removed, and
@@ -255,10 +230,9 @@ class PrefixCache {
   // Two cache lines. The first line is everything a walk touches — edge
   // slice (16) + child map with two inline entries (32) + parent (4) +
   // ref_count (4) + last_access (8) — so trie walks still load one line per
-  // node. The second line holds the node's KV page span (16) plus the
-  // kColdSubtree aggregates (24), touched only by insert/split/evict — and
-  // the aggregates only when that policy is active, so the default-policy
-  // walk and eviction paths never read them.
+  // node. The second line holds the node's KV page span (16), touched only
+  // by insert/split/evict; the rest of it is padding, kept because member
+  // placement has moved the benchmark's wall clock before.
   struct alignas(64) Node {
     TokenSlice edge;  // Label on the edge from parent to this node.
     SmallSortedMap<Token, SlabId, 2> children;
@@ -269,20 +243,6 @@ class PrefixCache {
     // --- second line: the paged-KV span (cold for walks) ---
     BlockSlice blocks;  // Pages covering the edge, path-aligned (none on a
                         // counted pool: the pages are the edge's tokens).
-    // kColdSubtree aggregates, maintained incrementally when that is the
-    // policy (root included):
-    //   sub_blocks      — Σ blocks.size() over this subtree (span refs, so
-    //                     a straddled page counts once per covering node);
-    //   sub_last_access — upper bound on max last_access in the subtree
-    //                     (exact until a descendant eviction; never lower
-    //                     than the true maximum, so a "cold" verdict is
-    //                     always sound);
-    //   sub_hits        — decayed count of accesses into the subtree
-    //                     (decay reference time is sub_hit_stamp).
-    int32_t sub_blocks = 0;
-    float sub_hits = 0.0f;
-    SimTime sub_last_access = 0;
-    SimTime sub_hit_stamp = 0;
   };
   static_assert(sizeof(Node) == 128, "Node must stay two cache lines");
 
@@ -316,22 +276,9 @@ class PrefixCache {
     return id == coheld_leaf_ && alloc_->coheld_blocks() > 0;
   }
 
-  // The seed LRU-leaf eviction loop (kLruLeaf, and the kColdSubtree
-  // fallback pass): full-tree scan per victim, oldest unpinned leaf first.
+  // The seed LRU-leaf eviction loop: full-tree scan per victim, oldest
+  // unpinned leaf first.
   int64_t EvictLruLeaves(int64_t blocks);
-
-  // kColdSubtree machinery (ISSUE 8) -----------------------------------
-  // One cold pass: collect maximal unpinned-and-cold subtree roots, rank
-  // them by pages-per-expected-future-hit (descending; ties oldest subtree
-  // first, then smallest id — all deterministic), and evict greedily until
-  // `blocks` pages have freed or the candidates run out.
-  int64_t EvictColdSubtrees(int64_t blocks);
-  // Removes the whole subtree rooted at `id` (every node unpinned, which
-  // ref_count == 0 at the root guarantees: pins cover root paths, so a
-  // pinned descendant would pin `id` too). Returns pages freed.
-  int64_t RemoveSubtree(SlabId id);
-  // `sub_hits` decayed to `now` in whole half-lives (exact ldexp scaling).
-  static float DecayedHits(const Node& n, SimTime now);
 
   // Recomputes the pinned-token sum by full-tree walk (the pre-ISSUE-10
   // definition); CheckInvariants compares it against pinned_tokens_.
@@ -340,23 +287,12 @@ class PrefixCache {
   // from pinned nodes, by full-tree walk (the oracle for the allocator's
   // cache-holder counts). Sized to the largest id the tree holds.
   std::vector<BlockAllocator::CacheHolders> TallyPageHolders() const;
-  // Adds `delta` to sub_blocks on every ancestor of `id`, root included.
-  void PropagateSubBlocks(SlabId id, int64_t delta);
-  // Refreshes the access-side aggregates of a path node during a walk.
-  void TouchAggregates(Node& n, SimTime now);
 
   Node& node(SlabId id) { return nodes_[id]; }
   const Node& node(SlabId id) const { return nodes_[id]; }
 
   int64_t capacity_tokens_;
   int32_t block_size_;
-  const EvictionPolicy policy_;
-  // Whether aggregates are maintained (== policy is kColdSubtree), hoisted
-  // into a bool so walk-path checks stay a single flag test.
-  const bool maintain_aggregates_;
-  // Newest access timestamp ever observed (MatchAndRef/MatchPrefix/Insert).
-  // Eviction has no clock parameter, so coldness is judged against this.
-  SimTime newest_access_ = 0;
   std::unique_ptr<BlockAllocator> owned_alloc_;  // Standalone mode only.
   BlockAllocator* alloc_;                        // Shared paged-KV pool.
   bool named_ = true;  // alloc_->named(): nodes hold page spans.
@@ -381,13 +317,6 @@ class PrefixCache {
   // (steady-state allocation freedom).
   std::vector<SlabId> evict_stack_;
   std::vector<BlockId> span_scratch_;
-  // Cold-pass candidate list (score precomputed; reused across passes).
-  struct ColdCandidate {
-    double score = 0.0;
-    SimTime sub_last_access = 0;
-    SlabId id = kNilSlabId;
-  };
-  std::vector<ColdCandidate> cold_candidates_;
   EvictionStats eviction_stats_;
 
   int64_t lookup_tokens_ = 0;

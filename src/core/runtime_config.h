@@ -57,12 +57,6 @@ struct RoutingRuntimeConfig {
   // Enables cross-region forwarding. Disabling yields the Region-Local
   // deployment baseline of Fig. 10.
   bool enable_forwarding = true;
-
-  // §7 extension ("more advanced policies"): prompts shorter than this skip
-  // prefix matching and go to the least-loaded available replica — short
-  // prompts have little prefill to save, so balancing load is worth more
-  // than cache affinity. 0 disables the heuristic.
-  int64_t short_prompt_threshold = 0;
 };
 
 // One knob snapshot, applied by value.

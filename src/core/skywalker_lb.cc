@@ -178,13 +178,7 @@ ReplicaId SkyWalkerLb::SelectReplica(const Queued& queued,
     return target == kInvalidTarget ? kInvalidReplica : target;
   }
 
-  // kPrefixTree (Listing 1 lines 18-21). Short prompts have little prefill
-  // worth saving; balance load instead (§7 request-characteristic routing).
-  if (config_.routing.short_prompt_threshold > 0 &&
-      queued.req.prompt_tokens() < config_.routing.short_prompt_threshold) {
-    // OnLocalDispatch records the placement in the trie as usual.
-    return candidates.LeastLoadedAvailable();
-  }
+  // kPrefixTree (Listing 1 lines 18-21).
   RoutingTrie::Match match = replica_trie_.MatchBest(queued.req.prompt, avail);
   double ratio = queued.req.prompt.empty()
                      ? 0.0

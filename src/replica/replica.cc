@@ -178,15 +178,12 @@ void Replica::Admit() {
   }
   while (!pending_.empty() && HasFreeSlot()) {
     Seq& candidate = pending_.front();
-    int64_t cached = 0;
-    PinId pin = kInvalidPin;
-    if (config_.enable_prefix_cache) {
-      auto match = cache_.MatchAndRef(candidate.req.prompt, sim_->now());
-      // A fully cached prompt still recomputes its last token so the engine
-      // produces the first output token (SGLang does the same).
-      cached = std::min(match.cached_len, candidate.prompt_len() - 1);
-      pin = match.pin;
-    }
+    const PrefixCache::MatchRef match =
+        cache_.MatchAndRef(candidate.req.prompt, sim_->now());
+    // A fully cached prompt still recomputes its last token so the engine
+    // produces the first output token (SGLang does the same).
+    const int64_t cached =
+        std::min(match.cached_len, candidate.prompt_len() - 1);
     const int64_t prefill_need = candidate.prompt_len() - cached;
     // The admission check prices a full fresh request's reserve; the commit
     // below re-prices for already-generated tokens (a re-admitted
@@ -214,9 +211,7 @@ void Replica::Admit() {
                     kv_.free_blocks(), kv_.committed_blocks());
         }
       }
-      if (pin != kInvalidPin) {
-        cache_.Unref(pin);
-      }
+      cache_.Unref(match.pin);
       break;
     }
     // Either it fits, or the batch is empty and we force-admit to guarantee
@@ -227,7 +222,7 @@ void Replica::Admit() {
       watermark_reject_id_valid_ = false;  // Its episode ended in admission.
     }
     seq.cached_len = cached;
-    seq.pin = pin;
+    seq.pin = match.pin;
     seq.kv_base = cached;
     seq.prefill_remaining = seq.prompt_len() - cached;
     // The table is path-aligned: its pages sit at the positions the radix
@@ -565,9 +560,7 @@ void Replica::TracingEvictions(Fn&& mutate) {
     if (after.victims > before.victims) {
       EmitTrace(t, sim_->now(), TraceEventType::kCacheEvict, region_, id_, -1,
                 after.victims - before.victims,
-                after.freed_blocks - before.freed_blocks,
-                static_cast<double>(
-                    static_cast<int>(cache_.eviction_policy())));
+                after.freed_blocks - before.freed_blocks, 0.0);
     }
   }
 }
@@ -581,41 +574,37 @@ void Replica::OnPrefillComplete(Seq& seq) {
     ++stats_.output_tokens_generated;
   }
 
-  if (config_.enable_prefix_cache) {
-    // Publish prompt KV to the shared cache: the new radix node takes
-    // references on the very pages this sequence filled (the table is
-    // path-aligned), so concurrent identical prompts share them from now
-    // on. Then re-pin the full prompt and drop the sequence's claim on the
-    // published span — only generated tokens remain private, and a page
-    // straddling the prompt boundary stays shared between the cache's tail
-    // node and this sequence (cached_len keeps the admission-time value for
-    // reporting; it reflects the compute actually saved).
-    TracingEvictions([&] {
-      cache_.Insert(seq.req.prompt, sim_->now(), &kv_.table(seq.kv),
-                    seq.kv_base);
-    });
-    if (seq.pin != kInvalidPin) {
-      cache_.Unref(seq.pin);
-    }
-    auto match = cache_.MatchAndRef(seq.req.prompt, sim_->now());
-    seq.pin = match.pin;
-    // The span to keep, positionally: the prompt remainder the cache does
-    // not cover, plus the generated tokens actually present in the table. A
-    // recompute-preemption victim re-admits with `generated == 1` but an
-    // all-prompt table (its first token's KV was dropped with the rest); it
-    // is re-materialized below as a fresh append at its true path position,
-    // never by aliasing the prompt's tail page.
-    const int64_t current = kv_.SeqTokens(seq.kv);
-    const int64_t generated_in_table =
-        current - (seq.prompt_len() - seq.kv_base);
-    const int64_t keep =
-        (seq.prompt_len() - match.cached_len) + generated_in_table;
-    SKYWALKER_CHECK(keep >= 0 && keep <= current) << "publish span";
-    kv_.ReleaseSeqPrefix(seq.kv, current - keep);
-    seq.kv_base += current - keep;
-    if (seq.generated > generated_in_table) {
-      kv_.RestoreDecodedTokens(seq.kv, seq.generated - generated_in_table);
-    }
+  // Publish prompt KV to the shared cache: the new radix node takes
+  // references on the very pages this sequence filled (the table is
+  // path-aligned), so concurrent identical prompts share them from now
+  // on. Then re-pin the full prompt and drop the sequence's claim on the
+  // published span — only generated tokens remain private, and a page
+  // straddling the prompt boundary stays shared between the cache's tail
+  // node and this sequence (cached_len keeps the admission-time value for
+  // reporting; it reflects the compute actually saved).
+  TracingEvictions([&] {
+    cache_.Insert(seq.req.prompt, sim_->now(), &kv_.table(seq.kv),
+                  seq.kv_base);
+  });
+  cache_.Unref(seq.pin);
+  auto match = cache_.MatchAndRef(seq.req.prompt, sim_->now());
+  seq.pin = match.pin;
+  // The span to keep, positionally: the prompt remainder the cache does
+  // not cover, plus the generated tokens actually present in the table. A
+  // recompute-preemption victim re-admits with `generated == 1` but an
+  // all-prompt table (its first token's KV was dropped with the rest); it
+  // is re-materialized below as a fresh append at its true path position,
+  // never by aliasing the prompt's tail page.
+  const int64_t current = kv_.SeqTokens(seq.kv);
+  const int64_t generated_in_table =
+      current - (seq.prompt_len() - seq.kv_base);
+  const int64_t keep =
+      (seq.prompt_len() - match.cached_len) + generated_in_table;
+  SKYWALKER_CHECK(keep >= 0 && keep <= current) << "publish span";
+  kv_.ReleaseSeqPrefix(seq.kv, current - keep);
+  seq.kv_base += current - keep;
+  if (seq.generated > generated_in_table) {
+    kv_.RestoreDecodedTokens(seq.kv, seq.generated - generated_in_table);
   }
 
   if (!seq.first_token_sent) {
@@ -632,20 +621,16 @@ void Replica::OnPrefillComplete(Seq& seq) {
 }
 
 void Replica::CompleteSeq(Seq& seq) {
-  if (config_.enable_prefix_cache) {
-    // Prompt ⊕ output: a view of the generator's buffer, where the output
-    // continues the prompt. The generated suffix publishes the same way the
-    // prompt did: by reference transfer from the sequence's path-aligned
-    // table.
-    const SharedTokens full = Concat(seq.req.prompt, seq.req.output);
-    TracingEvictions([&] {
-      cache_.Insert(full, sim_->now(), &kv_.table(seq.kv), seq.kv_base);
-    });
-    if (seq.pin != kInvalidPin) {
-      cache_.Unref(seq.pin);
-      seq.pin = kInvalidPin;
-    }
-  }
+  // Prompt ⊕ output: a view of the generator's buffer, where the output
+  // continues the prompt. The generated suffix publishes the same way the
+  // prompt did: by reference transfer from the sequence's path-aligned
+  // table.
+  const SharedTokens full = Concat(seq.req.prompt, seq.req.output);
+  TracingEvictions([&] {
+    cache_.Insert(full, sim_->now(), &kv_.table(seq.kv), seq.kv_base);
+  });
+  cache_.Unref(seq.pin);
+  seq.pin = kInvalidPin;
   // Blocks and the unconsumed output reserve return here — exactly once.
   // Pages the cache took references on survive; the rest free.
   kv_.ReleaseSeq(seq.kv);
@@ -712,10 +697,8 @@ void Replica::ReclaimMemory() {
       kv_.ReleaseSeq(seq.kv);
       kv_.NoteRecomputePreemption();
       seq.kv = KvController::kInvalidSeq;
-      if (seq.pin != kInvalidPin) {
-        cache_.Unref(seq.pin);
-        seq.pin = kInvalidPin;
-      }
+      cache_.Unref(seq.pin);
+      seq.pin = kInvalidPin;
       seq.cached_len = 0;
       seq.kv_base = 0;
       seq.prefill_remaining = seq.prompt_len();
@@ -764,24 +747,18 @@ void Replica::Crash() {
   Sync();
   CutStretch();  // The step in flight still finishes, over an empty batch.
   for (Seq& seq : running_) {
-    if (seq.pin != kInvalidPin) {
-      cache_.Unref(seq.pin);
-    }
+    cache_.Unref(seq.pin);
     kv_.ReleaseSeq(seq.kv);
   }
   running_.clear();
   running_uncached_tokens_ = 0;
   for (SwappedSeq& swapped : swapped_) {
-    if (swapped.seq.pin != kInvalidPin) {
-      cache_.Unref(swapped.seq.pin);
-    }
+    cache_.Unref(swapped.seq.pin);
   }
   swapped_.clear();
   for (RestoringSeq& restoring : restoring_) {
     sim_->Cancel(restoring.arrival);
-    if (restoring.seq.pin != kInvalidPin) {
-      cache_.Unref(restoring.seq.pin);
-    }
+    cache_.Unref(restoring.seq.pin);
     kv_.ReleaseSeq(restoring.seq.kv);
   }
   restoring_.clear();

@@ -86,8 +86,6 @@ struct ReplicaConfig {
   double decode_us_per_seq = 400.0;
   double decode_us_per_context_token = 0.5;
 
-  bool enable_prefix_cache = true;
-
   // Record a memory-utilization sample every N engine steps (0 disables).
   int memory_sample_every_steps = 4;
 
@@ -102,9 +100,8 @@ struct ReplicaConfig {
   // swap_us_per_token).
   PreemptPolicy kv_preempt_policy = PreemptPolicy::kRecompute;
 
-  // Victim selection for the prefix cache under memory pressure (ISSUE 8).
-  // kLruLeaf is the behavior-frozen seed policy; kColdSubtree evicts whole
-  // cold subtrees ranked by pages-per-expected-future-hit.
+  // Victim selection for the prefix cache: kLruLeaf, its only value (kept
+  // because the benchmark reads this field).
   EvictionPolicy cache_eviction_policy = EvictionPolicy::kLruLeaf;
 
   KvConfig kv() const {
@@ -369,10 +366,9 @@ class Replica {
 
   // How many steps, counting the pure-decode step just planned, can run as
   // one stretch: every boundary before the last must leave nothing to
-  // admit, no sequence complete and no block to reclaim, and no sequence's
-  // first token may copy a shared tail. 1 = no stretch. Records the
-  // stretch's ledger plan in `stretch_`. `min_remaining` is the fewest
-  // output tokens any sequence still owes.
+  // admit, no sequence complete and no block to reclaim. 1 = no stretch.
+  // Records the stretch's ledger plan in `stretch_`. `min_remaining` is the
+  // fewest output tokens any sequence still owes.
   int64_t PlanStretch(int64_t min_remaining);
 
   // The step event: syncs the stretch's earlier boundaries, then finishes

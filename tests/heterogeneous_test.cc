@@ -1,5 +1,4 @@
-// §7 extension tests: heterogeneous accelerators and request-characteristic
-// (short-prompt) routing.
+// §7 extension tests: heterogeneous accelerators.
 //
 // The paper argues selective pushing by pending requests is hardware-
 // agnostic: the availability signal comes from each engine's own pending
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "src/analysis/metrics.h"
-#include "src/core/skywalker_lb.h"
 #include "src/lb/policies.h"
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
@@ -108,92 +106,6 @@ TEST(HeterogeneousTest, MixedFleetCompletesEverythingUnderAllModes) {
     // No request may be stranded: all client-visible completions recorded.
     EXPECT_EQ(fleet.metrics.total_recorded(), issued);
   }
-}
-
-struct ShortPromptBench {
-  Simulator sim;
-  std::unique_ptr<Network> net;
-  std::vector<std::unique_ptr<Replica>> replicas;
-  std::unique_ptr<SkyWalkerLb> lb;
-
-  explicit ShortPromptBench(int64_t threshold) {
-    Topology topology;
-    topology.AddRegion("local", Milliseconds(1));
-    net = std::make_unique<Network>(&sim, topology);
-    SkyWalkerConfig config;
-    config.routing.short_prompt_threshold = threshold;
-    lb = std::make_unique<SkyWalkerLb>(&sim, net.get(), 0, 0, config);
-    for (ReplicaId i = 0; i < 2; ++i) {
-      replicas.push_back(
-          std::make_unique<Replica>(&sim, i, 0, ReplicaConfig{}));
-      lb->AttachReplica(replicas.back().get());
-    }
-    lb->Start();
-  }
-
-  void Send(RequestId id, int64_t prompt_len, Token base) {
-    Request req;
-    req.id = id;
-    req.client_region = 0;
-    req.routing_key = "k";
-    TokenSeq prompt;
-    for (int64_t i = 0; i < prompt_len; ++i) {
-      prompt.push_back(base + static_cast<Token>(i));
-    }
-    TokenSeq output;
-    for (int i = 0; i < 8; ++i) {
-      output.push_back(800000 + base + i);
-    }
-    req.prompt = std::move(prompt);
-    req.output = std::move(output);
-    lb->HandleRequest(std::move(req), {});
-  }
-};
-
-TEST(ShortPromptRoutingTest, ShortPromptsSpreadByLoadInsteadOfTrie) {
-  ShortPromptBench bench(/*threshold=*/128);
-  bench.sim.RunFor(Milliseconds(300));
-  // Identical short prompt repeatedly: without the heuristic the trie would
-  // pin all of them to one replica; with it they spread by outstanding load.
-  for (int i = 0; i < 12; ++i) {
-    bench.Send(static_cast<RequestId>(i), 32, 0);
-  }
-  bench.sim.RunFor(Seconds(60));
-  EXPECT_GT(bench.replicas[0]->stats().enqueued, 0);
-  EXPECT_GT(bench.replicas[1]->stats().enqueued, 0);
-}
-
-TEST(ShortPromptRoutingTest, LongPromptsStillFollowTrie) {
-  ShortPromptBench bench(/*threshold=*/128);
-  bench.sim.RunFor(Milliseconds(300));
-  for (int i = 0; i < 6; ++i) {
-    bench.Send(static_cast<RequestId>(i), 512, 0);
-    bench.sim.RunFor(Seconds(20));  // Sequential: affinity visible.
-  }
-  // All long requests stick to one replica (prefix affinity).
-  int used = 0;
-  for (auto& replica : bench.replicas) {
-    if (replica->stats().enqueued > 0) {
-      ++used;
-    }
-  }
-  EXPECT_EQ(used, 1);
-}
-
-TEST(ShortPromptRoutingTest, DisabledThresholdKeepsTrieForShortPrompts) {
-  ShortPromptBench bench(/*threshold=*/0);
-  bench.sim.RunFor(Milliseconds(300));
-  for (int i = 0; i < 6; ++i) {
-    bench.Send(static_cast<RequestId>(i), 32, 0);
-    bench.sim.RunFor(Seconds(10));
-  }
-  int used = 0;
-  for (auto& replica : bench.replicas) {
-    if (replica->stats().enqueued > 0) {
-      ++used;
-    }
-  }
-  EXPECT_EQ(used, 1);  // Trie affinity applies even to short prompts.
 }
 
 }  // namespace

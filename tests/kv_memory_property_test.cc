@@ -273,8 +273,12 @@ struct LiveSeq {
   bool published = false;
 };
 
-// Block size, trace seed, eviction policy, preemption policy.
-using LedgerCase = std::tuple<int32_t, uint64_t, EvictionPolicy, PreemptPolicy>;
+// Block size, trace seed, cache budget in tokens, preemption policy. The
+// KV pool holds 8192 tokens, and the traces' cache never grows past ~520
+// tokens, so an 8192-token budget never binds. At 256 tokens, donor inserts
+// run over the budget, and the cache evicts inside co-held windows (the
+// co-holding leaf included).
+using LedgerCase = std::tuple<int32_t, uint64_t, int64_t, PreemptPolicy>;
 
 // Replays the publish protocol against one ledger (a one-token pool named
 // when `named`; larger pages always are), asserting conservation after
@@ -282,7 +286,7 @@ using LedgerCase = std::tuple<int32_t, uint64_t, EvictionPolicy, PreemptPolicy>;
 // counted pool must agree on.
 void ReplayPublishProtocol(const LedgerCase& ledger_case, bool named,
                            std::vector<std::string>* observed) {
-  auto [block_size, seed, policy, preempt] = ledger_case;
+  auto [block_size, seed, cache_budget, preempt] = ledger_case;
   Rng rng(seed);
   KvConfig config;
   config.capacity_tokens = 8192;
@@ -293,12 +297,7 @@ void ReplayPublishProtocol(const LedgerCase& ledger_case, bool named,
   KvController kv(config);
   KvController::set_named_pages_oracle(false);
   ASSERT_EQ(kv.allocator().named(), named || block_size > 1);
-  // The kColdSubtree replays exercise subtree eviction (plus its LRU-leaf
-  // fallback) under the full publish protocol: conservation and aggregate
-  // soundness (CheckInvariants validates the subtree aggregates whenever
-  // the policy maintains them) must hold after every eviction.
-  PrefixCache cache(config.capacity_tokens, &kv.allocator(), block_size,
-                    policy);
+  PrefixCache cache(cache_budget, &kv.allocator(), block_size);
   const int64_t reserve = 96;
 
   std::vector<LiveSeq> live;
@@ -498,8 +497,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(int32_t{1}, int32_t{16},
                                          int32_t{32}),
                        ::testing::Values(11u, 12u, 13u),
-                       ::testing::Values(EvictionPolicy::kLruLeaf,
-                                         EvictionPolicy::kColdSubtree),
+                       ::testing::Values(int64_t{8192}, int64_t{256}),
                        ::testing::Values(PreemptPolicy::kRecompute,
                                          PreemptPolicy::kSwap)));
 
@@ -530,8 +528,7 @@ INSTANTIATE_TEST_SUITE_P(
     Coarse, CountedLedgerPropertyTest,
     ::testing::Combine(::testing::Values(int32_t{1}),
                        ::testing::Values(11u, 12u, 13u),
-                       ::testing::Values(EvictionPolicy::kLruLeaf,
-                                         EvictionPolicy::kColdSubtree),
+                       ::testing::Values(int64_t{8192}, int64_t{256}),
                        ::testing::Values(PreemptPolicy::kRecompute,
                                          PreemptPolicy::kSwap)));
 
@@ -555,14 +552,14 @@ TokenSeq Concat(TokenSeq head, const TokenSeq& tail) {
 // own new leaf, then a prompt publish whose leaf outlives the donor's
 // release. One line per step: Evict's return value (-1 where the step makes
 // no explicit call), eviction_stats(), used pages, live references.
-std::vector<std::string> RunCoHeldWindow(bool named, EvictionPolicy policy) {
+std::vector<std::string> RunCoHeldWindow(bool named) {
   KvConfig config;
   config.capacity_tokens = 4096;
   KvController::set_named_pages_oracle(named);
   KvController kv(config);
   KvController::set_named_pages_oracle(false);
   EXPECT_EQ(kv.allocator().named(), named);
-  PrefixCache cache(100, &kv.allocator(), 1, policy);
+  PrefixCache cache(100, &kv.allocator(), 1);
   std::vector<std::string> lines;
   auto observe = [&](const std::string& what, int64_t evict_freed) {
     const PrefixCache::EvictionStats& e = cache.eviction_stats();
@@ -622,13 +619,10 @@ std::vector<std::string> RunCoHeldWindow(bool named, EvictionPolicy policy) {
   return lines;
 }
 
-class CoHeldWindowTest : public ::testing::TestWithParam<EvictionPolicy> {};
-
-TEST_P(CoHeldWindowTest, CountedPoolMatchesNamedPoolAtEveryStep) {
-  const std::vector<std::string> named = RunCoHeldWindow(true, GetParam());
-  const std::vector<std::string> counted = RunCoHeldWindow(false, GetParam());
-  // The named refcounts' verdicts (both policies fall back to the LRU leaf
-  // scan: nothing is cold).
+TEST(CoHeldWindowTest, CountedPoolMatchesNamedPoolAtEveryStep) {
+  const std::vector<std::string> named = RunCoHeldWindow(true);
+  const std::vector<std::string> counted = RunCoHeldWindow(false);
+  // The named refcounts' verdicts.
   const std::vector<std::string> expected = {
       "admitted: evict -1 0 0 0 used 121 refs 121",
       "insert evicted its leaf: evict -1 1 1 9 used 121 refs 121",
@@ -640,10 +634,6 @@ TEST_P(CoHeldWindowTest, CountedPoolMatchesNamedPoolAtEveryStep) {
   EXPECT_EQ(named, expected);
   EXPECT_EQ(counted, expected);
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, CoHeldWindowTest,
-                         ::testing::Values(EvictionPolicy::kLruLeaf,
-                                           EvictionPolicy::kColdSubtree));
 
 }  // namespace
 }  // namespace skywalker

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/cache/prefix_cache.h"
 #include "src/common/rng.h"
@@ -437,123 +439,33 @@ TEST(PrefixCacheBlockTest, PinSpanningSplitKeepsStraddleCountsExact) {
   EXPECT_TRUE(alloc.CheckInvariants());
 }
 
-// --- Cold-subtree eviction (ISSUE 8) -------------------------------------
-
-TEST(ColdSubtreeTest, EvictsWholeColdSubtreeBeforeHotContent) {
-  BlockAllocator alloc(4096);
-  PrefixCache cache(65536, &alloc, 16, EvictionPolicy::kColdSubtree);
-  // An abandoned ToT-style branch pair under a shared prefix, last touched
-  // at t=1000...
-  TokenSeq shared = Iota(32);
-  TokenSeq cold_a = shared;
-  TokenSeq cold_b = shared;
-  for (Token t = 0; t < 32; ++t) {
-    cold_a.push_back(1000 + t);
-    cold_b.push_back(2000 + t);
+TEST(PrefixCacheBlockTest, LruEvictionTakesTheOldestWholeBranchesFirst) {
+  // Eight page-aligned 4-page branches off one trunk, inserted oldest
+  // first, plus a newer marker: a 16-page deficit takes the four oldest
+  // branches, one leaf per scan, in one eviction round.
+  BlockAllocator alloc(65536);
+  PrefixCache cache(1 << 20, &alloc, 16);
+  TokenSeq trunk = Iota(64);
+  std::vector<TokenSeq> branches;
+  for (Token branch = 0; branch < 8; ++branch) {
+    TokenSeq seq = trunk;
+    for (Token t = 0; t < 64; ++t) {
+      seq.push_back(1000 * (branch + 1) + t);
+    }
+    cache.Insert(seq, 100 + branch);
+    branches.push_back(std::move(seq));
   }
-  cache.Insert(cold_a, 1000);
-  cache.Insert(cold_b, 1000);
-  // ...and a hot conversation accessed now (well past kColdSubtreeAgeUs).
-  TokenSeq hot = Iota(48, 5000);
-  cache.Insert(hot, 900);
-  cache.MatchPrefix(hot, 2'000'000);
-  ASSERT_TRUE(cache.CheckInvariants());
-
-  // The hot branch is the LRU-oldest *insert*, but the cold pass ignores
-  // recency-of-insert and takes the whole abandoned subtree — shared prefix
-  // and both branches, three nodes in one round.
-  const int64_t freed = cache.Evict(1);
-  EXPECT_GT(freed, 0);
-  EXPECT_EQ(cache.MatchPrefix(cold_a, 2'000'001), 0);
-  EXPECT_EQ(cache.MatchPrefix(cold_b, 2'000'002), 0);
-  EXPECT_EQ(cache.MatchPrefix(hot, 2'000'003), 48);
+  cache.Insert(Iota(32, 500'000), 3'000'000);  // Newest content.
+  EXPECT_EQ(cache.Evict(16), 16);
   EXPECT_EQ(cache.eviction_stats().rounds, 1);
-  EXPECT_EQ(cache.eviction_stats().victims, 3);
-  EXPECT_EQ(cache.eviction_stats().freed_blocks, freed);
-  EXPECT_TRUE(cache.CheckInvariants());
-}
-
-TEST(ColdSubtreeTest, PinnedSubtreeIsNeverACandidate) {
-  BlockAllocator alloc(4096);
-  PrefixCache cache(65536, &alloc, 16, EvictionPolicy::kColdSubtree);
-  TokenSeq old_seq = Iota(64);
-  cache.Insert(old_seq, 1);
-  auto ref = cache.MatchAndRef(old_seq, 2);
-  cache.Insert(Iota(64, 9000), 2'000'000);  // Advances the coldness clock.
-  // The old branch is ancient but pinned: neither the cold pass nor the
-  // LRU fallback may touch it. (The fresh unpinned branch is fair game for
-  // the fallback — 4 pages — but the pinned 4 must survive.)
-  EXPECT_LE(cache.Evict(1 << 20), 4);
-  EXPECT_EQ(cache.MatchPrefix(old_seq, 2'000'001), 64);
-  cache.Unref(ref.pin);
-  cache.Evict(1 << 20);
-  EXPECT_EQ(cache.size_tokens(), 0);
-  EXPECT_TRUE(cache.CheckInvariants());
-}
-
-TEST(ColdSubtreeTest, FallsBackToLruLeafWhenNothingIsCold) {
-  BlockAllocator alloc(4096);
-  PrefixCache cache(65536, &alloc, 16, EvictionPolicy::kColdSubtree);
-  // Three disjoint branches, all accessed within the coldness window.
-  cache.Insert(Iota(32, 100), 1000);
-  cache.Insert(Iota(32, 200), 2000);
-  cache.Insert(Iota(32, 300), 3000);
-  // Nothing is cold relative to newest_access (3000), so the fallback LRU
-  // pass must evict exactly the oldest leaf, like the seed policy.
-  EXPECT_EQ(cache.Evict(1), 2);  // One 32-token node = 2 pages.
-  EXPECT_EQ(cache.MatchPrefix(Iota(32, 100), 4000), 0);
-  EXPECT_EQ(cache.MatchPrefix(Iota(32, 200), 4001), 32);
-  EXPECT_EQ(cache.MatchPrefix(Iota(32, 300), 4002), 32);
-  EXPECT_TRUE(cache.CheckInvariants());
-}
-
-TEST(ColdSubtreeTest, ScorePrefersFewHitsPerPage) {
-  BlockAllocator alloc(4096);
-  PrefixCache cache(65536, &alloc, 16, EvictionPolicy::kColdSubtree);
-  // Two equally old, equally sized branches; one was hit many times while
-  // live, the other never re-read. Pages-per-expected-future-hit evicts the
-  // never-re-read branch first.
-  TokenSeq popular = Iota(32, 100);
-  TokenSeq unloved = Iota(32, 200);
-  cache.Insert(popular, 1000);
-  cache.Insert(unloved, 1000);
-  for (SimTime t = 1001; t < 1011; ++t) {
-    cache.MatchPrefix(popular, t);
+  EXPECT_EQ(cache.eviction_stats().victims, 4);
+  EXPECT_EQ(cache.eviction_stats().freed_blocks, 16);
+  for (size_t b = 0; b < branches.size(); ++b) {
+    EXPECT_EQ(cache.MatchPrefix(branches[b], 4'000'000), b < 4 ? 64 : 128)
+        << "branch " << b;
   }
-  cache.Insert(Iota(16, 300), 2'000'000);  // Coldness clock advances.
-  EXPECT_EQ(cache.Evict(1), 2);
-  EXPECT_EQ(cache.MatchPrefix(unloved, 2'000'001), 0);
-  EXPECT_EQ(cache.MatchPrefix(popular, 2'000'002), 32);
+  EXPECT_EQ(cache.MatchPrefix(Iota(32, 500'000), 4'000'001), 32);
   EXPECT_TRUE(cache.CheckInvariants());
-}
-
-TEST(ColdSubtreeTest, ColdSubtreeReclaimsMorePagesPerVictimScan) {
-  // The mechanism claim behind the micro cell: under a skewed hot/cold
-  // tree, cold-subtree eviction reclaims whole branches in one round while
-  // LRU-leaf eviction walks the tree once per leaf.
-  for (EvictionPolicy policy :
-       {EvictionPolicy::kLruLeaf, EvictionPolicy::kColdSubtree}) {
-    BlockAllocator alloc(65536);
-    PrefixCache cache(1 << 20, &alloc, 16, policy);
-    TokenSeq trunk = Iota(64);
-    for (Token branch = 0; branch < 8; ++branch) {
-      TokenSeq seq = trunk;
-      for (Token t = 0; t < 64; ++t) {
-        seq.push_back(1000 * (branch + 1) + t);
-      }
-      cache.Insert(seq, 100 + branch);
-    }
-    cache.Insert(Iota(32, 500'000), 3'000'000);  // Hot marker.
-    const int64_t target = 16;
-    cache.Evict(target);
-    EXPECT_GE(cache.eviction_stats().freed_blocks, target);
-    if (policy == EvictionPolicy::kColdSubtree) {
-      // One round took whole subtrees.
-      EXPECT_EQ(cache.eviction_stats().rounds, 1);
-      EXPECT_GT(cache.eviction_stats().victims, 1);
-    }
-    EXPECT_TRUE(cache.CheckInvariants());
-  }
 }
 
 TEST(PrefixCacheBlockTest, CoarseModeIsTokenGranular) {

@@ -225,6 +225,25 @@ TEST(SkyWalkerLbTest, PrefixTrieKeepsConversationsSticky) {
   EXPECT_GT(used->cache().HitRate(), 0.5);
 }
 
+TEST(SkyWalkerLbTest, ShortPromptsFollowTheTrie) {
+  // A 32-token prompt sent again and again lands where the trie recorded
+  // it: short prompts get the same prefix affinity as long ones.
+  TwoRegionBench bench(SkyWalkerConfig{}, ReplicaConfig{}, /*replicas_per=*/2);
+  bench.sim.RunFor(Milliseconds(300));
+  for (int i = 0; i < 6; ++i) {
+    bench.lb_a->HandleRequest(MakeRequest(static_cast<RequestId>(i + 1), 32, 8),
+                              {});
+    bench.sim.RunFor(Seconds(10));
+  }
+  int replicas_used = 0;
+  for (int i = 0; i < 2; ++i) {
+    if (bench.replica_in_a(i)->stats().enqueued > 0) {
+      ++replicas_used;
+    }
+  }
+  EXPECT_EQ(replicas_used, 1);
+}
+
 TEST(SkyWalkerLbTest, ConsistentHashVariantStickyByKey) {
   SkyWalkerConfig config;
   config.routing.policy = RoutingPolicyKind::kConsistentHash;
