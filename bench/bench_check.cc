@@ -17,7 +17,8 @@
 // same breath as the change that moved them. Floors are a JSON object of
 // derived-metric key -> minimum value; keys starting with '_' are notes.
 // A floor or timing-floor field that is present but not a number fails the
-// check, naming the file and the key.
+// check, naming the file and the key; so does a timing-sidecar field the
+// check reads that is missing or not a number, naming the cell too.
 
 #include <algorithm>
 #include <cstdio>
@@ -61,6 +62,31 @@ std::optional<double> FloorNumber(const skywalker::Json& entry,
     return std::nullopt;
   }
   return value->AsDouble();
+}
+
+// The number `key` holds in `object`, part of the timing sidecar at `path`:
+// the top level when `cell` is empty, else that cell's entry. Unlike a
+// floor, every sidecar field a check reads must be there: a value that is
+// missing or not a number counts a failure naming the file, the cell and
+// the key.
+std::optional<double> SidecarNumber(const skywalker::Json& object,
+                                    const std::string& key,
+                                    const std::string& path,
+                                    const std::string& cell, int* failures) {
+  const skywalker::Json* value = object.Find(key);
+  if (value != nullptr && value->is_number()) {
+    return value->AsDouble();
+  }
+  const char* what = value == nullptr ? "missing" : "not a number";
+  if (cell.empty()) {
+    std::fprintf(stderr, "FAIL %s: '%s' is %s\n", path.c_str(), key.c_str(),
+                 what);
+  } else {
+    std::fprintf(stderr, "FAIL %s: cell '%s': '%s' is %s\n", path.c_str(),
+                 cell.c_str(), key.c_str(), what);
+  }
+  ++*failures;
+  return std::nullopt;
 }
 
 std::string FlagValue(int argc, char** argv, const char* name) {
@@ -219,9 +245,16 @@ int CheckEventCeilings(const skywalker::Json& timing,
       continue;
     }
     double events = 0;
+    bool counted = true;
     for (const skywalker::Json& shard : shards->elements()) {
-      const skywalker::Json* executed = shard.Find("executed_events");
-      events += executed != nullptr ? executed->AsDouble() : 0.0;
+      const std::optional<double> executed =
+          SidecarNumber(shard, "executed_events", timing_path,
+                        name->AsString(), &failures);
+      counted = counted && executed.has_value();
+      events += executed.value_or(0.0);
+    }
+    if (!counted) {
+      continue;  // SidecarNumber counted the failure.
     }
     if (events > *ceiling) {
       std::fprintf(stderr, "FAIL %s executed %.0f events, above ceiling %.0f\n",
@@ -258,16 +291,21 @@ int CheckTiming(const std::string& timing_path,
   }
   int failures = CheckEventCeilings(*timing, *floors, timing_path,
                                     floors_path);
-  const skywalker::Json* host = timing->Find("hardware_concurrency");
   const std::optional<double> min_host =
       FloorNumber(*floors, "min_host_threads", floors_path, &failures);
-  const double host_threads = host != nullptr ? host->AsDouble() : 0;
-  if (min_host && host_threads < *min_host) {
-    std::printf(
-        "skip timing floors: host has %.0f hardware thread(s), floors "
-        "require >= %.0f (no parallel speedup available)\n",
-        host_threads, *min_host);
-    return failures;
+  if (min_host) {
+    const std::optional<double> host_threads = SidecarNumber(
+        *timing, "hardware_concurrency", timing_path, "", &failures);
+    if (!host_threads) {
+      return failures;  // Whether the floors apply is unknown.
+    }
+    if (*host_threads < *min_host) {
+      std::printf(
+          "skip timing floors: host has %.0f hardware thread(s), floors "
+          "require >= %.0f (no parallel speedup available)\n",
+          *host_threads, *min_host);
+      return failures;
+    }
   }
   const skywalker::Json* smoke = timing->Find("smoke");
   const bool is_smoke = smoke != nullptr && smoke->AsBool();
@@ -303,14 +341,18 @@ int CheckTiming(const std::string& timing_path,
         ++failures;
         continue;
       }
-      const double wall = timed->Find("wall_seconds")->AsDouble();
-      if (wall > *ceiling) {
+      const std::optional<double> wall = SidecarNumber(
+          *timed, "wall_seconds", timing_path, name->AsString(), &failures);
+      if (!wall) {
+        continue;
+      }
+      if (*wall > *ceiling) {
         std::fprintf(stderr, "FAIL %s wall %.3fs above ceiling %.3fs\n",
-                     name->AsString().c_str(), wall, *ceiling);
+                     name->AsString().c_str(), *wall, *ceiling);
         ++failures;
       } else {
         std::printf("ok   %s wall %.3fs (ceiling %.3fs)\n",
-                    name->AsString().c_str(), wall, *ceiling);
+                    name->AsString().c_str(), *wall, *ceiling);
       }
     }
   }
@@ -341,8 +383,17 @@ int CheckTiming(const std::string& timing_path,
       ++failures;
       continue;
     }
-    const double parallel_wall = parallel->Find("wall_seconds")->AsDouble();
-    const double single_wall = single->Find("wall_seconds")->AsDouble();
+    const std::optional<double> parallel_wall_s =
+        SidecarNumber(*parallel, "wall_seconds", timing_path,
+                      parallel_name->AsString(), &failures);
+    const std::optional<double> single_wall_s =
+        SidecarNumber(*single, "wall_seconds", timing_path,
+                      single_name->AsString(), &failures);
+    if (!parallel_wall_s || !single_wall_s) {
+      continue;
+    }
+    const double parallel_wall = *parallel_wall_s;
+    const double single_wall = *single_wall_s;
     if (min_wall && single_wall < *min_wall) {
       std::printf(
           "skip %s vs %s: single-shard wall %.3fs below the %.3fs noise "

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -42,8 +42,8 @@ PrefixCache::PrefixCache(int64_t capacity_tokens, BlockAllocator* alloc,
 
 PrefixCache::~PrefixCache() {
   // Return every page reference to the (possibly shared) allocator so a
-  // replica teardown leaves the pool consistent. Slices into the owned
-  // pools die with the pools themselves.
+  // replica teardown leaves the pool consistent. Span slices die with the
+  // owned pool, and borrowed buffers with the nodes that hold them.
   std::vector<SlabId> stack{root_};
   while (!stack.empty()) {
     SlabId id = stack.back();
@@ -66,8 +66,8 @@ SlabId PrefixCache::SplitAbove(SlabId id, size_t keep, int64_t start) {
   Node& upper = node(top);
   assert(keep > 0 && keep < lower.edge.size());
 
-  upper.edge = lower.edge.Prefix(keep);
-  pool_.AddRef(upper.edge);
+  upper.edge = TokenSpan(lower.edge.data(), keep);
+  upper.owner = lower.owner;  // Both halves view the one buffer.
   upper.parent = lower.parent;
   // Both halves are covered by exactly the pins that covered the original
   // node (pin boundaries are node-aligned, so no pin ends strictly inside);
@@ -98,21 +98,41 @@ SlabId PrefixCache::SplitAbove(SlabId id, size_t keep, int64_t start) {
     lower.blocks = lower.blocks.Suffix(static_cast<size_t>(lower_from));
   }
 
-  *node(lower.parent).children.Find(lower.edge.front()) = top;
-  lower.edge = lower.edge.Suffix(keep);  // Keeps the original chunk ref.
+  *node(lower.parent).children.Find(lower.edge[0]) = top;
+  lower.edge = TokenSpan(lower.edge.data() + keep, lower.edge.size() - keep);
   lower.parent = top;
   ++num_nodes_;  // Token count is unchanged; one extra node exists.
   return top;
 }
 
-int64_t PrefixCache::WalkAndSplit(TokenSpan seq, SimTime now,
+int64_t PrefixCache::WalkAndSplit(TokenSpan seq, SimTime now, PinId held,
                                   SlabId* deepest) {
+  SlabId cur = root_;
+  size_t pos = 0;
+  if (held != kInvalidPin) {
+    const uint64_t handle = static_cast<uint64_t>(held);
+    SKYWALKER_CHECK(pins_.IsValid(handle))
+        << "resume from invalid pin " << held;
+    const SlabId pinned = pins_[GenSlotPool<SlabId>::HandleSlot(handle)];
+    if (pinned != kNilSlabId) {
+      // The pin's chain spells seq[0, depth): a walk from the root would
+      // match every edge on it whole, split none and stamp each node, so
+      // stamp them here and start below. Pinned nodes cannot be evicted,
+      // and splits insert above them, so the chain is intact.
+      for (SlabId n = pinned; n != root_; n = node(n).parent) {
+        Node& nd = node(n);
+        nd.last_access = now;
+        pos += nd.edge.size();
+      }
+      SKYWALKER_CHECK(pos <= seq.size())
+          << "held pin longer than its sequence";
+      cur = pinned;
+    }
+  }
   // The walk carries a raw node pointer alongside the id (slab chunks have
   // stable addresses) and derefs ids through a chunk-caching cursor.
   Slab<Node, 6>::Cursor cursor(&nodes_);
-  SlabId cur = root_;
   Node* cur_node = &node(cur);
-  size_t pos = 0;
   while (pos < seq.size()) {
     const SlabId* child_slot = cur_node->children.Find(seq[pos]);
     if (child_slot == nullptr) {
@@ -127,7 +147,7 @@ int64_t PrefixCache::WalkAndSplit(TokenSpan seq, SimTime now,
     // the edge-data load) entirely.
     size_t matched = 1;
     if (n > 1) {
-      matched += CommonPrefixLenRaw(child_node->edge.data + 1,
+      matched += CommonPrefixLenRaw(child_node->edge.data() + 1,
                                     seq.data() + pos + 1, n - 1);
     }
     if (matched < child_node->edge.size()) {
@@ -146,10 +166,10 @@ int64_t PrefixCache::WalkAndSplit(TokenSpan seq, SimTime now,
   return static_cast<int64_t>(pos);
 }
 
-PrefixCache::MatchRef PrefixCache::MatchAndRef(TokenSpan seq,
-                                               SimTime now) {
+PrefixCache::MatchRef PrefixCache::MatchAndRef(TokenSpan seq, SimTime now,
+                                               PinId held) {
   SlabId deepest = root_;
-  int64_t len = WalkAndSplit(seq, now, &deepest);
+  int64_t len = WalkAndSplit(seq, now, held, &deepest);
   for (SlabId n = deepest; n != root_; n = node(n).parent) {
     Node& nd = node(n);
     if (nd.ref_count == 0) {
@@ -173,7 +193,7 @@ PrefixCache::MatchRef PrefixCache::MatchAndRef(TokenSpan seq,
 
 int64_t PrefixCache::MatchPrefix(TokenSpan seq, SimTime now) {
   SlabId deepest = root_;
-  return WalkAndSplit(seq, now, &deepest);
+  return WalkAndSplit(seq, now, kInvalidPin, &deepest);
 }
 
 void PrefixCache::Unref(PinId pin) {
@@ -201,16 +221,18 @@ void PrefixCache::Unref(PinId pin) {
   pins_.Release(slot);
 }
 
-int64_t PrefixCache::Insert(TokenSpan seq, SimTime now,
-                            const BlockTable* donor, int64_t donor_base) {
+int64_t PrefixCache::Insert(const SharedTokens& seq, SimTime now,
+                            const BlockTable* donor, int64_t donor_base,
+                            PinId held) {
   SlabId parent = root_;
-  int64_t matched = WalkAndSplit(seq, now, &parent);
+  int64_t matched = WalkAndSplit(seq, now, held, &parent);
   int64_t added = 0;
   if (matched < static_cast<int64_t>(seq.size())) {
     SlabId leaf = nodes_.Alloc();
     Node& n = node(leaf);
-    n.edge = pool_.Intern(seq.data() + matched,
-                          seq.size() - static_cast<size_t>(matched));
+    n.edge = TokenSpan(seq.data() + matched,
+                       seq.size() - static_cast<size_t>(matched));
+    n.owner = seq.buffer();
     n.children.Clear();
     n.parent = parent;
     n.ref_count = 0;
@@ -268,7 +290,7 @@ int64_t PrefixCache::Insert(TokenSpan seq, SimTime now,
     }
     block_refs_ += pages;
 
-    node(parent).children.Set(n.edge.front(), leaf);
+    node(parent).children.Set(n.edge[0], leaf);
     ++num_nodes_;
     size_tokens_ += added;
   }
@@ -328,14 +350,14 @@ int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
   assert(n.children.empty() && n.ref_count == 0);
   size_tokens_ -= static_cast<int64_t>(n.edge.size());
   --num_nodes_;
-  node(n.parent).children.Erase(n.edge.front());
-  pool_.Release(n.edge);
+  node(n.parent).children.Erase(n.edge[0]);
   // Release the victim's page references. Pages straddling into the parent
   // (or still referenced by a running sequence's table) survive in the
   // allocator until their last holder lets go — the return value counts
   // only what actually hit the free list.
   const int64_t freed = ReleasePages(leaf, n, false);
-  n.edge = TokenSlice{};
+  n.edge = TokenSpan{};
+  n.owner.reset();  // The buffer goes with its last viewing edge.
   n.parent = kNilSlabId;
   n.last_access = 0;
   nodes_.Free(leaf);  // children map already empty; its capacity is kept.
@@ -457,6 +479,13 @@ bool PrefixCache::CheckInvariants() const {
       if (n.edge.empty()) {
         ok = false;  // Non-root nodes must have a non-empty edge.
       }
+      // Every non-root node holds a buffer, and its edge lies inside it.
+      const std::less_equal<const Token*> le;
+      if (n.owner == nullptr || !le(n.owner->data(), n.edge.data()) ||
+          !le(n.edge.data() + n.edge.size(),
+              n.owner->data() + n.owner->size())) {
+        ok = false;
+      }
       // A child's refcount never exceeds its parent's (refcounts are
       // per-pin-coverage and pins cover prefixes).
       if (n.parent != root_ && n.ref_count > node(n.parent).ref_count) {
@@ -480,7 +509,7 @@ bool PrefixCache::CheckInvariants() const {
     }
     for (const auto& [token, child] : n.children) {
       const Node& c = node(child);
-      if (c.edge.empty() || c.edge.front() != token || c.parent != id) {
+      if (c.edge.empty() || c.edge[0] != token || c.parent != id) {
         ok = false;
       }
       stack.emplace_back(child, end);
@@ -516,10 +545,8 @@ bool PrefixCache::CheckInvariants() const {
     }
   }
   // Arena accounting: every tree node is live in the slab (plus the root),
-  // every non-root node holds exactly one token-pool reference and, on a
-  // named pool, one block-pool reference.
+  // and on a named pool every non-root node holds one block-pool reference.
   if (nodes_.live() != num_nodes_ + 1 ||
-      pool_.live_refs() != static_cast<int64_t>(num_nodes_) ||
       block_pool_.live_refs() !=
           (named_ ? static_cast<int64_t>(num_nodes_) : 0)) {
     ok = false;

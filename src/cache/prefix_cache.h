@@ -8,7 +8,7 @@
 // Pin lifecycle:
 //   auto [cached_len, pin] = cache.MatchAndRef(prompt, now);
 //   ... request runs, using `cached_len` tokens of cached KV ...
-//   cache.Insert(full_sequence, now);   // prompt + generated tokens
+//   cache.Insert(full_sequence, now, nullptr, 0, pin);  // resumes at `pin`
 //   cache.Unref(pin);
 //
 // Invariant maintained across edge splits: a node's ref_count equals the
@@ -18,16 +18,23 @@
 // pins.
 //
 // Memory layout (ISSUE 3): nodes live in a slab arena linked by 32-bit ids
-// with children in a sorted inline small-vector, and edge labels are
-// TokenSlice views into a shared TokenPool instead of per-node
-// std::vector<Token> copies — a walk is sequential index math over
-// contiguous slabs, an edge split is slice arithmetic, and steady-state
-// churn (evict + reinsert, splits) recycles nodes and chunks through free
-// lists without touching the heap. Pins are generation-checked handles onto
-// the deepest covered node; Unref unwinds by walking parent links, which
-// stays correct across splits because a split inserts the new (upper) node
-// *above* the surviving one, preserving the identity of every node a pin
-// can reference.
+// with children in a sorted inline small-vector — a walk is sequential
+// index math over contiguous slabs, and steady-state churn (evict +
+// reinsert, splits) recycles nodes through a free list without touching the
+// heap. Edge labels borrow: an edge is a TokenSpan into the SharedTokens
+// buffer of the request that inserted it, and the node holds that buffer
+// (a shared_ptr in its cold second line), so an insert copies no tokens, a
+// split is span arithmetic plus one more holder of the buffer, and a buffer
+// lives exactly as long as some edge views it. A query slice of a buffer an
+// edge views compares by address (CommonPrefixLenRaw's identity check).
+// Pins are generation-checked handles onto the deepest covered node; Unref
+// unwinds by walking parent links, which stays correct across splits
+// because a split inserts the new (upper) node *above* the surviving one,
+// preserving the identity of every node a pin can reference. For the same
+// reason a pin is a place to resume a walk: MatchAndRef and Insert given a
+// held pin on a prefix of their sequence start at its node, refreshing the
+// LRU stamps of its chain as a walk from the root would, and compare no
+// token of the prefix it covers.
 //
 // Block-native cache (ISSUE 5): the tree is a *view over the paged KV block
 // pool*. Each node owns a span of BlockAllocator block ids covering its
@@ -72,7 +79,6 @@
 #include <vector>
 
 #include "src/cache/small_map.h"
-#include "src/cache/token_pool.h"
 #include "src/cache/tokens.h"
 #include "src/common/chunk_pool.h"
 #include "src/common/gen_slot_pool.h"
@@ -119,8 +125,10 @@ class PrefixCache {
 
   // Longest cached prefix of `seq`; pins it against eviction. Also refreshes
   // LRU timestamps along the path. Always returns a valid pin (possibly of
-  // length zero).
-  MatchRef MatchAndRef(TokenSpan seq, SimTime now);
+  // length zero). `held`, when given, is a live pin on a prefix of `seq`:
+  // the walk starts at its node instead of the root (same result, same
+  // stamps; it stays held — re-pin, then Unref the old pin).
+  MatchRef MatchAndRef(TokenSpan seq, SimTime now, PinId held = kInvalidPin);
 
   // Longest cached prefix without pinning (read-only probe; refreshes LRU).
   int64_t MatchPrefix(TokenSpan seq, SimTime now);
@@ -128,10 +136,13 @@ class PrefixCache {
   // Releases a pin obtained from MatchAndRef. Pin ids are single-use.
   void Unref(PinId pin);
 
-  // Inserts `seq`; returns the number of tokens newly stored. Evicts
-  // unpinned LRU entries as needed to respect capacity; if pinned content
-  // prevents full compliance the cache may transiently exceed capacity
-  // (the replica's admission control keeps global residency bounded).
+  // Inserts `seq`; returns the number of tokens newly stored. The new edge
+  // views `seq`'s buffer, which the cache holds until no edge views it.
+  // Evicts unpinned LRU entries as needed to respect capacity; if pinned
+  // content prevents full compliance the cache may transiently exceed
+  // capacity (the replica's admission control keeps global residency
+  // bounded). `held`, when given, is a live pin on a prefix of `seq` the
+  // walk resumes from, as in MatchAndRef.
   //
   // When `donor` is given (the publishing sequence's path-aligned block
   // table, whose first token sits at path position `donor_base`), the new
@@ -141,8 +152,9 @@ class PrefixCache {
   // (re-publish after eviction) get fresh pages. On a counted pool the
   // donor's next release must follow before any other release or split of
   // the new node (the co-held window).
-  int64_t Insert(TokenSpan seq, SimTime now,
-                 const BlockTable* donor = nullptr, int64_t donor_base = 0);
+  int64_t Insert(const SharedTokens& seq, SimTime now,
+                 const BlockTable* donor = nullptr, int64_t donor_base = 0,
+                 PinId held = kInvalidPin);
 
   // Evicts unpinned entries until at least `blocks` pages have returned to
   // the allocator's free list or nothing evictable remains. The unit is
@@ -228,29 +240,35 @@ class PrefixCache {
 
  private:
   // Two cache lines. The first line is everything a walk touches — edge
-  // slice (16) + child map with two inline entries (32) + parent (4) +
+  // span (16) + child map with two inline entries (32) + parent (4) +
   // ref_count (4) + last_access (8) — so trie walks still load one line per
-  // node. The second line holds the node's KV page span (16), touched only
-  // by insert/split/evict; the rest of it is padding, kept because member
-  // placement has moved the benchmark's wall clock before.
+  // node. The second line holds what only insert/split/evict touch: the
+  // node's KV page span (16) and the buffer its edge views (16); the rest
+  // of it is padding, kept because member placement has moved the
+  // benchmark's wall clock before.
   struct alignas(64) Node {
-    TokenSlice edge;  // Label on the edge from parent to this node.
+    TokenSpan edge;  // Label on the edge from parent to this node: a view
+                     // into `owner`.
     SmallSortedMap<Token, SlabId, 2> children;
     SlabId parent = kNilSlabId;
     // Pins in flight are bounded by the replica batch size; 2^31 is ample.
     int32_t ref_count = 0;
     SimTime last_access = 0;
-    // --- second line: the paged-KV span (cold for walks) ---
+    // --- second line (cold for walks) ---
     BlockSlice blocks;  // Pages covering the edge, path-aligned (none on a
                         // counted pool: the pages are the edge's tokens).
+    std::shared_ptr<const TokenSeq> owner;  // The buffer `edge` views.
   };
   static_assert(sizeof(Node) == 128, "Node must stay two cache lines");
 
   // Walks `seq`, splitting any edge that straddles the match end so the
   // match boundary is node-aligned. Returns matched length; `*deepest` gets
   // the deepest fully matched node (root if nothing matched). The full
-  // matched path is exactly the parent chain of `*deepest`.
-  int64_t WalkAndSplit(TokenSpan seq, SimTime now, SlabId* deepest);
+  // matched path is exactly the parent chain of `*deepest`. A valid `held`
+  // pin covers a prefix of `seq`: the walk refreshes its chain's stamps
+  // and starts below it.
+  int64_t WalkAndSplit(TokenSpan seq, SimTime now, PinId held,
+                       SlabId* deepest);
 
   // Splits the edge of `id` (whose edge starts at absolute path depth
   // `start`) at `keep` tokens by inserting a new node ABOVE it: the new
@@ -299,7 +317,6 @@ class PrefixCache {
   // The leaf of the last donor Insert that co-held pages (CoHolds).
   SlabId coheld_leaf_ = kNilSlabId;
   Slab<Node, 6> nodes_;  // 64-node chunks: cheap short-lived instances.
-  TokenPool pool_;
   BlockPool block_pool_;
   SlabId root_;
   int64_t size_tokens_ = 0;

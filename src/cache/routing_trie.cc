@@ -84,87 +84,6 @@ void RoutingTrie::Insert(TokenSpan seq, TargetId target) {
   EvictToCapacity();
 }
 
-void RoutingTrie::FillAvailable(SlabId id, const TargetPredicate& pred,
-                                std::vector<TargetId>* out) const {
-  out->clear();
-  // Most-recently-inserted first, so callers preferring fresh caches can
-  // take the front. Deployments have a few dozen targets at most, so the
-  // (gen, target) sort scratch lives on the stack; only the returned
-  // candidate vector allocates.
-  constexpr size_t kInlineAvail = 64;
-  std::pair<uint64_t, TargetId> inline_avail[kInlineAvail];
-  std::vector<std::pair<uint64_t, TargetId>> spill;
-  std::pair<uint64_t, TargetId>* avail = inline_avail;
-  const auto& targets = node(id).targets;
-  if (targets.size() > kInlineAvail) {
-    spill.resize(targets.size());
-    avail = spill.data();
-  }
-  size_t count = 0;
-  for (const auto& [target, gen] : targets) {
-    if (!pred || pred(target)) {
-      avail[count++] = {gen, target};
-    }
-  }
-  std::sort(avail, avail + count,
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  out->reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    out->push_back(avail[i].second);
-  }
-}
-
-RoutingTrie::Match RoutingTrie::MatchBest(TokenSpan seq,
-                                          const TargetPredicate& pred) const {
-  Match result;
-  SlabId best = root_;
-  int64_t best_len = 0;
-
-  Slab<Node, 6>::ConstCursor cursor(&nodes_);
-  const Node* cur_node = &node(root_);
-  size_t pos = 0;
-  while (pos < seq.size()) {
-    const SlabId* child_slot = cur_node->children.Find(seq[pos]);
-    if (child_slot == nullptr) {
-      break;
-    }
-    const SlabId child = *child_slot;
-    const Node& c = *cursor.Deref(child);
-    const size_t n = std::min<size_t>(c.edge.size(), seq.size() - pos);
-    // First token is the child's map key: known equal, skip it.
-    size_t matched = 1;
-    if (n > 1) {
-      matched += CommonPrefixLenRaw(c.edge.data + 1, seq.data() + pos + 1,
-                                    n - 1);
-    }
-    // Early exit (paper §3.2): child target sets are subsets of the
-    // parent's, so once no available target remains there is nothing
-    // deeper worth visiting.
-    bool any_available = false;
-    for (const auto& [target, gen] : c.targets) {
-      (void)gen;
-      if (!pred || pred(target)) {
-        any_available = true;
-        break;
-      }
-    }
-    if (!any_available) {
-      break;
-    }
-    pos += matched;
-    best = child;
-    best_len = static_cast<int64_t>(pos);
-    if (matched < c.edge.size()) {
-      break;  // Diverged inside this edge; partial tokens still matched.
-    }
-    cur_node = &c;
-  }
-
-  result.match_len = best_len;
-  FillAvailable(best, pred, &result.candidates);
-  return result;
-}
-
 void RoutingTrie::RemoveTarget(TargetId target) {
   // DFS removing the target; prune empty leaves bottom-up.
   std::vector<SlabId> stack{root_};

@@ -86,6 +86,9 @@ class SharedTokens {
   operator TokenSpan() const {  // NOLINT(google-explicit-constructor)
     return TokenSpan(data(), size_);
   }
+  // The whole buffer this slice views: what a cache edge that borrows the
+  // slice's tokens holds to keep them alive.
+  const std::shared_ptr<const TokenSeq>& buffer() const { return buffer_; }
   // A copy, for readers that keep a plain vector (trace records, the repo
   // benchmark's replays). Hot paths read the slice instead.
   operator TokenSeq() const {  // NOLINT(google-explicit-constructor)
@@ -121,10 +124,16 @@ static_assert(sizeof(SharedTokens) == sizeof(TokenSeq),
               "a slice must cost no more than the vector it replaces");
 
 // Length of the common prefix of a[0..n) and b[0..n). The radix walk's
-// innermost loop: long edges take one SIMD memcmp (full equality is the hot
-// case — walking through an interior node), short edges stay scalar because
-// the memcmp call overhead would dominate a 1–2 token compare.
+// innermost loop: the same address is the same tokens, which is the hot case
+// once cache edges borrow the buffers of the requests that inserted them (a
+// conversation's next turn walks its own transcript); long edges take one
+// SIMD memcmp (full equality is the next hot case — walking through an
+// interior node), short edges stay scalar because the memcmp call overhead
+// would dominate a 1–2 token compare.
 inline size_t CommonPrefixLenRaw(const Token* a, const Token* b, size_t n) {
+  if (a == b) {
+    return n;
+  }
   if (n >= 16) {
     if (std::memcmp(a, b, n * sizeof(Token)) == 0) {
       return n;

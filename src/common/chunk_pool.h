@@ -2,7 +2,9 @@
 //
 // The seed trees copied their per-node payloads (edge labels; since ISSUE 5
 // also per-node KV block-id spans) into per-node std::vector buffers: every
-// insert allocated, and every edge split copied both halves. A ChunkPool<T>
+// insert allocated, and every edge split copied both halves. Today the
+// routing trie's edge labels and the prefix cache's block spans live here
+// (the prefix cache's edge labels borrow request buffers). A ChunkPool<T>
 // instead appends inserted spans into large shared chunks exactly once;
 // nodes hold PoolSlice<T> views {data pointer, chunk id, length} into those
 // chunks. Splitting an edge is pointer arithmetic (both halves alias the

@@ -581,13 +581,15 @@ void Replica::OnPrefillComplete(Seq& seq) {
   // published span — only generated tokens remain private, and a page
   // straddling the prompt boundary stays shared between the cache's tail
   // node and this sequence (cached_len keeps the admission-time value for
-  // reporting; it reflects the compute actually saved).
+  // reporting; it reflects the compute actually saved). Both walks resume
+  // at the admission pin, which covers a prefix of the prompt, so the
+  // re-pin comes before that pin's release.
   TracingEvictions([&] {
     cache_.Insert(seq.req.prompt, sim_->now(), &kv_.table(seq.kv),
-                  seq.kv_base);
+                  seq.kv_base, seq.pin);
   });
+  auto match = cache_.MatchAndRef(seq.req.prompt, sim_->now(), seq.pin);
   cache_.Unref(seq.pin);
-  auto match = cache_.MatchAndRef(seq.req.prompt, sim_->now());
   seq.pin = match.pin;
   // The span to keep, positionally: the prompt remainder the cache does
   // not cover, plus the generated tokens actually present in the table. A
@@ -624,10 +626,11 @@ void Replica::CompleteSeq(Seq& seq) {
   // Prompt ⊕ output: a view of the generator's buffer, where the output
   // continues the prompt. The generated suffix publishes the same way the
   // prompt did: by reference transfer from the sequence's path-aligned
-  // table.
+  // table, walking on from the sequence's pin on its prompt.
   const SharedTokens full = Concat(seq.req.prompt, seq.req.output);
   TracingEvictions([&] {
-    cache_.Insert(full, sim_->now(), &kv_.table(seq.kv), seq.kv_base);
+    cache_.Insert(full, sim_->now(), &kv_.table(seq.kv), seq.kv_base,
+                  seq.pin);
   });
   cache_.Unref(seq.pin);
   seq.pin = kInvalidPin;

@@ -7,7 +7,10 @@
 // whole publish/evict cycle. Allocations are
 // counted with a global operator new/delete replacement (standard-
 // sanctioned, composes with ASan); counters are only asserted inside
-// windows the test controls.
+// windows the test controls. The cache cases build their request slices
+// once, before any counted loop, as a generator does: a cache edge borrows
+// its slice's buffer, while a plain TokenSeq argument would convert into a
+// fresh buffer on every insert.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -172,7 +176,7 @@ TEST(KvMemoryAllocTest, CountedPoolChurnDoesNotAllocateWhenWarm) {
   // the prefix drop), single-token and stable-stretch decode, completion
   // (a donor Insert, then the release) and eviction, some of it inside a
   // donor's co-held window, must recycle sequence slots, cache nodes and
-  // token chunks once warm.
+  // pin slots once warm.
   KvConfig config;
   config.capacity_tokens = 1 << 20;
   KvController kv(config);
@@ -183,22 +187,26 @@ TEST(KvMemoryAllocTest, CountedPoolChurnDoesNotAllocateWhenWarm) {
   constexpr int kSeqs = 32;
   constexpr int64_t kStretch = 8;
   constexpr int64_t kOutput = 1 + kStretch + 2;
-  std::vector<TokenSeq> prompts;
-  std::vector<TokenSeq> completions;
+  // One buffer per sequence, its prompt then its output; the prompt and
+  // the completion are slices of it, as a generated request's are.
+  std::vector<SharedTokens> prompts;
+  std::vector<SharedTokens> completions;
   for (int k = 0; k < kSeqs; ++k) {
-    TokenSeq prompt;
+    TokenSeq tokens;
     for (Token t = 0; t < 300; ++t) {
-      prompt.push_back(t);  // Shared prefix.
+      tokens.push_back(t);  // Shared prefix.
     }
     for (Token t = 0; t < 50 + k; ++t) {
-      prompt.push_back(10'000 + k * 1'000 + t);
+      tokens.push_back(10'000 + k * 1'000 + t);
     }
-    TokenSeq completion = prompt;
+    const size_t prompt_len = tokens.size();
     for (Token t = 0; t < kOutput; ++t) {
-      completion.push_back(900'000 + k * 1'000 + t);
+      tokens.push_back(900'000 + k * 1'000 + t);
     }
-    prompts.push_back(std::move(prompt));
-    completions.push_back(std::move(completion));
+    const size_t total = tokens.size();
+    auto buffer = std::make_shared<const TokenSeq>(std::move(tokens));
+    prompts.emplace_back(buffer, 0, prompt_len);
+    completions.emplace_back(buffer, 0, total);
   }
   std::vector<KvController::SeqId> ids(kSeqs);
   std::vector<PinId> pins(kSeqs);
@@ -209,7 +217,7 @@ TEST(KvMemoryAllocTest, CountedPoolChurnDoesNotAllocateWhenWarm) {
   SimTime now = 0;
   auto churn = [&] {
     for (int k = 0; k < kSeqs; ++k) {
-      const TokenSeq& prompt = prompts[static_cast<size_t>(k)];
+      const SharedTokens& prompt = prompts[static_cast<size_t>(k)];
       const int64_t prompt_len = static_cast<int64_t>(prompt.size());
       const PrefixCache::MatchRef match = cache.MatchAndRef(prompt, ++now);
       const int64_t base = std::min(match.cached_len, prompt_len - 1);
@@ -218,10 +226,12 @@ TEST(KvMemoryAllocTest, CountedPoolChurnDoesNotAllocateWhenWarm) {
       kv.OnPrefillChunk(id, prefill / 2);
       kv.OnPrefillChunk(id, prefill - prefill / 2);
       kv.OnDecodeToken(id);  // The final chunk's first output token.
-      // Publish as Replica::OnPrefillComplete does.
-      cache.Insert(prompt, ++now, &kv.table(id), base);
+      // Publish as Replica::OnPrefillComplete does: both walks resume at
+      // the admission pin, and the re-pin comes before its release.
+      cache.Insert(prompt, ++now, &kv.table(id), base, match.pin);
+      const PrefixCache::MatchRef published =
+          cache.MatchAndRef(prompt, ++now, match.pin);
       cache.Unref(match.pin);
-      const PrefixCache::MatchRef published = cache.MatchAndRef(prompt, ++now);
       kv.ReleaseSeqPrefix(id, published.cached_len - base);
       ids[static_cast<size_t>(k)] = id;
       pins[static_cast<size_t>(k)] = published.pin;
@@ -236,8 +246,9 @@ TEST(KvMemoryAllocTest, CountedPoolChurnDoesNotAllocateWhenWarm) {
       const size_t i = static_cast<size_t>(k);
       kv.OnDecodeToken(ids[i]);
       kv.OnDecodeToken(ids[i]);
-      // Complete as Replica::CompleteSeq does.
-      cache.Insert(completions[i], ++now, &kv.table(ids[i]), bases[i]);
+      // Complete as Replica::CompleteSeq does, resuming at the prompt pin.
+      cache.Insert(completions[i], ++now, &kv.table(ids[i]), bases[i],
+                   pins[i]);
       cache.Unref(pins[i]);
       kv.ReleaseSeq(ids[i]);
     }
@@ -266,7 +277,7 @@ TEST(KvMemoryAllocTest, CountedPoolChurnDoesNotAllocateWhenWarm) {
 TEST(KvMemoryAllocTest, BlockNativeEvictionSteadyStateDoesNotAllocate) {
   // The ISSUE 5 eviction path: LRU leaf scans, page-span release, and
   // publish/re-insert churn against a shared allocator must recycle nodes,
-  // token chunks, page-span chunks, and pages without touching the heap
+  // pin slots, page-span chunks, and pages without touching the heap
   // once warm — with overlapping pins, unpins, and probes of the O(1)
   // occupancy figures in the loop, so the per-page cache-holder counts
   // are exercised on every path.
@@ -275,8 +286,9 @@ TEST(KvMemoryAllocTest, BlockNativeEvictionSteadyStateDoesNotAllocate) {
   PrefixCache cache(1 << 20, &alloc, kBs);  // Capacity: never auto-evicts.
 
   // Shared prefix with unaligned length (straddled pages at the branch
-  // point) plus a fixed cycle of divergent suffixes.
-  std::vector<TokenSeq> seqs;
+  // point) plus a fixed cycle of divergent suffixes, each a request slice
+  // built once.
+  std::vector<SharedTokens> seqs;
   for (int k = 0; k < 32; ++k) {
     TokenSeq seq;
     for (Token t = 0; t < 517; ++t) {
@@ -285,20 +297,21 @@ TEST(KvMemoryAllocTest, BlockNativeEvictionSteadyStateDoesNotAllocate) {
     for (Token t = 0; t < 100 + k; ++t) {
       seq.push_back(10'000 + k * 1'000 + t);
     }
-    seqs.push_back(std::move(seq));
+    seqs.emplace_back(std::move(seq));
   }
 
   SimTime now = 0;
   int64_t probe_sum = 0;
   auto churn = [&] {
     PinId held = kInvalidPin;  // A second, overlapping pin (0->1->2->1).
-    for (const TokenSeq& seq : seqs) {
+    for (const SharedTokens& seq : seqs) {
+      // Insert and re-pin resume at `ref`, as the replica's publish does.
       auto ref = cache.MatchAndRef(seq, ++now);
-      cache.Insert(seq, ++now);
+      cache.Insert(seq, ++now, nullptr, 0, ref.pin);
       if (held != kInvalidPin) {
         cache.Unref(held);
       }
-      held = cache.MatchAndRef(seq, ++now).pin;
+      held = cache.MatchAndRef(seq, ++now, ref.pin).pin;
       cache.Unref(ref.pin);
       const PrefixCache::BlockOccupancy occ = cache.CountBlocks();
       probe_sum += occ.held_blocks + occ.evictable_blocks;
@@ -306,7 +319,7 @@ TEST(KvMemoryAllocTest, BlockNativeEvictionSteadyStateDoesNotAllocate) {
     cache.Unref(held);
     cache.Evict(std::numeric_limits<int64_t>::max());
   };
-  // Warm-up: node slab, token/page-span chunk pools, pin slots, child-map
+  // Warm-up: node slab, page-span chunk pool, pin slots, child-map
   // spill capacities, and the page pool's refcounts, cache-holder counts
   // and free list must all reach their high-water marks. The page-span pool is the slow one: spans are a few
   // entries each, so its first 16K-entry chunk only seals (forcing the

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -53,6 +54,62 @@ TEST(PrefixCacheTest, DivergentInsertSplitsEdge) {
   EXPECT_EQ(cache.size_tokens(), 6);  // 1,2 shared; 3,4 and 7,8 branches.
   EXPECT_EQ(cache.MatchPrefix(Seq({1, 2, 3, 4}), 2), 4);
   EXPECT_EQ(cache.MatchPrefix(Seq({1, 2, 7, 8}), 2), 4);
+  EXPECT_TRUE(cache.CheckInvariants());
+}
+
+TEST(PrefixCacheTest, EdgesHoldTheirBufferUntilTheLastOneIsEvicted) {
+  // An edge views the buffer of the slice that inserted it and keeps it
+  // alive: through a split (both halves view it) and until the last edge
+  // viewing it is evicted.
+  PrefixCache cache(1000);
+  std::weak_ptr<const TokenSeq> watch;
+  {
+    const SharedTokens seq(Seq({1, 2, 3, 4, 5, 6}));
+    watch = seq.buffer();
+    cache.Insert(seq, 1);
+  }
+  EXPECT_FALSE(watch.expired());
+  // Split at 3: [1, 2, 3] above [4, 5, 6], both in the buffer; [9] comes
+  // from a buffer of its own.
+  EXPECT_EQ(cache.Insert(Seq({1, 2, 3, 9}), 2), 1);
+  EXPECT_EQ(cache.num_nodes(), 3u);
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(cache.CheckInvariants());
+  // The oldest leaf, [4, 5, 6], goes; the upper half still holds the
+  // buffer, and its tokens still match.
+  EXPECT_EQ(cache.Evict(1), 3);
+  EXPECT_FALSE(watch.expired());
+  EXPECT_EQ(cache.MatchPrefix(Seq({1, 2, 3, 4}), 3), 3);
+  // [9] goes, then [1, 2, 3], the last edge viewing the buffer.
+  EXPECT_EQ(cache.Evict(1), 1);
+  EXPECT_FALSE(watch.expired());
+  EXPECT_EQ(cache.Evict(1), 3);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(cache.num_nodes(), 0u);
+  EXPECT_TRUE(cache.CheckInvariants());
+}
+
+TEST(PrefixCacheTest, ResumingAtAHeldPinRefreshesItsChain) {
+  // A walk resumed at a held pin stamps the pinned chain as a walk from the
+  // root would, so LRU order is unchanged: [1, 2] is re-pinned at 5, after
+  // [5, 6]'s last use at 4, and outlives it.
+  PrefixCache cache(1000);
+  cache.Insert(Seq({1, 2}), 1);
+  cache.Insert(Seq({5, 6}), 2);
+  auto pin = cache.MatchAndRef(Seq({1, 2}), 3);
+  EXPECT_EQ(cache.MatchPrefix(Seq({5, 6}), 4), 2);
+  auto repin = cache.MatchAndRef(Seq({1, 2, 3}), 5, pin.pin);
+  EXPECT_EQ(repin.cached_len, 2);
+  cache.Unref(pin.pin);
+  cache.Unref(repin.pin);
+  EXPECT_EQ(cache.Evict(1), 2);
+  EXPECT_EQ(cache.MatchPrefix(Seq({5, 6}), 6), 0);
+  EXPECT_EQ(cache.MatchPrefix(Seq({1, 2}), 6), 2);
+  // An insert resumed at a pin adds only what lies below it.
+  auto held = cache.MatchAndRef(Seq({1, 2}), 7);
+  EXPECT_EQ(cache.Insert(Seq({1, 2, 3, 4}), 8, nullptr, 0, held.pin), 2);
+  cache.Unref(held.pin);
+  EXPECT_EQ(cache.MatchPrefix(Seq({1, 2, 3, 4}), 9), 4);
   EXPECT_TRUE(cache.CheckInvariants());
 }
 

@@ -5,6 +5,13 @@
 // operation — match lengths, insert/evict returns, candidate orderings,
 // size/node/pin counters — plus CheckInvariants() on the new structures.
 //
+// The cache's edges borrow the buffers of the slices inserted into them, so
+// its traces draw two kinds of sequence: slices of buffers the cache already
+// holds, whose walks compare edges by address (CommonPrefixLenRaw's
+// identity check), and equal copies in fresh buffers, which compare token
+// by token. Some inserts and re-pins resume from a held pin on a prefix of
+// their sequence, while the reference walks from the root.
+//
 // The references below are the pre-ISSUE-3 implementations, kept verbatim
 // (modulo class names): they define the behavior the PR's determinism
 // guardrail freezes. If an optimization ever changes eviction tie-breaking,
@@ -14,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cassert>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -242,7 +250,7 @@ class ReferenceRoutingTrie {
   explicit ReferenceRoutingTrie(int64_t capacity_tokens)
       : capacity_tokens_(capacity_tokens), root_(std::make_unique<Node>()) {}
 
-  using TargetPredicate = RoutingTrie::TargetPredicate;
+  using TargetPredicate = std::function<bool(TargetId)>;
 
   void Insert(const TokenSeq& seq, TargetId target) {
     uint64_t gen = next_gen_++;
@@ -476,30 +484,102 @@ TEST_P(PrefixCacheDifferentialTest, MatchesSeedImplementationExactly) {
   ReferencePrefixCache ref(params.capacity);
 
   std::vector<TokenSeq> history;
-  std::vector<std::pair<PinId, PinId>> pins;  // {new, reference}
+  // Buffers some inserted slice viewed, each at offset 0 and often longer
+  // than what was inserted (a conversation's later turns).
+  std::vector<std::shared_ptr<const TokenSeq>> buffers;
+  struct HeldPin {
+    PinId mine = kInvalidPin;
+    PinId theirs = kInvalidPin;
+    SharedTokens seq;  // What the pin covers a prefix of; offset 0.
+    int64_t len = 0;   // The covered prefix.
+  };
+  std::vector<HeldPin> pins;
 
-  for (int step = 0; step < 1200; ++step) {
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  auto fresh_tokens = [&rng](TokenSeq* seq) {
+    const int64_t extra = rng.UniformInt(0, 8);
+    for (int64_t i = 0; i < extra; ++i) {
+      seq->push_back(static_cast<Token>(rng.UniformInt(0, 9)));
+    }
+  };
+  // Half the time a slice [0, k) of a held buffer, otherwise a copy in a
+  // fresh buffer of its own.
+  auto draw = [&]() -> SharedTokens {
+    if (!buffers.empty() && rng.Bernoulli(0.5)) {
+      const std::shared_ptr<const TokenSeq>& buffer =
+          buffers[pick(buffers.size())];
+      return SharedTokens(buffer, 0,
+                          static_cast<size_t>(rng.UniformInt(
+                              1, static_cast<int64_t>(buffer->size()))));
+    }
+    return SharedTokens(RandomSeq(rng, history));
+  };
+
+  for (int step = 0; step < 2000; ++step) {
     SCOPED_TRACE(step);
     const SimTime now = static_cast<SimTime>(step) / params.time_divisor;
     const double roll = rng.NextDouble();
-    if (roll < 0.35) {
-      TokenSeq seq = RandomSeq(rng, history);
-      history.push_back(seq);
+    if (roll < 0.3) {
+      SharedTokens seq;
+      if (rng.Bernoulli(0.7)) {
+        // New content: a buffer that may run past the inserted slice.
+        TokenSeq tokens = RandomSeq(rng, history);
+        history.push_back(tokens);
+        const size_t len = tokens.size();
+        fresh_tokens(&tokens);
+        buffers.push_back(std::make_shared<const TokenSeq>(std::move(tokens)));
+        seq = SharedTokens(buffers.back(), 0, len);
+      } else {
+        seq = draw();
+      }
       ASSERT_EQ(cache.Insert(seq, now), ref.Insert(seq, now));
-    } else if (roll < 0.55) {
-      TokenSeq seq = RandomSeq(rng, history);
+    } else if (roll < 0.45) {
+      const SharedTokens seq = draw();
       ASSERT_EQ(cache.MatchPrefix(seq, now), ref.MatchPrefix(seq, now));
-    } else if (roll < 0.75) {
-      TokenSeq seq = RandomSeq(rng, history);
+    } else if (roll < 0.6) {
+      const SharedTokens seq = draw();
       auto got = cache.MatchAndRef(seq, now);
       auto want = ref.MatchAndRef(seq, now);
       ASSERT_EQ(got.cached_len, want.cached_len);
-      pins.emplace_back(got.pin, want.pin);
-    } else if (roll < 0.85 && !pins.empty()) {
-      size_t idx = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(pins.size()) - 1));
-      cache.Unref(pins[idx].first);
-      ref.Unref(pins[idx].second);
+      pins.push_back(HeldPin{got.pin, want.pin, seq, got.cached_len});
+    } else if (roll < 0.72 && !pins.empty()) {
+      // Resume at a held pin: the sequence continues the pinned prefix, as
+      // a longer slice of the pin's buffer or as a copy plus fresh tokens.
+      const size_t idx = pick(pins.size());
+      const HeldPin held = pins[idx];
+      SharedTokens seq;
+      if (rng.Bernoulli(0.5)) {
+        seq = SharedTokens(
+            held.seq.buffer(), 0,
+            static_cast<size_t>(rng.UniformInt(
+                held.len, static_cast<int64_t>(held.seq.buffer()->size()))));
+      } else {
+        TokenSeq tokens(held.seq.begin(), held.seq.begin() + held.len);
+        fresh_tokens(&tokens);
+        seq = SharedTokens(std::move(tokens));
+      }
+      if (rng.Bernoulli(0.5)) {
+        ASSERT_EQ(cache.Insert(seq, now, nullptr, 0, held.mine),
+                  ref.Insert(seq, now));
+      } else {
+        auto got = cache.MatchAndRef(seq, now, held.mine);
+        auto want = ref.MatchAndRef(seq, now);
+        ASSERT_EQ(got.cached_len, want.cached_len);
+        pins.push_back(HeldPin{got.pin, want.pin, seq, got.cached_len});
+        if (rng.Bernoulli(0.5)) {
+          // The replica's publish order: re-pin, then drop the old pin.
+          cache.Unref(held.mine);
+          ref.Unref(held.theirs);
+          pins.erase(pins.begin() + static_cast<ptrdiff_t>(idx));
+        }
+      }
+    } else if (roll < 0.82 && !pins.empty()) {
+      const size_t idx = pick(pins.size());
+      cache.Unref(pins[idx].mine);
+      ref.Unref(pins[idx].theirs);
       pins.erase(pins.begin() + static_cast<ptrdiff_t>(idx));
     } else {
       int64_t tokens = rng.UniformInt(1, 64);
@@ -515,9 +595,9 @@ TEST_P(PrefixCacheDifferentialTest, MatchesSeedImplementationExactly) {
   }
 
   // Drain: release every pin, then everything must evict identically.
-  for (const auto& [mine, theirs] : pins) {
-    cache.Unref(mine);
-    ref.Unref(theirs);
+  for (const HeldPin& held : pins) {
+    cache.Unref(held.mine);
+    ref.Unref(held.theirs);
   }
   ASSERT_EQ(cache.Evict(1 << 30), ref.Evict(1 << 30));
   ASSERT_EQ(cache.size_tokens(), 0);
@@ -532,6 +612,138 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheParams{4, 50, 1},           // Brutal eviction.
                       CacheParams{5, 1000, 8},         // Many ties.
                       CacheParams{99, 400, 2}));
+
+// The replica's request lifecycle over conversation-shaped buffers: each
+// conversation is one buffer (a system template copied from a small pool,
+// then its turns' fresh tokens), and each turn is a request whose prompt
+// and output are slices of it. Admission pins the prompt from the root;
+// publish inserts the prompt and re-pins it, both resuming at the admission
+// pin, then drops that pin; completion inserts prompt and output resuming at
+// the sequence's pin, then drops it. Requests interleave under eviction
+// pressure, so a resume that left its pinned chain's LRU stamps stale would
+// reorder evictions. The reference walks every operation from the root.
+TEST_P(PrefixCacheDifferentialTest, RequestLifecycleMatchesSeedImplementation) {
+  const CacheParams params = GetParam();
+  Rng rng(params.seed + 1000);
+  PrefixCache cache(params.capacity);
+  ReferencePrefixCache ref(params.capacity);
+
+  std::vector<TokenSeq> templates;
+  for (int t = 0; t < 3; ++t) {
+    const int64_t len = rng.UniformInt(5, 20);
+    TokenSeq tmpl;
+    for (int64_t i = 0; i < len; ++i) {
+      tmpl.push_back(static_cast<Token>(t * 100 + i));
+    }
+    templates.push_back(std::move(tmpl));
+  }
+  Token fresh = 1'000'000;
+  struct Conversation {
+    std::shared_ptr<const TokenSeq> buffer;
+    std::vector<size_t> ends;  // Turn k: prompt [0, ends[2k]), then its
+                               // output up to ends[2k + 1].
+    size_t turn = 0;
+  };
+  auto start_conversation = [&]() {
+    Conversation c;
+    TokenSeq tokens = templates[static_cast<size_t>(rng.UniformInt(0, 2))];
+    const int64_t turns = rng.UniformInt(1, 6);
+    for (int64_t k = 0; k < 2 * turns; ++k) {
+      const int64_t len = rng.UniformInt(1, 12);
+      for (int64_t i = 0; i < len; ++i) {
+        tokens.push_back(fresh++);
+      }
+      c.ends.push_back(tokens.size());
+    }
+    c.buffer = std::make_shared<const TokenSeq>(std::move(tokens));
+    return c;
+  };
+  std::vector<Conversation> conversations;
+  for (int i = 0; i < 12; ++i) {
+    conversations.push_back(start_conversation());
+  }
+  struct InFlight {
+    size_t conversation = 0;
+    PinId mine = kInvalidPin;
+    PinId theirs = kInvalidPin;
+    bool published = false;
+  };
+  std::vector<InFlight> running;
+  std::vector<bool> busy(conversations.size(), false);
+
+  for (int step = 0; step < 1500; ++step) {
+    SCOPED_TRACE(step);
+    const SimTime now = static_cast<SimTime>(step) / params.time_divisor;
+    const double roll = rng.NextDouble();
+    const size_t c = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(conversations.size()) - 1));
+    Conversation& conv = conversations[c];
+    if (roll < 0.3 && !busy[c]) {
+      // Admission: pin the turn's prompt.
+      const SharedTokens prompt(conv.buffer, 0, conv.ends[2 * conv.turn]);
+      auto got = cache.MatchAndRef(prompt, now);
+      auto want = ref.MatchAndRef(prompt, now);
+      ASSERT_EQ(got.cached_len, want.cached_len);
+      running.push_back(InFlight{c, got.pin, want.pin, false});
+      busy[c] = true;
+    } else if (roll < 0.75 && !running.empty()) {
+      const size_t idx = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(running.size()) - 1));
+      InFlight& req = running[idx];
+      Conversation& owner = conversations[req.conversation];
+      const size_t prompt_end = owner.ends[2 * owner.turn];
+      if (!req.published) {
+        // Publish at prefill completion.
+        const SharedTokens prompt(owner.buffer, 0, prompt_end);
+        ASSERT_EQ(cache.Insert(prompt, now, nullptr, 0, req.mine),
+                  ref.Insert(prompt, now));
+        auto got = cache.MatchAndRef(prompt, now, req.mine);
+        auto want = ref.MatchAndRef(prompt, now);
+        ASSERT_EQ(got.cached_len, want.cached_len);
+        cache.Unref(req.mine);
+        ref.Unref(req.theirs);
+        req = InFlight{req.conversation, got.pin, want.pin, true};
+      } else {
+        // Completion: prompt and output, one slice of the buffer.
+        const SharedTokens full(owner.buffer, 0,
+                                owner.ends[2 * owner.turn + 1]);
+        ASSERT_EQ(cache.Insert(full, now, nullptr, 0, req.mine),
+                  ref.Insert(full, now));
+        cache.Unref(req.mine);
+        ref.Unref(req.theirs);
+        busy[req.conversation] = false;
+        if (++owner.turn * 2 == owner.ends.size()) {
+          owner = start_conversation();
+        }
+        running.erase(running.begin() + static_cast<ptrdiff_t>(idx));
+      }
+    } else if (roll < 0.85) {
+      // A copy of a conversation's prefix: token-by-token compares.
+      const TokenSeq copy(conv.buffer->begin(),
+                          conv.buffer->begin() +
+                              rng.UniformInt(1, static_cast<int64_t>(
+                                                    conv.buffer->size())));
+      ASSERT_EQ(cache.MatchPrefix(copy, now), ref.MatchPrefix(copy, now));
+    } else {
+      const int64_t tokens = rng.UniformInt(1, 64);
+      ASSERT_EQ(cache.Evict(tokens), ref.Evict(tokens));
+    }
+    ASSERT_EQ(cache.size_tokens(), ref.size_tokens());
+    ASSERT_EQ(cache.num_nodes(), ref.num_nodes());
+    ASSERT_EQ(cache.pinned_tokens(), ref.pinned_tokens());
+    ASSERT_EQ(cache.active_pins(), ref.active_pins());
+    ASSERT_EQ(cache.lookup_tokens(), ref.lookup_tokens());
+    ASSERT_EQ(cache.hit_tokens(), ref.hit_tokens());
+    ASSERT_TRUE(cache.CheckInvariants());
+  }
+  for (const InFlight& req : running) {
+    cache.Unref(req.mine);
+    ref.Unref(req.theirs);
+  }
+  ASSERT_EQ(cache.Evict(1 << 30), ref.Evict(1 << 30));
+  ASSERT_EQ(cache.size_tokens(), 0);
+  ASSERT_TRUE(cache.CheckInvariants());
+}
 
 struct TrieParams {
   uint64_t seed = 0;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "src/cache/routing_trie.h"
@@ -14,11 +15,11 @@ namespace {
 
 TokenSeq Seq(std::initializer_list<Token> tokens) { return TokenSeq(tokens); }
 
-RoutingTrie::TargetPredicate All() {
+std::function<bool(TargetId)> All() {
   return [](TargetId) { return true; };
 }
 
-RoutingTrie::TargetPredicate Only(std::set<TargetId> allowed) {
+std::function<bool(TargetId)> Only(std::set<TargetId> allowed) {
   return [allowed = std::move(allowed)](TargetId id) {
     return allowed.count(id) > 0;
   };
